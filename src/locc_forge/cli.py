@@ -30,7 +30,7 @@ from .errors import (
     InstanceError,
     LoccForgeError,
 )
-from .majorization import ProbVector, first_violation, is_majorized, pad_to
+from .majorization import SUM_TOL, ProbVector, first_violation, is_majorized, pad_to
 from .probabilistic import (
     catalysis_search,
     intermediate_state,
@@ -360,7 +360,7 @@ def cmd_multicopy(inst: Instance, args) -> dict:
             "tensor_entries": len(lam) ** copies,
         },
         "residuals": {},
-        "tolerances": {"majorization_tol": 1e-9},
+        "tolerances": {"majorization_tol": SUM_TOL},
         "pass": True,
     }
 
@@ -381,7 +381,7 @@ def cmd_catalyst(inst: Instance, args) -> dict:
         "residuals": {
             "certificate_verified": verified if result.found else None,
         },
-        "tolerances": {"majorization_tol": 1e-9},
+        "tolerances": {"majorization_tol": SUM_TOL},
         "pass": (not result.found) or verified,
     }
 
@@ -535,3 +535,7 @@ def _fail(args, code: int, label: str, exc: Exception) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -29,7 +29,8 @@ class CapExceeded(LoccForgeError):
 
 
 class DecompositionFailed(LoccForgeError):
-    """Permutation peeling found no perfect matching; input numerically broken."""
+    """The permutation-mixture walk did not reproduce its target; the message
+    names the stage, the rank, the steps taken and the residual."""
 
 
 class InternalContradiction(LoccForgeError):

@@ -12,13 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConversionImpossible, InternalContradiction
+from .errors import InternalContradiction
 from .majorization import (
     Permutation,
     PermutationMixture,
     ProbVector,
     ZERO_TOL,
-    is_majorized,
     mixture_for,
 )
 
@@ -170,64 +169,15 @@ def synthesize(
     return plan
 
 
-def qubit_fast_path(lam: ProbVector, mu: ProbVector) -> MeasurementPlan:
-    """Closed-form two-outcome plan for n = 2.
-
-    Outcome 1 carries weight p = (lam_min - mu_min) / (mu_max - mu_min)
-    with the swap relabeling; outcome 2 carries 1 - p with the identity.
-    Equal vectors short-circuit to the trivial one-outcome plan.
-    """
-    if len(lam) != 2 or len(mu) != 2:
-        raise ValueError("qubit fast path requires n = 2")
-    if np.max(np.abs(lam.entries - mu.entries)) <= ZERO_TOL:
-        return _trivial_plan(2)
-    if not is_majorized(lam, mu):
-        raise ConversionImpossible("source not majorized by target", violation_index=0)
-    if mu[0] - mu[1] <= ZERO_TOL:
-        # uniform target majorizes nothing but itself
-        raise ConversionImpossible("uniform target with distinct source")
-    p = (lam[1] - mu[1]) / (mu[0] - mu[1])
-    swap = Permutation((1, 0))
-    diag_swap = np.array(
-        [
-            _safe_ratio(p * mu[1], lam[0]),
-            _safe_ratio(p * mu[0], lam[1]),
-        ]
-    )
-    diag_id = np.array(
-        [
-            _safe_ratio((1.0 - p) * mu[0], lam[0]),
-            _safe_ratio((1.0 - p) * mu[1], lam[1]),
-        ]
-    )
-    plan = MeasurementPlan(
-        outcomes=(
-            PlanOutcome(p, DiagonalOperator(diag_swap), swap),
-            PlanOutcome(1.0 - p, DiagonalOperator(diag_id), Permutation.identity(2)),
-        ),
-        n=2,
-    )
-    _check_plan(plan, lam)
-    return plan
-
-
-def _safe_ratio(num: float, den: float) -> float:
-    if den > 0.0:
-        return float(np.sqrt(num / den))
-    if num > CONTRADICTION_TOL:
-        raise InternalContradiction(f"mass {num} over dead level")
-    return 0.0
-
-
 def build_plan(lam: ProbVector, mu: ProbVector) -> MeasurementPlan:
-    """Routing helper: trivial plan for equal vectors, closed form at n = 2,
-    T-transform chain plus peeling otherwise."""
+    """Plan converting lam into mu: the one-outcome identity plan when the
+    vectors agree within ZERO_TOL, else the measurement synthesized from
+    ``mixture_for``.  Raises ConversionImpossible when lam is not majorized
+    by mu."""
     if len(lam) != len(mu):
         raise ValueError("pad vectors to a common length first")
     if np.max(np.abs(lam.entries - mu.entries)) <= ZERO_TOL:
         return _trivial_plan(len(lam))
-    if len(lam) == 2:
-        return qubit_fast_path(lam, mu)
     return synthesize(lam, mu, mixture_for(lam, mu))
 
 

@@ -24,22 +24,18 @@ from locc_forge import (
     GeneralizedSchmidtState,
     ProbVector,
     assemble,
-    birkhoff_decompose,
     build_plan,
     catalysis_search,
     extract_gsd,
     first_violation,
-    hlp_matrix,
     intermediate_state,
     is_majorized,
     mixture_for,
     pad_to,
     pmax,
-    qubit_fast_path,
     run_conclusive,
     run_protocol,
     synthesize,
-    term_count_bound,
     validate,
 )
 from locc_forge.cli import main as cli_main
@@ -65,7 +61,7 @@ def test_criterion_1_end_to_end_sufficiency():
         lam = t_chain(rng, mu, transforms=int(rng.integers(0, n + 2)))
         mixture = mixture_for(lam, mu)
         assert np.max(np.abs(mixture.reconstruct(mu) - lam.entries)) <= 1e-9
-        assert len(mixture.terms) <= term_count_bound(n)
+        assert len(mixture.terms) <= n
         plan = synthesize(lam, mu, mixture)
         assert plan.completeness_residual(lam.entries > 0) <= 1e-10
         dims = tuple(int(n + rng.integers(0, 2)) for _ in range(m))
@@ -114,9 +110,9 @@ def test_criterion_2_necessity_contract(tmp_path, capsys):
 
 
 def test_criterion_3_qubit_closed_form():
-    """>= 200 random qubit pairs: closed-form probability within 1e-12 and
-    weight multisets equal to the general path; frozen pair simulates to
-    branch probabilities (1/3, 2/3)."""
+    """>= 200 random qubit pairs: the swap outcome carries the closed-form
+    probability within 1e-12 and the identity the rest; frozen pair
+    simulates to branch probabilities (1/3, 2/3)."""
     rng = np.random.default_rng(3003)
     checked = 0
     while checked < 200:
@@ -124,20 +120,19 @@ def test_criterion_3_qubit_closed_form():
         lam = t_chain(rng, mu, transforms=1)
         if np.max(np.abs(lam.entries - mu.entries)) <= 1e-12:
             continue
-        plan = qubit_fast_path(lam, mu)
-        p = plan.outcomes[0].weight
+        plan = build_plan(lam, mu)
         expected = (lam[1] - mu[1]) / (mu[0] - mu[1])
-        assert abs(p - expected) <= 1e-12
-        general = synthesize(lam, mu, mixture_for(lam, mu))
-        got = sorted(o.weight for o in plan.outcomes)
-        want = sorted(o.weight for o in general.outcomes)
-        assert np.max(np.abs(np.array(got) - np.array(want))) <= 1e-12
+        assert len(plan.outcomes) == 2
+        swap, ident = plan.outcomes
+        assert swap.unitary_perm.image == (1, 0) and ident.unitary_perm.is_identity
+        assert abs(swap.weight - expected) <= 1e-12
+        assert abs(ident.weight - (1.0 - expected)) <= 1e-12
         checked += 1
 
     lam, mu = ProbVector([0.6, 0.4]), ProbVector([0.8, 0.2])
     psi = GeneralizedSchmidtState.computational((2, 2), lam)
     phi = GeneralizedSchmidtState.computational((2, 2), mu)
-    tx = run_protocol(psi, phi, qubit_fast_path(lam, mu))
+    tx = run_protocol(psi, phi, build_plan(lam, mu))
     probs = [br.simulated_prob for br in tx.branches]
     np.testing.assert_allclose(probs, [1 / 3, 2 / 3], atol=1e-9)
     assert tx.passed
@@ -263,13 +258,13 @@ def test_criterion_7_invariant_suite(tmp_path, capsys):
             a = t_chain(rng, b, transforms=n)
             assert is_majorized(a, v)
 
-    # birkhoff bound and reconstruction at n <= 8
+    # mixture term bound and reconstruction at n <= 8
     for _ in range(100):
         n = int(rng.integers(2, 9))
         mu = random_probs(rng, n)
         lam = t_chain(rng, mu, transforms=n)
-        mix = birkhoff_decompose(hlp_matrix(lam, mu))
-        assert len(mix.terms) <= term_count_bound(n)
+        mix = mixture_for(lam, mu)
+        assert len(mix.terms) <= n
         assert np.max(np.abs(mix.reconstruct(mu) - lam.entries)) <= 1e-9
         padded_lam, padded_mu = pad_to(lam, n + 1), pad_to(mu, n + 1)
         for k in range(n + 1):
@@ -291,9 +286,9 @@ def test_criterion_7_invariant_suite(tmp_path, capsys):
                 np.abs(post - mu.entries[list(out.unitary_perm.image)])
             ) <= 1e-9
         if n == 2 and np.max(np.abs(lam.entries - mu.entries)) > 1e-12:
-            fast = qubit_fast_path(lam, mu)
+            p = (lam[1] - mu[1]) / (mu[0] - mu[1])
             assert np.allclose(
-                sorted(o.weight for o in fast.outcomes),
+                sorted((p, 1.0 - p)),
                 sorted(o.weight for o in plan.outcomes),
                 atol=1e-12,
             )

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import locc_forge
+from helpers import random_probs, t_chain
 from locc_forge.cli import main
 
 JP_PAIR = {"schema_version": "1", "lam": [0.4, 0.4, 0.1, 0.1],
@@ -134,6 +140,16 @@ class TestPlan:
         _, report, _ = run(capsys, ["plan", "--in", write(tmp_path, EASY_PAIR)])
         assert "completeness" in report["residuals"]
         assert "completeness" in report["tolerances"]
+
+    def test_rank_32_plan(self, tmp_path, capsys):
+        rng = np.random.default_rng(32)
+        mu = random_probs(rng, 32)
+        lam = t_chain(rng, mu, transforms=128)
+        inst = {"schema_version": "1", "lam": lam.to_json(), "mu": mu.to_json()}
+        code, report, _ = run(capsys, ["plan", "--in", write(tmp_path, inst)])
+        assert code == 0 and report["pass"] is True
+        assert report["payload"]["plan"]["n"] == 32
+        assert len(report["payload"]["plan"]["outcomes"]) <= 32
 
 
 class TestSimulate:
@@ -277,3 +293,25 @@ class TestReportContract:
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(EASY_PAIR)))
         code, report, _ = run(capsys, ["check", "--in", "-"])
         assert code == 0 and report["verdict"] == "convertible"
+
+
+class TestModuleEntry:
+    """`python -m locc_forge.cli` runs the same CLI in a fresh interpreter."""
+
+    @pytest.mark.parametrize("payload, verdict", [
+        (EASY_PAIR, "convertible"),
+        (JP_PAIR, "not_convertible"),
+    ])
+    def test_check(self, tmp_path, payload, verdict):
+        src = str(Path(locc_forge.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "locc_forge.cli", "check", "--in",
+             write(tmp_path, payload)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["verdict"] == verdict

@@ -3,22 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import prefix_sum_majorized, random_doubly_stochastic
+from helpers import prefix_sum_majorized, random_doubly_stochastic, random_probs, t_chain
 from locc_forge import (
     ConversionImpossible,
     DecompositionFailed,
-    DoublyStochasticMatrix,
     Permutation,
     PermutationMixture,
     ProbVector,
-    birkhoff_decompose,
     first_violation,
-    hlp_matrix,
     is_majorized,
     mixture_for,
     pad_to,
     tail_sum,
-    term_count_bound,
 )
 
 
@@ -158,61 +154,78 @@ class TestPadTo:
 
 
 class TestHlpMatrix:
+    """Frozen small pairs through mixture_for.  This class and TestBirkhoff
+    keep the names of the constructions they first tested, so that their
+    test ids stay stable."""
+
     def test_equal_vectors_give_identity(self):
         v = ProbVector([0.6, 0.4])
-        assert np.allclose(hlp_matrix(v, v).entries, np.eye(2))
+        mix = mixture_for(v, v)
+        assert len(mix.terms) == 1
+        assert mix.terms[0][0] == 1.0 and mix.terms[0][1].is_identity
 
     def test_unique_2x2_solution(self):
-        d = hlp_matrix(ProbVector([0.5, 0.5]), ProbVector([0.75, 0.25]))
-        assert np.allclose(d.entries, [[0.5, 0.5], [0.5, 0.5]], atol=1e-12)
+        # the only mixture at n = 2 is half identity, half swap; swap first
+        mix = mixture_for(ProbVector([0.5, 0.5]), ProbVector([0.75, 0.25]))
+        got = [(round(p, 12), perm.image) for p, perm in mix.terms]
+        assert got == [(0.5, (1, 0)), (0.5, (0, 1))]
 
     def test_3x3_maps_target_to_source(self):
         lam = ProbVector([0.5, 0.3, 0.2])
         mu = ProbVector([0.6, 0.3, 0.1])
-        d = hlp_matrix(lam, mu)
-        assert np.max(np.abs(d.entries @ mu.entries - lam.entries)) < 1e-9
-        assert np.allclose(d.entries.sum(axis=0), 1.0, atol=1e-9)
-        assert np.allclose(d.entries.sum(axis=1), 1.0, atol=1e-9)
+        mix = mixture_for(lam, mu)
+        assert np.max(np.abs(mix.reconstruct(mu) - lam.entries)) < 1e-9
+        assert sum(p for p, _ in mix.terms) == pytest.approx(1.0, abs=1e-9)
+        assert len(mix.terms) <= 3
 
     def test_not_majorized_raises(self):
         with pytest.raises(ConversionImpossible):
-            hlp_matrix(ProbVector([0.75, 0.25]), ProbVector([0.5, 0.5]))
+            mixture_for(ProbVector([0.75, 0.25]), ProbVector([0.5, 0.5]))
 
     def test_interleaved_surplus_deficit(self):
-        # surplus/deficit positions alternate; junction pairing must stay valid
+        # surplus/deficit positions alternate, and mu has a dead level
         lam = ProbVector([0.4, 0.3, 0.2, 0.1])
         mu = ProbVector([0.5, 0.25, 0.25, 0.0])
-        d = hlp_matrix(lam, mu)
-        assert np.max(np.abs(d.entries @ mu.entries - lam.entries)) < 1e-9
+        mix = mixture_for(lam, mu)
+        assert np.max(np.abs(mix.reconstruct(mu) - lam.entries)) < 1e-9
 
 
 class TestBirkhoff:
+    """Identity, two-level and random 4x4 cases through mixture_for."""
+
     def test_identity_matrix(self):
-        mix = birkhoff_decompose(DoublyStochasticMatrix(np.eye(3)))
+        v = ProbVector([0.5, 0.3, 0.2])
+        mix = mixture_for(v, v)
         assert len(mix.terms) == 1
         weight, perm = mix.terms[0]
         assert weight == pytest.approx(1.0) and perm.is_identity
 
     def test_2x2_even_mix(self):
-        mix = birkhoff_decompose(
-            DoublyStochasticMatrix(np.array([[0.5, 0.5], [0.5, 0.5]]))
-        )
+        mix = mixture_for(ProbVector([0.5, 0.5]), ProbVector([1.0, 0.0]))
         got = {(round(p, 12), perm.image) for p, perm in mix.terms}
         assert got == {(0.5, (0, 1)), (0.5, (1, 0))}
 
     def test_random_4x4_term_bound(self):
         rng = np.random.default_rng(42)
         for _ in range(20):
+            mu = ProbVector(rng.dirichlet(np.ones(4)))
             d = random_doubly_stochastic(rng, 4, transforms=12)
-            mix = birkhoff_decompose(DoublyStochasticMatrix(d))
-            assert len(mix.terms) <= term_count_bound(4) == 10
-            assert np.max(np.abs(mix.matrix() - d)) < 1e-8
+            lam = ProbVector(d @ mu.entries)
+            mix = mixture_for(lam, mu)
+            assert len(mix.terms) <= 4
+            assert np.max(np.abs(mix.reconstruct(mu) - lam.entries)) < 1e-12
 
     def test_broken_input_fails_cleanly(self):
-        bad = DoublyStochasticMatrix.__new__(DoublyStochasticMatrix)
-        object.__setattr__(bad, "entries", np.array([[1.0, 0.0], [1.0, 0.0]]))
-        with pytest.raises(DecompositionFailed):
-            birkhoff_decompose(bad)
+        # entries summing to 1.2 slip past the prefix test but cannot be
+        # reconstructed; the error names the stage and its numbers
+        bad = ProbVector.__new__(ProbVector)
+        object.__setattr__(bad, "_entries", np.array([0.6, 0.6]))
+        object.__setattr__(bad, "_order", np.arange(2))
+        with pytest.raises(DecompositionFailed) as err:
+            mixture_for(bad, ProbVector([0.8, 0.2]))
+        message = str(err.value)
+        assert "mixture_for" in message and "n=2" in message
+        assert "residual" in message and "RECONSTRUCT_TOL 1e-09" in message
 
 
 class TestMixtureFor:
@@ -237,11 +250,23 @@ class TestMixtureFor:
             mixture_for(ProbVector([0.9, 0.1]), ProbVector([0.6, 0.4]))
 
 
+class TestPermutohedronWalk:
+    def test_term_bound_and_residual_up_to_1024(self):
+        rng = np.random.default_rng(2024)
+        for n in (2, 4, 8, 16, 32, 64, 128, 256, 512, 1024):
+            mu = random_probs(rng, n)
+            lam = t_chain(rng, mu, transforms=4 * n)
+            mix = mixture_for(lam, mu)
+            assert len(mix.terms) <= n
+            assert np.max(np.abs(mix.reconstruct(mu) - lam.entries)) <= 1e-12
+
+
 class TestMixtureInvariants:
     def test_term_count_enforced(self):
-        terms = tuple((0.5, Permutation((0, 1))) for _ in range(2))
-        with pytest.raises(ValueError):
-            PermutationMixture(terms + ((0.0, Permutation((0, 1))),), 2)
+        # three positive terms at n = 2 exceed the bound of n terms
+        terms = tuple((1 / 3, Permutation((0, 1))) for _ in range(3))
+        with pytest.raises(ValueError, match="exceed bound 2"):
+            PermutationMixture(terms, 2)
 
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
@@ -322,6 +347,6 @@ def test_mixture_pipeline_invariants(pair):
     lam, mu = pair
     mix = mixture_for(lam, mu)
     n = len(lam)
-    assert len(mix.terms) <= term_count_bound(n)
+    assert len(mix.terms) <= n
     assert sum(p for p, _ in mix.terms) == pytest.approx(1.0, abs=1e-9)
     assert np.max(np.abs(mix.reconstruct(mu) - lam.entries)) < 1e-9

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from helpers import random_probs, t_chain
 from locc_forge import (
     ConversionImpossible,
     DiagonalOperator,
@@ -13,7 +14,7 @@ from locc_forge import (
     ProbVector,
     build_plan,
     mixture_for,
-    qubit_fast_path,
+    pad_to,
     synthesize,
     validate,
 )
@@ -69,8 +70,10 @@ class TestSynthesize:
 
 
 class TestQubitFastPath:
+    """build_plan at n = 2 against the closed-form two-level plan."""
+
     def test_frozen_example(self):
-        plan = qubit_fast_path(ProbVector([0.6, 0.4]), ProbVector([0.8, 0.2]))
+        plan = build_plan(ProbVector([0.6, 0.4]), ProbVector([0.8, 0.2]))
         assert plan.outcomes[0].weight == pytest.approx(1 / 3, abs=1e-12)
         assert plan.outcomes[0].unitary_perm.image == (1, 0)
         assert plan.outcomes[1].weight == pytest.approx(2 / 3, abs=1e-12)
@@ -87,28 +90,28 @@ class TestQubitFastPath:
         )
 
     def test_rank_dropping_target(self):
-        plan = qubit_fast_path(ProbVector([0.5, 0.5]), ProbVector([1.0, 0.0]))
+        plan = build_plan(ProbVector([0.5, 0.5]), ProbVector([1.0, 0.0]))
         assert plan.outcomes[0].weight == pytest.approx(0.5, abs=1e-12)
         # dead target level enters through the 0/0 -> 0 convention
         np.testing.assert_allclose(plan.outcomes[0].operator.diag, [0.0, 1.0])
         np.testing.assert_allclose(plan.outcomes[1].operator.diag, [1.0, 0.0])
 
     def test_equal_vectors_short_circuit(self):
-        plan = qubit_fast_path(ProbVector([0.9, 0.1]), ProbVector([0.9, 0.1]))
+        plan = build_plan(ProbVector([0.9, 0.1]), ProbVector([0.9, 0.1]))
         assert len(plan.outcomes) == 1
         assert plan.outcomes[0].weight == pytest.approx(1.0)
 
     def test_wrong_dimension(self):
         with pytest.raises(ValueError):
-            qubit_fast_path(ProbVector([1 / 3] * 3), ProbVector([0.5, 0.3, 0.2]))
+            build_plan(ProbVector([1 / 3] * 3), ProbVector([0.5, 0.5]))
 
     def test_uniform_target_distinct_source(self):
         with pytest.raises(ConversionImpossible):
-            qubit_fast_path(ProbVector([0.7, 0.3]), ProbVector([0.5, 0.5]))
+            build_plan(ProbVector([0.7, 0.3]), ProbVector([0.5, 0.5]))
 
     def test_not_majorized(self):
         with pytest.raises(ConversionImpossible):
-            qubit_fast_path(ProbVector([0.9, 0.1]), ProbVector([0.8, 0.2]))
+            build_plan(ProbVector([0.9, 0.1]), ProbVector([0.8, 0.2]))
 
 
 class TestValidate:
@@ -122,7 +125,7 @@ class TestValidate:
 
     def test_qubit_probabilities(self):
         lam = ProbVector([0.6, 0.4])
-        plan = qubit_fast_path(lam, ProbVector([0.8, 0.2]))
+        plan = build_plan(lam, ProbVector([0.8, 0.2]))
         report = validate(plan, lam)
         np.testing.assert_allclose(
             report.outcome_probabilities, [1 / 3, 2 / 3], atol=1e-12
@@ -130,7 +133,7 @@ class TestValidate:
 
     def test_perturbed_plan_fails_flags_without_raising(self):
         lam = ProbVector([0.6, 0.4])
-        plan = qubit_fast_path(lam, ProbVector([0.8, 0.2]))
+        plan = build_plan(lam, ProbVector([0.8, 0.2]))
         bad_diag = plan.outcomes[0].operator.diag.copy()
         bad_diag[0] += 1e-3
         tampered = MeasurementPlan(
@@ -194,11 +197,14 @@ def test_synthesized_plan_properties(pair):
 @given(majorized_pairs(min_n=2, max_n=2))
 def test_qubit_paths_agree(pair):
     lam, mu = pair
-    general = synthesize(lam, mu, mixture_for(lam, mu))
-    fast = build_plan(lam, mu)
-    got = sorted(o.weight for o in fast.outcomes)
-    want = sorted(o.weight for o in general.outcomes)
-    assert np.allclose(got, want, atol=1e-12)
+    plan = build_plan(lam, mu)
+    got = sorted(o.weight for o in plan.outcomes)
+    if np.max(np.abs(lam.entries - mu.entries)) <= 1e-12:
+        assert got == [1.0]
+        return
+    p = (lam[1] - mu[1]) / (mu[0] - mu[1])
+    assert len(got) == 2
+    assert np.allclose(got, sorted((p, 1.0 - p)), atol=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
@@ -206,3 +212,56 @@ def test_qubit_paths_agree(pair):
 def test_plans_are_deterministic_and_basis_free(pair):
     lam, mu = pair
     assert build_plan(lam, mu).to_json() == build_plan(lam, mu).to_json()
+
+
+def _assert_walk_plan(lam, mu):
+    """At most n terms, reconstruction within 1e-12, and a valid plan."""
+    mix = mixture_for(lam, mu)
+    assert len(mix.terms) <= len(lam)
+    assert np.max(np.abs(mix.reconstruct(mu) - lam.entries)) <= 1e-12
+    assert validate(synthesize(lam, mu, mix), lam).ok
+
+
+@pytest.mark.parametrize("n", [16, 24, 32, 64, 128])
+def test_large_rank_t_chain_pairs(n):
+    rng = np.random.default_rng(n)
+    for _ in range(4):
+        mu = random_probs(rng, n)
+        _assert_walk_plan(t_chain(rng, mu, transforms=4 * n), mu)
+
+
+def test_tie_heavy_pairs():
+    # mu takes three levels; lam averages random pairs, so both carry ties
+    rng = np.random.default_rng(77)
+    for _ in range(60):
+        n = int(rng.integers(2, 33))
+        levels = rng.integers(1, 4, size=n).astype(float)
+        mu = ProbVector(levels / levels.sum())
+        v = mu.entries.copy()
+        for _ in range(n):
+            i, j = rng.choice(n, size=2, replace=False)
+            v[i] = v[j] = (v[i] + v[j]) / 2
+        _assert_walk_plan(ProbVector(v), mu)
+        _assert_walk_plan(ProbVector(np.full(n, 1.0 / n)), mu)
+
+
+def test_prefix_slack_below_zero_tol():
+    # the last prefix has slack 8e-13; treating it as tight would leave that
+    # error on lam_2 = 0.005 and miss completeness by 1.6e-10
+    mu = ProbVector([0.6, 0.395, 0.005])
+    lam = ProbVector([0.6 - 1e-11, 0.395 + 1e-11 - 8e-13, 0.005 + 8e-13])
+    _assert_walk_plan(lam, mu)
+
+
+def test_zero_padded_pairs():
+    rng = np.random.default_rng(78)
+    for _ in range(60):
+        r = int(rng.integers(1, 17))
+        n = r + int(rng.integers(1, 4))
+        mu = random_probs(rng, r, floor=0.0)
+        lam = pad_to(t_chain(rng, mu, transforms=4 * r), n)
+        _assert_walk_plan(lam, pad_to(mu, n))
+        if r > 1:
+            # folding the smallest level into the largest drops the rank
+            low = np.concatenate(([mu[0] + mu[r - 1]], mu.entries[1:r - 1]))
+            _assert_walk_plan(lam, pad_to(ProbVector(low), n))
