@@ -68,19 +68,6 @@ class Permutation:
         out[list(self.image)] = v
         return out
 
-    def matrix(self, n: int | None = None) -> np.ndarray:
-        """Permutation matrix P with P[image[k], k] = 1, padded with the
-        identity on indices >= n_self when a larger n is requested."""
-        size = self.n if n is None else n
-        if size < self.n:
-            raise ValueError("requested matrix smaller than permutation")
-        mat = np.eye(size)
-        block = np.zeros((self.n, self.n))
-        for k, jk in enumerate(self.image):
-            block[jk, k] = 1.0
-        mat[: self.n, : self.n] = block
-        return mat
-
 
 class ProbVector:
     """Nonnegative coefficient vector summing to 1, kept in nonincreasing

@@ -17,29 +17,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceeded, ConstructionInvalid, ConversionImpossible
+from .errors import CapExceeded, ConstructionInvalid, ConversionImpossible, ZeroBranch
 from .majorization import (
     ProbVector,
     ZERO_TOL,
     first_violation,
     is_majorized,
 )
-from .protocol import DiagonalOperator, MeasurementPlan, build_plan
+from .protocol import COMPLETENESS_TOL, DiagonalOperator, MeasurementPlan, build_plan
 from .simulator import (
+    FIDELITY_TOL,
+    ZERO_BRANCH_TOL,
     AppliedOp,
     BranchRecord,
     GeneralizedSchmidtState,
     Transcript,
-    apply_local,
-    assemble,
-    fidelity,
-    run_protocol,
+    _branches,
+    _coords,
+    _fidelity,
+    _measure,
+    _protocol_transcript,
 )
 
 MAX_TENSOR_ENTRIES = 2**20
 RATIO_TIE_TOL = 1e-12
 DOMINANCE_TOL = 1e-12
-COMPLETENESS_TOL = 1e-10
 SUCCESS_PROB_TOL = 1e-9
 
 
@@ -191,83 +193,71 @@ def intermediate_state(lam: ProbVector, mu: ProbVector) -> ConclusivePlan:
     )
 
 
+def _settle(
+    stage: BranchRecord,
+    branch: np.ndarray,
+    op: DiagonalOperator,
+    share: float,
+    target: np.ndarray,
+    success: bool,
+) -> BranchRecord:
+    """Success or failure measurement on one stage branch, checked against
+    its target's coordinates."""
+    prob, out = _measure(branch, op.diag)
+    if prob <= ZERO_BRANCH_TOL * stage.simulated_prob:
+        raise ZeroBranch(f"conclusive measurement annihilated outcome {stage.outcome}")
+    ops = stage.operations + (AppliedOp(0, "measurement", branch.shape[0]),)
+    if success:
+        ops += tuple(AppliedOp(p, "unitary", d) for p, d in enumerate(branch.shape))
+    return BranchRecord(
+        stage.outcome, stage.analytic_prob * share, prob, True, ops,
+        _fidelity(target, out, prob), success,
+    )
+
+
 def run_conclusive(
     psi: GeneralizedSchmidtState,
     phi: GeneralizedSchmidtState,
     plan: ConclusivePlan | None = None,
 ) -> Transcript:
     """Deterministic stage into the waypoint, then the success/failure
-    measurement on party A, with every branch checked against its target."""
+    measurement on party A, with every branch checked against its target.
+
+    As in ``run_protocol``, psi, the waypoint omega, phi and the failure
+    state are rotated once into their own bases.  omega and the failure
+    state share psi's bases, so the stage's branch tensors take the success
+    and failure diagonals directly, and B_phi B_psi^dag is the identity on
+    coordinates.  Overlaps of coordinates equal the dense fidelities.
+    """
     if psi.dims != phi.dims:
         raise ValueError(f"incompatible dims {psi.dims} vs {phi.dims}")
     if psi.n != phi.n:
         raise ValueError("pad coefficient vectors to a common rank first")
     if plan is None:
         plan = intermediate_state(psi.coeffs, phi.coeffs)
+    if plan.deterministic_stage.n != psi.n:
+        raise ValueError("plan dimension does not match the states")
     omega = GeneralizedSchmidtState(psi.dims, plan.gamma, psi.bases)
-    stage = run_protocol(psi, omega, plan.deterministic_stage)
-
-    phi_dense = assemble(phi)
-    failure_dense = None
+    phi_c = _coords(phi)
+    failure_c = None
     if plan.failure_coeffs is not None:
-        failure_dense = assemble(
+        failure_c = _coords(
             GeneralizedSchmidtState(psi.dims, plan.failure_coeffs, psi.bases)
         )
 
-    d0 = psi.dims[0]
-    basis0 = psi.bases[0]
-
-    def embed(diag: np.ndarray) -> np.ndarray:
-        full = np.zeros(d0)
-        full[: diag.size] = diag
-        return basis0 @ np.diag(full) @ basis0.conj().T
-
-    success_m = embed(plan.success_op.diag)
-    failure_m = embed(plan.failure_op.diag)
-
+    stage: list[BranchRecord] = []
     branches: list[BranchRecord] = []
-    for br in stage.branches:
-        if not br.realizable:
+    for br, tensor in _branches(plan.deterministic_stage, _coords(psi), _coords(omega)):
+        stage.append(br)
+        if tensor is None:
             branches.append(br)
             continue
-        state = br.final
-        ops = br.operations + (AppliedOp(0, "measurement", d0),)
-        s_prob, s_post = apply_local(state, 0, success_m)
-        current = s_post
-        for party in range(psi.m):
-            u = phi.bases[party] @ psi.bases[party].conj().T
-            _, current = apply_local(current, party, u)
-        branches.append(
-            BranchRecord(
-                outcome=br.outcome,
-                analytic_prob=br.analytic_prob * plan.p_max,
-                simulated_prob=br.simulated_prob * s_prob,
-                realizable=True,
-                operations=ops + tuple(
-                    AppliedOp(party, "unitary", psi.dims[party])
-                    for party in range(psi.m)
-                ),
-                post_measurement=s_post,
-                final=current,
-                fidelity=fidelity(current, phi_dense),
-                success=True,
-            )
-        )
-        if failure_dense is not None:
-            f_prob, f_post = apply_local(state, 0, failure_m)
+        branches.append(_settle(br, tensor, plan.success_op, plan.p_max, phi_c, True))
+        if failure_c is not None:
             branches.append(
-                BranchRecord(
-                    outcome=br.outcome,
-                    analytic_prob=br.analytic_prob * (1.0 - plan.p_max),
-                    simulated_prob=br.simulated_prob * f_prob,
-                    realizable=True,
-                    operations=ops,
-                    post_measurement=f_post,
-                    final=f_post,
-                    fidelity=fidelity(f_post, failure_dense),
-                    success=False,
-                )
+                _settle(br, tensor, plan.failure_op, 1.0 - plan.p_max, failure_c, False)
             )
+    stage_passed = _protocol_transcript(tuple(stage)).passed
 
     realizable = [br for br in branches if br.realizable]
     prob_sum = sum(br.simulated_prob for br in realizable)
@@ -280,19 +270,18 @@ def run_conclusive(
         "success_prob_error": float(abs(success_prob - plan.p_max)),
         "min_success_fidelity": float(min_success_fid),
         "prob_sum_error": float(abs(prob_sum - 1.0)),
-        "stage_passed": stage.passed,
-        "fidelity_tol": 1e-9,
+        "stage_passed": stage_passed,
+        "fidelity_tol": FIDELITY_TOL,
         "prob_tol": SUCCESS_PROB_TOL,
     }
     passed = bool(
-        stage.passed
+        stage_passed
         and abs(success_prob - plan.p_max) <= SUCCESS_PROB_TOL
-        and min_success_fid >= 1.0 - 1e-9
+        and min_success_fid >= 1.0 - FIDELITY_TOL
         and abs(prob_sum - 1.0) <= SUCCESS_PROB_TOL
     )
     return Transcript(
         branches=tuple(branches),
-        mode="exhaustive",
         passed=passed,
         prob_sum=float(prob_sum),
         checks=checks,

@@ -151,19 +151,24 @@ def synthesize(
     n = len(lam)
     if len(mu) != n or mix.n != n:
         raise ValueError("dimension mismatch between vectors and mixture")
-    outcomes = []
-    for p, sigma in mix.terms:
-        sigma_inv = sigma.inverse()
-        diag = np.zeros(n)
-        for k in range(n):
-            mu_val = mu[sigma_inv.image[k]]
-            if lam[k] > 0.0:
-                diag[k] = np.sqrt(p * mu_val / lam[k])
-            elif p * mu_val > CONTRADICTION_TOL:
-                raise InternalContradiction(
-                    f"term weight {p} maps mass {mu_val} onto dead level {k}"
-                )
-        outcomes.append(PlanOutcome(p, DiagonalOperator(diag), sigma_inv))
+    weights = np.array([p for p, _ in mix.terms])
+    images = np.array([sigma.image for _, sigma in mix.terms])
+    inverses = np.argsort(images, axis=1)  # row j is sigma_j^{-1}
+    mass = weights[:, None] * mu.entries[inverses]
+    live = lam.entries > 0.0
+    dead = np.argwhere((mass > CONTRADICTION_TOL) & ~live)
+    if dead.size:
+        j, k = (int(i) for i in dead[0])
+        raise InternalContradiction(
+            f"term weight {mix.terms[j][0]} maps mass {mu[inverses[j, k]]} "
+            f"onto dead level {k}"
+        )
+    diags = np.zeros_like(mass)
+    diags[:, live] = np.sqrt(mass[:, live] / lam.entries[live])
+    outcomes = [
+        PlanOutcome(p, DiagonalOperator(diag), Permutation(tuple(inv)))
+        for (p, _), diag, inv in zip(mix.terms, diags, inverses.tolist())
+    ]
     plan = MeasurementPlan(outcomes=tuple(outcomes), n=n)
     _check_plan(plan, lam)
     return plan

@@ -1,8 +1,15 @@
 """Dense multipartite pure-state simulator.
 
 Materializes structured states, executes measure-broadcast-rotate
-protocols branch by branch, and operationally tests whether an arbitrary
-dense state admits the structured (single-sum) form.
+protocols, and operationally tests whether an arbitrary dense state admits
+the structured (single-sum) form.
+
+Protocols are checked in Schmidt coordinates: each compared dense state
+is assembled and rotated once into its own per-party bases.  There a
+measurement is a scale along party A's axis and a relabeling an index
+gather per axis.  Fidelity needs no rotation back, since the branch and
+the target share the local unitary (the target's bases) that separates
+them from their dense forms.
 
 Classical communication is a recorded event here, not a socket: the
 transcript notes the broadcast outcome and every single-party operator
@@ -16,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapExceeded, ZeroBranch
-from .majorization import ProbVector
+from .majorization import Permutation, ProbVector
 from .protocol import MeasurementPlan
 
 MAX_PARTIES = 6
@@ -135,16 +142,17 @@ class GeneralizedSchmidtState:
 
 
 def assemble(s: GeneralizedSchmidtState) -> DenseState:
-    """Sum over k of sqrt(coeff_k) times the k-th basis column of every party."""
-    amps = np.zeros(s.dims, dtype=complex)
-    for k in range(s.n):
-        if s.coeffs[k] == 0.0:
-            continue
-        term = s.bases[0][:, k]
-        for i in range(1, s.m):
-            term = np.multiply.outer(term, s.bases[i][:, k])
-        amps = amps + np.sqrt(s.coeffs[k]) * term
-    return DenseState(amps.reshape(-1), s.dims)
+    """Sum over k of sqrt(coeff_k) times the k-th basis column of every party.
+
+    The columns of parties 1.. are chained into one (rest, n) outer
+    product, so the sum over k is a single matmul with party 0's columns.
+    """
+    n = s.n
+    chain = s.bases[-1][:, :n]
+    for basis in s.bases[-2:0:-1]:
+        chain = (basis[:, None, :n] * chain[None, :, :]).reshape(-1, n)
+    head = s.bases[0][:, :n] * np.sqrt(s.coeffs.entries)
+    return DenseState((head @ chain.T).reshape(-1), s.dims)
 
 
 def apply_local(state: DenseState, party: int, op: np.ndarray) -> tuple[float, DenseState]:
@@ -189,8 +197,6 @@ class BranchRecord:
     simulated_prob: float
     realizable: bool
     operations: tuple[AppliedOp, ...]
-    post_measurement: DenseState | None = None
-    final: DenseState | None = None
     fidelity: float | None = None
     success: bool | None = None  # set only by conclusive runs
 
@@ -213,7 +219,6 @@ class Transcript:
     """Audit trail of one protocol run."""
 
     branches: tuple[BranchRecord, ...]
-    mode: str
     passed: bool
     prob_sum: float
     checks: dict = field(default_factory=dict)
@@ -235,7 +240,7 @@ class Transcript:
 
     def to_json(self) -> dict:
         return {
-            "mode": self.mode,
+            "mode": "exhaustive",
             "passed": self.passed,
             "prob_sum": self.prob_sum,
             "checks": self.checks,
@@ -243,94 +248,80 @@ class Transcript:
         }
 
 
-def _measurement_operator(
-    psi: GeneralizedSchmidtState, diag: np.ndarray
-) -> np.ndarray:
-    """Materialize a diagonal plan operator in party A's Schmidt basis."""
-    d0 = psi.dims[0]
-    full = np.zeros(d0)
+def _coords(s: GeneralizedSchmidtState) -> np.ndarray:
+    """Assemble s and rotate it into its own bases, one tensordot per party
+    (each appends its axis last, so m steps restore the order); the squared
+    norm is re-checked as DenseState checks it."""
+    t = assemble(s).tensor()
+    for basis in s.bases:
+        t = np.tensordot(t, basis.conj(), axes=([0], [0]))
+    norm_sq = float(np.vdot(t, t).real)
+    if abs(norm_sq - 1.0) > NORM_TOL:
+        raise ValueError(f"rotated squared norm {norm_sq} deviates from 1")
+    return t
+
+
+def _measure(coords: np.ndarray, diag: np.ndarray) -> tuple[float, np.ndarray]:
+    """Scale axis 0 by a Kraus diagonal, zero on the complement beyond its
+    length; returns (squared norm, unnormalized branch)."""
+    full = np.zeros(coords.shape[0])
     full[: diag.size] = diag
-    basis = psi.bases[0]
-    return basis @ np.diag(full) @ basis.conj().T
+    branch = coords * full.reshape((-1,) + (1,) * (coords.ndim - 1))
+    return float(np.vdot(branch, branch).real), branch
 
 
-def _step_unitary(
-    psi: GeneralizedSchmidtState,
-    phi: GeneralizedSchmidtState,
-    party: int,
-    perm,
-) -> np.ndarray:
-    """Target-basis change after relabeling: B_phi P(sigma^{-1}) B_psi^dag.
+def _gather(perm: Permutation, d: int) -> np.ndarray:
+    """Index g with v[g] == perm.apply(v) on the first perm.n levels, the
+    identity on the complement, which never carries amplitude."""
+    g = np.arange(d)
+    g[list(perm.image)] = np.arange(perm.n)
+    return g
 
-    The permutation block is completed with the identity on the orthogonal
-    complement; the complement never carries amplitude.
+
+def _relabel(branch: np.ndarray, perm: Permutation) -> np.ndarray:
+    """Gather every axis by perm, as one row and one column take on the
+    tensor viewed as a matrix split between the two halves of the parties."""
+    dims, half = branch.shape, branch.ndim // 2
+    rows, cols = (
+        np.ravel_multi_index(np.ix_(*(_gather(perm, d) for d in part)), part).ravel()
+        for part in (dims[:half], dims[half:])
+    )
+    flat = branch.reshape(rows.size, cols.size)
+    return np.take(np.take(flat, rows, axis=0), cols, axis=1).reshape(dims)
+
+
+def _fidelity(target: np.ndarray, branch: np.ndarray, norm_sq: float) -> float:
+    """|<target|branch>|^2 for an unnormalized branch of squared norm norm_sq."""
+    return float(abs(np.vdot(target, branch)) ** 2 / norm_sq)
+
+
+def _branches(plan: MeasurementPlan, source: np.ndarray, target: np.ndarray):
+    """Run every outcome of plan on the source's Schmidt coordinates.
+
+    Yields (record, branch) in plan order.  The branch is the measured and
+    relabeled tensor, unnormalized (its squared norm is the branch
+    probability) and in the target's coordinates; it is None when a
+    zero-weight outcome annihilates the state.
     """
-    p_full = perm.matrix(psi.dims[party])
-    return phi.bases[party] @ p_full @ psi.bases[party].conj().T
-
-
-def run_protocol(
-    psi: GeneralizedSchmidtState,
-    phi: GeneralizedSchmidtState,
-    plan: MeasurementPlan,
-    mode: str = "exhaustive",
-    seed: int = 0,
-) -> Transcript:
-    """Execute measure-broadcast-rotate and verify every branch.
-
-    Default mode enumerates all outcomes (they are few); "sampled" draws a
-    single outcome from the analytic weights, for demonstration only.
-    """
-    if psi.dims != phi.dims:
-        raise ValueError(f"incompatible dims {psi.dims} vs {phi.dims}")
-    if plan.n != psi.n or plan.n != phi.n:
-        raise ValueError("plan dimension does not match the states")
-    if mode not in ("exhaustive", "sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
-
-    psi_dense = assemble(psi)
-    phi_dense = assemble(phi)
-
-    indices = range(len(plan.outcomes))
-    if mode == "sampled":
-        rng = np.random.default_rng(seed)
-        weights = np.array([out.weight for out in plan.outcomes])
-        indices = [int(rng.choice(len(weights), p=weights / weights.sum()))]
-
-    branches = []
-    for j in indices:
-        out = plan.outcomes[j]
-        m_op = _measurement_operator(psi, out.operator.diag)
-        ops = [AppliedOp(0, "measurement", psi.dims[0])]
-        try:
-            prob, post = apply_local(psi_dense, 0, m_op)
-        except ZeroBranch:
+    dims = source.shape
+    ops = (AppliedOp(0, "measurement", dims[0]),) + tuple(
+        AppliedOp(party, "unitary", d) for party, d in enumerate(dims)
+    )
+    for j, out in enumerate(plan.outcomes):
+        prob, branch = _measure(source, out.operator.diag)
+        if prob <= ZERO_BRANCH_TOL:
             if out.weight > ZERO_BRANCH_TOL:
                 raise ZeroBranch(
                     f"outcome {j} carries weight {out.weight} but annihilated the state"
                 )
-            branches.append(
-                BranchRecord(j, out.weight, 0.0, False, tuple(ops))
-            )
+            yield BranchRecord(j, out.weight, 0.0, False, ops[:1]), None
             continue
-        current = post
-        for party in range(psi.m):
-            u = _step_unitary(psi, phi, party, out.unitary_perm)
-            _, current = apply_local(current, party, u)
-            ops.append(AppliedOp(party, "unitary", psi.dims[party]))
-        branches.append(
-            BranchRecord(
-                outcome=j,
-                analytic_prob=out.weight,
-                simulated_prob=prob,
-                realizable=True,
-                operations=tuple(ops),
-                post_measurement=post,
-                final=current,
-                fidelity=fidelity(current, phi_dense),
-            )
-        )
+        branch = _relabel(branch, out.unitary_perm)
+        fid = _fidelity(target, branch, prob)
+        yield BranchRecord(j, out.weight, prob, True, ops, fid), branch
 
+
+def _protocol_transcript(branches: tuple[BranchRecord, ...]) -> Transcript:
     realizable = [br for br in branches if br.realizable]
     prob_sum = sum(br.simulated_prob for br in realizable)
     max_mismatch = max(
@@ -347,15 +338,32 @@ def run_protocol(
     passed = bool(
         max_mismatch <= PROB_MATCH_TOL
         and min_fid >= 1.0 - FIDELITY_TOL
-        and (mode == "sampled" or abs(prob_sum - 1.0) <= PROB_MATCH_TOL)
+        and abs(prob_sum - 1.0) <= PROB_MATCH_TOL
     )
     return Transcript(
-        branches=tuple(branches),
-        mode=mode,
-        passed=passed,
-        prob_sum=float(prob_sum),
-        checks=checks,
+        branches=branches, passed=passed, prob_sum=float(prob_sum), checks=checks
     )
+
+
+def run_protocol(
+    psi: GeneralizedSchmidtState,
+    phi: GeneralizedSchmidtState,
+    plan: MeasurementPlan,
+) -> Transcript:
+    """Execute measure-broadcast-rotate on every outcome and verify it.
+
+    Outcome j scales psi's Schmidt coordinates along party A's axis by its
+    Kraus diagonal (the squared norm is the simulated probability) and
+    gathers every axis by its relabeling.  Its overlap with phi's
+    coordinates equals that of B_phi P_j B_psi^dag M_j |psi> with |phi>:
+    both dense states carry the same local unitary, phi's bases.
+    """
+    if psi.dims != phi.dims:
+        raise ValueError(f"incompatible dims {psi.dims} vs {phi.dims}")
+    if plan.n != psi.n or plan.n != phi.n:
+        raise ValueError("plan dimension does not match the states")
+    records = _branches(plan, _coords(psi), _coords(phi))
+    return _protocol_transcript(tuple(record for record, _ in records))
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,24 @@
 """Shared generators and independent oracles for the test suite.
 
 The oracles are deliberately plain Python (no calls into the package) so
-they stay independent of the code paths they check.
+they stay independent of the code paths they check.  The dense branch
+oracles are the exception: they run every branch with the package's
+``assemble`` and ``apply_local`` and dense per-party operators, the
+primitives the Schmidt-coordinate engine no longer uses.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from locc_forge import GeneralizedSchmidtState, ProbVector
+from locc_forge import (
+    GeneralizedSchmidtState,
+    ProbVector,
+    ZeroBranch,
+    apply_local,
+    assemble,
+    fidelity,
+)
 
 
 def prefix_sum_majorized(lam, mu, tol: float = 1e-9) -> bool:
@@ -95,3 +105,82 @@ def random_doubly_stochastic(rng: np.random.Generator, n: int, transforms: int) 
         trans[i, j] = trans[j, i] = 1.0 - t
         d = trans @ d
     return d
+
+
+def measurement_matrix(basis: np.ndarray, diag) -> np.ndarray:
+    """Dense B diag(d) B^dag, with d zero-padded to the basis dimension."""
+    full = np.zeros(basis.shape[0])
+    full[: len(diag)] = diag
+    return basis @ np.diag(full) @ basis.conj().T
+
+
+def relabel_matrix(perm, d: int) -> np.ndarray:
+    """Permutation matrix P[image[k], k] = 1, the identity beyond perm.n."""
+    mat = np.eye(d)
+    mat[: perm.n, : perm.n] = 0.0
+    for k, jk in enumerate(perm.image):
+        mat[jk, k] = 1.0
+    return mat
+
+
+def dense_protocol(psi, phi, plan) -> list:
+    """Per-branch dense run of a deterministic plan.
+
+    Returns one entry per outcome: None when the outcome annihilates the
+    state, else (probability, final state, fidelity with phi).  The final
+    state is B_phi P B_psi^dag applied on every party after the
+    measurement.
+    """
+    phi_dense = assemble(phi)
+    psi_dense = assemble(psi)
+    out = []
+    for outcome in plan.outcomes:
+        m_op = measurement_matrix(psi.bases[0], outcome.operator.diag)
+        try:
+            prob, post = apply_local(psi_dense, 0, m_op)
+        except ZeroBranch:
+            out.append(None)
+            continue
+        current = post
+        for party, d in enumerate(psi.dims):
+            u = phi.bases[party] @ relabel_matrix(outcome.unitary_perm, d) @ (
+                psi.bases[party].conj().T
+            )
+            _, current = apply_local(current, party, u)
+        out.append((prob, current, fidelity(current, phi_dense)))
+    return out
+
+
+def dense_conclusive(psi, phi, plan) -> list:
+    """Per-branch dense run of a conclusive plan, in run_conclusive's order.
+
+    Each realizable stage branch gives a success entry (measure, then
+    B_phi B_psi^dag on every party, compared with phi) and, when the plan
+    has failure coefficients, a failure entry (measure only, compared with
+    the failure state in psi's bases).  Entries are (probability, final
+    state, fidelity); an unrealizable stage branch gives None.
+    """
+    omega = GeneralizedSchmidtState(psi.dims, plan.gamma, psi.bases)
+    phi_dense = assemble(phi)
+    failure_dense = None
+    if plan.failure_coeffs is not None:
+        failure_dense = assemble(
+            GeneralizedSchmidtState(psi.dims, plan.failure_coeffs, psi.bases)
+        )
+    success_m = measurement_matrix(psi.bases[0], plan.success_op.diag)
+    failure_m = measurement_matrix(psi.bases[0], plan.failure_op.diag)
+    out = []
+    for stage in dense_protocol(psi, omega, plan.deterministic_stage):
+        if stage is None:
+            out.append(None)
+            continue
+        prob, state, _ = stage
+        s_prob, current = apply_local(state, 0, success_m)
+        for party in range(psi.m):
+            u = phi.bases[party] @ psi.bases[party].conj().T
+            _, current = apply_local(current, party, u)
+        out.append((prob * s_prob, current, fidelity(current, phi_dense)))
+        if failure_dense is not None:
+            f_prob, f_post = apply_local(state, 0, failure_m)
+            out.append((prob * f_prob, f_post, fidelity(f_post, failure_dense)))
+    return out

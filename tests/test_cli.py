@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import locc_forge
-from helpers import random_probs, t_chain
+from helpers import random_probs, random_unitary, t_chain
 from locc_forge.cli import main
 
 JP_PAIR = {"schema_version": "1", "lam": [0.4, 0.4, 0.1, 0.1],
@@ -203,6 +203,27 @@ class TestSimulate:
         code, _, _ = run(capsys, [
             "simulate", "--in", inst_path, "--plan", str(report_path)])
         assert code == 0
+
+
+class TestLargeDense:
+    @pytest.mark.parametrize("command", ["simulate", "conclusive"])
+    def test_eight_to_the_sixth_with_random_bases(self, tmp_path, capsys, command):
+        rng = np.random.default_rng(86)
+        mu = random_probs(rng, 8)
+        lam = t_chain(rng, mu, 32)
+        if command == "conclusive":
+            lam, mu = mu, lam
+        bases = [random_unitary(rng, 8) for _ in range(6)]
+        inst = {
+            "schema_version": "1",
+            "lam": lam.entries.tolist(),
+            "mu": mu.entries.tolist(),
+            "dims": [8] * 6,
+            "bases": [{"re": b.real.tolist(), "im": b.imag.tolist()} for b in bases],
+        }
+        code, report, _ = run(capsys, [command, "--in", write(tmp_path, inst)])
+        assert code == 0
+        assert report["pass"] is True
 
 
 class TestOtherCommands:

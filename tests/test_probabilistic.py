@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,16 +7,20 @@ from hypothesis import strategies as st
 
 from helpers import (
     brute_force_pmax,
+    dense_conclusive,
     prefix_sum_majorized,
     random_gss,
     random_probs,
     sorted_tensor,
+    t_chain,
 )
 from locc_forge import (
     CapExceeded,
     ConversionImpossible,
+    DiagonalOperator,
     GeneralizedSchmidtState,
     ProbVector,
+    ZeroBranch,
     catalysis_search,
     intermediate_state,
     is_majorized,
@@ -24,6 +30,7 @@ from locc_forge import (
     run_conclusive,
 )
 from test_majorization import majorized_pairs, prob_vectors
+from test_simulator import ENGINE_SHAPES, scale_heaviest_entry, swap_first_perms
 
 JP_LAM = ProbVector([0.4, 0.4, 0.1, 0.1])
 JP_MU = ProbVector([0.5, 0.25, 0.25, 0.0])
@@ -133,15 +140,20 @@ class TestRunConclusive:
         mu = ProbVector([0.50, 0.45, 0.05])
         psi = GeneralizedSchmidtState.computational((3, 3), lam)
         phi = GeneralizedSchmidtState.computational((3, 3), mu)
-        tx = run_conclusive(psi, phi)
+        plan = intermediate_state(lam, mu)
+        tx = run_conclusive(psi, phi, plan)
         assert tx.passed
         assert tx.success_probability == pytest.approx(0.9, abs=1e-9)
-        failures = [br for br in tx.branches if br.success is False]
+        failures = [
+            (br, dense)
+            for br, dense in zip(tx.branches, dense_conclusive(psi, phi, plan))
+            if br.success is False
+        ]
         assert failures
-        for br in failures:
+        for br, (_, final, _) in failures:
             # failure coefficients (1,0,0) make the leftover state a product
             assert br.fidelity >= 1 - 1e-9
-            amp = np.abs(br.final.amplitudes)
+            amp = np.abs(final.amplitudes)
             assert np.sum(amp > 1e-9) == 1
 
     def test_with_random_bases(self):
@@ -155,6 +167,62 @@ class TestRunConclusive:
         assert tx.success_probability == pytest.approx(
             brute_force_pmax(lam, mu), abs=1e-9
         )
+
+
+def conclusive_instance(rng, dims, n):
+    """Random bases and a pair whose conclusive run has a failure branch and
+    a stage with at least two relabelings."""
+    while True:
+        mu = random_probs(rng, n)
+        lam = t_chain(rng, random_probs(rng, n), n)
+        plan = intermediate_state(lam, mu)
+        perms = {out.unitary_perm for out in plan.deterministic_stage.outcomes}
+        if plan.failure_coeffs is not None and len(perms) >= 2:
+            return random_gss(rng, lam, dims), random_gss(rng, mu, dims), plan
+
+
+class TestConclusiveEngine:
+    """Schmidt-coordinate conclusive run against the per-branch dense oracle."""
+
+    @pytest.mark.parametrize("dims,n", ENGINE_SHAPES)
+    def test_matches_dense_oracle(self, dims, n):
+        rng = np.random.default_rng(13 * n + len(dims))
+        for _ in range(3):
+            psi, phi, plan = conclusive_instance(rng, dims, n)
+            tx = run_conclusive(psi, phi, plan)
+            oracle = dense_conclusive(psi, phi, plan)
+            assert tx.passed
+            assert any(br.success is False for br in tx.branches)
+            assert len(tx.branches) == len(oracle)
+            for br, dense in zip(tx.branches, oracle):
+                assert br.realizable == (dense is not None)
+                if dense is None:
+                    continue
+                prob, _, fid = dense
+                assert abs(br.simulated_prob - prob) <= 1e-12
+                assert abs(br.fidelity - fid) <= 1e-12
+
+    @pytest.mark.parametrize("dims,n", ENGINE_SHAPES)
+    def test_tampered_stage_fails(self, dims, n):
+        rng = np.random.default_rng(17 * n + len(dims))
+        psi, phi, plan = conclusive_instance(rng, dims, n)
+        stage = plan.deterministic_stage
+        assert run_conclusive(psi, phi, plan).passed
+        for tampered in (
+            swap_first_perms(stage),
+            scale_heaviest_entry(stage, psi.coeffs),
+        ):
+            tx = run_conclusive(psi, phi, replace(plan, deterministic_stage=tampered))
+            assert not tx.passed
+            assert tx.checks["stage_passed"] is False
+
+    @pytest.mark.parametrize("field", ["success_op", "failure_op"])
+    def test_annihilating_measurement_raises(self, field):
+        rng = np.random.default_rng(19)
+        psi, phi, plan = conclusive_instance(rng, (3, 4, 3), 3)
+        dead = replace(plan, **{field: DiagonalOperator(np.zeros(3))})
+        with pytest.raises(ZeroBranch):
+            run_conclusive(psi, phi, dead)
 
 
 class TestMulticopy:

@@ -61,6 +61,39 @@ class TestSynthesize:
         with pytest.raises(InternalContradiction):
             synthesize(lam, mu, bogus)
 
+    def test_first_dead_level_is_named(self):
+        # term 0 moves mass onto dead level 3 only, term 1 onto levels 2 and
+        # 3: the scan is term by term, level by level
+        lam = ProbVector([0.5, 0.5, 0.0, 0.0])
+        mu = ProbVector([0.5, 0.25, 0.25, 0.0])
+        bogus = PermutationMixture(
+            (
+                (0.7, Permutation((0, 2, 3, 1)).inverse()),
+                (0.3, Permutation((0, 3, 1, 2)).inverse()),
+            ),
+            4,
+        )
+        with pytest.raises(InternalContradiction) as err:
+            synthesize(lam, mu, bogus)
+        assert str(err.value) == "term weight 0.7 maps mass 0.25 onto dead level 3"
+
+    def test_matches_scalar_formula_at_rank_512(self):
+        rng = np.random.default_rng(512)
+        n = 512
+        mu = random_probs(rng, n)
+        lam = t_chain(rng, mu, 4 * n)
+        mix = mixture_for(lam, mu)
+        plan = synthesize(lam, mu, mix)
+        assert len(plan.outcomes) == len(mix.terms)
+        for (p, sigma), out in zip(mix.terms, plan.outcomes):
+            inv = sigma.inverse()
+            expected = [
+                np.sqrt(p * mu[inv.image[k]] / lam[k]) for k in range(n)
+            ]
+            assert out.weight == p
+            assert out.unitary_perm == inv
+            np.testing.assert_array_equal(out.operator.diag, expected)
+
     def test_padded_zero_levels_are_legal(self):
         lam = ProbVector([0.7, 0.3, 0.0])
         mu = ProbVector([0.8, 0.2, 0.0])

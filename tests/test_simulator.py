@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_gss, random_probs, random_unitary, t_chain
+from helpers import (
+    dense_protocol,
+    measurement_matrix,
+    random_gss,
+    random_probs,
+    random_unitary,
+    t_chain,
+)
 from locc_forge import (
     CapExceeded,
     DenseState,
@@ -92,6 +99,21 @@ class TestAssemble:
             np.multiply.outer(bases[0][:, 0], bases[1][:, 0]), bases[2][:, 0]
         ).reshape(-1)
         np.testing.assert_allclose(assemble(psi).amplitudes, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("dims,entries", [
+        ((2, 3), [1.0, 0.0]),
+        ((3, 4, 3), [0.6, 0.4, 0.0]),
+        ((5, 6, 5, 5), [0.5, 0.3, 0.2, 0.0, 0.0]),
+    ])
+    def test_matches_per_term_oracle_with_zero_coeffs(self, dims, entries):
+        rng = np.random.default_rng(sum(dims))
+        coeffs = ProbVector(entries)
+        bases = [random_unitary(rng, d) for d in dims]
+        psi = GeneralizedSchmidtState(dims, coeffs, bases)
+        oracle = _assemble_unsorted(dims, coeffs.entries, bases)
+        np.testing.assert_allclose(
+            assemble(psi).amplitudes, oracle.amplitudes, rtol=0, atol=1e-14
+        )
 
 
 class TestApplyLocal:
@@ -197,11 +219,15 @@ class TestRunProtocol:
         phi = random_gss(rng, mu, dims)
         plan = build_plan(lam, mu)
         tx = run_protocol(psi, phi, plan)
+        assert tx.passed
         for br, out in zip(tx.branches, plan.outcomes):
+            m_op = measurement_matrix(psi.bases[0], out.operator.diag)
+            prob, post = apply_local(assemble(psi), 0, m_op)
+            assert br.simulated_prob == pytest.approx(prob, abs=1e-12)
             # permuted coefficients stay attached to the source basis levels
             perm_coeffs = mu.entries[list(out.unitary_perm.image)]
             mid = _assemble_unsorted(dims, perm_coeffs, psi.bases)
-            assert fidelity(br.post_measurement, mid) >= 1 - 1e-9
+            assert fidelity(post, mid) >= 1 - 1e-9
 
     def test_unrealizable_zero_weight_branch(self):
         lam = ProbVector([1.0, 0.0])
@@ -246,23 +272,101 @@ class TestRunProtocol:
             assert br["operations"][0] == {"party": 0, "kind": "measurement", "dim": 2}
             assert [op["party"] for op in br["operations"][1:]] == [0, 1, 2]
 
-    def test_sampled_mode_is_seeded(self):
-        lam, mu = ProbVector([0.6, 0.4]), ProbVector([0.8, 0.2])
-        psi = GeneralizedSchmidtState.computational((2, 2), lam)
-        phi = GeneralizedSchmidtState.computational((2, 2), mu)
-        plan = build_plan(lam, mu)
-        a = run_protocol(psi, phi, plan, mode="sampled", seed=123)
-        b = run_protocol(psi, phi, plan, mode="sampled", seed=123)
-        assert len(a.branches) == 1
-        assert a.branches[0].outcome == b.branches[0].outcome
-        assert a.passed
-
     def test_dims_must_match(self):
         lam = ProbVector([0.5, 0.5])
         psi = GeneralizedSchmidtState.computational((2, 2), lam)
         phi = GeneralizedSchmidtState.computational((2, 2, 2), lam)
         with pytest.raises(ValueError):
             run_protocol(psi, phi, build_plan(lam, lam))
+
+
+def swap_first_perms(plan: MeasurementPlan) -> MeasurementPlan:
+    """The plan with the relabelings of outcomes 0 and 1 exchanged."""
+    a, b = plan.outcomes[:2]
+    assert a.unitary_perm != b.unitary_perm
+    outcomes = (
+        PlanOutcome(a.weight, a.operator, b.unitary_perm),
+        PlanOutcome(b.weight, b.operator, a.unitary_perm),
+    ) + plan.outcomes[2:]
+    return MeasurementPlan(outcomes=outcomes, n=plan.n)
+
+
+def scale_heaviest_entry(plan: MeasurementPlan, lam: ProbVector) -> MeasurementPlan:
+    """The plan with the diagonal entry carrying most probability, in the
+    heaviest outcome, scaled by 1 + 1e-6."""
+    j = int(np.argmax([out.weight for out in plan.outcomes]))
+    out = plan.outcomes[j]
+    diag = out.operator.diag.copy()
+    k = int(np.argmax(lam.entries * diag**2))
+    diag[k] *= 1.0 + 1e-6
+    outcomes = list(plan.outcomes)
+    outcomes[j] = PlanOutcome(out.weight, DiagonalOperator(diag), out.unitary_perm)
+    return MeasurementPlan(outcomes=tuple(outcomes), n=plan.n)
+
+
+ENGINE_SHAPES = [
+    ((3, 4, 3), 3),
+    ((8, 8, 8), 8),
+    ((4,) * 6, 4),
+    ((5, 6), 4),
+    ((8, 8, 8), 5),
+]
+
+
+class TestBranchEngine:
+    """Schmidt-coordinate engine against the per-branch dense oracle."""
+
+    @pytest.mark.parametrize("dims,n", ENGINE_SHAPES)
+    def test_matches_dense_oracle(self, dims, n):
+        rng = np.random.default_rng(7 * n + len(dims))
+        for _ in range(3):
+            mu = random_probs(rng, n)
+            lam = t_chain(rng, mu, 2 * n)
+            psi = random_gss(rng, lam, dims)
+            phi = random_gss(rng, mu, dims)
+            plan = build_plan(lam, mu)
+            tx = run_protocol(psi, phi, plan)
+            oracle = dense_protocol(psi, phi, plan)
+            assert tx.passed
+            assert len(tx.branches) == len(oracle)
+            for br, dense in zip(tx.branches, oracle):
+                assert br.realizable == (dense is not None)
+                if dense is None:
+                    continue
+                prob, _, fid = dense
+                assert abs(br.simulated_prob - prob) <= 1e-12
+                assert abs(br.fidelity - fid) <= 1e-12
+
+    @pytest.mark.parametrize("dims,n", ENGINE_SHAPES)
+    def test_tampered_plans_fail(self, dims, n):
+        rng = np.random.default_rng(11 * n + len(dims))
+        mu = ProbVector(np.linspace(2.0, 1.0, n) / np.linspace(2.0, 1.0, n).sum())
+        lam = t_chain(rng, mu, 4 * n)
+        psi = random_gss(rng, lam, dims)
+        phi = random_gss(rng, mu, dims)
+        plan = build_plan(lam, mu)
+        assert run_protocol(psi, phi, plan).passed
+        assert not run_protocol(psi, phi, swap_first_perms(plan)).passed
+        assert not run_protocol(psi, phi, scale_heaviest_entry(plan, lam)).passed
+
+    def test_zero_weight_outcome_with_padding(self):
+        lam = ProbVector([1.0, 0.0])
+        plan = MeasurementPlan(
+            outcomes=(
+                PlanOutcome(1.0, DiagonalOperator(np.array([1.0, 0.0])),
+                            Permutation((0, 1))),
+                PlanOutcome(0.0, DiagonalOperator(np.array([0.0, 1.0])),
+                            Permutation((1, 0))),
+            ),
+            n=2,
+        )
+        rng = np.random.default_rng(3)
+        psi = random_gss(rng, lam, (3, 4))
+        tx = run_protocol(psi, psi, plan)
+        assert tx.passed
+        assert [br.realizable for br in tx.branches] == [True, False]
+        assert tx.branches[1].simulated_prob == 0.0
+        assert len(tx.branches[1].operations) == 1
 
 
 class TestExtractGsd:
