@@ -2,7 +2,7 @@
 
 Reports go to stdout (and to --out when given); a short human-readable
 summary goes to stderr so that stdout stays pipeable.  Reports are
-deterministic for a fixed instance and seed: reruns are byte-identical
+deterministic for a fixed instance and options: reruns are byte-identical
 apart from the wall_time_s field.
 
 Exit codes (stable contract):
@@ -30,8 +30,9 @@ from .errors import (
     InstanceError,
     LoccForgeError,
 )
-from .majorization import SUM_TOL, ProbVector, first_violation, is_majorized, pad_to
+from .majorization import UNIT_TOL, ProbVector, first_violation, is_majorized, pad_to
 from .probabilistic import (
+    _tails,
     catalysis_search,
     intermediate_state,
     multicopy_check,
@@ -62,7 +63,6 @@ class Instance:
     m: int
     dims: tuple[int, ...]
     bases: list[np.ndarray] | None
-    seed: int
     state: DenseState | None
     echo: dict
 
@@ -101,9 +101,14 @@ def _parse_matrix(obj, label: str) -> np.ndarray:
         raise InstanceError(f"{label}: not a numeric matrix: {exc}") from exc
 
 
-def _summarize(obj) -> dict:
-    blob = json.dumps(obj, sort_keys=True).encode()
-    return {"sha256": hashlib.sha256(blob).hexdigest()}
+def _digest(arrays) -> dict:
+    """sha256 over each array's shape (little-endian int64) and its C-order
+    little-endian complex128 bytes, in order."""
+    h = hashlib.sha256()
+    for arr in arrays:
+        h.update(np.asarray(arr.shape, dtype="<i8").tobytes())
+        h.update(np.ascontiguousarray(arr, dtype="<c16").tobytes())
+    return {"sha256": h.hexdigest()}
 
 
 def load_instance(payload: dict) -> Instance:
@@ -162,22 +167,14 @@ def load_instance(payload: dict) -> Instance:
         except (KeyError, TypeError, ValueError) as exc:
             raise InstanceError(f"bad dense state: {exc}") from exc
 
-    echo = {}
-    for key, value in payload.items():
-        if key in ("bases", "state"):
-            echo[key] = _summarize(value)
-        else:
-            echo[key] = value
+    echo = dict(payload)
+    if bases is not None:
+        echo["bases"] = _digest(bases)
+    if state is not None:
+        echo["state"] = _digest([state.tensor()])
 
     return Instance(
-        lam=lam,
-        mu=mu,
-        m=m,
-        dims=dims,
-        bases=bases,
-        seed=int(payload.get("seed", 0)),
-        state=state,
-        echo=echo,
+        lam=lam, mu=mu, m=m, dims=dims, bases=bases, state=state, echo=echo
     )
 
 
@@ -226,8 +223,7 @@ def _load_plan(source: str) -> MeasurementPlan:
 
 def cmd_check(inst: Instance, args) -> dict:
     lam, mu = _require_vectors(inst)
-    tol = args.tol
-    idx = first_violation(lam, mu, tol)
+    idx = first_violation(lam, mu)
     prefix_excess = float(
         np.max(np.cumsum(lam.entries[:-1]) - np.cumsum(mu.entries[:-1]), initial=0.0)
     )
@@ -240,7 +236,7 @@ def cmd_check(inst: Instance, args) -> dict:
             "mu": mu.to_json(),
         },
         "residuals": {"max_prefix_excess": prefix_excess},
-        "tolerances": {"majorization_tol": tol},
+        "tolerances": {"majorization_tol": UNIT_TOL},
         "pass": True,
     }
 
@@ -301,15 +297,13 @@ def cmd_simulate(inst: Instance, args) -> dict:
 def cmd_pmax(inst: Instance, args) -> dict:
     lam, mu = _require_vectors(inst)
     p, l_star = pmax(lam, mu)
-    tails_lam = [float(np.sum(lam.entries[l:])) for l in range(len(lam))]
-    tails_mu = [float(np.sum(mu.entries[l:])) for l in range(len(mu))]
     return {
         "verdict": "pmax",
         "payload": {
             "p_max": p,
             "l_star": l_star,
-            "source_tails": tails_lam,
-            "target_tails": tails_mu,
+            "source_tails": _tails(lam)[:-1].tolist(),
+            "target_tails": _tails(mu)[:-1].tolist(),
         },
         "residuals": {},
         "tolerances": {},
@@ -360,7 +354,7 @@ def cmd_multicopy(inst: Instance, args) -> dict:
             "tensor_entries": len(lam) ** copies,
         },
         "residuals": {},
-        "tolerances": {"majorization_tol": SUM_TOL},
+        "tolerances": {"majorization_tol": UNIT_TOL},
         "pass": True,
     }
 
@@ -381,7 +375,7 @@ def cmd_catalyst(inst: Instance, args) -> dict:
         "residuals": {
             "certificate_verified": verified if result.found else None,
         },
-        "tolerances": {"majorization_tol": SUM_TOL},
+        "tolerances": {"majorization_tol": UNIT_TOL},
         "pass": (not result.found) or verified,
     }
 
@@ -428,10 +422,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="instance JSON file, or - for stdin")
         p.add_argument("--out", dest="outfile", metavar="FILE",
                        help="also write the JSON report here")
-        p.add_argument("--tol", type=float, default=1e-9,
-                       help="tolerance for majorization / product tests")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the instance seed")
+        if name == "extract-gsd":
+            p.add_argument("--tol", type=float, default=UNIT_TOL,
+                           help="product test: largest squared Schmidt "
+                           "coefficient >= 1 - tol at every cut")
         if name == "multicopy":
             p.add_argument("--copies", type=int, default=2)
         if name == "catalyst":
@@ -442,6 +436,9 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="use this plan JSON (- for stdin) instead of "
                            "synthesizing one")
     return parser
+
+
+_PARSER = _build_parser()
 
 
 def _human_summary(report: dict) -> str:
@@ -462,13 +459,11 @@ def _human_summary(report: dict) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     start = time.perf_counter()
     try:
         payload = _read_json(args.infile)
         inst = load_instance(payload)
-        if args.seed is not None:
-            inst.seed = args.seed
         body = COMMANDS[args.command](inst, args)
     except InstanceError as exc:
         return _fail(args, EXIT_INPUT, "input error", exc)
@@ -508,11 +503,11 @@ def _json_default(obj):
 
 
 def _option_echo(args) -> dict:
-    echo = {"tol": args.tol, "seed": args.seed}
-    for key in ("copies", "dmax", "resolution", "plan"):
-        if hasattr(args, key):
-            echo[key] = getattr(args, key)
-    return echo
+    """Every option of the sub-command, as parsed, except the file names."""
+    return {
+        key: value for key, value in vars(args).items()
+        if key not in ("command", "infile", "outfile")
+    }
 
 
 def _fail(args, code: int, label: str, exc: Exception) -> int:

@@ -19,13 +19,28 @@ import numpy as np
 
 from .errors import ConversionImpossible, DecompositionFailed
 
-# Module-wide tolerances.  The permutohedron walk in mixture_for uses none
-# of them to decide where to cut; it reconstructs lam to about 1e-15 at
-# every n up to 1024 (the tests pin 1e-12), far inside RECONSTRUCT_TOL.
-ENTRY_CLAMP = 1e-12       # negative entries above -ENTRY_CLAMP are clamped to 0
-SUM_TOL = 1e-9            # probability sums and majorization prefixes
-RECONSTRUCT_TOL = 1e-9    # mixture-against-target reconstruction
-ZERO_TOL = 1e-12          # entries below this are treated as exact zeros
+# The package's one tolerance table; every other module imports from here,
+# and a tier-1 test rejects any other float literal below 1e-5 in the
+# package.  Input slack is absorbed once, where ProbVector divides its
+# entries by their sum, so the checks downstream only allow for rounding.
+# The permutohedron walk in mixture_for uses none of these to decide where
+# to cut; it reconstructs lam to about 1e-15 at every n up to 1024.
+#
+# ZERO_TOL: an exact zero.  Negative entries above -ZERO_TOL clamp to 0;
+#   branch probabilities, squared Schmidt coefficients and tail differences
+#   below it vanish; tail ratios within it tie; p * mu may exceed the
+#   conclusive waypoint by it.
+# UNIT_TOL: the allowance on order-1 quantities.  Input sums, majorization
+#   prefixes, mixture reconstruction, mass on a dead level, norms,
+#   unitarity, fidelities, branch probabilities, and the default product
+#   test of extract_gsd.
+# PLAN_TOL: completeness and outcome weights of a synthesized measurement,
+#   and of the conclusive success/failure pair.
+# DEGENERACY_GAP: Schmidt coefficients closer than this are degenerate.
+ZERO_TOL = 1e-12
+UNIT_TOL = 1e-9
+PLAN_TOL = 1e-10
+DEGENERACY_GAP = 1e-8
 
 
 @dataclass(frozen=True)
@@ -71,8 +86,9 @@ class Permutation:
 
 class ProbVector:
     """Nonnegative coefficient vector summing to 1, kept in nonincreasing
-    order.  The constructor sorts its input and records the applied sort
-    permutation (raw index -> sorted position)."""
+    order.  The constructor accepts a sum within UNIT_TOL of 1 and divides
+    by it, sorts the entries and records the applied sort permutation (raw
+    index -> sorted position)."""
 
     __slots__ = ("_entries", "_order")
 
@@ -80,15 +96,15 @@ class ProbVector:
         raw = np.asarray(entries, dtype=float)
         if raw.ndim != 1 or raw.size < 1:
             raise ValueError("ProbVector needs a 1-D vector of length >= 1")
-        if np.min(raw) < -ENTRY_CLAMP:
-            raise ValueError(f"negative entry {np.min(raw)} below clamp {-ENTRY_CLAMP}")
+        if np.min(raw) < -ZERO_TOL:
+            raise ValueError(f"negative entry {np.min(raw)} below clamp {-ZERO_TOL}")
         clipped = np.clip(raw, 0.0, None)
         total = float(np.sum(clipped))
-        if abs(total - 1.0) > SUM_TOL:
-            raise ValueError(f"entries sum to {total}, not 1 within {SUM_TOL}")
+        if abs(total - 1.0) > UNIT_TOL:
+            raise ValueError(f"entries sum to {total}, not 1 within {UNIT_TOL}")
         # stable descending sort; ties keep their original order
         order = np.lexsort((np.arange(raw.size), -clipped))
-        srt = clipped[order]
+        srt = clipped[order] / total
         srt.setflags(write=False)
         order.setflags(write=False)
         object.__setattr__(self, "_entries", srt)
@@ -147,7 +163,7 @@ class PermutationMixture:
             if perm.n != self.n:
                 raise ValueError("permutation dimension mismatch")
             total += p
-        if abs(total - 1.0) > SUM_TOL:
+        if abs(total - 1.0) > UNIT_TOL:
             raise ValueError(f"weights sum to {total}")
         if len(self.terms) > self.n:
             raise ValueError(f"{len(self.terms)} terms exceed bound {self.n}")
@@ -165,17 +181,19 @@ class PermutationMixture:
         ]
 
 
-def is_majorized(lam: ProbVector, mu: ProbVector, tol: float = SUM_TOL) -> bool:
-    """True iff every prefix sum of lam is dominated by the one of mu.
+def is_majorized(lam: ProbVector, mu: ProbVector) -> bool:
+    """True iff every prefix sum of lam is dominated by the one of mu,
+    within UNIT_TOL.
 
     Both vectors are already nonincreasing by the ProbVector invariant, and
     their totals are both 1, so only prefixes 0..n-2 are checked.
     """
-    return first_violation(lam, mu, tol) is None
+    return first_violation(lam, mu) is None
 
 
-def first_violation(lam: ProbVector, mu: ProbVector, tol: float = SUM_TOL) -> int | None:
-    """Smallest prefix index witnessing non-majorization, or None."""
+def first_violation(lam: ProbVector, mu: ProbVector) -> int | None:
+    """Smallest prefix index whose lam sum exceeds mu's by more than
+    UNIT_TOL, or None."""
     if len(lam) != len(mu):
         raise ValueError(
             f"dimension mismatch {len(lam)} vs {len(mu)}; pad_to first"
@@ -184,7 +202,7 @@ def first_violation(lam: ProbVector, mu: ProbVector, tol: float = SUM_TOL) -> in
         return None
     lam_prefix = np.cumsum(lam.entries[:-1])
     mu_prefix = np.cumsum(mu.entries[:-1])
-    bad = np.nonzero(lam_prefix > mu_prefix + tol)[0]
+    bad = np.nonzero(lam_prefix > mu_prefix + UNIT_TOL)[0]
     return int(bad[0]) if bad.size else None
 
 
@@ -263,10 +281,10 @@ def mixture_for(lam: ProbVector, mu: ProbVector) -> PermutationMixture:
         )
     mixture = PermutationMixture(tuple(reversed(terms)), n)
     residual = float(np.max(np.abs(mixture.reconstruct(mu) - lam.entries)))
-    if residual > RECONSTRUCT_TOL:
+    if residual > UNIT_TOL:
         raise DecompositionFailed(
             f"mixture_for: n={n}, {steps} steps, reconstruction residual "
-            f"{residual:.3g} exceeds RECONSTRUCT_TOL {RECONSTRUCT_TOL:g}"
+            f"{residual:.3g} exceeds UNIT_TOL {UNIT_TOL:g}"
         )
     return mixture
 

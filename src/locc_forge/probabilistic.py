@@ -19,15 +19,15 @@ import numpy as np
 
 from .errors import CapExceeded, ConstructionInvalid, ConversionImpossible, ZeroBranch
 from .majorization import (
+    PLAN_TOL,
     ProbVector,
+    UNIT_TOL,
     ZERO_TOL,
     first_violation,
     is_majorized,
 )
-from .protocol import COMPLETENESS_TOL, DiagonalOperator, MeasurementPlan, build_plan
+from .protocol import DiagonalOperator, MeasurementPlan, build_plan
 from .simulator import (
-    FIDELITY_TOL,
-    ZERO_BRANCH_TOL,
     AppliedOp,
     BranchRecord,
     GeneralizedSchmidtState,
@@ -40,9 +40,6 @@ from .simulator import (
 )
 
 MAX_TENSOR_ENTRIES = 2**20
-RATIO_TIE_TOL = 1e-12
-DOMINANCE_TOL = 1e-12
-SUCCESS_PROB_TOL = 1e-9
 
 
 def _tails(v: ProbVector) -> np.ndarray:
@@ -58,7 +55,7 @@ def _min_tail_ratio(
     """Minimum of (e_lam[l]-e_lam[end])/(e_mu[l]-e_mu[end]) over l < end.
 
     Zero denominators are skipped; a zero numerator over a positive
-    denominator counts as ratio 0.  Among ties (within RATIO_TIE_TOL) the
+    denominator counts as ratio 0.  Among ties (within ZERO_TOL) the
     largest l wins.
     """
     best = np.inf
@@ -69,10 +66,10 @@ def _min_tail_ratio(
         if den <= ZERO_TOL:
             continue
         ratio = 0.0 if num <= ZERO_TOL else num / den
-        if ratio < best - RATIO_TIE_TOL:
+        if ratio < best - ZERO_TOL:
             best = ratio
             best_l = l
-        elif ratio <= best + RATIO_TIE_TOL:
+        elif ratio <= best + ZERO_TOL:
             best_l = max(best_l, l)
     if not np.isfinite(best):
         raise ConstructionInvalid("no admissible tail ratio")
@@ -157,7 +154,7 @@ def intermediate_state(lam: ProbVector, mu: ProbVector) -> ConclusivePlan:
     gamma_pv = ProbVector(gamma)
     if not is_majorized(lam, gamma_pv):
         raise ConstructionInvalid("source not majorized by intermediate vector")
-    if np.any(p * mu.entries > gamma + DOMINANCE_TOL):
+    if np.any(p * mu.entries > gamma + ZERO_TOL):
         raise ConstructionInvalid("intermediate vector fails p*target dominance")
 
     support = gamma > 0.0
@@ -166,17 +163,17 @@ def intermediate_state(lam: ProbVector, mu: ProbVector) -> ConclusivePlan:
     success = np.sqrt(ratio)
     failure = np.sqrt(1.0 - ratio)
     completeness = float(np.max(np.abs((success**2 + failure**2)[support] - 1.0))) if support.any() else 0.0
-    if completeness > COMPLETENESS_TOL:
+    if completeness > PLAN_TOL:
         raise ConstructionInvalid(f"success/failure completeness residual {completeness}")
     achieved = float(np.sum(gamma[support] * ratio[support]))
-    if abs(achieved - p) > COMPLETENESS_TOL:
+    if abs(achieved - p) > PLAN_TOL:
         raise ConstructionInvalid(
             f"success operator yields probability {achieved}, expected {p}"
         )
 
-    # Below SUCCESS_PROB_TOL the leftover mass is unmeasurable and the
+    # Below UNIT_TOL the leftover mass is unmeasurable and the
     # division by 1-p is pure cancellation noise; drop the branch.
-    if p < 1.0 - SUCCESS_PROB_TOL:
+    if p < 1.0 - UNIT_TOL:
         failure_coeffs = ProbVector((gamma - p * mu.entries) / (1.0 - p))
     else:
         failure_coeffs = None
@@ -204,7 +201,7 @@ def _settle(
     """Success or failure measurement on one stage branch, checked against
     its target's coordinates."""
     prob, out = _measure(branch, op.diag)
-    if prob <= ZERO_BRANCH_TOL * stage.simulated_prob:
+    if prob <= ZERO_TOL * stage.simulated_prob:
         raise ZeroBranch(f"conclusive measurement annihilated outcome {stage.outcome}")
     ops = stage.operations + (AppliedOp(0, "measurement", branch.shape[0]),)
     if success:
@@ -271,14 +268,14 @@ def run_conclusive(
         "min_success_fidelity": float(min_success_fid),
         "prob_sum_error": float(abs(prob_sum - 1.0)),
         "stage_passed": stage_passed,
-        "fidelity_tol": FIDELITY_TOL,
-        "prob_tol": SUCCESS_PROB_TOL,
+        "fidelity_tol": UNIT_TOL,
+        "prob_tol": UNIT_TOL,
     }
     passed = bool(
         stage_passed
-        and abs(success_prob - plan.p_max) <= SUCCESS_PROB_TOL
-        and min_success_fid >= 1.0 - FIDELITY_TOL
-        and abs(prob_sum - 1.0) <= SUCCESS_PROB_TOL
+        and abs(success_prob - plan.p_max) <= UNIT_TOL
+        and min_success_fid >= 1.0 - UNIT_TOL
+        and abs(prob_sum - 1.0) <= UNIT_TOL
     )
     return Transcript(
         branches=tuple(branches),

@@ -16,16 +16,12 @@ from .errors import InternalContradiction
 from .majorization import (
     Permutation,
     PermutationMixture,
+    PLAN_TOL,
     ProbVector,
+    UNIT_TOL,
     ZERO_TOL,
     mixture_for,
 )
-
-COMPLETENESS_TOL = 1e-10
-WEIGHT_TOL = 1e-10
-# A mixture term putting more than this much weight on a dead source level
-# cannot come from a valid decomposition.
-CONTRADICTION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -111,8 +107,8 @@ class ValidationReport:
     probability_sum: float
     completeness_ok: bool
     weights_ok: bool
-    completeness_tol: float = COMPLETENESS_TOL
-    weight_tol: float = WEIGHT_TOL
+    completeness_tol: float = PLAN_TOL
+    weight_tol: float = PLAN_TOL
 
     @property
     def ok(self) -> bool:
@@ -156,7 +152,9 @@ def synthesize(
     inverses = np.argsort(images, axis=1)  # row j is sigma_j^{-1}
     mass = weights[:, None] * mu.entries[inverses]
     live = lam.entries > 0.0
-    dead = np.argwhere((mass > CONTRADICTION_TOL) & ~live)
+    # more than UNIT_TOL of mass on a dead level cannot come from a valid
+    # decomposition
+    dead = np.argwhere((mass > UNIT_TOL) & ~live)
     if dead.size:
         j, k = (int(i) for i in dead[0])
         raise InternalContradiction(
@@ -201,8 +199,8 @@ def validate(plan: MeasurementPlan, lam: ProbVector) -> ValidationReport:
         outcome_probabilities=probs,
         weight_residual=float(weight_residual),
         probability_sum=float(sum(probs)),
-        completeness_ok=bool(completeness <= COMPLETENESS_TOL),
-        weights_ok=bool(weight_residual <= WEIGHT_TOL),
+        completeness_ok=bool(completeness <= PLAN_TOL),
+        weights_ok=bool(weight_residual <= PLAN_TOL),
     )
 
 

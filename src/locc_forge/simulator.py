@@ -23,18 +23,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapExceeded, ZeroBranch
-from .majorization import Permutation, ProbVector
+from .majorization import DEGENERACY_GAP, UNIT_TOL, ZERO_TOL, Permutation, ProbVector
 from .protocol import MeasurementPlan
 
 MAX_PARTIES = 6
 MAX_AMPLITUDES = 2**20
-NORM_TOL = 1e-9
-UNITARY_TOL = 1e-9
-ZERO_BRANCH_TOL = 1e-12
-FIDELITY_TOL = 1e-9          # branches must reach fidelity >= 1 - FIDELITY_TOL
-PROB_MATCH_TOL = 1e-9
-RANK_TOL = 1e-12             # squared Schmidt coefficients below this are zero
-DEGENERACY_GAP = 1e-8
 
 
 def _check_caps(dims: tuple[int, ...]) -> None:
@@ -62,7 +55,7 @@ class DenseState:
         if amps.size != expected:
             raise ValueError(f"{amps.size} amplitudes for dims {dims}")
         norm_sq = float(np.vdot(amps, amps).real)
-        if abs(norm_sq - 1.0) > NORM_TOL:
+        if abs(norm_sq - 1.0) > UNIT_TOL:
             raise ValueError(f"squared norm {norm_sq} deviates from 1")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -117,7 +110,7 @@ class GeneralizedSchmidtState:
             if dims[i] < n:
                 raise ValueError(f"party {i} dimension {dims[i]} below rank {n}")
             residual = np.max(np.abs(mat.conj().T @ mat - np.eye(dims[i])))
-            if residual > UNITARY_TOL:
+            if residual > UNIT_TOL:
                 raise ValueError(f"basis {i} not unitary (residual {residual})")
             mat = mat.copy()
             mat.setflags(write=False)
@@ -166,7 +159,7 @@ def apply_local(state: DenseState, party: int, op: np.ndarray) -> tuple[float, D
     moved = np.tensordot(op, state.tensor(), axes=([1], [party]))
     out = np.moveaxis(moved, 0, party).reshape(-1)
     prob = float(np.vdot(out, out).real)
-    if prob <= ZERO_BRANCH_TOL:
+    if prob <= ZERO_TOL:
         raise ZeroBranch(f"operator on party {party} annihilated the state")
     return prob, DenseState(out / np.sqrt(prob), state.dims)
 
@@ -256,7 +249,7 @@ def _coords(s: GeneralizedSchmidtState) -> np.ndarray:
     for basis in s.bases:
         t = np.tensordot(t, basis.conj(), axes=([0], [0]))
     norm_sq = float(np.vdot(t, t).real)
-    if abs(norm_sq - 1.0) > NORM_TOL:
+    if abs(norm_sq - 1.0) > UNIT_TOL:
         raise ValueError(f"rotated squared norm {norm_sq} deviates from 1")
     return t
 
@@ -309,8 +302,8 @@ def _branches(plan: MeasurementPlan, source: np.ndarray, target: np.ndarray):
     )
     for j, out in enumerate(plan.outcomes):
         prob, branch = _measure(source, out.operator.diag)
-        if prob <= ZERO_BRANCH_TOL:
-            if out.weight > ZERO_BRANCH_TOL:
+        if prob <= ZERO_TOL:
+            if out.weight > ZERO_TOL:
                 raise ZeroBranch(
                     f"outcome {j} carries weight {out.weight} but annihilated the state"
                 )
@@ -332,13 +325,13 @@ def _protocol_transcript(branches: tuple[BranchRecord, ...]) -> Transcript:
         "prob_sum_error": float(abs(prob_sum - 1.0)),
         "max_weight_mismatch": float(max_mismatch),
         "min_fidelity": float(min_fid),
-        "fidelity_tol": FIDELITY_TOL,
-        "prob_tol": PROB_MATCH_TOL,
+        "fidelity_tol": UNIT_TOL,
+        "prob_tol": UNIT_TOL,
     }
     passed = bool(
-        max_mismatch <= PROB_MATCH_TOL
-        and min_fid >= 1.0 - FIDELITY_TOL
-        and abs(prob_sum - 1.0) <= PROB_MATCH_TOL
+        max_mismatch <= UNIT_TOL
+        and min_fid >= 1.0 - UNIT_TOL
+        and abs(prob_sum - 1.0) <= UNIT_TOL
     )
     return Transcript(
         branches=branches, passed=passed, prob_sum=float(prob_sum), checks=checks
@@ -414,29 +407,17 @@ class GsdExtraction:
 
 
 def _complete_to_unitary(cols: np.ndarray, dim: int) -> np.ndarray:
-    """Extend orthonormal columns to a full unitary, deterministically.
+    """Extend k orthonormal columns to a full unitary, deterministically.
 
-    Candidate completion vectors are the computational basis vectors,
-    orthogonalized twice against everything accepted so far.
+    The Q factor of [cols | I] spans the whole space and its first k
+    columns span cols, so its other columns complete them.
     """
-    basis = [cols[:, k] for k in range(cols.shape[1])]
-    for j in range(dim):
-        if len(basis) == dim:
-            break
-        v = np.zeros(dim, dtype=complex)
-        v[j] = 1.0
-        for _ in range(2):
-            for b in basis:
-                v = v - np.vdot(b, v) * b
-        norm = np.linalg.norm(v)
-        if norm > 1e-6:
-            basis.append(v / norm)
-    if len(basis) != dim:
-        raise ValueError("basis completion failed")
-    return np.column_stack(basis)
+    k = cols.shape[1]
+    q = np.linalg.qr(np.hstack([cols, np.eye(dim)]))[0]
+    return np.hstack([cols, q[:, k:dim]])
 
 
-def extract_gsd(state: DenseState, tol: float = 1e-9) -> GsdExtraction:
+def extract_gsd(state: DenseState, tol: float = UNIT_TOL) -> GsdExtraction:
     """Operational structured-form test.
 
     Splits party 0 against the rest, then recursively demands that every
@@ -457,7 +438,7 @@ def extract_gsd(state: DenseState, tol: float = 1e-9) -> GsdExtraction:
     mat = state.amplitudes.reshape(dims[0], -1)
     u0, sing, vh = np.linalg.svd(mat, full_matrices=False)
     lam = sing**2
-    n = int(np.sum(lam > RANK_TOL))
+    n = int(np.sum(lam > ZERO_TOL))
     coeff_arr = lam[:n]
     degenerate = (
         bool(np.any(np.abs(np.diff(coeff_arr)) < DEGENERACY_GAP)) if n > 1 else False
@@ -490,7 +471,7 @@ def extract_gsd(state: DenseState, tol: float = 1e-9) -> GsdExtraction:
         cols = np.column_stack(factors[party])
         gram = cols.conj().T @ cols
         residual = float(np.max(np.abs(gram - np.eye(n))))
-        if residual > UNITARY_TOL:
+        if residual > UNIT_TOL:
             return GsdExtraction(
                 verdict="rejects",
                 witness=GsdWitness("party_overlap", -1, party, residual),
@@ -503,7 +484,7 @@ def extract_gsd(state: DenseState, tol: float = 1e-9) -> GsdExtraction:
     ]
     gss = GeneralizedSchmidtState(dims, ProbVector(coeff_arr), bases)
     fid = fidelity(assemble(gss), state)
-    if fid < 1.0 - NORM_TOL:
+    if fid < 1.0 - UNIT_TOL:
         return GsdExtraction(
             verdict="rejects",
             witness=GsdWitness("reassembly", -1, None, float(1.0 - fid)),

@@ -78,6 +78,20 @@ def t_chain(rng: np.random.Generator, mu: ProbVector, transforms: int) -> ProbVe
     return ProbVector(v)
 
 
+def slack_pairs(n: int):
+    """Raw (lam, mu) arrays of a strictly majorized T-chain pair at rank n,
+    with lam or mu scaled by 1 +- 1e-11, 1e-10 and 5e-10: inputs whose sums
+    miss 1 by less than the ProbVector allowance."""
+    rng = np.random.default_rng(100 + n)
+    mu = random_probs(rng, n)
+    lam = t_chain(rng, mu, transforms=4 * n)
+    assert np.all(np.cumsum(lam.entries)[:-1] < np.cumsum(mu.entries)[:-1])
+    for eps in (1e-11, 1e-10, 5e-10):
+        for scale in (1.0 + eps, 1.0 - eps):
+            yield lam.entries * scale, mu.entries
+            yield lam.entries, mu.entries * scale
+
+
 def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(z)

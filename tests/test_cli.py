@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -8,8 +9,8 @@ import numpy as np
 import pytest
 
 import locc_forge
-from helpers import random_probs, random_unitary, t_chain
-from locc_forge.cli import main
+from helpers import random_probs, random_unitary, slack_pairs, t_chain
+from locc_forge.cli import COMMANDS, load_instance, main
 
 JP_PAIR = {"schema_version": "1", "lam": [0.4, 0.4, 0.1, 0.1],
            "mu": [0.5, 0.25, 0.25, 0.0]}
@@ -304,16 +305,98 @@ class TestReportContract:
 
     def test_inputs_echoed_and_options_recorded(self, tmp_path, capsys):
         path = write(tmp_path, dict(EASY_PAIR, seed=7))
-        _, report, _ = run(capsys, ["check", "--in", path, "--seed", "9"])
+        _, report, _ = run(capsys, ["check", "--in", path])
         assert report["inputs"]["lam"] == [0.5, 0.5]
         assert report["inputs"]["seed"] == 7
-        assert report["options"]["seed"] == 9
+
+    def test_options_echo_the_parsed_sub_command(self, tmp_path, capsys):
+        path = write(tmp_path, JP_PAIR)
+        _, report, _ = run(capsys, ["check", "--in", path])
+        assert report["options"] == {}
+        _, report, _ = run(capsys, ["catalyst", "--in", path, "--dmax", "3"])
+        assert report["options"] == {"dmax": 3, "resolution": 0.01}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[name, "--seed", "9"] for name in COMMANDS]
+        + [[name, "--tol", "1e-3"] for name in COMMANDS if name != "extract-gsd"],
+    )
+    def test_removed_knobs_exit_2(self, tmp_path, argv):
+        # check --tol 1e-3 once called [0.6005, 0.3995] -> [0.6, 0.4]
+        # convertible while plan exits 3 on it
+        path = write(tmp_path, {"schema_version": "1", "lam": [0.6005, 0.3995],
+                                "mu": [0.6, 0.4]})
+        with pytest.raises(SystemExit) as exc:
+            main(argv[:1] + ["--in", path] + argv[1:])
+        assert exc.value.code == 2
 
     def test_stdin_instance(self, tmp_path, capsys, monkeypatch):
         import io
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(EASY_PAIR)))
         code, report, _ = run(capsys, ["check", "--in", "-"])
         assert code == 0 and report["verdict"] == "convertible"
+
+
+def _sha256(arrays) -> str:
+    """The documented input digest: each array's shape as little-endian
+    int64, then its little-endian complex128 bytes in C order."""
+    h = hashlib.sha256()
+    for arr in arrays:
+        h.update(np.array(arr.shape, dtype="<i8").tobytes())
+        h.update(np.asarray(arr, dtype="<c16", order="C").tobytes())
+    return h.hexdigest()
+
+
+class TestInputDigest:
+    def test_state_digest(self):
+        rng = np.random.default_rng(5)
+        amps = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        amps /= np.linalg.norm(amps)
+
+        def digest(dims, a):
+            state = {"dims": dims, "re": a.real.tolist(), "im": a.imag.tolist()}
+            return load_instance({"schema_version": "1", "state": state}).echo["state"]
+
+        first = digest([2, 4], amps)
+        assert first == {"sha256": _sha256([amps.reshape(2, 4)])}
+        assert digest([2, 4], amps) == first
+        flipped = amps.copy()
+        flipped[3] *= -1
+        assert digest([2, 4], flipped) != first
+        assert digest([4, 2], amps) != first
+
+    def test_bases_digest(self):
+        rng = np.random.default_rng(6)
+        bases = [random_unitary(rng, 3) for _ in range(2)]
+
+        def digest(mats):
+            payload = {"schema_version": "1", "lam": [0.5, 0.3, 0.2],
+                       "mu": [0.6, 0.3, 0.1],
+                       "bases": [{"re": b.real.tolist(), "im": b.imag.tolist()}
+                                 for b in mats]}
+            return load_instance(payload).echo["bases"]
+
+        first = digest(bases)
+        assert first == {"sha256": _sha256(bases)}
+        assert digest(bases) == first
+        tweaked = [bases[0], bases[1].copy()]
+        tweaked[1][2, 1] += 1e-12
+        assert digest(tweaked) != first
+
+
+class TestInputSlack:
+    """Coefficient sums within the ProbVector allowance of 1 are plain
+    inputs: every route runs and verifies."""
+
+    @pytest.mark.parametrize("command", ["plan", "simulate", "conclusive"])
+    def test_sum_slack_exits_0(self, tmp_path, capsys, command):
+        pairs = [([0.5000000005, 0.3, 0.2], [0.6, 0.3, 0.1])]
+        for n in range(3, 17):
+            pairs += [(lam.tolist(), mu.tolist()) for lam, mu in slack_pairs(n)]
+        for lam, mu in pairs:
+            path = write(tmp_path, {"schema_version": "1", "lam": lam, "mu": mu})
+            code, report, _ = run(capsys, [command, "--in", path])
+            assert code == 0, (lam, mu, report)
 
 
 class TestModuleEntry:

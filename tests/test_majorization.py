@@ -228,7 +228,7 @@ class TestBirkhoff:
             mixture_for(bad, ProbVector([0.8, 0.2]))
         message = str(err.value)
         assert "mixture_for" in message and "n=2" in message
-        assert "residual" in message and "RECONSTRUCT_TOL 1e-09" in message
+        assert "residual" in message and "UNIT_TOL 1e-09" in message
 
 
 class TestMixtureFor:

@@ -30,7 +30,7 @@ from locc_forge import (
     run_conclusive,
 )
 from test_majorization import majorized_pairs, prob_vectors
-from test_simulator import ENGINE_SHAPES, scale_heaviest_entry, swap_first_perms
+from test_simulator import ENGINE_SHAPES, scale_heaviest_entry, swap_heaviest_perms
 
 JP_LAM = ProbVector([0.4, 0.4, 0.1, 0.1])
 JP_MU = ProbVector([0.5, 0.25, 0.25, 0.0])
@@ -209,7 +209,7 @@ class TestConclusiveEngine:
         stage = plan.deterministic_stage
         assert run_conclusive(psi, phi, plan).passed
         for tampered in (
-            swap_first_perms(stage),
+            swap_heaviest_perms(stage),
             scale_heaviest_entry(stage, psi.coeffs),
         ):
             tx = run_conclusive(psi, phi, replace(plan, deterministic_stage=tampered))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from helpers import random_probs, t_chain
+from helpers import random_probs, slack_pairs, t_chain
 from locc_forge import (
     ConversionImpossible,
     DiagonalOperator,
@@ -284,6 +284,15 @@ def test_prefix_slack_below_zero_tol():
     mu = ProbVector([0.6, 0.395, 0.005])
     lam = ProbVector([0.6 - 1e-11, 0.395 + 1e-11 - 8e-13, 0.005 + 8e-13])
     _assert_walk_plan(lam, mu)
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_input_sum_slack_is_absorbed(n):
+    # ProbVector accepts sums within 1e-9 of 1, but plans are checked to
+    # 1e-10; dividing by the sum keeps the slack out of the plan
+    for lam, mu in slack_pairs(n):
+        lam, mu = ProbVector(lam), ProbVector(mu)
+        assert validate(build_plan(lam, mu), lam).ok
 
 
 def test_zero_padded_pairs():

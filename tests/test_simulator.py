@@ -28,6 +28,7 @@ from locc_forge import (
     fidelity,
     run_protocol,
 )
+from locc_forge.simulator import _complete_to_unitary
 
 BELL = DenseState(np.array([1, 0, 0, 1]) / np.sqrt(2), (2, 2))
 GHZ = DenseState(np.array([1, 0, 0, 0, 0, 0, 0, 1]) / np.sqrt(2), (2, 2, 2))
@@ -280,15 +281,18 @@ class TestRunProtocol:
             run_protocol(psi, phi, build_plan(lam, lam))
 
 
-def swap_first_perms(plan: MeasurementPlan) -> MeasurementPlan:
-    """The plan with the relabelings of outcomes 0 and 1 exchanged."""
-    a, b = plan.outcomes[:2]
-    assert a.unitary_perm != b.unitary_perm
-    outcomes = (
-        PlanOutcome(a.weight, a.operator, b.unitary_perm),
-        PlanOutcome(b.weight, b.operator, a.unitary_perm),
-    ) + plan.outcomes[2:]
-    return MeasurementPlan(outcomes=outcomes, n=plan.n)
+def swap_heaviest_perms(plan: MeasurementPlan) -> MeasurementPlan:
+    """The plan with the relabelings of its heaviest outcome and of the
+    heaviest one relabeling differently exchanged."""
+    order = sorted(range(len(plan.outcomes)), key=lambda j: -plan.outcomes[j].weight)
+    i = order[0]
+    a = plan.outcomes[i]
+    j = next(j for j in order if plan.outcomes[j].unitary_perm != a.unitary_perm)
+    b = plan.outcomes[j]
+    outcomes = list(plan.outcomes)
+    outcomes[i] = PlanOutcome(a.weight, a.operator, b.unitary_perm)
+    outcomes[j] = PlanOutcome(b.weight, b.operator, a.unitary_perm)
+    return MeasurementPlan(outcomes=tuple(outcomes), n=plan.n)
 
 
 def scale_heaviest_entry(plan: MeasurementPlan, lam: ProbVector) -> MeasurementPlan:
@@ -346,7 +350,7 @@ class TestBranchEngine:
         phi = random_gss(rng, mu, dims)
         plan = build_plan(lam, mu)
         assert run_protocol(psi, phi, plan).passed
-        assert not run_protocol(psi, phi, swap_first_perms(plan)).passed
+        assert not run_protocol(psi, phi, swap_heaviest_perms(plan)).passed
         assert not run_protocol(psi, phi, scale_heaviest_entry(plan, lam)).passed
 
     def test_zero_weight_outcome_with_padding(self):
@@ -370,6 +374,17 @@ class TestBranchEngine:
 
 
 class TestExtractGsd:
+    def test_completion_keeps_columns_and_is_unitary(self):
+        rng = np.random.default_rng(29)
+        for d in range(1, 17):
+            full = random_unitary(rng, d)
+            for k in range(1, d + 1):
+                cols = full[:, :k].copy()
+                u = _complete_to_unitary(cols, d)
+                assert u.shape == (d, d)
+                assert np.array_equal(u[:, :k], cols)
+                assert np.max(np.abs(u.conj().T @ u - np.eye(d))) <= 1e-12
+
     def test_ghz_admits(self):
         result = extract_gsd(GHZ)
         assert result.admits
