@@ -1,9 +1,10 @@
 """Command-line harness: JSON instance files in, JSON reports out.
 
-Reports go to stdout (and to --out when given); a short human-readable
-summary goes to stderr so that stdout stays pipeable.  Reports are
-deterministic for a fixed instance and options: reruns are byte-identical
-apart from the wall_time_s field.
+Each report is one line of JSON with sorted keys, on stdout and, byte for
+byte, in --out when given; a short human-readable summary goes to stderr so
+that stdout stays pipeable (`| python -m json.tool` indents it).  Reports
+are deterministic for a fixed instance and options: reruns are
+byte-identical apart from the wall_time_s value.
 
 Exit codes (stable contract):
     0  success / pass
@@ -482,13 +483,19 @@ def main(argv: list[str] | None = None) -> int:
         **body,
         "wall_time_s": time.perf_counter() - start,
     }
-    text = json.dumps(report, indent=2, sort_keys=True, default=_json_default)
-    print(text)
+    text = _encode(report)
+    sys.stdout.write(text)
     if args.outfile:
         with open(args.outfile, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     print(_human_summary(report), file=sys.stderr)
     return EXIT_OK if report["pass"] else EXIT_INTERNAL
+
+
+def _encode(obj: dict) -> str:
+    """One line of JSON with sorted keys.  Without indent, json.dumps runs
+    CPython's C encoder; floats are spelled by float.__repr__ either way."""
+    return json.dumps(obj, sort_keys=True, default=_json_default) + "\n"
 
 
 def _json_default(obj):
@@ -523,7 +530,7 @@ def _fail(args, code: int, label: str, exc: Exception) -> int:
     violation = getattr(exc, "violation_index", None)
     if violation is not None:
         error["error"]["violation_prefix"] = violation
-    print(json.dumps(error, indent=2, sort_keys=True))
+    sys.stdout.write(_encode(error))
     print(f"locc-forge {label}: {exc}", file=sys.stderr)
     return code
 

@@ -55,25 +55,19 @@ def _min_tail_ratio(
     """Minimum of (e_lam[l]-e_lam[end])/(e_mu[l]-e_mu[end]) over l < end.
 
     Zero denominators are skipped; a zero numerator over a positive
-    denominator counts as ratio 0.  Among ties (within ZERO_TOL) the
-    largest l wins.
+    denominator counts as ratio 0.  Ratios within ZERO_TOL of the minimum
+    tie: the first of them gives the value and the last the index.
     """
-    best = np.inf
-    best_l = 0
-    for l in range(end):
-        den = e_mu[l] - e_mu[end]
-        num = e_lam[l] - e_lam[end]
-        if den <= ZERO_TOL:
-            continue
-        ratio = 0.0 if num <= ZERO_TOL else num / den
-        if ratio < best - ZERO_TOL:
-            best = ratio
-            best_l = l
-        elif ratio <= best + ZERO_TOL:
-            best_l = max(best_l, l)
+    den = e_mu[:end] - e_mu[end]
+    num = e_lam[:end] - e_lam[end]
+    live = den > ZERO_TOL
+    ratio = np.divide(num, den, out=np.full(end, np.inf), where=live)
+    ratio[live & (num <= ZERO_TOL)] = 0.0
+    best = ratio.min(initial=np.inf)
     if not np.isfinite(best):
         raise ConstructionInvalid("no admissible tail ratio")
-    return float(best), best_l
+    near = np.flatnonzero(ratio <= best + ZERO_TOL)
+    return float(ratio[near[0]]), int(near[-1])
 
 
 def pmax(lam: ProbVector, mu: ProbVector) -> tuple[float, int]:
@@ -171,12 +165,18 @@ def intermediate_state(lam: ProbVector, mu: ProbVector) -> ConclusivePlan:
             f"success operator yields probability {achieved}, expected {p}"
         )
 
-    # Below UNIT_TOL the leftover mass is unmeasurable and the
-    # division by 1-p is pure cancellation noise; drop the branch.
+    # Below UNIT_TOL the leftover mass is unmeasurable; drop the branch.
+    # Dividing gamma - p*mu by a small 1-p would magnify its rounding, so
+    # the leftover is clipped at 0 and divided by its own sum.
+    failure_coeffs = None
     if p < 1.0 - UNIT_TOL:
-        failure_coeffs = ProbVector((gamma - p * mu.entries) / (1.0 - p))
-    else:
-        failure_coeffs = None
+        leftover = np.maximum(gamma - p * mu.entries, 0.0)
+        mass = float(leftover.sum())
+        if abs(mass - (1.0 - p)) > UNIT_TOL:
+            raise ConstructionInvalid(
+                f"failure branch mass {mass}, expected 1 - p_max = {1.0 - p}"
+            )
+        failure_coeffs = ProbVector(leftover / mass)
 
     return ConclusivePlan(
         p_max=p,

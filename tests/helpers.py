@@ -51,6 +51,27 @@ def brute_force_pmax(lam, mu) -> float:
     return min(max(best, 0.0), 1.0)
 
 
+def loop_min_tail_ratio(e_lam, e_mu, end: int) -> tuple[float, int]:
+    """The tail-ratio scan as a plain loop over l < end: ratio
+    (e_lam[l]-e_lam[end])/(e_mu[l]-e_mu[end]), zero denominators skipped,
+    zero numerators counted as 0; a ratio within 1e-12 of the best so far
+    keeps the best value and moves the index to the larger l."""
+    best = float("inf")
+    best_l = 0
+    for l in range(end):
+        den = float(e_mu[l]) - float(e_mu[end])
+        num = float(e_lam[l]) - float(e_lam[end])
+        if den <= 1e-12:
+            continue
+        ratio = 0.0 if num <= 1e-12 else num / den
+        if ratio < best - 1e-12:
+            best = ratio
+            best_l = l
+        elif ratio <= best + 1e-12:
+            best_l = max(best_l, l)
+    return best, best_l
+
+
 def sorted_tensor(lam, c) -> list[float]:
     """Plain-Python sorted elementwise product of two vectors."""
     prods = [float(x) * float(y) for x in lam for y in c]
@@ -90,6 +111,21 @@ def slack_pairs(n: int):
         for scale in (1.0 + eps, 1.0 - eps):
             yield lam.entries * scale, mu.entries
             yield lam.entries, mu.entries * scale
+
+
+def prefix_band_pairs(v: float):
+    """60 raw (lam, mu) arrays at ranks 3..16 that are majorized only within
+    v of one prefix: lam is mu with v moved from level k+1 to level k, so
+    lam's prefix k exceeds mu's by v."""
+    rng = np.random.default_rng(5)
+    for _ in range(60):
+        n = int(rng.integers(3, 17))
+        mu = random_probs(rng, n).entries
+        k = int(rng.integers(0, n - 1))
+        lam = mu.copy()
+        lam[k] += v
+        lam[k + 1] -= v
+        yield lam, mu
 
 
 def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:

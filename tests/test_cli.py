@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -286,22 +287,76 @@ class TestOtherCommands:
         assert code == 2
 
 
+GHZ = {"schema_version": "1", "state": {
+    "dims": [2, 2, 2], "re": [2**-0.5, 0, 0, 0, 0, 0, 0, 2**-0.5], "im": [0] * 8}}
+
+# one passing run of every command: (argv before --in, instance)
+EVERY_COMMAND = [
+    (["check"], EASY_PAIR),
+    (["plan"], EASY_PAIR),
+    (["simulate"], dict(EASY_PAIR, m=3)),
+    (["pmax"], {"schema_version": "1", "lam": [0.9, 0.1], "mu": [0.6, 0.4]}),
+    (["conclusive"], {"schema_version": "1", "lam": [0.9, 0.1], "mu": [0.6, 0.4], "m": 3}),
+    (["multicopy", "--copies", "3"], JP_PAIR),
+    (["catalyst", "--dmax", "2"], JP_PAIR),
+    (["extract-gsd"], GHZ),
+]
+assert sorted(argv[0] for argv, _ in EVERY_COMMAND) == sorted(COMMANDS)
+
+
+def raw_run(capsys, argv):
+    """Exit code and the exact stdout text."""
+    code = main(argv)
+    return code, capsys.readouterr().out
+
+
+def one_json_line(text) -> dict:
+    assert text.endswith("\n") and text.count("\n") == 1, text[:200]
+    return json.loads(text)
+
+
 class TestReportContract:
+    @pytest.mark.parametrize("argv, payload", EVERY_COMMAND)
+    def test_report_is_one_json_line(self, tmp_path, capsys, argv, payload):
+        code, out = raw_run(capsys, argv + ["--in", write(tmp_path, payload)])
+        assert code == 0
+        report = one_json_line(out)
+        assert list(report) == sorted(report)
+
+    def test_error_reports_are_one_json_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{nope")
+        zero_plan = tmp_path / "zero_plan.json"
+        zero_plan.write_text(json.dumps(
+            {"n": 2, "outcomes": [{"p": 1.0, "diag": [0.0, 0.0], "perm": [0, 1]}]}))
+        cap = {"schema_version": "1", "lam": [1.0 / 64] * 64, "mu": [1.0 / 64] * 64}
+        for expected, argv in [
+            (2, ["check", "--in", str(bad)]),
+            (3, ["plan", "--in", write(tmp_path, JP_PAIR, "jp.json")]),
+            (4, ["multicopy", "--in", write(tmp_path, cap, "cap.json"), "--copies", "4"]),
+            (5, ["simulate", "--in", write(tmp_path, EASY_PAIR, "easy.json"),
+                 "--plan", str(zero_plan)]),
+        ]:
+            code, out = raw_run(capsys, argv)
+            assert code == expected
+            assert one_json_line(out)["error"]["code"] == expected
+
     def test_deterministic_apart_from_wall_time(self, tmp_path, capsys):
-        path = write(tmp_path, dict(EASY_PAIR, m=3))
-        _, first, _ = run(capsys, ["simulate", "--in", path])
-        _, second, _ = run(capsys, ["simulate", "--in", path])
-        first.pop("wall_time_s")
-        second.pop("wall_time_s")
-        assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+        for argv, payload in EVERY_COMMAND:
+            path = write(tmp_path, payload)
+            runs = [raw_run(capsys, argv + ["--in", path])[1] for _ in range(2)]
+            blanked = [re.sub(r'"wall_time_s": [^,}]+', '"wall_time_s": 0', out)
+                       for out in runs]
+            assert blanked[0] != runs[0]
+            assert blanked[0] == blanked[1], argv
 
     def test_out_file_matches_stdout(self, tmp_path, capsys):
         out = tmp_path / "report.json"
-        path = write(tmp_path, EASY_PAIR)
-        code = main(["check", "--in", path, "--out", str(out)])
-        captured = capsys.readouterr()
-        assert code == 0
-        assert json.loads(out.read_text()) == json.loads(captured.out)
+        for argv, payload in EVERY_COMMAND:
+            code, text = raw_run(capsys, argv + [
+                "--in", write(tmp_path, payload), "--out", str(out)])
+            assert code == 0
+            assert out.read_bytes() == text.encode("utf-8"), argv
 
     def test_inputs_echoed_and_options_recorded(self, tmp_path, capsys):
         path = write(tmp_path, dict(EASY_PAIR, seed=7))

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from helpers import (
     brute_force_pmax,
     dense_conclusive,
+    loop_min_tail_ratio,
+    prefix_band_pairs,
     prefix_sum_majorized,
     random_gss,
     random_probs,
@@ -29,6 +31,7 @@ from locc_forge import (
     pmax,
     run_conclusive,
 )
+from locc_forge.probabilistic import _min_tail_ratio, _tails
 from test_majorization import majorized_pairs, prob_vectors
 from test_simulator import ENGINE_SHAPES, scale_heaviest_entry, swap_heaviest_perms
 
@@ -64,6 +67,46 @@ class TestPmax:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             pmax(ProbVector([1.0]), ProbVector([0.5, 0.5]))
+
+
+def tail_ratio_pairs():
+    """Random pairs and tie-heavy ones at ranks 2..1024: entries on a coarse
+    grid, equal vectors, zero tails, and mu = lam with its tail scaled up,
+    whose tail ratios tie up to rounding."""
+    rng = np.random.default_rng(23)
+    for n in (2, 3, 4, 5, 8, 13, 32, 100, 256, 1024):
+        for _ in range(4 if n < 1024 else 1):
+            yield random_probs(rng, n), random_probs(rng, n)
+            yield t_chain(rng, random_probs(rng, n), n), random_probs(rng, n)
+            lam_grid = rng.integers(1, 4, n).astype(float)
+            mu_grid = rng.integers(0, 3, n).astype(float)
+            mu_grid[0] += 1.0
+            yield (ProbVector(lam_grid / lam_grid.sum()),
+                   ProbVector(mu_grid / mu_grid.sum()))
+            head = n // 2
+            lam = np.sort(np.concatenate(
+                [rng.uniform(2, 3, head), rng.uniform(0.5, 1, n - head)]))[::-1]
+            lam /= lam.sum()
+            tail = lam[head:].sum()
+            mu = lam.copy()
+            mu[head:] *= 1.3
+            mu[:head] *= (1.0 - 1.3 * tail) / (1.0 - tail)
+            yield ProbVector(lam), ProbVector(mu)
+        flat = ProbVector(np.ones(n) / n)
+        yield flat, flat
+
+
+class TestMinTailRatio:
+    def test_matches_loop_oracle(self):
+        # bit for bit, at the cut pmax takes and at every segment end
+        # intermediate_state's walk takes
+        for lam, mu in tail_ratio_pairs():
+            e_lam, e_mu = _tails(lam), _tails(mu)
+            end = len(lam)
+            while end > 0:
+                expected = loop_min_tail_ratio(e_lam, e_mu, end)
+                assert _min_tail_ratio(e_lam, e_mu, end) == expected, (len(lam), end)
+                end = expected[1]
 
 
 class TestIntermediateState:
@@ -111,6 +154,21 @@ class TestIntermediateState:
         )
         assert np.all(plan.p_max * mu.entries <= plan.gamma.entries + 1e-12)
         assert is_majorized(lam, plan.gamma)
+
+    @pytest.mark.parametrize("v", [1e-11, 1e-10, 9e-10])
+    def test_prefix_band_failure_coeffs(self, v):
+        # 1 - p_max lands just above UNIT_TOL here, where dividing
+        # gamma - p*mu by 1 - p once magnified rounding past the sum check
+        for lam_raw, mu_raw in prefix_band_pairs(v):
+            lam, mu = ProbVector(lam_raw), ProbVector(mu_raw)
+            plan = intermediate_state(lam, mu)
+            if plan.failure_coeffs is not None:
+                leftover = plan.gamma.entries - plan.p_max * mu.entries
+                assert np.all(leftover >= -1e-12)
+                assert abs(leftover.sum() - (1.0 - plan.p_max)) <= 1e-9
+            psi = GeneralizedSchmidtState.computational((len(lam),) * 2, lam)
+            phi = GeneralizedSchmidtState.computational((len(lam),) * 2, mu)
+            assert run_conclusive(psi, phi, plan).passed
 
     def test_rank_increase_rejected(self):
         with pytest.raises(ConversionImpossible):
