@@ -1,8 +1,9 @@
 """Command-line harness: JSON instance files in, JSON reports out.
 
-Each report is one line of JSON with sorted keys, on stdout and, byte for
-byte, in --out when given; a short human-readable summary goes to stderr so
-that stdout stays pipeable (`| python -m json.tool` indents it).  Reports
+Each report, error reports included, is one line of JSON with sorted keys,
+on stdout and, byte for byte, in --out when given; an --out that cannot be
+written is an input error.  A short human-readable summary goes to stderr
+so that stdout stays pipeable (`| python -m json.tool` indents it).  Reports
 are deterministic for a fixed instance and options: reruns are
 byte-identical apart from the wall_time_s value.
 
@@ -286,10 +287,12 @@ def cmd_simulate(inst: Instance, args) -> dict:
             "prob_sum_error": transcript.checks["prob_sum_error"],
             "max_weight_mismatch": transcript.checks["max_weight_mismatch"],
             "min_fidelity": transcript.checks["min_fidelity"],
+            "offdiag_mass": transcript.checks["offdiag_mass"],
         },
         "tolerances": {
             "prob": transcript.checks["prob_tol"],
             "fidelity": transcript.checks["fidelity_tol"],
+            "offdiag_mass": transcript.checks["offdiag_tol"],
         },
         "pass": transcript.passed,
     }
@@ -328,10 +331,12 @@ def cmd_conclusive(inst: Instance, args) -> dict:
             "success_prob_error": transcript.checks["success_prob_error"],
             "min_success_fidelity": transcript.checks["min_success_fidelity"],
             "prob_sum_error": transcript.checks["prob_sum_error"],
+            "offdiag_mass": transcript.checks["offdiag_mass"],
         },
         "tolerances": {
             "prob": transcript.checks["prob_tol"],
             "fidelity": transcript.checks["fidelity_tol"],
+            "offdiag_mass": transcript.checks["offdiag_tol"],
         },
         "pass": transcript.passed,
     }
@@ -484,10 +489,10 @@ def main(argv: list[str] | None = None) -> int:
         "wall_time_s": time.perf_counter() - start,
     }
     text = _encode(report)
+    unwritable = _write_out(args, text)
+    if unwritable is not None:
+        return _fail(args, EXIT_INPUT, "input error", unwritable)
     sys.stdout.write(text)
-    if args.outfile:
-        with open(args.outfile, "w", encoding="utf-8") as fh:
-            fh.write(text)
     print(_human_summary(report), file=sys.stderr)
     return EXIT_OK if report["pass"] else EXIT_INTERNAL
 
@@ -517,7 +522,21 @@ def _option_echo(args) -> dict:
     }
 
 
+def _write_out(args, text: str) -> InstanceError | None:
+    """Write a report to --out, when given; a path that cannot be written
+    comes back as an input error."""
+    if args.outfile:
+        try:
+            with open(args.outfile, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            return InstanceError(f"cannot write --out {args.outfile}: {exc}")
+    return None
+
+
 def _fail(args, code: int, label: str, exc: Exception) -> int:
+    """Error report to --out and stdout.  When --out cannot be written, the
+    report names that failure instead, exits 2 and goes to stdout only."""
     error = {
         "error": {
             "code": code,
@@ -530,7 +549,12 @@ def _fail(args, code: int, label: str, exc: Exception) -> int:
     violation = getattr(exc, "violation_index", None)
     if violation is not None:
         error["error"]["violation_prefix"] = violation
-    sys.stdout.write(_encode(error))
+    text = _encode(error)
+    unwritable = _write_out(args, text)
+    if unwritable is not None:
+        args.outfile = None
+        return _fail(args, EXIT_INPUT, "input error", unwritable)
+    sys.stdout.write(text)
     print(f"locc-forge {label}: {exc}", file=sys.stderr)
     return code
 

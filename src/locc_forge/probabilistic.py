@@ -35,7 +35,7 @@ from .simulator import (
     _branches,
     _coords,
     _fidelity,
-    _measure,
+    _offdiag_checks,
     _protocol_transcript,
 )
 
@@ -193,19 +193,21 @@ def intermediate_state(lam: ProbVector, mu: ProbVector) -> ConclusivePlan:
 def _settle(
     stage: BranchRecord,
     branch: np.ndarray,
+    dims: tuple[int, ...],
     op: DiagonalOperator,
     share: float,
     target: np.ndarray,
     success: bool,
 ) -> BranchRecord:
-    """Success or failure measurement on one stage branch, checked against
-    its target's coordinates."""
-    prob, out = _measure(branch, op.diag)
+    """Success or failure measurement on one stage branch's diagonal,
+    checked against its target's diagonal."""
+    out = op.diag * branch
+    prob = float(np.vdot(out, out).real)
     if prob <= ZERO_TOL * stage.simulated_prob:
         raise ZeroBranch(f"conclusive measurement annihilated outcome {stage.outcome}")
-    ops = stage.operations + (AppliedOp(0, "measurement", branch.shape[0]),)
+    ops = stage.operations + (AppliedOp(0, "measurement", dims[0]),)
     if success:
-        ops += tuple(AppliedOp(p, "unitary", d) for p, d in enumerate(branch.shape))
+        ops += tuple(AppliedOp(p, "unitary", d) for p, d in enumerate(dims))
     return BranchRecord(
         stage.outcome, stage.analytic_prob * share, prob, True, ops,
         _fidelity(target, out, prob), success,
@@ -221,10 +223,13 @@ def run_conclusive(
     measurement on party A, with every branch checked against its target.
 
     As in ``run_protocol``, psi, the waypoint omega, phi and the failure
-    state are rotated once into their own bases.  omega and the failure
-    state share psi's bases, so the stage's branch tensors take the success
-    and failure diagonals directly, and B_phi B_psi^dag is the identity on
-    coordinates.  Overlaps of coordinates equal the dense fidelities.
+    state are each reduced to their n diagonal amplitudes in their own
+    bases, and the transcript fails when any of them leaves more than
+    UNIT_TOL of its squared norm off the diagonal.  omega and the failure
+    state share psi's bases, so each stage branch's diagonal takes the
+    success and failure diagonals directly, and B_phi B_psi^dag is the
+    identity on coordinates.  Overlaps of diagonals equal the dense
+    fidelities.
     """
     if psi.dims != phi.dims:
         raise ValueError(f"incompatible dims {psi.dims} vs {phi.dims}")
@@ -235,26 +240,30 @@ def run_conclusive(
     if plan.deterministic_stage.n != psi.n:
         raise ValueError("plan dimension does not match the states")
     omega = GeneralizedSchmidtState(psi.dims, plan.gamma, psi.bases)
-    phi_c = _coords(phi)
-    failure_c = None
+    (psi_c, psi_m), (omega_c, omega_m), (phi_c, phi_m) = map(_coords, (psi, omega, phi))
+    failure_c, failure_m = None, 0.0
     if plan.failure_coeffs is not None:
-        failure_c = _coords(
+        failure_c, failure_m = _coords(
             GeneralizedSchmidtState(psi.dims, plan.failure_coeffs, psi.bases)
         )
+    offdiag_mass = max(psi_m, omega_m, phi_m, failure_m)
 
     stage: list[BranchRecord] = []
     branches: list[BranchRecord] = []
-    for br, tensor in _branches(plan.deterministic_stage, _coords(psi), _coords(omega)):
+    for br, diag in _branches(plan.deterministic_stage, psi.dims, psi_c, omega_c):
         stage.append(br)
-        if tensor is None:
+        if diag is None:
             branches.append(br)
             continue
-        branches.append(_settle(br, tensor, plan.success_op, plan.p_max, phi_c, True))
+        branches.append(
+            _settle(br, diag, psi.dims, plan.success_op, plan.p_max, phi_c, True)
+        )
         if failure_c is not None:
             branches.append(
-                _settle(br, tensor, plan.failure_op, 1.0 - plan.p_max, failure_c, False)
+                _settle(br, diag, psi.dims, plan.failure_op, 1.0 - plan.p_max,
+                        failure_c, False)
             )
-    stage_passed = _protocol_transcript(tuple(stage)).passed
+    stage_passed = _protocol_transcript(tuple(stage), offdiag_mass).passed
 
     realizable = [br for br in branches if br.realizable]
     prob_sum = sum(br.simulated_prob for br in realizable)
@@ -270,9 +279,11 @@ def run_conclusive(
         "stage_passed": stage_passed,
         "fidelity_tol": UNIT_TOL,
         "prob_tol": UNIT_TOL,
+        **_offdiag_checks(offdiag_mass),
     }
     passed = bool(
         stage_passed
+        and offdiag_mass <= UNIT_TOL
         and abs(success_prob - plan.p_max) <= UNIT_TOL
         and min_success_fid >= 1.0 - UNIT_TOL
         and abs(prob_sum - 1.0) <= UNIT_TOL

@@ -59,6 +59,14 @@ class MeasurementPlan:
     n: int
     num_parties: int | None = None
 
+    def __post_init__(self):
+        for j, out in enumerate(self.outcomes):
+            if out.operator.n != self.n or out.unitary_perm.n != self.n:
+                raise ValueError(
+                    f"outcome {j}: diag length {out.operator.n} and perm length "
+                    f"{out.unitary_perm.n} must both equal n={self.n}"
+                )
+
     def completeness_residual(self, support: np.ndarray | None = None) -> float:
         """max_k |sum_j M_j^dag M_j - 1| over the given support indices."""
         sums = np.zeros(self.n)

@@ -4,10 +4,14 @@ Materializes structured states, executes measure-broadcast-rotate
 protocols, and operationally tests whether an arbitrary dense state admits
 the structured (single-sum) form.
 
-Protocols are checked in Schmidt coordinates: each compared dense state
-is assembled and rotated once into its own per-party bases.  There a
-measurement is a scale along party A's axis and a relabeling an index
-gather per axis.  Fidelity needs no rotation back, since the branch and
+Protocols are checked in Schmidt coordinates.  Each compared state is
+assembled densely once and contracted with its own n product basis
+vectors; in those coordinates it is diagonal, amplitude sqrt(coeff_k) at
+(k, ..., k), so the n diagonal amplitudes carry it.  The squared norm they
+miss, the off-diagonal mass, is a reported check that keeps the
+assemble -> coordinates round trip honest.  A measurement outcome then
+scales the diagonal by its Kraus diagonal and a relabeling permutes it,
+O(n) per outcome.  Fidelity needs no rotation back, since the branch and
 the target share the local unitary (the target's bases) that separates
 them from their dense forms.
 
@@ -23,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapExceeded, ZeroBranch
-from .majorization import DEGENERACY_GAP, UNIT_TOL, ZERO_TOL, Permutation, ProbVector
+from .majorization import DEGENERACY_GAP, UNIT_TOL, ZERO_TOL, ProbVector
 from .protocol import MeasurementPlan
 
 MAX_PARTIES = 6
@@ -148,22 +152,6 @@ def assemble(s: GeneralizedSchmidtState) -> DenseState:
     return DenseState((head @ chain.T).reshape(-1), s.dims)
 
 
-def apply_local(state: DenseState, party: int, op: np.ndarray) -> tuple[float, DenseState]:
-    """Apply a one-party operator; returns (branch probability, normalized post)."""
-    if not 0 <= party < state.m:
-        raise ValueError(f"party {party} out of range")
-    op = np.asarray(op, dtype=complex)
-    d = state.dims[party]
-    if op.shape != (d, d):
-        raise ValueError(f"operator must be {d}x{d}")
-    moved = np.tensordot(op, state.tensor(), axes=([1], [party]))
-    out = np.moveaxis(moved, 0, party).reshape(-1)
-    prob = float(np.vdot(out, out).real)
-    if prob <= ZERO_TOL:
-        raise ZeroBranch(f"operator on party {party} annihilated the state")
-    return prob, DenseState(out / np.sqrt(prob), state.dims)
-
-
 def fidelity(a: DenseState, b: DenseState) -> float:
     """|<a|b>|^2; 1 means identical up to global phase."""
     if a.dims != b.dims:
@@ -241,46 +229,21 @@ class Transcript:
         }
 
 
-def _coords(s: GeneralizedSchmidtState) -> np.ndarray:
-    """Assemble s and rotate it into its own bases, one tensordot per party
-    (each appends its axis last, so m steps restore the order); the squared
-    norm is re-checked as DenseState checks it."""
-    t = assemble(s).tensor()
-    for basis in s.bases:
-        t = np.tensordot(t, basis.conj(), axes=([0], [0]))
-    norm_sq = float(np.vdot(t, t).real)
-    if abs(norm_sq - 1.0) > UNIT_TOL:
-        raise ValueError(f"rotated squared norm {norm_sq} deviates from 1")
-    return t
+def _coords(s: GeneralizedSchmidtState) -> tuple[np.ndarray, float]:
+    """Assemble s and contract it with its n product basis vectors.
 
-
-def _measure(coords: np.ndarray, diag: np.ndarray) -> tuple[float, np.ndarray]:
-    """Scale axis 0 by a Kraus diagonal, zero on the complement beyond its
-    length; returns (squared norm, unnormalized branch)."""
-    full = np.zeros(coords.shape[0])
-    full[: diag.size] = diag
-    branch = coords * full.reshape((-1,) + (1,) * (coords.ndim - 1))
-    return float(np.vdot(branch, branch).real), branch
-
-
-def _gather(perm: Permutation, d: int) -> np.ndarray:
-    """Index g with v[g] == perm.apply(v) on the first perm.n levels, the
-    identity on the complement, which never carries amplitude."""
-    g = np.arange(d)
-    g[list(perm.image)] = np.arange(perm.n)
-    return g
-
-
-def _relabel(branch: np.ndarray, perm: Permutation) -> np.ndarray:
-    """Gather every axis by perm, as one row and one column take on the
-    tensor viewed as a matrix split between the two halves of the parties."""
-    dims, half = branch.shape, branch.ndim // 2
-    rows, cols = (
-        np.ravel_multi_index(np.ix_(*(_gather(perm, d) for d in part)), part).ravel()
-        for part in (dims[:half], dims[half:])
-    )
-    flat = branch.reshape(rows.size, cols.size)
-    return np.take(np.take(flat, rows, axis=0), cols, axis=1).reshape(dims)
+    Returns the diagonal amplitudes <b_0k|<b_1k|...|s> and the off-diagonal
+    mass |1 - sum_k |diag_k|^2|, the squared norm the diagonal misses.  The
+    contraction is one matmul with party 0's Schmidt columns, then one
+    batched row contraction per further party: O(n D) for D amplitudes.
+    """
+    n = s.n
+    x = s.bases[0][:, :n].conj().T @ assemble(s).amplitudes.reshape(s.dims[0], -1)
+    for basis in s.bases[1:]:
+        rows = basis[:, :n].conj().T[:, None, :]
+        x = (rows @ x.reshape(n, basis.shape[0], -1))[:, 0, :]
+    diag = x[:, 0]
+    return diag, abs(1.0 - float(np.vdot(diag, diag).real))
 
 
 def _fidelity(target: np.ndarray, branch: np.ndarray, norm_sq: float) -> float:
@@ -288,20 +251,22 @@ def _fidelity(target: np.ndarray, branch: np.ndarray, norm_sq: float) -> float:
     return float(abs(np.vdot(target, branch)) ** 2 / norm_sq)
 
 
-def _branches(plan: MeasurementPlan, source: np.ndarray, target: np.ndarray):
-    """Run every outcome of plan on the source's Schmidt coordinates.
+def _branches(
+    plan: MeasurementPlan, dims: tuple[int, ...], source: np.ndarray, target: np.ndarray
+):
+    """Run every outcome of plan on the source's diagonal amplitudes.
 
     Yields (record, branch) in plan order.  The branch is the measured and
-    relabeled tensor, unnormalized (its squared norm is the branch
+    relabeled diagonal, unnormalized (its squared norm is the branch
     probability) and in the target's coordinates; it is None when a
     zero-weight outcome annihilates the state.
     """
-    dims = source.shape
     ops = (AppliedOp(0, "measurement", dims[0]),) + tuple(
         AppliedOp(party, "unitary", d) for party, d in enumerate(dims)
     )
     for j, out in enumerate(plan.outcomes):
-        prob, branch = _measure(source, out.operator.diag)
+        branch = out.operator.diag * source
+        prob = float(np.vdot(branch, branch).real)
         if prob <= ZERO_TOL:
             if out.weight > ZERO_TOL:
                 raise ZeroBranch(
@@ -309,12 +274,24 @@ def _branches(plan: MeasurementPlan, source: np.ndarray, target: np.ndarray):
                 )
             yield BranchRecord(j, out.weight, 0.0, False, ops[:1]), None
             continue
-        branch = _relabel(branch, out.unitary_perm)
+        branch = out.unitary_perm.apply(branch)
         fid = _fidelity(target, branch, prob)
         yield BranchRecord(j, out.weight, prob, True, ops, fid), branch
 
 
-def _protocol_transcript(branches: tuple[BranchRecord, ...]) -> Transcript:
+def _offdiag_checks(offdiag_mass: float) -> dict:
+    """The off-diagonal mass check: largest value over the compared states,
+    its tolerance and margin."""
+    return {
+        "offdiag_mass": float(offdiag_mass),
+        "offdiag_tol": UNIT_TOL,
+        "offdiag_margin": float(UNIT_TOL - offdiag_mass),
+    }
+
+
+def _protocol_transcript(
+    branches: tuple[BranchRecord, ...], offdiag_mass: float
+) -> Transcript:
     realizable = [br for br in branches if br.realizable]
     prob_sum = sum(br.simulated_prob for br in realizable)
     max_mismatch = max(
@@ -327,9 +304,11 @@ def _protocol_transcript(branches: tuple[BranchRecord, ...]) -> Transcript:
         "min_fidelity": float(min_fid),
         "fidelity_tol": UNIT_TOL,
         "prob_tol": UNIT_TOL,
+        **_offdiag_checks(offdiag_mass),
     }
     passed = bool(
-        max_mismatch <= UNIT_TOL
+        offdiag_mass <= UNIT_TOL
+        and max_mismatch <= UNIT_TOL
         and min_fid >= 1.0 - UNIT_TOL
         and abs(prob_sum - 1.0) <= UNIT_TOL
     )
@@ -345,18 +324,24 @@ def run_protocol(
 ) -> Transcript:
     """Execute measure-broadcast-rotate on every outcome and verify it.
 
-    Outcome j scales psi's Schmidt coordinates along party A's axis by its
+    psi and phi are each reduced to their n diagonal amplitudes in their
+    own bases (``_coords``).  Outcome j multiplies psi's diagonal by its
     Kraus diagonal (the squared norm is the simulated probability) and
-    gathers every axis by its relabeling.  Its overlap with phi's
-    coordinates equals that of B_phi P_j B_psi^dag M_j |psi> with |phi>:
-    both dense states carry the same local unitary, phi's bases.
+    permutes it by its relabeling.  Its overlap with phi's diagonal equals
+    that of B_phi P_j B_psi^dag M_j |psi> with |phi>: both dense states
+    carry the same local unitary, phi's bases.  The transcript fails when
+    either state leaves more than UNIT_TOL of its squared norm off the
+    diagonal.
     """
     if psi.dims != phi.dims:
         raise ValueError(f"incompatible dims {psi.dims} vs {phi.dims}")
     if plan.n != psi.n or plan.n != phi.n:
         raise ValueError("plan dimension does not match the states")
-    records = _branches(plan, _coords(psi), _coords(phi))
-    return _protocol_transcript(tuple(record for record, _ in records))
+    (source, psi_mass), (target, phi_mass) = _coords(psi), _coords(phi)
+    records = _branches(plan, psi.dims, source, target)
+    return _protocol_transcript(
+        tuple(record for record, _ in records), max(psi_mass, phi_mass)
+    )
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,10 @@
 
 The oracles are deliberately plain Python (no calls into the package) so
 they stay independent of the code paths they check.  The dense branch
-oracles are the exception: they run every branch with the package's
-``assemble`` and ``apply_local`` and dense per-party operators, the
-primitives the Schmidt-coordinate engine no longer uses.
+oracles are the exception: they assemble states with the package's
+``assemble`` and run every branch with dense per-party operators through
+``apply_local`` below, the full-tensor work that the diagonal
+Schmidt-coordinate engine does not do.
 """
 
 from __future__ import annotations
@@ -12,13 +13,14 @@ from __future__ import annotations
 import numpy as np
 
 from locc_forge import (
+    DenseState,
     GeneralizedSchmidtState,
     ProbVector,
     ZeroBranch,
-    apply_local,
     assemble,
     fidelity,
 )
+from locc_forge.majorization import ZERO_TOL
 
 
 def prefix_sum_majorized(lam, mu, tol: float = 1e-9) -> bool:
@@ -155,6 +157,23 @@ def random_doubly_stochastic(rng: np.random.Generator, n: int, transforms: int) 
         trans[i, j] = trans[j, i] = 1.0 - t
         d = trans @ d
     return d
+
+
+def apply_local(state: DenseState, party: int, op: np.ndarray) -> tuple[float, DenseState]:
+    """Apply a one-party operator to a dense state; returns (branch
+    probability, normalized post-measurement state)."""
+    if not 0 <= party < state.m:
+        raise ValueError(f"party {party} out of range")
+    op = np.asarray(op, dtype=complex)
+    d = state.dims[party]
+    if op.shape != (d, d):
+        raise ValueError(f"operator must be {d}x{d}")
+    moved = np.tensordot(op, state.tensor(), axes=([1], [party]))
+    out = np.moveaxis(moved, 0, party).reshape(-1)
+    prob = float(np.vdot(out, out).real)
+    if prob <= ZERO_TOL:
+        raise ZeroBranch(f"operator on party {party} annihilated the state")
+    return prob, DenseState(out / np.sqrt(prob), state.dims)
 
 
 def measurement_matrix(basis: np.ndarray, diag) -> np.ndarray:

@@ -12,6 +12,7 @@ import pytest
 import locc_forge
 from helpers import random_probs, random_unitary, slack_pairs, t_chain
 from locc_forge.cli import COMMANDS, load_instance, main
+from test_simulator import plant_offdiag_mass
 
 JP_PAIR = {"schema_version": "1", "lam": [0.4, 0.4, 0.1, 0.1],
            "mu": [0.5, 0.25, 0.25, 0.0]}
@@ -197,6 +198,22 @@ class TestSimulate:
         code, direct, _ = run(capsys, ["simulate", "--in", inst_path])
         assert piped["payload"]["transcript"] == direct["payload"]["transcript"]
 
+    @pytest.mark.parametrize("field, entries", [
+        ("perm", [0, 1, 2]),
+        ("perm", [0]),
+        ("diag", [1.0, 0.0, 0.0]),
+        ("diag", [1.0]),
+    ])
+    def test_plan_rows_of_wrong_length_exit_2(self, tmp_path, capsys, field, entries):
+        inst_path = write(tmp_path, EASY_PAIR)
+        outcome = {"p": 1.0, "diag": [1.0, 1.0], "perm": [0, 1], field: entries}
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps({"n": 2, "outcomes": [outcome]}))
+        code, report, _ = run(capsys, [
+            "simulate", "--in", inst_path, "--plan", str(plan_path)])
+        assert code == 2
+        assert "must both equal n=2" in report["error"]["message"]
+
     def test_plan_accepts_full_report(self, tmp_path, capsys):
         inst_path = write(tmp_path, EASY_PAIR)
         _, plan_report, _ = run(capsys, ["plan", "--in", inst_path])
@@ -226,6 +243,25 @@ class TestLargeDense:
         code, report, _ = run(capsys, [command, "--in", write(tmp_path, inst)])
         assert code == 0
         assert report["pass"] is True
+
+
+class TestOffdiagMass:
+    @pytest.mark.parametrize("command", ["simulate", "conclusive"])
+    def test_over_tolerance_exits_5(self, tmp_path, capsys, monkeypatch, command):
+        inst = {"schema_version": "1", "lam": [0.9, 0.1], "mu": [0.6, 0.4], "m": 3}
+        if command == "simulate":
+            inst["lam"], inst["mu"] = inst["mu"], inst["lam"]
+        path = write(tmp_path, inst)
+        code, report, _ = run(capsys, [command, "--in", path])
+        assert code == 0
+        assert report["residuals"]["offdiag_mass"] <= 1e-15
+        assert report["tolerances"]["offdiag_mass"] == 1e-9
+        plant_offdiag_mass(monkeypatch, 1e-8)
+        code, report, _ = run(capsys, [command, "--in", path])
+        assert code == 5 and report["verdict"] == "fail"
+        assert report["residuals"]["offdiag_mass"] == pytest.approx(1e-8, rel=1e-6)
+        checks = report["payload"]["transcript"]["checks"]
+        assert checks["offdiag_margin"] < 0
 
 
 class TestOtherCommands:
@@ -315,6 +351,23 @@ def one_json_line(text) -> dict:
     return json.loads(text)
 
 
+def error_cases(tmp_path):
+    """(exit code, argv) of one failing run per error exit, 2 to 5."""
+    bad = tmp_path / "bad.json"
+    bad.write_text("{nope")
+    zero_plan = tmp_path / "zero_plan.json"
+    zero_plan.write_text(json.dumps(
+        {"n": 2, "outcomes": [{"p": 1.0, "diag": [0.0, 0.0], "perm": [0, 1]}]}))
+    cap = {"schema_version": "1", "lam": [1.0 / 64] * 64, "mu": [1.0 / 64] * 64}
+    return [
+        (2, ["check", "--in", str(bad)]),
+        (3, ["plan", "--in", write(tmp_path, JP_PAIR, "jp.json")]),
+        (4, ["multicopy", "--in", write(tmp_path, cap, "cap.json"), "--copies", "4"]),
+        (5, ["simulate", "--in", write(tmp_path, EASY_PAIR, "easy.json"),
+             "--plan", str(zero_plan)]),
+    ]
+
+
 class TestReportContract:
     @pytest.mark.parametrize("argv, payload", EVERY_COMMAND)
     def test_report_is_one_json_line(self, tmp_path, capsys, argv, payload):
@@ -324,19 +377,7 @@ class TestReportContract:
         assert list(report) == sorted(report)
 
     def test_error_reports_are_one_json_line(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{nope")
-        zero_plan = tmp_path / "zero_plan.json"
-        zero_plan.write_text(json.dumps(
-            {"n": 2, "outcomes": [{"p": 1.0, "diag": [0.0, 0.0], "perm": [0, 1]}]}))
-        cap = {"schema_version": "1", "lam": [1.0 / 64] * 64, "mu": [1.0 / 64] * 64}
-        for expected, argv in [
-            (2, ["check", "--in", str(bad)]),
-            (3, ["plan", "--in", write(tmp_path, JP_PAIR, "jp.json")]),
-            (4, ["multicopy", "--in", write(tmp_path, cap, "cap.json"), "--copies", "4"]),
-            (5, ["simulate", "--in", write(tmp_path, EASY_PAIR, "easy.json"),
-                 "--plan", str(zero_plan)]),
-        ]:
+        for expected, argv in error_cases(tmp_path):
             code, out = raw_run(capsys, argv)
             assert code == expected
             assert one_json_line(out)["error"]["code"] == expected
@@ -352,11 +393,22 @@ class TestReportContract:
 
     def test_out_file_matches_stdout(self, tmp_path, capsys):
         out = tmp_path / "report.json"
-        for argv, payload in EVERY_COMMAND:
-            code, text = raw_run(capsys, argv + [
-                "--in", write(tmp_path, payload), "--out", str(out)])
-            assert code == 0
+        runs = [(0, argv + ["--in", write(tmp_path, payload, f"{i}.json")])
+                for i, (argv, payload) in enumerate(EVERY_COMMAND)]
+        for expected, argv in runs + error_cases(tmp_path):
+            code, text = raw_run(capsys, argv + ["--out", str(out)])
+            assert code == expected
             assert out.read_bytes() == text.encode("utf-8"), argv
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "report.json"
+        for _, argv in [(0, ["check", "--in", write(tmp_path, EASY_PAIR)])] + (
+                error_cases(tmp_path)):
+            code, text = raw_run(capsys, argv + ["--out", str(out)])
+            assert code == 2
+            error = one_json_line(text)["error"]
+            assert error["code"] == 2 and str(out) in error["message"]
+            assert not out.exists()
 
     def test_inputs_echoed_and_options_recorded(self, tmp_path, capsys):
         path = write(tmp_path, dict(EASY_PAIR, seed=7))

@@ -16,7 +16,6 @@ from locc_forge import (
     pad_to,
     tail_sum,
 )
-from locc_forge.simulator import _gather
 
 
 @st.composite
@@ -90,18 +89,6 @@ class TestPermutation:
         out = p.apply(np.array([10.0, 20.0, 30.0]))
         # out[p(i)] = v[i]
         assert out.tolist() == [30.0, 10.0, 20.0]
-
-    def test_gather_matches_apply(self):
-        p = Permutation((1, 2, 0))
-        v = np.array([1.0, 2.0, 3.0])
-        assert v[_gather(p, 3)].tolist() == p.apply(v).tolist()
-
-    def test_gather_pads_identity(self):
-        p = Permutation((1, 0))
-        v = np.array([1.0, 2.0, 3.0])
-        out = v[_gather(p, 3)]
-        assert out[:2].tolist() == p.apply(v[:2]).tolist()
-        assert out[2] == 3.0
 
 
 class TestIsMajorized:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    apply_local,
     dense_protocol,
     measurement_matrix,
     random_gss,
@@ -21,14 +22,14 @@ from locc_forge import (
     PlanOutcome,
     ProbVector,
     ZeroBranch,
-    apply_local,
     assemble,
     build_plan,
     extract_gsd,
     fidelity,
     run_protocol,
 )
-from locc_forge.simulator import _complete_to_unitary
+from locc_forge import simulator
+from locc_forge.simulator import _complete_to_unitary, _coords
 
 BELL = DenseState(np.array([1, 0, 0, 1]) / np.sqrt(2), (2, 2))
 GHZ = DenseState(np.array([1, 0, 0, 0, 0, 0, 0, 1]) / np.sqrt(2), (2, 2, 2))
@@ -118,6 +119,8 @@ class TestAssemble:
 
 
 class TestApplyLocal:
+    """The dense one-party operator that the reference oracles run on."""
+
     def test_identity(self):
         prob, post = apply_local(BELL, 0, np.eye(2))
         assert prob == pytest.approx(1.0)
@@ -371,6 +374,76 @@ class TestBranchEngine:
         assert [br.realizable for br in tx.branches] == [True, False]
         assert tx.branches[1].simulated_prob == 0.0
         assert len(tx.branches[1].operations) == 1
+
+
+class TestCapSizes:
+    """run_protocol at the largest ranks the 2^20-amplitude cap admits."""
+
+    @pytest.mark.parametrize("dims,n", [((1024, 1024), 1024), ((16,) * 5, 16)])
+    def test_random_bases_pass_with_model_probabilities(self, dims, n):
+        rng = np.random.default_rng(n)
+        mu = random_probs(rng, n)
+        lam = t_chain(rng, mu, 4 * n)
+        psi, phi = random_gss(rng, lam, dims), random_gss(rng, mu, dims)
+        plan = build_plan(lam, mu)
+        tx = run_protocol(psi, phi, plan)
+        assert tx.passed
+        assert tx.checks["offdiag_mass"] <= 1e-14
+        for br, out in zip(tx.branches, plan.outcomes):
+            model = float(np.sum(lam.entries * out.operator.diag**2))
+            assert abs(br.simulated_prob - model) <= 1e-12
+
+
+def plant_offdiag_mass(monkeypatch, mass: float, only: ProbVector | None = None) -> None:
+    """Make assemble move `mass` of the squared norm of every state (or only
+    of those with the coefficients `only`) onto the product vector
+    b_0 (x) b_1 (x) b_0 ..., which lies off the diagonal in the state's own
+    bases."""
+    clean = simulator.assemble
+
+    def planted(s):
+        dense = clean(s)
+        if only is not None and s.coeffs is not only:
+            return dense
+        off = s.bases[0][:, 0]
+        for party, basis in enumerate(s.bases[1:], start=1):
+            off = np.multiply.outer(off, basis[:, party % 2])
+        amps = np.sqrt(1.0 - mass) * dense.amplitudes + np.sqrt(mass) * off.reshape(-1)
+        return DenseState(amps, s.dims)
+
+    monkeypatch.setattr(simulator, "assemble", planted)
+
+
+class TestOffdiagMass:
+    """A dense state that leaves squared norm off its diagonal is measured
+    and fails the run through the offdiag_mass check itself."""
+
+    def test_planted_mass_is_measured(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        lam = ProbVector([0.5, 0.3, 0.2])
+        psi = random_gss(rng, lam, (3, 4, 3))
+        assert _coords(psi)[1] <= 1e-15
+        plant_offdiag_mass(monkeypatch, 1e-6)
+        diag, mass = _coords(psi)
+        assert mass == pytest.approx(1e-6, rel=1e-6)
+        np.testing.assert_allclose(
+            np.abs(diag) ** 2, (1.0 - 1e-6) * lam.entries, rtol=0, atol=1e-15
+        )
+
+    @pytest.mark.parametrize("planted", ["source", "target"])
+    def test_planted_mass_fails_protocol(self, monkeypatch, planted):
+        rng = np.random.default_rng(43)
+        lam, mu = ProbVector([0.5, 0.3, 0.2]), ProbVector([0.7, 0.2, 0.1])
+        psi, phi = random_gss(rng, lam, (3, 4, 3)), random_gss(rng, mu, (3, 4, 3))
+        plan = build_plan(lam, mu)
+        clean = run_protocol(psi, phi, plan)
+        assert clean.passed and clean.checks["offdiag_margin"] > 0
+        plant_offdiag_mass(monkeypatch, 1e-8, lam if planted == "source" else mu)
+        tx = run_protocol(psi, phi, plan)
+        assert not tx.passed
+        assert tx.checks["offdiag_mass"] == pytest.approx(1e-8, rel=1e-6)
+        assert tx.checks["offdiag_tol"] == 1e-9
+        assert tx.checks["offdiag_margin"] < 0
 
 
 class TestExtractGsd:
