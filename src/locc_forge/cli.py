@@ -136,15 +136,17 @@ def load_instance(payload: dict) -> Instance:
     n = len(lam) if lam is not None else 0
     m = payload.get("m")
     dims = payload.get("dims")
-    if dims is not None:
-        dims = tuple(int(d) for d in dims)
-        if m is None:
+    try:
+        if dims is not None:
+            dims = tuple(int(d) for d in dims)
+            if m is not None and int(m) != len(dims):
+                raise InstanceError(f"m={m} but {len(dims)} dims given")
             m = len(dims)
-        elif int(m) != len(dims):
-            raise InstanceError(f"m={m} but {len(dims)} dims given")
-    else:
-        m = 2 if m is None else int(m)
-        dims = tuple([max(n, 1)] * m)
+        else:
+            m = 2 if m is None else int(m)
+            dims = tuple([max(n, 1)] * m)
+    except (TypeError, ValueError) as exc:
+        raise InstanceError(f"bad m or dims: {exc}") from exc
     if m < 2:
         raise InstanceError("need at least two parties")
     if lam is not None and any(d < n for d in dims):
@@ -168,6 +170,8 @@ def load_instance(payload: dict) -> Instance:
             state = DenseState.from_json(payload["state"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InstanceError(f"bad dense state: {exc}") from exc
+        if state.m < 2:
+            raise InstanceError("dense state needs at least two parties")
 
     echo = dict(payload)
     if bases is not None:
@@ -189,17 +193,16 @@ def _require_vectors(inst: Instance) -> tuple[ProbVector, ProbVector]:
 def _build_states(
     inst: Instance,
 ) -> tuple[GeneralizedSchmidtState, GeneralizedSchmidtState]:
+    """psi and phi share the instance bases, which are checked once."""
     lam, mu = _require_vectors(inst)
     if inst.bases is None:
         psi = GeneralizedSchmidtState.computational(inst.dims, lam)
-        phi = GeneralizedSchmidtState.computational(inst.dims, mu)
-        return psi, phi
-    try:
-        psi = GeneralizedSchmidtState(inst.dims, lam, inst.bases)
-        phi = GeneralizedSchmidtState(inst.dims, mu, inst.bases)
-    except ValueError as exc:
-        raise InstanceError(str(exc)) from exc
-    return psi, phi
+    else:
+        try:
+            psi = GeneralizedSchmidtState(inst.dims, lam, inst.bases)
+        except ValueError as exc:
+            raise InstanceError(str(exc)) from exc
+    return psi, psi._with_coeffs(mu)
 
 
 def _mixture_from_plan(plan: MeasurementPlan) -> list[dict]:
@@ -376,7 +379,7 @@ def cmd_catalyst(inst: Instance, args) -> dict:
             ProbVector(np.multiply.outer(mu.entries, c).reshape(-1)),
         )
     return {
-        "verdict": "found" if result.found else "not_found",
+        "verdict": result.verdict,
         "payload": result.to_json(),
         "residuals": {
             "certificate_verified": verified if result.found else None,
@@ -471,6 +474,15 @@ def main(argv: list[str] | None = None) -> int:
         payload = _read_json(args.infile)
         inst = load_instance(payload)
         body = COMMANDS[args.command](inst, args)
+        report = {
+            "schema_version": SCHEMA_VERSION,
+            "command": args.command,
+            "inputs": inst.echo,
+            "options": _option_echo(args),
+            **body,
+            "wall_time_s": time.perf_counter() - start,
+        }
+        text = _encode(report)  # a NaN or infinity raises ValueError: exit 5
     except InstanceError as exc:
         return _fail(args, EXIT_INPUT, "input error", exc)
     except ConversionImpossible as exc:
@@ -480,15 +492,6 @@ def main(argv: list[str] | None = None) -> int:
     except (LoccForgeError, ValueError) as exc:
         return _fail(args, EXIT_INTERNAL, "internal invariant violation", exc)
 
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": args.command,
-        "inputs": inst.echo,
-        "options": _option_echo(args),
-        **body,
-        "wall_time_s": time.perf_counter() - start,
-    }
-    text = _encode(report)
     unwritable = _write_out(args, text)
     if unwritable is not None:
         return _fail(args, EXIT_INPUT, "input error", unwritable)
@@ -498,9 +501,10 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _encode(obj: dict) -> str:
-    """One line of JSON with sorted keys.  Without indent, json.dumps runs
-    CPython's C encoder; floats are spelled by float.__repr__ either way."""
-    return json.dumps(obj, sort_keys=True, default=_json_default) + "\n"
+    """One line of strict JSON with sorted keys: a NaN or infinite float
+    raises ValueError.  Without indent, json.dumps runs CPython's C encoder;
+    floats are spelled by float.__repr__ either way."""
+    return json.dumps(obj, sort_keys=True, allow_nan=False, default=_json_default) + "\n"
 
 
 def _json_default(obj):

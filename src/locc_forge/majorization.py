@@ -62,10 +62,6 @@ class Permutation:
     def n(self) -> int:
         return len(self.image)
 
-    @property
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.image))
-
     def inverse(self) -> "Permutation":
         inv = [0] * self.n
         for i, j in enumerate(self.image):
@@ -87,10 +83,9 @@ class Permutation:
 class ProbVector:
     """Nonnegative coefficient vector summing to 1, kept in nonincreasing
     order.  The constructor accepts a sum within UNIT_TOL of 1 and divides
-    by it, sorts the entries and records the applied sort permutation (raw
-    index -> sorted position)."""
+    by it, and sorts the entries; a NaN entry fails the sum test."""
 
-    __slots__ = ("_entries", "_order")
+    __slots__ = ("_entries",)
 
     def __init__(self, entries):
         raw = np.asarray(entries, dtype=float)
@@ -100,26 +95,15 @@ class ProbVector:
             raise ValueError(f"negative entry {np.min(raw)} below clamp {-ZERO_TOL}")
         clipped = np.clip(raw, 0.0, None)
         total = float(np.sum(clipped))
-        if abs(total - 1.0) > UNIT_TOL:
+        if not abs(total - 1.0) <= UNIT_TOL:
             raise ValueError(f"entries sum to {total}, not 1 within {UNIT_TOL}")
-        # stable descending sort; ties keep their original order
-        order = np.lexsort((np.arange(raw.size), -clipped))
-        srt = clipped[order] / total
+        srt = -np.sort(-clipped) / total
         srt.setflags(write=False)
-        order.setflags(write=False)
         object.__setattr__(self, "_entries", srt)
-        object.__setattr__(self, "_order", order)
 
     @property
     def entries(self) -> np.ndarray:
         return self._entries
-
-    @property
-    def sort_permutation(self) -> Permutation:
-        """Permutation mapping each raw index to its sorted position."""
-        image = np.empty(self._order.size, dtype=int)
-        image[self._order] = np.arange(self._order.size)
-        return Permutation(tuple(int(i) for i in image))
 
     def __len__(self) -> int:
         return self._entries.size
@@ -204,13 +188,6 @@ def first_violation(lam: ProbVector, mu: ProbVector) -> int | None:
     mu_prefix = np.cumsum(mu.entries[:-1])
     bad = np.nonzero(lam_prefix > mu_prefix + UNIT_TOL)[0]
     return int(bad[0]) if bad.size else None
-
-
-def tail_sum(v: ProbVector, l: int) -> float:
-    """Sum of the entries from index l through the end."""
-    if not 0 <= l <= len(v) - 1:
-        raise ValueError(f"index {l} out of range for length {len(v)}")
-    return float(np.sum(v.entries[l:]))
 
 
 def pad_to(v: ProbVector, n: int) -> ProbVector:

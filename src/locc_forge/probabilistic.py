@@ -9,11 +9,20 @@ each pass finds the worst tail ratio of the still-unassigned prefix and
 pins that tail segment to a rescaled copy of the target.  The resulting
 vector is sorted, majorizes the source, and dominates p_max times the
 target entrywise, which is exactly what the success operator needs.
+
+The catalyst search first tries to refute: a few quantities that are
+Schur-monotone and multiplicative under the tensor product (largest and
+smallest coefficient, rank, power sums, entropy) must not get worse from
+source to target if any catalyst exists, so one that does proves there is
+none, in O(n).  Only a pair that none of them refutes goes to the grid,
+whose candidates are compared a whole dimension at a time (in blocks,
+when a fine grid would need too much memory).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -226,7 +235,8 @@ def run_conclusive(
     state are each reduced to their n diagonal amplitudes in their own
     bases, and the transcript fails when any of them leaves more than
     UNIT_TOL of its squared norm off the diagonal.  omega and the failure
-    state share psi's bases, so each stage branch's diagonal takes the
+    state share psi's bases, which were checked when psi was built and are
+    not checked again.  So each stage branch's diagonal takes the
     success and failure diagonals directly, and B_phi B_psi^dag is the
     identity on coordinates.  Overlaps of diagonals equal the dense
     fidelities.
@@ -239,13 +249,11 @@ def run_conclusive(
         plan = intermediate_state(psi.coeffs, phi.coeffs)
     if plan.deterministic_stage.n != psi.n:
         raise ValueError("plan dimension does not match the states")
-    omega = GeneralizedSchmidtState(psi.dims, plan.gamma, psi.bases)
+    omega = psi._with_coeffs(plan.gamma)
     (psi_c, psi_m), (omega_c, omega_m), (phi_c, phi_m) = map(_coords, (psi, omega, phi))
     failure_c, failure_m = None, 0.0
     if plan.failure_coeffs is not None:
-        failure_c, failure_m = _coords(
-            GeneralizedSchmidtState(psi.dims, plan.failure_coeffs, psi.bases)
-        )
+        failure_c, failure_m = _coords(psi._with_coeffs(plan.failure_coeffs))
     offdiag_mass = max(psi_m, omega_m, phi_m, failure_m)
 
     stage: list[BranchRecord] = []
@@ -319,10 +327,14 @@ def multicopy_check(lam: ProbVector, mu: ProbVector, copies: int) -> bool:
 
 @dataclass(frozen=True)
 class CatalysisResult:
-    found: bool
+    verdict: str  # "found" | "refuted" | "open"
     catalyst: ProbVector | None
     certificate: dict
     candidates_tested: int
+
+    @property
+    def found(self) -> bool:
+        return self.verdict == "found"
 
     def to_json(self) -> dict:
         return {
@@ -335,6 +347,55 @@ class CatalysisResult:
 
 def _tensor_with(v: ProbVector, c: np.ndarray) -> ProbVector:
     return ProbVector(np.multiply.outer(v.entries, c).reshape(-1))
+
+
+def _entropy(v: np.ndarray) -> float:
+    live = v[v > 0.0]
+    return float(-np.dot(live, np.log(live)))
+
+
+def _refute(lam: ProbVector, mu: ProbVector) -> dict | None:
+    """Certificate of the first monotone that rules out every catalyst, or
+    None.
+
+    If lam(x)c is majorized by mu(x)c for some c (whose zero entries can
+    be dropped), then, in this order of testing:
+    - largest coefficient: lam_1 <= mu_1;
+    - smallest coefficient: lam_n >= mu_n on the padded vectors;
+    - rank: rank(lam) >= rank(mu);
+    - power sums: sum lam^alpha <= sum mu^alpha for alpha = 2, 3, and >=
+      for alpha = 1/2;
+    - Shannon entropy: H(lam) >= H(mu).
+    Each quantity is Schur-monotone and multiplicative under the tensor
+    product (entropy is additive), so the factor of c cancels (Jonathan &
+    Plenio, PRL 83, 3566, 1999; Turgut, J. Phys. A 40, 12185, 2007).  A
+    monotone refutes only when it is violated by more than UNIT_TOL, the
+    band of first_violation; for rank, when mu's first entry beyond lam's
+    support exceeds UNIT_TOL.  The certificate names the monotone, alpha
+    (power sums only), the source and target values and the excess.
+    """
+    a, b = lam.entries, mu.entries
+    rank_a, rank_b = int(np.count_nonzero(a)), int(np.count_nonzero(b))
+    tests = [
+        ("largest_coefficient", None, a[0], b[0], a[0] - b[0]),
+        ("smallest_coefficient", None, a[-1], b[-1], b[-1] - a[-1]),
+        ("rank", None, rank_a, rank_b, b[rank_a] if rank_a < b.size else 0.0),
+    ]
+    for alpha in (2.0, 3.0, 0.5):
+        pa, pb = np.sum(a**alpha), np.sum(b**alpha)
+        tests.append(("power_sum", alpha, pa, pb, pa - pb if alpha > 1.0 else pb - pa))
+    ha, hb = _entropy(a), _entropy(b)
+    tests.append(("entropy", None, ha, hb, hb - ha))
+    for monotone, alpha, source, target, excess in tests:
+        if excess > UNIT_TOL:
+            return {
+                "monotone": monotone,
+                "alpha": alpha,
+                "source": source,
+                "target": target,
+                "excess": excess,
+            }
+    return None
 
 
 def _grid_partitions(total: int, parts: int, cap: int):
@@ -351,15 +412,41 @@ def _grid_partitions(total: int, parts: int, cap: int):
             yield (head,) + tail
 
 
+# Entries of one (candidates, n * d) tensor block; bounds the memory of a
+# batched comparison when a fine grid has millions of candidates.
+GRID_BLOCK_ENTRIES = 2**18
+
+
+def _first_grid_hit(lam: ProbVector, mu: ProbVector, cands: np.ndarray) -> int | None:
+    """Row index of the first candidate c with lam(x)c majorized by mu(x)c.
+
+    Every row of lam(x)c and mu(x)c is divided by its sum and sorted, as
+    ProbVector does, and its prefixes are compared as in first_violation,
+    all candidates at once.
+    """
+    prefixes = []
+    for v in (lam, mu):
+        rows = (v.entries[None, :, None] * cands[:, None, :]).reshape(len(cands), -1)
+        rows = -np.sort(-rows, axis=1) / rows.sum(axis=1, keepdims=True)
+        prefixes.append(np.cumsum(rows[:, :-1], axis=1))
+    hits = np.flatnonzero(~np.any(prefixes[0] > prefixes[1] + UNIT_TOL, axis=1))
+    return int(hits[0]) if hits.size else None
+
+
 def catalysis_search(
     lam: ProbVector, mu: ProbVector, d_max: int = 2, resolution: float = 0.01
 ) -> CatalysisResult:
-    """Grid search for a helper vector c with lam(x)c majorized by mu(x)c.
+    """Helper vector c with lam(x)c majorized by mu(x)c: refute, then search.
 
-    Incomplete by design: the grid covers sorted probability vectors of
-    dimension 2..d_max at the given simplex resolution, and a not-found
-    result is not a proof that no catalyst exists.  The first hit in
-    deterministic (dimension, then lexicographic) order is returned.
+    The verdict is "found" when lam is already majorized (trivial catalyst
+    [1]) or the grid has a hit, "refuted" when a monotone of ``_refute``
+    proves that no catalyst of any dimension exists, and "open" otherwise.
+    The grid covers sorted probability vectors of dimension 2..d_max at the
+    given simplex resolution, so "open" is not a proof that no catalyst
+    exists.  Each dimension's candidates are compared in blocks of
+    GRID_BLOCK_ENTRIES tensor entries; the first hit in deterministic
+    (dimension, then lexicographic) order is returned, with the number of
+    candidates up to and including it.  A refuted pair tests none.
     """
     if len(lam) != len(mu):
         raise ValueError("dimension mismatch; pad_to first")
@@ -370,37 +457,47 @@ def catalysis_search(
     witness = first_violation(lam, mu)
     if witness is None:
         return CatalysisResult(
-            found=True,
+            verdict="found",
             catalyst=ProbVector([1.0]),
             certificate={"note": "already majorized; trivial catalyst"},
+            candidates_tested=0,
+        )
+    refutation = _refute(lam, mu)
+    if refutation is not None:
+        return CatalysisResult(
+            verdict="refuted",
+            catalyst=None,
+            certificate={"uncatalyzed_violation_prefix": witness, **refutation},
             candidates_tested=0,
         )
     steps = round(1.0 / resolution)
     tested = 0
     for dim in range(2, d_max + 1):
-        for ks in _grid_partitions(steps, dim, steps):
-            c = np.asarray(ks, dtype=float) / steps
-            tested += 1
-            lam_c = _tensor_with(lam, c)
-            mu_c = _tensor_with(mu, c)
-            if is_majorized(lam_c, mu_c):
-                lam_prefix = np.cumsum(lam_c.entries)
-                mu_prefix = np.cumsum(mu_c.entries)
-                return CatalysisResult(
-                    found=True,
-                    catalyst=ProbVector(c),
-                    certificate={
-                        "uncatalyzed_violation_prefix": witness,
-                        "source_tensor_prefix": [float(x) for x in lam_prefix],
-                        "target_tensor_prefix": [float(x) for x in mu_prefix],
-                        "min_prefix_margin": float(
-                            np.min((mu_prefix - lam_prefix)[:-1])
-                        ),
-                    },
-                    candidates_tested=tested,
-                )
+        grid = _grid_partitions(steps, dim, steps)
+        block = max(1, GRID_BLOCK_ENTRIES // (len(lam) * dim))
+        while chunk := list(islice(grid, block)):
+            cands = np.array(chunk, dtype=float) / steps
+            hit = _first_grid_hit(lam, mu, cands)
+            if hit is None:
+                tested += len(chunk)
+                continue
+            lam_c = _tensor_with(lam, cands[hit])
+            mu_c = _tensor_with(mu, cands[hit])
+            lam_prefix = np.cumsum(lam_c.entries)
+            mu_prefix = np.cumsum(mu_c.entries)
+            return CatalysisResult(
+                verdict="found",
+                catalyst=ProbVector(cands[hit]),
+                certificate={
+                    "uncatalyzed_violation_prefix": witness,
+                    "source_tensor_prefix": [float(x) for x in lam_prefix],
+                    "target_tensor_prefix": [float(x) for x in mu_prefix],
+                    "min_prefix_margin": float(np.min((mu_prefix - lam_prefix)[:-1])),
+                },
+                candidates_tested=tested + hit + 1,
+            )
     return CatalysisResult(
-        found=False,
+        verdict="open",
         catalyst=None,
         certificate={"uncatalyzed_violation_prefix": witness},
         candidates_tested=tested,

@@ -57,7 +57,6 @@ class MeasurementPlan:
 
     outcomes: tuple[PlanOutcome, ...]
     n: int
-    num_parties: int | None = None
 
     def __post_init__(self):
         for j, out in enumerate(self.outcomes):

@@ -59,7 +59,7 @@ class DenseState:
         if amps.size != expected:
             raise ValueError(f"{amps.size} amplitudes for dims {dims}")
         norm_sq = float(np.vdot(amps, amps).real)
-        if abs(norm_sq - 1.0) > UNIT_TOL:
+        if not abs(norm_sq - 1.0) <= UNIT_TOL:
             raise ValueError(f"squared norm {norm_sq} deviates from 1")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -113,8 +113,10 @@ class GeneralizedSchmidtState:
                 raise ValueError(f"basis {i} must be {dims[i]}x{dims[i]}")
             if dims[i] < n:
                 raise ValueError(f"party {i} dimension {dims[i]} below rank {n}")
-            residual = np.max(np.abs(mat.conj().T @ mat - np.eye(dims[i])))
-            if residual > UNIT_TOL:
+            # a non-finite entry gives a NaN or infinite residual, which fails
+            with np.errstate(invalid="ignore", over="ignore"):
+                residual = np.max(np.abs(mat.conj().T @ mat - np.eye(dims[i])))
+            if not residual <= UNIT_TOL:
                 raise ValueError(f"basis {i} not unitary (residual {residual})")
             mat = mat.copy()
             mat.setflags(write=False)
@@ -136,6 +138,20 @@ class GeneralizedSchmidtState:
     @classmethod
     def computational(cls, dims, coeffs: ProbVector) -> "GeneralizedSchmidtState":
         return cls(dims, coeffs, [np.eye(d, dtype=complex) for d in dims])
+
+    def _with_coeffs(self, coeffs: ProbVector) -> "GeneralizedSchmidtState":
+        """The same state with other coefficients of the same rank.
+
+        The bases were checked when self was built and are immutable, so
+        they are shared, not checked again.
+        """
+        if len(coeffs) != self.n:
+            raise ValueError(f"rank {len(coeffs)} differs from the state's {self.n}")
+        out = object.__new__(GeneralizedSchmidtState)
+        for name in ("m", "dims", "bases"):
+            object.__setattr__(out, name, getattr(self, name))
+        object.__setattr__(out, "coeffs", coeffs)
+        return out
 
 
 def assemble(s: GeneralizedSchmidtState) -> DenseState:
@@ -203,15 +219,6 @@ class Transcript:
     passed: bool
     prob_sum: float
     checks: dict = field(default_factory=dict)
-
-    @property
-    def locality_ok(self) -> bool:
-        """Every recorded operation names exactly one party."""
-        return all(
-            isinstance(op.party, int) and op.dim > 0
-            for br in self.branches
-            for op in br.operations
-        )
 
     @property
     def success_probability(self) -> float:

@@ -124,7 +124,7 @@ def test_criterion_3_qubit_closed_form():
         expected = (lam[1] - mu[1]) / (mu[0] - mu[1])
         assert len(plan.outcomes) == 2
         swap, ident = plan.outcomes
-        assert swap.unitary_perm.image == (1, 0) and ident.unitary_perm.is_identity
+        assert swap.unitary_perm.image == (1, 0) and ident.unitary_perm.image == (0, 1)
         assert abs(swap.weight - expected) <= 1e-12
         assert abs(ident.weight - (1.0 - expected)) <= 1e-12
         checked += 1
@@ -303,7 +303,8 @@ def test_criterion_7_invariant_suite(tmp_path, capsys):
         psi = random_gss(rng, lam, dims)
         phi = random_gss(rng, mu, dims)
         tx = run_protocol(psi, phi, build_plan(lam, mu))
-        assert tx.passed and tx.locality_ok
+        assert tx.passed and all(
+            op.dim == dims[op.party] for br in tx.branches for op in br.operations)
         assert abs(tx.prob_sum - 1.0) <= 1e-9
 
     # probabilistic: pmax bound/extremes, waypoint invariants, monotonicity

@@ -76,6 +76,30 @@ class TestExitCodes:
             tmp_path, {"schema_version": "1", "lam": [0.5, 0.4], "mu": [1.0, 0.0]})])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["check", "catalyst", "plan", "pmax", "conclusive"])
+    def test_nan_coefficient_exits_2(self, tmp_path, capsys, command):
+        inst = {"schema_version": "1", "lam": [float("nan"), 1.0], "mu": [0.5, 0.5]}
+        code, report, _ = run(capsys, [command, "--in", write(tmp_path, inst)])
+        assert code == 2 and "sum to nan" in report["error"]["message"]
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("extract-gsd", '{"schema_version": "1", "state": {"dims": [2, 2], '
+         '"re": [NaN, 0, 0, 0.5], "im": [0, 0, 0, 0]}}', "squared norm nan"),
+        ("simulate", '{"schema_version": "1", "lam": [0.5, 0.5], "mu": [0.75, 0.25], '
+         '"bases": [[[1e400, 0], [0, 1]], [[1, 0], [0, 1]]]}', "not unitary"),
+        ("check", '{"schema_version": "1", "lam": [0.5, 0.5], "mu": [0.5, 0.5], '
+         '"dims": "ab"}', "bad m or dims"),
+        ("simulate", '{"schema_version": "1", "lam": [0.5, 0.5], "mu": [0.5, 0.5], '
+         '"m": "x"}', "bad m or dims"),
+        ("extract-gsd", '{"schema_version": "1", "state": {"dims": [2], '
+         '"re": [1, 0], "im": [0, 0]}}', "at least two parties"),
+    ])
+    def test_malformed_instance_exits_2(self, tmp_path, capsys, command, text, message):
+        path = tmp_path / "inst.json"
+        path.write_text(text)
+        code, report, _ = run(capsys, [command, "--in", str(path)])
+        assert code == 2 and message in report["error"]["message"]
+
     def test_missing_file_exits_2(self, capsys):
         code, _, _ = run(capsys, ["check", "--in", "/nonexistent/x.json"])
         assert code == 2
@@ -224,6 +248,32 @@ class TestSimulate:
         assert code == 0
 
 
+class TestBasesCheckedOnce:
+    @pytest.mark.parametrize("command, pair", [
+        ("simulate", EASY_PAIR),
+        ("conclusive", {"schema_version": "1", "lam": [0.9, 0.1], "mu": [0.6, 0.4]}),
+    ])
+    def test_one_state_constructor_per_command(self, tmp_path, capsys, monkeypatch,
+                                               command, pair):
+        # psi is built and checked once; phi, the waypoint and the failure
+        # state reuse its bases
+        calls = []
+        init = locc_forge.GeneralizedSchmidtState.__init__
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(locc_forge.GeneralizedSchmidtState, "__init__", counting)
+        rng = np.random.default_rng(4)
+        bases = [random_unitary(rng, 2) for _ in range(3)]
+        inst = dict(pair, m=3, bases=[{"re": b.real.tolist(), "im": b.imag.tolist()}
+                                      for b in bases])
+        code, report, _ = run(capsys, [command, "--in", write(tmp_path, inst)])
+        assert code == 0 and report["pass"] is True
+        assert len(calls) == 1
+
+
 class TestLargeDense:
     @pytest.mark.parametrize("command", ["simulate", "conclusive"])
     def test_eight_to_the_sixth_with_random_bases(self, tmp_path, capsys, command):
@@ -296,7 +346,32 @@ class TestOtherCommands:
         assert code == 0 and report["pass"] is True
         assert report["verdict"] == "found"
         assert report["payload"]["catalyst"] == [0.6, 0.4]
+        assert report["payload"]["candidates_tested"] == 11
         assert report["residuals"]["certificate_verified"] is True
+
+    def test_catalyst_refuted_and_open(self, tmp_path, capsys):
+        refutable = {"schema_version": "1", "lam": [0.7, 0.2, 0.1],
+                     "mu": [0.6, 0.3, 0.1]}
+        code, report, err = run(capsys, [
+            "catalyst", "--in", write(tmp_path, refutable), "--dmax", "4"])
+        assert code == 0 and report["pass"] is True
+        assert report["verdict"] == "refuted" and "refuted" in err
+        payload = report["payload"]
+        assert payload["found"] is False and payload["candidates_tested"] == 0
+        assert payload["certificate"] == {
+            "uncatalyzed_violation_prefix": 0, "monotone": "largest_coefficient",
+            "alpha": None, "source": pytest.approx(0.7, abs=1e-15),
+            "target": pytest.approx(0.6, abs=1e-15),
+            "excess": pytest.approx(0.1, abs=1e-15)}
+        assert report["residuals"]["certificate_verified"] is None
+        # no monotone refutes this pair, and no grid point catalyses it
+        open_pair = {"schema_version": "1", "lam": [0.45, 0.35, 0.15, 0.05],
+                     "mu": [0.55, 0.2, 0.2, 0.05]}
+        code, report, _ = run(capsys, [
+            "catalyst", "--in", write(tmp_path, open_pair), "--dmax", "2"])
+        assert code == 0 and report["verdict"] == "open"
+        assert report["payload"]["found"] is False
+        assert report["payload"]["candidates_tested"] == 50
 
     def test_extract_gsd_w_state(self, tmp_path, capsys):
         w = (np.array([0, 1, 1, 0, 1, 0, 0, 0]) / np.sqrt(3)).tolist()
@@ -375,6 +450,20 @@ class TestReportContract:
         assert code == 0
         report = one_json_line(out)
         assert list(report) == sorted(report)
+
+    @pytest.mark.parametrize("argv, payload", EVERY_COMMAND)
+    def test_report_is_strict_json(self, tmp_path, capsys, argv, payload):
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        _, out = raw_run(capsys, argv + ["--in", write(tmp_path, payload)])
+        json.loads(out, parse_constant=reject)
+
+    def test_non_finite_report_value_exits_5(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("locc_forge.cli.pmax", lambda lam, mu: (float("nan"), 0))
+        code, out = raw_run(capsys, ["pmax", "--in", write(tmp_path, EASY_PAIR)])
+        assert code == 5
+        assert one_json_line(out)["error"]["type"] == "ValueError"
 
     def test_error_reports_are_one_json_line(self, tmp_path, capsys):
         for expected, argv in error_cases(tmp_path):

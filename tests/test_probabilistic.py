@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from helpers import (
     brute_force_pmax,
     dense_conclusive,
+    loop_catalysis_grid,
     loop_min_tail_ratio,
     prefix_band_pairs,
     prefix_sum_majorized,
@@ -24,6 +25,7 @@ from locc_forge import (
     ProbVector,
     ZeroBranch,
     catalysis_search,
+    first_violation,
     intermediate_state,
     is_majorized,
     multicopy_check,
@@ -31,7 +33,14 @@ from locc_forge import (
     pmax,
     run_conclusive,
 )
-from locc_forge.probabilistic import _min_tail_ratio, _tails
+from locc_forge.probabilistic import (
+    GRID_BLOCK_ENTRIES,
+    _first_grid_hit,
+    _grid_partitions,
+    _min_tail_ratio,
+    _refute,
+    _tails,
+)
 from test_majorization import majorized_pairs, prob_vectors
 from test_simulator import ENGINE_SHAPES, scale_heaviest_entry, swap_heaviest_perms
 
@@ -333,6 +342,17 @@ class TestMulticopy:
             sorted(lam_t, reverse=True), sorted(mu_t, reverse=True)
         )
 
+    @pytest.mark.parametrize("n, copies", [(3, 6), (4, 10)])
+    def test_per_copy_verdicts_match_oracle(self, n, copies):
+        # up to the 2^20-entry cap at n = 4
+        rng = np.random.default_rng(10 * n + copies)
+        lam, mu = random_probs(rng, n), random_probs(rng, n)
+        lam_t, mu_t = [1.0], [1.0]
+        for k in range(1, copies + 1):
+            lam_t, mu_t = sorted_tensor(lam_t, lam), sorted_tensor(mu_t, mu)
+            if k in (1, 2, copies // 2, copies):
+                assert multicopy_check(lam, mu, k) == prefix_sum_majorized(lam_t, mu_t)
+
     def test_cap(self):
         v = ProbVector([1.0 / 64] * 64)
         with pytest.raises(CapExceeded):
@@ -377,7 +397,82 @@ class TestCatalysis:
             resolution=0.05,
         )
         assert not result.found
-        assert result.candidates_tested > 0
+        assert result.verdict == "refuted"
+        assert result.candidates_tested == 0
+
+    @pytest.mark.parametrize("lam, mu, monotone, alpha", [
+        ([0.7, 0.2, 0.1], [0.6, 0.3, 0.1], "largest_coefficient", None),
+        ([0.54, 0.45, 0.01], [0.62, 0.26, 0.12], "smallest_coefficient", None),
+        ([0.8, 0.2, 0.0, 0.0], [0.83, 0.15, 0.02, 0.0], "rank", None),
+        ([0.57, 0.33, 0.07, 0.03], [0.57, 0.23, 0.17, 0.03], "power_sum", 2.0),
+        ([0.51, 0.3, 0.11, 0.08], [0.51, 0.28, 0.19, 0.02], "power_sum", 3.0),
+        ([0.64, 0.26, 0.07, 0.03], [0.66, 0.21, 0.1, 0.03], "power_sum", 0.5),
+        ([0.51, 0.41, 0.07, 0.01], [0.6, 0.23, 0.17, 0.0], "entropy", None),
+    ])
+    def test_each_monotone_refutes(self, lam, mu, monotone, alpha):
+        # every earlier monotone holds, this one is broken
+        lam, mu = ProbVector(lam), ProbVector(mu)
+        result = catalysis_search(lam, mu, d_max=4)
+        assert result.verdict == "refuted" and result.candidates_tested == 0
+        cert = result.certificate
+        assert (cert["monotone"], cert["alpha"]) == (monotone, alpha)
+        assert cert["excess"] > 1e-9
+        assert cert["uncatalyzed_violation_prefix"] == first_violation(lam, mu)
+        a, b = lam.entries, mu.entries
+        if monotone == "power_sum":
+            assert (cert["source"], cert["target"]) == pytest.approx(
+                (np.sum(a**alpha), np.sum(b**alpha)), abs=1e-15)
+        if monotone == "rank":
+            assert (cert["source"], cert["target"]) == (2, 3)
+
+    def test_refutation_never_contradicts_the_grid(self):
+        # random non-majorized pairs: a refuted pair has no grid hit, and a
+        # pair with a grid hit passes every monotone
+        rng = np.random.default_rng(2007)
+        grids = [np.array(list(_grid_partitions(100, d, 100)), dtype=float) / 100
+                 for d in (2, 3)]
+        refuted = hits = 0
+        pairs = 0
+        while pairs < 2000:
+            n = int(rng.integers(3, 7))
+            lam, mu = random_probs(rng, n, floor=0.0), random_probs(rng, n, floor=0.0)
+            if first_violation(lam, mu) is None:
+                continue
+            pairs += 1
+            hit = any(_first_grid_hit(lam, mu, g) is not None for g in grids)
+            refutation = _refute(lam, mu)
+            assert not (hit and refutation is not None), (lam, mu, refutation)
+            refuted += refutation is not None
+            hits += hit
+        assert refuted > 1800 and hits > 0
+
+    @pytest.mark.parametrize("block_entries", [GRID_BLOCK_ENTRIES, 1])
+    @pytest.mark.parametrize("d_max, resolution", [(2, 0.01), (3, 0.05), (4, 0.1)])
+    def test_batched_grid_matches_loop_oracle(
+        self, monkeypatch, d_max, resolution, block_entries
+    ):
+        # JP plus random pairs that no monotone refutes, found and open
+        # alike; one block per dimension, or one candidate per block
+        monkeypatch.setattr("locc_forge.probabilistic.GRID_BLOCK_ENTRIES", block_entries)
+        rng = np.random.default_rng(3566 + d_max)
+        pairs = [(JP_LAM, JP_MU)]
+        while len(pairs) < 25:
+            n = int(rng.integers(3, 6))
+            lam, mu = random_probs(rng, n, floor=0.0), random_probs(rng, n, floor=0.0)
+            if first_violation(lam, mu) is not None and _refute(lam, mu) is None:
+                pairs.append((lam, mu))
+        verdicts = set()
+        for lam, mu in pairs:
+            result = catalysis_search(lam, mu, d_max=d_max, resolution=resolution)
+            catalyst, tested = loop_catalysis_grid(lam, mu, d_max, resolution)
+            assert result.candidates_tested == tested
+            if catalyst is None:
+                assert result.verdict == "open" and result.catalyst is None
+            else:
+                assert result.verdict == "found"
+                assert result.catalyst.entries.tolist() == catalyst.tolist()
+            verdicts.add(result.verdict)
+        assert verdicts == {"found", "open"}
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -30,7 +30,7 @@ class TestSynthesize:
         out = plan.outcomes[0]
         assert out.weight == pytest.approx(1.0)
         assert out.operator.diag.tolist() == [1.0, 1.0]
-        assert out.unitary_perm.is_identity
+        assert out.unitary_perm.image == (0, 1)
 
     def test_frozen_2x2_example(self):
         lam = ProbVector([0.5, 0.5])
@@ -110,7 +110,7 @@ class TestQubitFastPath:
         assert plan.outcomes[0].weight == pytest.approx(1 / 3, abs=1e-12)
         assert plan.outcomes[0].unitary_perm.image == (1, 0)
         assert plan.outcomes[1].weight == pytest.approx(2 / 3, abs=1e-12)
-        assert plan.outcomes[1].unitary_perm.is_identity
+        assert plan.outcomes[1].unitary_perm.image == (0, 1)
         np.testing.assert_allclose(
             plan.outcomes[0].operator.diag,
             [np.sqrt((1 / 3) * 0.2 / 0.6), np.sqrt((1 / 3) * 0.8 / 0.4)],

