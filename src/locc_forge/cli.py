@@ -145,7 +145,7 @@ def load_instance(payload: dict) -> Instance:
         else:
             m = 2 if m is None else int(m)
             dims = tuple([max(n, 1)] * m)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InstanceError(f"bad m or dims: {exc}") from exc
     if m < 2:
         raise InstanceError("need at least two parties")
@@ -482,7 +482,13 @@ def main(argv: list[str] | None = None) -> int:
             **body,
             "wall_time_s": time.perf_counter() - start,
         }
-        text = _encode(report)  # a NaN or infinity raises ValueError: exit 5
+        try:
+            text = _encode(report)
+        except ValueError:
+            # a NaN or infinity is bad input (exit 2) if the echoed instance
+            # holds it, say in a field nothing validates, else a fault (exit 5)
+            _encode_input(inst.echo)
+            raise
     except InstanceError as exc:
         return _fail(args, EXIT_INPUT, "input error", exc)
     except ConversionImpossible as exc:
@@ -505,6 +511,13 @@ def _encode(obj: dict) -> str:
     raises ValueError.  Without indent, json.dumps runs CPython's C encoder;
     floats are spelled by float.__repr__ either way."""
     return json.dumps(obj, sort_keys=True, allow_nan=False, default=_json_default) + "\n"
+
+
+def _encode_input(echo: dict) -> None:
+    try:
+        _encode(echo)
+    except ValueError as exc:
+        raise InstanceError(f"non-finite number in the instance: {exc}") from exc
 
 
 def _json_default(obj):

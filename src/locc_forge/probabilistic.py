@@ -15,14 +15,12 @@ Schur-monotone and multiplicative under the tensor product (largest and
 smallest coefficient, rank, power sums, entropy) must not get worse from
 source to target if any catalyst exists, so one that does proves there is
 none, in O(n).  Only a pair that none of them refutes goes to the grid,
-whose candidates are compared a whole dimension at a time (in blocks,
-when a fine grid would need too much memory).
+whose candidates are tested one at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -412,27 +410,6 @@ def _grid_partitions(total: int, parts: int, cap: int):
             yield (head,) + tail
 
 
-# Entries of one (candidates, n * d) tensor block; bounds the memory of a
-# batched comparison when a fine grid has millions of candidates.
-GRID_BLOCK_ENTRIES = 2**18
-
-
-def _first_grid_hit(lam: ProbVector, mu: ProbVector, cands: np.ndarray) -> int | None:
-    """Row index of the first candidate c with lam(x)c majorized by mu(x)c.
-
-    Every row of lam(x)c and mu(x)c is divided by its sum and sorted, as
-    ProbVector does, and its prefixes are compared as in first_violation,
-    all candidates at once.
-    """
-    prefixes = []
-    for v in (lam, mu):
-        rows = (v.entries[None, :, None] * cands[:, None, :]).reshape(len(cands), -1)
-        rows = -np.sort(-rows, axis=1) / rows.sum(axis=1, keepdims=True)
-        prefixes.append(np.cumsum(rows[:, :-1], axis=1))
-    hits = np.flatnonzero(~np.any(prefixes[0] > prefixes[1] + UNIT_TOL, axis=1))
-    return int(hits[0]) if hits.size else None
-
-
 def catalysis_search(
     lam: ProbVector, mu: ProbVector, d_max: int = 2, resolution: float = 0.01
 ) -> CatalysisResult:
@@ -443,10 +420,9 @@ def catalysis_search(
     proves that no catalyst of any dimension exists, and "open" otherwise.
     The grid covers sorted probability vectors of dimension 2..d_max at the
     given simplex resolution, so "open" is not a proof that no catalyst
-    exists.  Each dimension's candidates are compared in blocks of
-    GRID_BLOCK_ENTRIES tensor entries; the first hit in deterministic
-    (dimension, then lexicographic) order is returned, with the number of
-    candidates up to and including it.  A refuted pair tests none.
+    exists.  The first hit in deterministic (dimension, then lexicographic)
+    order is returned, with the number of candidates tested up to and
+    including it.  A refuted pair tests none.
     """
     if len(lam) != len(mu):
         raise ValueError("dimension mismatch; pad_to first")
@@ -473,29 +449,27 @@ def catalysis_search(
     steps = round(1.0 / resolution)
     tested = 0
     for dim in range(2, d_max + 1):
-        grid = _grid_partitions(steps, dim, steps)
-        block = max(1, GRID_BLOCK_ENTRIES // (len(lam) * dim))
-        while chunk := list(islice(grid, block)):
-            cands = np.array(chunk, dtype=float) / steps
-            hit = _first_grid_hit(lam, mu, cands)
-            if hit is None:
-                tested += len(chunk)
-                continue
-            lam_c = _tensor_with(lam, cands[hit])
-            mu_c = _tensor_with(mu, cands[hit])
-            lam_prefix = np.cumsum(lam_c.entries)
-            mu_prefix = np.cumsum(mu_c.entries)
-            return CatalysisResult(
-                verdict="found",
-                catalyst=ProbVector(cands[hit]),
-                certificate={
-                    "uncatalyzed_violation_prefix": witness,
-                    "source_tensor_prefix": [float(x) for x in lam_prefix],
-                    "target_tensor_prefix": [float(x) for x in mu_prefix],
-                    "min_prefix_margin": float(np.min((mu_prefix - lam_prefix)[:-1])),
-                },
-                candidates_tested=tested + hit + 1,
-            )
+        for ks in _grid_partitions(steps, dim, steps):
+            c = np.asarray(ks, dtype=float) / steps
+            tested += 1
+            lam_c = _tensor_with(lam, c)
+            mu_c = _tensor_with(mu, c)
+            if is_majorized(lam_c, mu_c):
+                lam_prefix = np.cumsum(lam_c.entries)
+                mu_prefix = np.cumsum(mu_c.entries)
+                return CatalysisResult(
+                    verdict="found",
+                    catalyst=ProbVector(c),
+                    certificate={
+                        "uncatalyzed_violation_prefix": witness,
+                        "source_tensor_prefix": [float(x) for x in lam_prefix],
+                        "target_tensor_prefix": [float(x) for x in mu_prefix],
+                        "min_prefix_margin": float(
+                            np.min((mu_prefix - lam_prefix)[:-1])
+                        ),
+                    },
+                    candidates_tested=tested,
+                )
     return CatalysisResult(
         verdict="open",
         catalyst=None,

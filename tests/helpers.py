@@ -1,13 +1,11 @@
 """Shared generators and independent oracles for the test suite.
 
 The oracles are deliberately plain Python (no calls into the package) so
-they stay independent of the code paths they check.  Two are exceptions.
-The dense branch oracles assemble states with the package's ``assemble``
-and run every branch with dense per-party operators through
+they stay independent of the code paths they check.  The dense branch
+oracles are the exception: they assemble states with the package's
+``assemble`` and run every branch with dense per-party operators through
 ``apply_local`` below, the full-tensor work that the diagonal
-Schmidt-coordinate engine does not do.  ``loop_catalysis_grid`` walks the
-package's catalyst grid one candidate at a time through ``is_majorized``,
-the reference for the batched comparison.
+Schmidt-coordinate engine does not do.
 """
 
 from __future__ import annotations
@@ -21,10 +19,8 @@ from locc_forge import (
     ZeroBranch,
     assemble,
     fidelity,
-    is_majorized,
 )
 from locc_forge.majorization import ZERO_TOL
-from locc_forge.probabilistic import _grid_partitions
 
 
 def prefix_sum_majorized(lam, mu, tol: float = 1e-9) -> bool:
@@ -82,24 +78,6 @@ def sorted_tensor(lam, c) -> list[float]:
     """Plain-Python sorted elementwise product of two vectors."""
     prods = [float(x) * float(y) for x in lam for y in c]
     return sorted(prods, reverse=True)
-
-
-def loop_catalysis_grid(lam, mu, d_max: int, resolution: float):
-    """The grid search one candidate at a time: (catalyst, candidates
-    tested) at the first c in (dimension, lexicographic) order with
-    lam(x)c majorized by mu(x)c under is_majorized, or (None, total)."""
-    steps = round(1.0 / resolution)
-    tested = 0
-    for dim in range(2, d_max + 1):
-        for ks in _grid_partitions(steps, dim, steps):
-            c = np.asarray(ks, dtype=float) / steps
-            tested += 1
-            if is_majorized(
-                ProbVector(np.multiply.outer(lam.entries, c).reshape(-1)),
-                ProbVector(np.multiply.outer(mu.entries, c).reshape(-1)),
-            ):
-                return c, tested
-    return None, tested
 
 
 def random_probs(rng: np.random.Generator, n: int, floor: float = 1e-3) -> ProbVector:

@@ -93,6 +93,14 @@ class TestExitCodes:
          '"m": "x"}', "bad m or dims"),
         ("extract-gsd", '{"schema_version": "1", "state": {"dims": [2], '
          '"re": [1, 0], "im": [0, 0]}}', "at least two parties"),
+        ("check", '{"schema_version": "1", "lam": [0.5, 0.5], "mu": [0.5, 0.5], '
+         '"m": 1e400}', "bad m or dims"),
+        ("check", '{"schema_version": "1", "lam": [0.5, 0.5], "mu": [0.5, 0.5], '
+         '"dims": [2, Infinity]}', "bad m or dims"),
+        ("check", '{"schema_version": "1", "lam": [0.5, 0.5], "mu": [0.5, 0.5], '
+         '"note": NaN}', "non-finite number in the instance"),
+        ("catalyst", '{"schema_version": "1", "lam": [0.5, 0.5], "mu": [0.5, 0.5], '
+         '"note": [1e400]}', "non-finite number in the instance"),
     ])
     def test_malformed_instance_exits_2(self, tmp_path, capsys, command, text, message):
         path = tmp_path / "inst.json"
