@@ -12,7 +12,6 @@ from .errors import (
     ZeroBranch,
 )
 from .majorization import (
-    Permutation,
     PermutationMixture,
     ProbVector,
     first_violation,
@@ -31,9 +30,7 @@ from .probabilistic import (
     tensor_power,
 )
 from .protocol import (
-    DiagonalOperator,
     MeasurementPlan,
-    PlanOutcome,
     ValidationReport,
     build_plan,
     synthesize,
@@ -61,7 +58,6 @@ __all__ = [
     "ConversionImpossible",
     "DecompositionFailed",
     "DenseState",
-    "DiagonalOperator",
     "GeneralizedSchmidtState",
     "GsdExtraction",
     "GsdWitness",
@@ -69,9 +65,7 @@ __all__ = [
     "InternalContradiction",
     "LoccForgeError",
     "MeasurementPlan",
-    "Permutation",
     "PermutationMixture",
-    "PlanOutcome",
     "ProbVector",
     "Transcript",
     "ValidationReport",

@@ -32,7 +32,14 @@ from .errors import (
     InstanceError,
     LoccForgeError,
 )
-from .majorization import UNIT_TOL, ProbVector, first_violation, is_majorized, pad_to
+from .majorization import (
+    PLAN_TOL,
+    UNIT_TOL,
+    ProbVector,
+    first_violation,
+    is_majorized,
+    pad_to,
+)
 from .probabilistic import (
     _tails,
     catalysis_search,
@@ -45,6 +52,7 @@ from .protocol import MeasurementPlan, build_plan, validate
 from .simulator import (
     DenseState,
     GeneralizedSchmidtState,
+    _complex_array,
     extract_gsd,
     run_protocol,
 )
@@ -90,13 +98,9 @@ def _read_json(path: str) -> dict:
 def _parse_matrix(obj, label: str) -> np.ndarray:
     if isinstance(obj, dict):
         try:
-            re = np.asarray(obj["re"], dtype=float)
-            im = np.asarray(obj["im"], dtype=float)
+            return _complex_array(obj["re"], obj["im"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InstanceError(f"{label}: bad re/im matrix: {exc}") from exc
-        if re.shape != im.shape:
-            raise InstanceError(f"{label}: re/im shape mismatch")
-        return re + 1j * im
     try:
         return np.asarray(obj, dtype=float).astype(complex)
     except (TypeError, ValueError) as exc:
@@ -206,10 +210,9 @@ def _build_states(
 
 
 def _mixture_from_plan(plan: MeasurementPlan) -> list[dict]:
-    return [
-        {"p": float(out.weight), "perm": list(out.unitary_perm.inverse().image)}
-        for out in plan.outcomes
-    ]
+    """Each outcome's weight and sigma_j, the inverse of its relabeling."""
+    images = np.argsort(plan.perms, axis=1).tolist()
+    return [{"p": p, "perm": perm} for p, perm in zip(plan.weights.tolist(), images)]
 
 
 def _load_plan(source: str) -> MeasurementPlan:
@@ -222,7 +225,7 @@ def _load_plan(source: str) -> MeasurementPlan:
             raise InstanceError("no measurement plan found in --plan input")
     try:
         return MeasurementPlan.from_json(payload)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InstanceError(f"bad plan payload: {exc}") from exc
 
 
@@ -262,8 +265,8 @@ def cmd_plan(inst: Instance, args) -> dict:
             "weights": report.weight_residual,
         },
         "tolerances": {
-            "completeness": report.completeness_tol,
-            "weights": report.weight_tol,
+            "completeness": PLAN_TOL,
+            "weights": PLAN_TOL,
         },
         "pass": report.ok,
     }

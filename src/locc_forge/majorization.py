@@ -43,43 +43,6 @@ PLAN_TOL = 1e-10
 DEGENERACY_GAP = 1e-8
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """Bijection of {0..n-1}, stored as the forward image i -> image[i]."""
-
-    image: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.image)
-        if sorted(self.image) != list(range(n)):
-            raise ValueError(f"not a permutation of 0..{n - 1}: {self.image}")
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(n)))
-
-    @property
-    def n(self) -> int:
-        return len(self.image)
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, j in enumerate(self.image):
-            inv[j] = i
-        return Permutation(tuple(inv))
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """Push-forward action: returns w with w[image[i]] = v[i].
-
-        Equivalently w[k] = v[inverse(k)], the usual action of a
-        permutation on a coefficient vector.
-        """
-        v = np.asarray(v)
-        out = np.empty_like(v)
-        out[list(self.image)] = v
-        return out
-
-
 class ProbVector:
     """Nonnegative coefficient vector summing to 1, kept in nonincreasing
     order.  The constructor accepts a sum within UNIT_TOL of 1 and divides
@@ -132,9 +95,13 @@ class ProbVector:
 
 @dataclass(frozen=True)
 class PermutationMixture:
-    """Convex mixture of permutations realizing lam = sum_j p_j * (sigma_j mu)."""
+    """Convex mixture of permutations realizing lam = sum_j p_j * (sigma_j mu).
 
-    terms: tuple[tuple[float, Permutation], ...]
+    Each term pairs a weight p_j with the forward image of sigma_j as a
+    tuple of ints: sigma_j mu puts mu[i] at level image[i].
+    """
+
+    terms: tuple[tuple[float, tuple[int, ...]], ...]
     n: int
 
     def __post_init__(self):
@@ -144,9 +111,12 @@ class PermutationMixture:
         for p, perm in self.terms:
             if p <= 0.0:
                 raise ValueError(f"nonpositive weight {p}")
-            if perm.n != self.n:
+            if len(perm) != self.n:
                 raise ValueError("permutation dimension mismatch")
             total += p
+        images = np.array([perm for _, perm in self.terms])
+        if np.any(np.sort(images, axis=1) != np.arange(self.n)):
+            raise ValueError(f"a term is not a permutation of 0..{self.n - 1}")
         if abs(total - 1.0) > UNIT_TOL:
             raise ValueError(f"weights sum to {total}")
         if len(self.terms) > self.n:
@@ -155,14 +125,11 @@ class PermutationMixture:
     def reconstruct(self, mu: ProbVector) -> np.ndarray:
         """sum_j p_j * mu[sigma_j^{-1}(k)] as a plain array."""
         out = np.zeros(self.n)
+        vertex = np.empty(self.n)
         for p, perm in self.terms:
-            out += p * perm.apply(mu.entries)
+            vertex[list(perm)] = mu.entries
+            out += p * vertex
         return out
-
-    def to_json(self) -> list[dict]:
-        return [
-            {"p": float(p), "perm": list(perm.image)} for p, perm in self.terms
-        ]
 
 
 def is_majorized(lam: ProbVector, mu: ProbVector) -> bool:
@@ -235,7 +202,7 @@ def mixture_for(lam: ProbVector, mu: ProbVector) -> PermutationMixture:
     start = np.maximum.accumulate(np.where(begins, np.arange(n), 0))
     rest = lam.entries.copy()
     mass = 1.0
-    terms: list[tuple[float, Permutation]] = []
+    terms: list[tuple[float, tuple[int, ...]]] = []
     steps = 0
     while mass > 0.0 and steps < n:
         steps += 1
@@ -244,7 +211,7 @@ def mixture_for(lam: ProbVector, mu: ProbVector) -> PermutationMixture:
         vertex[order] = mu.entries
         step, cut = _largest_step(rest, mass, vertex, start, prefix)
         if step > 0.0:
-            terms.append((step, Permutation(tuple(order.tolist()))))
+            terms.append((step, tuple(order.tolist())))
             rest -= step * vertex
             mass = 0.0 if step == mass else mass - step
         if cut is not None:

@@ -33,7 +33,7 @@ from .majorization import (
     first_violation,
     is_majorized,
 )
-from .protocol import DiagonalOperator, MeasurementPlan, build_plan
+from .protocol import MeasurementPlan, build_plan
 from .simulator import (
     AppliedOp,
     BranchRecord,
@@ -101,8 +101,8 @@ class ConclusivePlan:
     l_star: int
     gamma: ProbVector
     deterministic_stage: MeasurementPlan
-    success_op: DiagonalOperator
-    failure_op: DiagonalOperator
+    success_diag: np.ndarray  # Kraus diagonals of the success/failure pair
+    failure_diag: np.ndarray
     failure_coeffs: ProbVector | None
     segments: tuple[tuple[int, int, float], ...]  # (start, end, scale)
 
@@ -112,8 +112,8 @@ class ConclusivePlan:
             "l_star": self.l_star,
             "gamma": self.gamma.to_json(),
             "deterministic_stage": self.deterministic_stage.to_json(),
-            "success_diag": [float(x) for x in self.success_op.diag],
-            "failure_diag": [float(x) for x in self.failure_op.diag],
+            "success_diag": self.success_diag.tolist(),
+            "failure_diag": self.failure_diag.tolist(),
             "failure_coeffs": (
                 None if self.failure_coeffs is None else self.failure_coeffs.to_json()
             ),
@@ -190,8 +190,8 @@ def intermediate_state(lam: ProbVector, mu: ProbVector) -> ConclusivePlan:
         l_star=l_star,
         gamma=gamma_pv,
         deterministic_stage=build_plan(lam, gamma_pv),
-        success_op=DiagonalOperator(success),
-        failure_op=DiagonalOperator(failure),
+        success_diag=success,
+        failure_diag=failure,
         failure_coeffs=failure_coeffs,
         segments=tuple(segments),
     )
@@ -201,14 +201,14 @@ def _settle(
     stage: BranchRecord,
     branch: np.ndarray,
     dims: tuple[int, ...],
-    op: DiagonalOperator,
+    diag: np.ndarray,
     share: float,
     target: np.ndarray,
     success: bool,
 ) -> BranchRecord:
     """Success or failure measurement on one stage branch's diagonal,
     checked against its target's diagonal."""
-    out = op.diag * branch
+    out = diag * branch
     prob = float(np.vdot(out, out).real)
     if prob <= ZERO_TOL * stage.simulated_prob:
         raise ZeroBranch(f"conclusive measurement annihilated outcome {stage.outcome}")
@@ -262,11 +262,11 @@ def run_conclusive(
             branches.append(br)
             continue
         branches.append(
-            _settle(br, diag, psi.dims, plan.success_op, plan.p_max, phi_c, True)
+            _settle(br, diag, psi.dims, plan.success_diag, plan.p_max, phi_c, True)
         )
         if failure_c is not None:
             branches.append(
-                _settle(br, diag, psi.dims, plan.failure_op, 1.0 - plan.p_max,
+                _settle(br, diag, psi.dims, plan.failure_diag, 1.0 - plan.p_max,
                         failure_c, False)
             )
     stage_passed = _protocol_transcript(tuple(stage), offdiag_mass).passed
@@ -359,8 +359,10 @@ def _refute(lam: ProbVector, mu: ProbVector) -> dict | None:
     If lam(x)c is majorized by mu(x)c for some c (whose zero entries can
     be dropped), then, in this order of testing:
     - largest coefficient: lam_1 <= mu_1;
-    - smallest coefficient: lam_n >= mu_n on the padded vectors;
     - rank: rank(lam) >= rank(mu);
+    - smallest coefficient: lam_r >= mu_r when rank(lam) = rank(mu) = r
+      (both tensor products then live on r times c's levels); ranks that
+      differ compare nothing;
     - power sums: sum lam^alpha <= sum mu^alpha for alpha = 2, 3, and >=
       for alpha = 1/2;
     - Shannon entropy: H(lam) >= H(mu).
@@ -374,10 +376,12 @@ def _refute(lam: ProbVector, mu: ProbVector) -> dict | None:
     """
     a, b = lam.entries, mu.entries
     rank_a, rank_b = int(np.count_nonzero(a)), int(np.count_nonzero(b))
+    last = rank_a - 1
     tests = [
         ("largest_coefficient", None, a[0], b[0], a[0] - b[0]),
-        ("smallest_coefficient", None, a[-1], b[-1], b[-1] - a[-1]),
         ("rank", None, rank_a, rank_b, b[rank_a] if rank_a < b.size else 0.0),
+        ("smallest_coefficient", None, a[last], b[last],
+         b[last] - a[last] if rank_a == rank_b else 0.0),
     ]
     for alpha in (2.0, 3.0, 0.5):
         pa, pb = np.sum(a**alpha), np.sum(b**alpha)

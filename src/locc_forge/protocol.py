@@ -1,9 +1,14 @@
-"""Synthesis of the one-party measurement plus conditional relabeling
-unitaries that realize a deterministic coefficient conversion.
+"""Synthesis and validation of the measurement that realizes a
+deterministic coefficient conversion lam -> mu.
 
-Plans are basis-free: they depend only on the two coefficient vectors and
-the permutation mixture connecting them.  Party bases enter later, when the
-simulator materializes the operators.
+A plan is three arrays: the outcome weights p_j, one Kraus diagonal per
+outcome for party 0's measurement, diag_jk = sqrt(p_j mu[sigma_j^{-1}(k)] /
+lam_k), and one relabeling sigma_j^{-1} of the Schmidt levels that every
+party applies once outcome j is broadcast.  Plans are basis-free: they
+depend only on the two coefficient vectors and the permutation mixture
+connecting them, and no party basis ever enters.  The simulator runs a
+plan on each state's n diagonal Schmidt amplitudes, where a measurement
+outcome is a pointwise product and a relabeling a permutation.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ import numpy as np
 
 from .errors import InternalContradiction
 from .majorization import (
-    Permutation,
     PermutationMixture,
     PLAN_TOL,
     ProbVector,
@@ -24,53 +28,51 @@ from .majorization import (
 )
 
 
-@dataclass(frozen=True)
-class DiagonalOperator:
-    """Operator sum_k diag[k] |k><k| in the source Schmidt basis."""
+@dataclass(frozen=True, eq=False)
+class MeasurementPlan:
+    """Complete measurement {M_j} with one relabeling per outcome, as arrays.
 
-    diag: np.ndarray
+    weights (J,) holds the outcome probabilities p_j.  Row j of diags (J, n)
+    is the Kraus diagonal of M_j = sum_k diags[j, k] |k><k| in the source
+    Schmidt basis.  Row j of perms (J, n) is sigma_j^{-1}, the relabeling
+    part of U_j: it moves level k to level perms[j, k].  The constructor
+    checks the shapes, that weights are finite, that diags are finite and
+    >= 0 and that every perms row is a permutation of 0..n-1, and makes
+    the arrays read-only.
+    """
+
+    weights: np.ndarray
+    diags: np.ndarray
+    perms: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.diag, dtype=float)
-        if arr.ndim != 1:
-            raise ValueError("diagonal must be a vector")
-        if not np.all(np.isfinite(arr)) or np.min(arr) < 0.0:
+        weights = np.asarray(self.weights, dtype=float)
+        diags = np.asarray(self.diags, dtype=float)
+        perms = np.asarray(self.perms, dtype=np.intp)
+        shape = diags.shape
+        if diags.ndim != 2 or perms.shape != shape or weights.shape != shape[:1]:
+            raise ValueError(
+                f"weights {weights.shape}, diags {shape} and perms {perms.shape} "
+                "must be (J,), (J, n) and (J, n)"
+            )
+        if not np.all(np.isfinite(weights)):
+            raise ValueError("weights must be finite")
+        if not np.all(np.isfinite(diags)) or np.any(diags < 0.0):
             raise ValueError("diagonal entries must be finite and >= 0")
-        arr.setflags(write=False)
-        object.__setattr__(self, "diag", arr)
+        n = shape[1]
+        if np.any(np.sort(perms, axis=1) != np.arange(n)):
+            raise ValueError(f"a perms row is not a permutation of 0..{n - 1}")
+        for name, arr in (("weights", weights), ("diags", diags), ("perms", perms)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
-        return self.diag.size
-
-
-@dataclass(frozen=True)
-class PlanOutcome:
-    weight: float
-    operator: DiagonalOperator
-    unitary_perm: Permutation  # sigma_j^{-1}: relabeling part of U_j
-
-
-@dataclass(frozen=True)
-class MeasurementPlan:
-    """Complete measurement {M_j} with one relabeling permutation per outcome."""
-
-    outcomes: tuple[PlanOutcome, ...]
-    n: int
-
-    def __post_init__(self):
-        for j, out in enumerate(self.outcomes):
-            if out.operator.n != self.n or out.unitary_perm.n != self.n:
-                raise ValueError(
-                    f"outcome {j}: diag length {out.operator.n} and perm length "
-                    f"{out.unitary_perm.n} must both equal n={self.n}"
-                )
+        return self.diags.shape[1]
 
     def completeness_residual(self, support: np.ndarray | None = None) -> float:
         """max_k |sum_j M_j^dag M_j - 1| over the given support indices."""
-        sums = np.zeros(self.n)
-        for out in self.outcomes:
-            sums += out.operator.diag**2
+        sums = np.sum(self.diags**2, axis=0)
         if support is None:
             support = np.ones(self.n, dtype=bool)
         if not np.any(support):
@@ -81,27 +83,24 @@ class MeasurementPlan:
         return {
             "n": self.n,
             "outcomes": [
-                {
-                    "p": float(out.weight),
-                    "diag": [float(x) for x in out.operator.diag],
-                    "perm": list(out.unitary_perm.image),
-                }
-                for out in self.outcomes
+                {"p": p, "diag": diag, "perm": perm}
+                for p, diag, perm in zip(
+                    self.weights.tolist(), self.diags.tolist(), self.perms.tolist()
+                )
             ],
         }
 
     @classmethod
     def from_json(cls, payload: dict) -> "MeasurementPlan":
         n = int(payload["n"])
-        outcomes = tuple(
-            PlanOutcome(
-                weight=float(o["p"]),
-                operator=DiagonalOperator(np.asarray(o["diag"], dtype=float)),
-                unitary_perm=Permutation(tuple(int(i) for i in o["perm"])),
-            )
-            for o in payload["outcomes"]
-        )
-        return cls(outcomes=outcomes, n=n)
+        rows = payload["outcomes"]
+        shape = (len(rows), n)
+        diags = np.array([o["diag"] for o in rows], dtype=float)
+        perms = np.array([o["perm"] for o in rows], dtype=np.intp)
+        if rows and (diags.shape != shape or perms.shape != shape):
+            raise ValueError(f"diag and perm row lengths must both equal n={n}")
+        weights = np.array([float(o["p"]) for o in rows])
+        return cls(weights, diags.reshape(shape), perms.reshape(shape))
 
 
 @dataclass(frozen=True)
@@ -114,8 +113,6 @@ class ValidationReport:
     probability_sum: float
     completeness_ok: bool
     weights_ok: bool
-    completeness_tol: float = PLAN_TOL
-    weight_tol: float = PLAN_TOL
 
     @property
     def ok(self) -> bool:
@@ -129,17 +126,10 @@ class ValidationReport:
             "probability_sum": self.probability_sum,
             "completeness_ok": self.completeness_ok,
             "weights_ok": self.weights_ok,
-            "completeness_tol": self.completeness_tol,
-            "weight_tol": self.weight_tol,
+            "completeness_tol": PLAN_TOL,
+            "weight_tol": PLAN_TOL,
             "ok": self.ok,
         }
-
-
-def _trivial_plan(n: int) -> MeasurementPlan:
-    op = DiagonalOperator(np.ones(n))
-    return MeasurementPlan(
-        outcomes=(PlanOutcome(1.0, op, Permutation.identity(n)),), n=n
-    )
 
 
 def synthesize(
@@ -155,7 +145,7 @@ def synthesize(
     if len(mu) != n or mix.n != n:
         raise ValueError("dimension mismatch between vectors and mixture")
     weights = np.array([p for p, _ in mix.terms])
-    images = np.array([sigma.image for _, sigma in mix.terms])
+    images = np.array([sigma for _, sigma in mix.terms])
     inverses = np.argsort(images, axis=1)  # row j is sigma_j^{-1}
     mass = weights[:, None] * mu.entries[inverses]
     live = lam.entries > 0.0
@@ -170,11 +160,7 @@ def synthesize(
         )
     diags = np.zeros_like(mass)
     diags[:, live] = np.sqrt(mass[:, live] / lam.entries[live])
-    outcomes = [
-        PlanOutcome(p, DiagonalOperator(diag), Permutation(tuple(inv)))
-        for (p, _), diag, inv in zip(mix.terms, diags, inverses.tolist())
-    ]
-    plan = MeasurementPlan(outcomes=tuple(outcomes), n=n)
+    plan = MeasurementPlan(weights, diags, inverses)
     _check_plan(plan, lam)
     return plan
 
@@ -187,7 +173,8 @@ def build_plan(lam: ProbVector, mu: ProbVector) -> MeasurementPlan:
     if len(lam) != len(mu):
         raise ValueError("pad vectors to a common length first")
     if np.max(np.abs(lam.entries - mu.entries)) <= ZERO_TOL:
-        return _trivial_plan(len(lam))
+        n = len(lam)
+        return MeasurementPlan(np.ones(1), np.ones((1, n)), np.arange(n)[None, :])
     return synthesize(lam, mu, mixture_for(lam, mu))
 
 
@@ -195,15 +182,11 @@ def validate(plan: MeasurementPlan, lam: ProbVector) -> ValidationReport:
     """Recompute completeness and outcome probabilities; never raises."""
     support = lam.entries > 0.0
     completeness = plan.completeness_residual(support)
-    probs = tuple(
-        float(np.sum(lam.entries * out.operator.diag**2)) for out in plan.outcomes
-    )
-    weight_residual = max(
-        (abs(p - out.weight) for p, out in zip(probs, plan.outcomes)), default=0.0
-    )
+    probs = np.sum(lam.entries * plan.diags**2, axis=1)
+    weight_residual = np.max(np.abs(probs - plan.weights), initial=0.0)
     return ValidationReport(
         completeness_residual=float(completeness),
-        outcome_probabilities=probs,
+        outcome_probabilities=tuple(probs.tolist()),
         weight_residual=float(weight_residual),
         probability_sum=float(sum(probs)),
         completeness_ok=bool(completeness <= PLAN_TOL),

@@ -84,11 +84,21 @@ class DenseState:
 
     @classmethod
     def from_json(cls, payload: dict) -> "DenseState":
-        re = np.asarray(payload["re"], dtype=float)
-        im = np.asarray(payload["im"], dtype=float)
-        if re.shape != im.shape:
-            raise ValueError("re/im length mismatch")
-        return cls(re + 1j * im, tuple(payload["dims"]))
+        return cls(_complex_array(payload["re"], payload["im"]), tuple(payload["dims"]))
+
+
+def _complex_array(re, im) -> np.ndarray:
+    """Complex array whose real and imaginary parts are filled from re and
+    im, which must have one shape.  Nothing is multiplied, so an infinite
+    part stays infinite (1j * inf would be nan + inf j, with a warning)."""
+    re = np.asarray(re, dtype=float)
+    im = np.asarray(im, dtype=float)
+    if re.shape != im.shape:
+        raise ValueError(f"re/im shape mismatch {re.shape} vs {im.shape}")
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
 
 
 class GeneralizedSchmidtState:
@@ -137,6 +147,7 @@ class GeneralizedSchmidtState:
 
     @classmethod
     def computational(cls, dims, coeffs: ProbVector) -> "GeneralizedSchmidtState":
+        _check_caps(tuple(dims))  # before any d x d identity is built
         return cls(dims, coeffs, [np.eye(d, dtype=complex) for d in dims])
 
     def _with_coeffs(self, coeffs: ProbVector) -> "GeneralizedSchmidtState":
@@ -220,12 +231,6 @@ class Transcript:
     prob_sum: float
     checks: dict = field(default_factory=dict)
 
-    @property
-    def success_probability(self) -> float:
-        return sum(
-            br.simulated_prob for br in self.branches if br.success and br.realizable
-        )
-
     def to_json(self) -> dict:
         return {
             "mode": "exhaustive",
@@ -271,19 +276,22 @@ def _branches(
     ops = (AppliedOp(0, "measurement", dims[0]),) + tuple(
         AppliedOp(party, "unitary", d) for party, d in enumerate(dims)
     )
-    for j, out in enumerate(plan.outcomes):
-        branch = out.operator.diag * source
-        prob = float(np.vdot(branch, branch).real)
+    for j, (weight, diag, perm) in enumerate(
+        zip(plan.weights.tolist(), plan.diags, plan.perms)
+    ):
+        measured = diag * source
+        prob = float(np.vdot(measured, measured).real)
         if prob <= ZERO_TOL:
-            if out.weight > ZERO_TOL:
+            if weight > ZERO_TOL:
                 raise ZeroBranch(
-                    f"outcome {j} carries weight {out.weight} but annihilated the state"
+                    f"outcome {j} carries weight {weight} but annihilated the state"
                 )
-            yield BranchRecord(j, out.weight, 0.0, False, ops[:1]), None
+            yield BranchRecord(j, weight, 0.0, False, ops[:1]), None
             continue
-        branch = out.unitary_perm.apply(branch)
+        branch = np.empty_like(measured)
+        branch[perm] = measured  # level k moves to perm[k]
         fid = _fidelity(target, branch, prob)
-        yield BranchRecord(j, out.weight, prob, True, ops, fid), branch
+        yield BranchRecord(j, weight, prob, True, ops, fid), branch
 
 
 def _offdiag_checks(offdiag_mass: float) -> dict:

@@ -184,10 +184,11 @@ def measurement_matrix(basis: np.ndarray, diag) -> np.ndarray:
 
 
 def relabel_matrix(perm, d: int) -> np.ndarray:
-    """Permutation matrix P[image[k], k] = 1, the identity beyond perm.n."""
+    """Permutation matrix P[perm[k], k] = 1, the identity beyond len(perm)."""
+    n = len(perm)
     mat = np.eye(d)
-    mat[: perm.n, : perm.n] = 0.0
-    for k, jk in enumerate(perm.image):
+    mat[:n, :n] = 0.0
+    for k, jk in enumerate(perm):
         mat[jk, k] = 1.0
     return mat
 
@@ -203,8 +204,8 @@ def dense_protocol(psi, phi, plan) -> list:
     phi_dense = assemble(phi)
     psi_dense = assemble(psi)
     out = []
-    for outcome in plan.outcomes:
-        m_op = measurement_matrix(psi.bases[0], outcome.operator.diag)
+    for diag, perm in zip(plan.diags, plan.perms):
+        m_op = measurement_matrix(psi.bases[0], diag)
         try:
             prob, post = apply_local(psi_dense, 0, m_op)
         except ZeroBranch:
@@ -212,7 +213,7 @@ def dense_protocol(psi, phi, plan) -> list:
             continue
         current = post
         for party, d in enumerate(psi.dims):
-            u = phi.bases[party] @ relabel_matrix(outcome.unitary_perm, d) @ (
+            u = phi.bases[party] @ relabel_matrix(perm, d) @ (
                 psi.bases[party].conj().T
             )
             _, current = apply_local(current, party, u)
@@ -236,8 +237,8 @@ def dense_conclusive(psi, phi, plan) -> list:
         failure_dense = assemble(
             GeneralizedSchmidtState(psi.dims, plan.failure_coeffs, psi.bases)
         )
-    success_m = measurement_matrix(psi.bases[0], plan.success_op.diag)
-    failure_m = measurement_matrix(psi.bases[0], plan.failure_op.diag)
+    success_m = measurement_matrix(psi.bases[0], plan.success_diag)
+    failure_m = measurement_matrix(psi.bases[0], plan.failure_diag)
     out = []
     for stage in dense_protocol(psi, omega, plan.deterministic_stage):
         if stage is None:

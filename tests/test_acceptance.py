@@ -122,11 +122,10 @@ def test_criterion_3_qubit_closed_form():
             continue
         plan = build_plan(lam, mu)
         expected = (lam[1] - mu[1]) / (mu[0] - mu[1])
-        assert len(plan.outcomes) == 2
-        swap, ident = plan.outcomes
-        assert swap.unitary_perm.image == (1, 0) and ident.unitary_perm.image == (0, 1)
-        assert abs(swap.weight - expected) <= 1e-12
-        assert abs(ident.weight - (1.0 - expected)) <= 1e-12
+        assert plan.perms.tolist() == [[1, 0], [0, 1]]  # swap, then identity
+        swap, ident = plan.weights
+        assert abs(swap - expected) <= 1e-12
+        assert abs(ident - (1.0 - expected)) <= 1e-12
         checked += 1
 
     lam, mu = ProbVector([0.6, 0.4]), ProbVector([0.8, 0.2])
@@ -167,7 +166,7 @@ def test_criterion_4_optimal_conclusive_conversion():
         phi = GeneralizedSchmidtState.computational(dims, mu)
         tx = run_conclusive(psi, phi)
         assert tx.passed
-        assert abs(tx.success_probability - p) <= 1e-9
+        assert abs(tx.checks["success_probability"] - p) <= 1e-9
         for br in tx.branches:
             if br.success:
                 assert br.fidelity >= 1 - 1e-9
@@ -279,17 +278,15 @@ def test_criterion_7_invariant_suite(tmp_path, capsys):
         plan = synthesize(lam, mu, mixture_for(lam, mu))
         report = validate(plan, lam)
         assert report.ok
-        assert sum(o.weight for o in plan.outcomes) == pytest.approx(1, abs=1e-10)
-        for out in plan.outcomes:
-            post = lam.entries * out.operator.diag**2 / out.weight
-            assert np.max(
-                np.abs(post - mu.entries[list(out.unitary_perm.image)])
-            ) <= 1e-9
+        assert np.sum(plan.weights) == pytest.approx(1, abs=1e-10)
+        for weight, diag, perm in zip(plan.weights, plan.diags, plan.perms):
+            post = lam.entries * diag**2 / weight
+            assert np.max(np.abs(post - mu.entries[perm])) <= 1e-9
         if n == 2 and np.max(np.abs(lam.entries - mu.entries)) > 1e-12:
             p = (lam[1] - mu[1]) / (mu[0] - mu[1])
             assert np.allclose(
                 sorted((p, 1.0 - p)),
-                sorted(o.weight for o in plan.outcomes),
+                sorted(plan.weights.tolist()),
                 atol=1e-12,
             )
 

@@ -17,6 +17,7 @@ from test_simulator import plant_offdiag_mass
 JP_PAIR = {"schema_version": "1", "lam": [0.4, 0.4, 0.1, 0.1],
            "mu": [0.5, 0.25, 0.25, 0.0]}
 EASY_PAIR = {"schema_version": "1", "lam": [0.5, 0.5], "mu": [0.75, 0.25]}
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def write(tmp_path, payload, name="inst.json"):
@@ -101,6 +102,12 @@ class TestExitCodes:
          '"note": NaN}', "non-finite number in the instance"),
         ("catalyst", '{"schema_version": "1", "lam": [0.5, 0.5], "mu": [0.5, 0.5], '
          '"note": [1e400]}', "non-finite number in the instance"),
+        # an infinite imaginary part stays (0 + inf j), with no NaN or warning
+        ("simulate", '{"schema_version": "1", "lam": [0.5, 0.5], "mu": [0.75, 0.25], '
+         '"bases": [{"re": [[1, 0], [0, 1]], "im": [[1e400, 0], [0, 0]]}, '
+         '[[1, 0], [0, 1]]]}', "not unitary"),
+        ("extract-gsd", '{"schema_version": "1", "state": {"dims": [2, 2], '
+         '"re": [0.5, 0.5, 0.5, 0.5], "im": [1e400, 0, 0, 0]}}', "squared norm"),
     ])
     def test_malformed_instance_exits_2(self, tmp_path, capsys, command, text, message):
         path = tmp_path / "inst.json"
@@ -130,6 +137,13 @@ class TestExitCodes:
 
     def test_simulate_cap_exits_4(self, tmp_path, capsys):
         inst = dict(EASY_PAIR, dims=[1024, 2048])
+        code, report, _ = run(capsys, ["simulate", "--in", write(tmp_path, inst)])
+        assert code == 4
+        assert report["error"]["type"] == "CapExceeded"
+
+    def test_computational_cap_exits_4(self, tmp_path, capsys):
+        # refused before a 1e30 x 1e30 identity basis is built
+        inst = dict(EASY_PAIR, dims=[2, 1e30])
         code, report, _ = run(capsys, ["simulate", "--in", write(tmp_path, inst)])
         assert code == 4
         assert report["error"]["type"] == "CapExceeded"
@@ -245,6 +259,24 @@ class TestSimulate:
             "simulate", "--in", inst_path, "--plan", str(plan_path)])
         assert code == 2
         assert "must both equal n=2" in report["error"]["message"]
+
+    @pytest.mark.parametrize("field, entries, message", [
+        ("perm", [0, 0], "not a permutation"),
+        ("perm", [1, 2], "not a permutation"),
+        ("perm", [1e400, 0], "cannot convert float infinity"),
+        ("diag", [-0.5, 1.0], "finite and >= 0"),
+        ("diag", [float("nan"), 1.0], "finite and >= 0"),
+        ("p", float("nan"), "weights must be finite"),
+    ])
+    def test_invalid_plan_rows_exit_2(self, tmp_path, capsys, field, entries, message):
+        inst_path = write(tmp_path, EASY_PAIR)
+        outcome = {"p": 1.0, "diag": [1.0, 1.0], "perm": [0, 1], field: entries}
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps({"n": 2, "outcomes": [outcome]}))
+        code, report, _ = run(capsys, [
+            "simulate", "--in", inst_path, "--plan", str(plan_path)])
+        assert code == 2
+        assert message in report["error"]["message"]
 
     def test_plan_accepts_full_report(self, tmp_path, capsys):
         inst_path = write(tmp_path, EASY_PAIR)
@@ -487,6 +519,15 @@ class TestReportContract:
                        for out in runs]
             assert blanked[0] != runs[0]
             assert blanked[0] == blanked[1], argv
+
+    @pytest.mark.parametrize("command", ["plan", "simulate", "conclusive"])
+    def test_reports_match_recorded_bytes(self, capsys, command):
+        # a rank-5 instance with random complex bases on (5, 6, 5); the
+        # recorded reports pin every digit, wall_time_s blanked
+        code, out = raw_run(capsys, [command, "--in", str(DATA / "report_n5.json")])
+        assert code == 0
+        blanked = re.sub(r'"wall_time_s": [^,}]+', '"wall_time_s": 0', out)
+        assert blanked == (DATA / f"report_n5_{command}.out").read_text(encoding="utf-8")
 
     def test_out_file_matches_stdout(self, tmp_path, capsys):
         out = tmp_path / "report.json"

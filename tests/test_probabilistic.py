@@ -19,7 +19,6 @@ from helpers import (
 from locc_forge import (
     CapExceeded,
     ConversionImpossible,
-    DiagonalOperator,
     GeneralizedSchmidtState,
     ProbVector,
     ZeroBranch,
@@ -129,7 +128,7 @@ class TestIntermediateState:
         assert plan.l_star == 1
         np.testing.assert_allclose(plan.gamma.entries, [0.9, 0.1], atol=1e-12)
         np.testing.assert_allclose(
-            plan.success_op.diag, [np.sqrt(0.15 / 0.9), 1.0], atol=1e-12
+            plan.success_diag, [np.sqrt(0.15 / 0.9), 1.0], atol=1e-12
         )
         np.testing.assert_allclose(plan.failure_coeffs.entries, [1.0, 0.0], atol=1e-12)
 
@@ -190,14 +189,14 @@ class TestRunConclusive:
         phi = GeneralizedSchmidtState.computational((2, 2), mu)
         tx = run_conclusive(psi, phi)
         assert tx.passed
-        assert tx.success_probability == pytest.approx(1.0, abs=1e-9)
+        assert tx.checks["success_probability"] == pytest.approx(1.0, abs=1e-9)
 
     def test_three_party_quarter(self):
         psi = GeneralizedSchmidtState.computational((2, 2, 2), ProbVector([0.9, 0.1]))
         phi = GeneralizedSchmidtState.computational((2, 2, 2), ProbVector([0.6, 0.4]))
         tx = run_conclusive(psi, phi)
         assert tx.passed
-        assert tx.success_probability == pytest.approx(0.25, abs=1e-9)
+        assert tx.checks["success_probability"] == pytest.approx(0.25, abs=1e-9)
 
     def test_failure_branch_is_recorded_product_state(self):
         lam = ProbVector([0.55, 0.25, 0.20])
@@ -207,7 +206,7 @@ class TestRunConclusive:
         plan = intermediate_state(lam, mu)
         tx = run_conclusive(psi, phi, plan)
         assert tx.passed
-        assert tx.success_probability == pytest.approx(0.9, abs=1e-9)
+        assert tx.checks["success_probability"] == pytest.approx(0.9, abs=1e-9)
         failures = [
             (br, dense)
             for br, dense in zip(tx.branches, dense_conclusive(psi, phi, plan))
@@ -228,7 +227,7 @@ class TestRunConclusive:
         phi = random_gss(rng, mu, (3, 4, 3))
         tx = run_conclusive(psi, phi)
         assert tx.passed
-        assert tx.success_probability == pytest.approx(
+        assert tx.checks["success_probability"] == pytest.approx(
             brute_force_pmax(lam, mu), abs=1e-9
         )
 
@@ -240,7 +239,7 @@ def conclusive_instance(rng, dims, n):
         mu = random_probs(rng, n)
         lam = t_chain(rng, random_probs(rng, n), n)
         plan = intermediate_state(lam, mu)
-        perms = {out.unitary_perm for out in plan.deterministic_stage.outcomes}
+        perms = {tuple(row) for row in plan.deterministic_stage.perms.tolist()}
         if plan.failure_coeffs is not None and len(perms) >= 2:
             return random_gss(rng, lam, dims), random_gss(rng, mu, dims), plan
 
@@ -280,11 +279,11 @@ class TestConclusiveEngine:
             assert not tx.passed
             assert tx.checks["stage_passed"] is False
 
-    @pytest.mark.parametrize("field", ["success_op", "failure_op"])
+    @pytest.mark.parametrize("field", ["success_diag", "failure_diag"])
     def test_annihilating_measurement_raises(self, field):
         rng = np.random.default_rng(19)
         psi, phi, plan = conclusive_instance(rng, (3, 4, 3), 3)
-        dead = replace(plan, **{field: DiagonalOperator(np.zeros(3))})
+        dead = replace(plan, **{field: np.zeros(3)})
         with pytest.raises(ZeroBranch):
             run_conclusive(psi, phi, dead)
 
@@ -405,6 +404,8 @@ class TestCatalysis:
         ([0.51, 0.3, 0.11, 0.08], [0.51, 0.28, 0.19, 0.02], "power_sum", 3.0),
         ([0.64, 0.26, 0.07, 0.03], [0.66, 0.21, 0.1, 0.03], "power_sum", 0.5),
         ([0.51, 0.41, 0.07, 0.01], [0.6, 0.23, 0.17, 0.0], "entropy", None),
+        # a common rank 3 < n: the smallest coefficients are lam_3 and mu_3
+        ([0.6, 0.35, 0.05, 0.0], [0.75, 0.15, 0.1, 0.0], "smallest_coefficient", None),
     ])
     def test_each_monotone_refutes(self, lam, mu, monotone, alpha):
         # every earlier monotone holds, this one is broken
@@ -504,7 +505,7 @@ def test_intermediate_invariants(lam, mu):
     assert is_majorized(lam, gamma)
     assert np.all(plan.p_max * mu.entries <= gamma.entries + 1e-12)
     support = gamma.entries > 0
-    ssq = plan.success_op.diag**2
-    fsq = plan.failure_op.diag**2
+    ssq = plan.success_diag**2
+    fsq = plan.failure_diag**2
     assert np.max(np.abs((ssq + fsq)[support] - 1.0)) <= 1e-10
     assert np.sum(gamma.entries * ssq) == pytest.approx(plan.p_max, abs=1e-10)

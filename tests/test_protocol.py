@@ -5,12 +5,9 @@ from hypothesis import given, settings
 from helpers import random_probs, slack_pairs, t_chain
 from locc_forge import (
     ConversionImpossible,
-    DiagonalOperator,
     InternalContradiction,
     MeasurementPlan,
-    Permutation,
     PermutationMixture,
-    PlanOutcome,
     ProbVector,
     build_plan,
     mixture_for,
@@ -26,20 +23,18 @@ class TestSynthesize:
         v = ProbVector([0.6, 0.4])
         mix = mixture_for(v, v)
         plan = synthesize(v, v, mix)
-        assert len(plan.outcomes) == 1
-        out = plan.outcomes[0]
-        assert out.weight == pytest.approx(1.0)
-        assert out.operator.diag.tolist() == [1.0, 1.0]
-        assert out.unitary_perm.image == (0, 1)
+        assert plan.weights.tolist() == [pytest.approx(1.0)]
+        assert plan.diags.tolist() == [[1.0, 1.0]]
+        assert plan.perms.tolist() == [[0, 1]]
 
     def test_frozen_2x2_example(self):
         lam = ProbVector([0.5, 0.5])
         mu = ProbVector([0.75, 0.25])
         mix = PermutationMixture(
-            ((0.5, Permutation((0, 1))), (0.5, Permutation((1, 0)))), 2
+            ((0.5, (0, 1)), (0.5, (1, 0))), 2
         )
         plan = synthesize(lam, mu, mix)
-        diags = {tuple(np.round(o.operator.diag, 12)) for o in plan.outcomes}
+        diags = {tuple(np.round(diag, 12)) for diag in plan.diags}
         expected = {
             (round(np.sqrt(0.75), 12), round(np.sqrt(0.25), 12)),
             (round(np.sqrt(0.25), 12), round(np.sqrt(0.75), 12)),
@@ -57,7 +52,7 @@ class TestSynthesize:
         # mass moved onto a dead source level violates the mixture identity
         lam = ProbVector([1.0, 0.0])
         mu = ProbVector([0.5, 0.5])
-        bogus = PermutationMixture(((1.0, Permutation((0, 1))),), 2)
+        bogus = PermutationMixture(((1.0, (0, 1)),), 2)
         with pytest.raises(InternalContradiction):
             synthesize(lam, mu, bogus)
 
@@ -68,8 +63,8 @@ class TestSynthesize:
         mu = ProbVector([0.5, 0.25, 0.25, 0.0])
         bogus = PermutationMixture(
             (
-                (0.7, Permutation((0, 2, 3, 1)).inverse()),
-                (0.3, Permutation((0, 3, 1, 2)).inverse()),
+                (0.7, (0, 3, 1, 2)),  # inverses of (0, 2, 3, 1) and (0, 3, 1, 2)
+                (0.3, (0, 2, 3, 1)),
             ),
             4,
         )
@@ -84,22 +79,23 @@ class TestSynthesize:
         lam = t_chain(rng, mu, 4 * n)
         mix = mixture_for(lam, mu)
         plan = synthesize(lam, mu, mix)
-        assert len(plan.outcomes) == len(mix.terms)
-        for (p, sigma), out in zip(mix.terms, plan.outcomes):
-            inv = sigma.inverse()
-            expected = [
-                np.sqrt(p * mu[inv.image[k]] / lam[k]) for k in range(n)
-            ]
-            assert out.weight == p
-            assert out.unitary_perm == inv
-            np.testing.assert_array_equal(out.operator.diag, expected)
+        assert len(plan.weights) == len(mix.terms)
+        for (p, sigma), weight, diag, perm in zip(
+            mix.terms, plan.weights, plan.diags, plan.perms
+        ):
+            inv = [0] * n
+            for i, j in enumerate(sigma):
+                inv[j] = i
+            expected = [np.sqrt(p * mu[inv[k]] / lam[k]) for k in range(n)]
+            assert weight == p
+            assert perm.tolist() == inv
+            np.testing.assert_array_equal(diag, expected)
 
     def test_padded_zero_levels_are_legal(self):
         lam = ProbVector([0.7, 0.3, 0.0])
         mu = ProbVector([0.8, 0.2, 0.0])
         plan = synthesize(lam, mu, mixture_for(lam, mu))
-        for out in plan.outcomes:
-            assert out.operator.diag[2] == 0.0
+        assert np.all(plan.diags[:, 2] == 0.0)
 
 
 class TestQubitFastPath:
@@ -107,32 +103,28 @@ class TestQubitFastPath:
 
     def test_frozen_example(self):
         plan = build_plan(ProbVector([0.6, 0.4]), ProbVector([0.8, 0.2]))
-        assert plan.outcomes[0].weight == pytest.approx(1 / 3, abs=1e-12)
-        assert plan.outcomes[0].unitary_perm.image == (1, 0)
-        assert plan.outcomes[1].weight == pytest.approx(2 / 3, abs=1e-12)
-        assert plan.outcomes[1].unitary_perm.image == (0, 1)
+        np.testing.assert_allclose(plan.weights, [1 / 3, 2 / 3], atol=1e-12)
+        assert plan.perms.tolist() == [[1, 0], [0, 1]]
         np.testing.assert_allclose(
-            plan.outcomes[0].operator.diag,
+            plan.diags[0],
             [np.sqrt((1 / 3) * 0.2 / 0.6), np.sqrt((1 / 3) * 0.8 / 0.4)],
             atol=1e-12,
         )
         np.testing.assert_allclose(
-            plan.outcomes[1].operator.diag,
+            plan.diags[1],
             [np.sqrt((2 / 3) * 0.8 / 0.6), np.sqrt((2 / 3) * 0.2 / 0.4)],
             atol=1e-12,
         )
 
     def test_rank_dropping_target(self):
         plan = build_plan(ProbVector([0.5, 0.5]), ProbVector([1.0, 0.0]))
-        assert plan.outcomes[0].weight == pytest.approx(0.5, abs=1e-12)
+        assert plan.weights[0] == pytest.approx(0.5, abs=1e-12)
         # dead target level enters through the 0/0 -> 0 convention
-        np.testing.assert_allclose(plan.outcomes[0].operator.diag, [0.0, 1.0])
-        np.testing.assert_allclose(plan.outcomes[1].operator.diag, [1.0, 0.0])
+        np.testing.assert_allclose(plan.diags, [[0.0, 1.0], [1.0, 0.0]])
 
     def test_equal_vectors_short_circuit(self):
         plan = build_plan(ProbVector([0.9, 0.1]), ProbVector([0.9, 0.1]))
-        assert len(plan.outcomes) == 1
-        assert plan.outcomes[0].weight == pytest.approx(1.0)
+        assert plan.weights.tolist() == [pytest.approx(1.0)]
 
     def test_wrong_dimension(self):
         with pytest.raises(ValueError):
@@ -167,19 +159,9 @@ class TestValidate:
     def test_perturbed_plan_fails_flags_without_raising(self):
         lam = ProbVector([0.6, 0.4])
         plan = build_plan(lam, ProbVector([0.8, 0.2]))
-        bad_diag = plan.outcomes[0].operator.diag.copy()
-        bad_diag[0] += 1e-3
-        tampered = MeasurementPlan(
-            outcomes=(
-                PlanOutcome(
-                    plan.outcomes[0].weight,
-                    DiagonalOperator(bad_diag),
-                    plan.outcomes[0].unitary_perm,
-                ),
-                plan.outcomes[1],
-            ),
-            n=2,
-        )
+        bad_diags = plan.diags.copy()
+        bad_diags[0, 0] += 1e-3
+        tampered = MeasurementPlan(plan.weights, bad_diags, plan.perms)
         report = validate(tampered, lam)
         assert not report.ok
         assert not report.completeness_ok
@@ -198,10 +180,8 @@ class TestPlanJson:
         plan = build_plan(lam, mu)
         clone = MeasurementPlan.from_json(plan.to_json())
         assert clone.n == plan.n
-        for a, b in zip(clone.outcomes, plan.outcomes):
-            assert a.weight == b.weight
-            assert a.unitary_perm.image == b.unitary_perm.image
-            np.testing.assert_array_equal(a.operator.diag, b.operator.diag)
+        for name in ("weights", "diags", "perms"):
+            np.testing.assert_array_equal(getattr(clone, name), getattr(plan, name))
 
     def test_schema_shape(self):
         plan = build_plan(ProbVector([0.5, 0.5]), ProbVector([0.75, 0.25]))
@@ -210,19 +190,46 @@ class TestPlanJson:
         assert all(set(o) == {"p", "diag", "perm"} for o in payload["outcomes"])
 
 
+class TestPlanArrays:
+    """The checks the constructor makes on (weights, diags, perms)."""
+
+    # non-permutation, negative and NaN rows go through simulate --plan in
+    # test_cli; JSON cannot spell these shapes, and from_json catches them
+    @pytest.mark.parametrize("weights, diags, perms, message", [
+        ([1.0], [[np.inf, 1.0]], [[0, 1]], "finite and >= 0"),
+        ([np.inf], [[1.0, 1.0]], [[0, 1]], "weights must be finite"),
+        ([1.0], [[1.0, 1.0]], [[0, 1, 2]], "must be"),
+        ([1.0, 0.0], [[1.0, 1.0]], [[0, 1]], "must be"),
+        ([1.0], [1.0, 1.0], [0, 1], "must be"),
+    ])
+    def test_rejects(self, weights, diags, perms, message):
+        with pytest.raises(ValueError, match=message):
+            MeasurementPlan(weights, diags, perms)
+
+    def test_arrays_are_read_only(self):
+        plan = build_plan(ProbVector([0.6, 0.4]), ProbVector([0.8, 0.2]))
+        for arr in (plan.weights, plan.diags, plan.perms):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_empty_plan_keeps_its_rank(self):
+        plan = MeasurementPlan.from_json({"n": 3, "outcomes": []})
+        assert plan.n == 3 and plan.to_json() == {"n": 3, "outcomes": []}
+
+
 @settings(max_examples=100, deadline=None)
 @given(majorized_pairs())
 def test_synthesized_plan_properties(pair):
     lam, mu = pair
     plan = synthesize(lam, mu, mixture_for(lam, mu))
     # weights form a distribution
-    assert sum(o.weight for o in plan.outcomes) == pytest.approx(1.0, abs=1e-10)
+    assert np.sum(plan.weights) == pytest.approx(1.0, abs=1e-10)
     # completeness on the support of lam
     assert plan.completeness_residual(lam.entries > 0) <= 1e-10
     # each branch lands exactly on the permuted target coefficients
-    for out in plan.outcomes:
-        post = lam.entries * out.operator.diag**2 / out.weight
-        expected = mu.entries[list(out.unitary_perm.image)]
+    for weight, diag, perm in zip(plan.weights, plan.diags, plan.perms):
+        post = lam.entries * diag**2 / weight
+        expected = mu.entries[perm]
         assert np.max(np.abs(post - expected)) < 1e-9
 
 
@@ -231,7 +238,7 @@ def test_synthesized_plan_properties(pair):
 def test_qubit_paths_agree(pair):
     lam, mu = pair
     plan = build_plan(lam, mu)
-    got = sorted(o.weight for o in plan.outcomes)
+    got = sorted(plan.weights.tolist())
     if np.max(np.abs(lam.entries - mu.entries)) <= 1e-12:
         assert got == [1.0]
         return

@@ -15,11 +15,8 @@ from helpers import (
 from locc_forge import (
     CapExceeded,
     DenseState,
-    DiagonalOperator,
     GeneralizedSchmidtState,
     MeasurementPlan,
-    Permutation,
-    PlanOutcome,
     ProbVector,
     ZeroBranch,
     assemble,
@@ -137,11 +134,10 @@ class TestApplyLocal:
         mu = ProbVector([0.75, 0.25])
         psi = GeneralizedSchmidtState.computational((2, 2, 2), lam)
         plan = build_plan(lam, mu)
-        out = plan.outcomes[0]
-        prob, post = apply_local(assemble(psi), 0, np.diag(out.operator.diag))
-        assert prob == pytest.approx(out.weight, abs=1e-10)
+        prob, post = apply_local(assemble(psi), 0, np.diag(plan.diags[0]))
+        assert prob == pytest.approx(plan.weights[0], abs=1e-10)
         # permuted-coefficient state in the source bases, before relabeling
-        perm_coeffs = mu.entries[list(out.unitary_perm.image)]
+        perm_coeffs = mu.entries[plan.perms[0]]
         manual = sum(
             np.sqrt(perm_coeffs[k]) * np.eye(8)[:, 7 * k] for k in range(2)
         )
@@ -224,26 +220,18 @@ class TestRunProtocol:
         plan = build_plan(lam, mu)
         tx = run_protocol(psi, phi, plan)
         assert tx.passed
-        for br, out in zip(tx.branches, plan.outcomes):
-            m_op = measurement_matrix(psi.bases[0], out.operator.diag)
+        for br, diag, perm in zip(tx.branches, plan.diags, plan.perms):
+            m_op = measurement_matrix(psi.bases[0], diag)
             prob, post = apply_local(assemble(psi), 0, m_op)
             assert br.simulated_prob == pytest.approx(prob, abs=1e-12)
             # permuted coefficients stay attached to the source basis levels
-            perm_coeffs = mu.entries[list(out.unitary_perm.image)]
+            perm_coeffs = mu.entries[perm]
             mid = _assemble_unsorted(dims, perm_coeffs, psi.bases)
             assert fidelity(post, mid) >= 1 - 1e-9
 
     def test_unrealizable_zero_weight_branch(self):
         lam = ProbVector([1.0, 0.0])
-        plan = MeasurementPlan(
-            outcomes=(
-                PlanOutcome(1.0, DiagonalOperator(np.array([1.0, 0.0])),
-                            Permutation((0, 1))),
-                PlanOutcome(0.0, DiagonalOperator(np.array([0.0, 0.0])),
-                            Permutation((0, 1))),
-            ),
-            n=2,
-        )
+        plan = MeasurementPlan([1.0, 0.0], [[1.0, 0.0], [0.0, 0.0]], [[0, 1], [0, 1]])
         psi = GeneralizedSchmidtState.computational((2, 2), lam)
         tx = run_protocol(psi, psi, plan)
         assert tx.passed
@@ -251,15 +239,7 @@ class TestRunProtocol:
 
     def test_annihilating_weighted_branch_raises(self):
         lam = ProbVector([1.0, 0.0])
-        plan = MeasurementPlan(
-            outcomes=(
-                PlanOutcome(0.5, DiagonalOperator(np.array([0.0, 1.0])),
-                            Permutation((0, 1))),
-                PlanOutcome(0.5, DiagonalOperator(np.array([1.0, 0.0])),
-                            Permutation((0, 1))),
-            ),
-            n=2,
-        )
+        plan = MeasurementPlan([0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]], [[0, 1], [0, 1]])
         psi = GeneralizedSchmidtState.computational((2, 2), lam)
         with pytest.raises(ZeroBranch):
             run_protocol(psi, psi, plan)
@@ -287,28 +267,22 @@ class TestRunProtocol:
 def swap_heaviest_perms(plan: MeasurementPlan) -> MeasurementPlan:
     """The plan with the relabelings of its heaviest outcome and of the
     heaviest one relabeling differently exchanged."""
-    order = sorted(range(len(plan.outcomes)), key=lambda j: -plan.outcomes[j].weight)
+    order = np.argsort(-plan.weights, kind="stable")
     i = order[0]
-    a = plan.outcomes[i]
-    j = next(j for j in order if plan.outcomes[j].unitary_perm != a.unitary_perm)
-    b = plan.outcomes[j]
-    outcomes = list(plan.outcomes)
-    outcomes[i] = PlanOutcome(a.weight, a.operator, b.unitary_perm)
-    outcomes[j] = PlanOutcome(b.weight, b.operator, a.unitary_perm)
-    return MeasurementPlan(outcomes=tuple(outcomes), n=plan.n)
+    j = next(j for j in order if not np.array_equal(plan.perms[j], plan.perms[i]))
+    perms = plan.perms.copy()
+    perms[[i, j]] = perms[[j, i]]
+    return MeasurementPlan(plan.weights, plan.diags, perms)
 
 
 def scale_heaviest_entry(plan: MeasurementPlan, lam: ProbVector) -> MeasurementPlan:
     """The plan with the diagonal entry carrying most probability, in the
     heaviest outcome, scaled by 1 + 1e-6."""
-    j = int(np.argmax([out.weight for out in plan.outcomes]))
-    out = plan.outcomes[j]
-    diag = out.operator.diag.copy()
-    k = int(np.argmax(lam.entries * diag**2))
-    diag[k] *= 1.0 + 1e-6
-    outcomes = list(plan.outcomes)
-    outcomes[j] = PlanOutcome(out.weight, DiagonalOperator(diag), out.unitary_perm)
-    return MeasurementPlan(outcomes=tuple(outcomes), n=plan.n)
+    j = int(np.argmax(plan.weights))
+    diags = plan.diags.copy()
+    k = int(np.argmax(lam.entries * diags[j] ** 2))
+    diags[j, k] *= 1.0 + 1e-6
+    return MeasurementPlan(plan.weights, diags, plan.perms)
 
 
 ENGINE_SHAPES = [
@@ -358,15 +332,7 @@ class TestBranchEngine:
 
     def test_zero_weight_outcome_with_padding(self):
         lam = ProbVector([1.0, 0.0])
-        plan = MeasurementPlan(
-            outcomes=(
-                PlanOutcome(1.0, DiagonalOperator(np.array([1.0, 0.0])),
-                            Permutation((0, 1))),
-                PlanOutcome(0.0, DiagonalOperator(np.array([0.0, 1.0])),
-                            Permutation((1, 0))),
-            ),
-            n=2,
-        )
+        plan = MeasurementPlan([1.0, 0.0], [[1.0, 0.0], [0.0, 1.0]], [[0, 1], [1, 0]])
         rng = np.random.default_rng(3)
         psi = random_gss(rng, lam, (3, 4))
         tx = run_protocol(psi, psi, plan)
@@ -389,8 +355,8 @@ class TestCapSizes:
         tx = run_protocol(psi, phi, plan)
         assert tx.passed
         assert tx.checks["offdiag_mass"] <= 1e-14
-        for br, out in zip(tx.branches, plan.outcomes):
-            model = float(np.sum(lam.entries * out.operator.diag**2))
+        for br, diag in zip(tx.branches, plan.diags):
+            model = float(np.sum(lam.entries * diag**2))
             assert abs(br.simulated_prob - model) <= 1e-12
 
 
