@@ -124,15 +124,17 @@ def load_instance(payload: dict) -> Instance:
             f"unsupported schema_version {version!r}; expected {SCHEMA_VERSION!r}"
         )
 
+    echo = dict(payload)
     lam = mu = None
     if "lam" in payload or "mu" in payload:
         if "lam" not in payload or "mu" not in payload:
             raise InstanceError("lam and mu must be given together")
         try:
-            lam = ProbVector(payload["lam"])
-            mu = ProbVector(payload["mu"])
+            raw = [np.asarray(payload[key], dtype=float) for key in ("lam", "mu")]
+            lam, mu = (ProbVector(v) for v in raw)
         except (TypeError, ValueError) as exc:
             raise InstanceError(f"bad coefficient vector: {exc}") from exc
+        echo["lam"], echo["mu"] = (_digest([v]) for v in raw)
         n = max(len(lam), len(mu))
         lam = pad_to(lam, n)
         mu = pad_to(mu, n)
@@ -177,7 +179,6 @@ def load_instance(payload: dict) -> Instance:
         if state.m < 2:
             raise InstanceError("dense state needs at least two parties")
 
-    echo = dict(payload)
     if bases is not None:
         echo["bases"] = _digest(bases)
     if state is not None:
@@ -209,13 +210,9 @@ def _build_states(
     return psi, psi._with_coeffs(mu)
 
 
-def _mixture_from_plan(plan: MeasurementPlan) -> list[dict]:
-    """Each outcome's weight and sigma_j, the inverse of its relabeling."""
-    images = np.argsort(plan.perms, axis=1).tolist()
-    return [{"p": p, "perm": perm} for p, perm in zip(plan.weights.tolist(), images)]
-
-
-def _load_plan(source: str) -> MeasurementPlan:
+def _load_plan(source: str, lam: ProbVector, mu: ProbVector) -> MeasurementPlan:
+    """The plan in a plan or a whole ``plan`` report, its diagonals rebuilt
+    for lam -> mu."""
     payload = _read_json(source)
     if "outcomes" not in payload:
         inner = payload.get("payload", {})
@@ -224,7 +221,7 @@ def _load_plan(source: str) -> MeasurementPlan:
         else:
             raise InstanceError("no measurement plan found in --plan input")
     try:
-        return MeasurementPlan.from_json(payload)
+        return MeasurementPlan.from_json(payload, lam, mu)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InstanceError(f"bad plan payload: {exc}") from exc
 
@@ -256,7 +253,6 @@ def cmd_plan(inst: Instance, args) -> dict:
     return {
         "verdict": "plan",
         "payload": {
-            "mixture": _mixture_from_plan(plan),
             "plan": plan.to_json(),
             "validation": report.to_json(),
         },
@@ -273,22 +269,26 @@ def cmd_plan(inst: Instance, args) -> dict:
 
 
 def cmd_simulate(inst: Instance, args) -> dict:
+    """With --plan, the rebuilt plan is validated as `plan` validates its
+    own: its diagonals put every branch on the target with probability p_j,
+    so only completeness tells a plan that does not fit the instance."""
     psi, phi = _build_states(inst)
+    payload = {}
+    passed = True
     if args.plan is not None:
-        plan = _load_plan(args.plan)
-        if plan.n != psi.n:
-            raise InstanceError(
-                f"plan dimension {plan.n} does not match instance rank {psi.n}"
-            )
+        plan = _load_plan(args.plan, psi.coeffs, phi.coeffs)
+        validation = validate(plan, psi.coeffs)
+        payload["validation"] = validation.to_json()
+        passed = validation.ok
     else:
         plan = build_plan(psi.coeffs, phi.coeffs)
     transcript = run_protocol(psi, phi, plan)
+    passed = passed and transcript.passed
+    payload["plan"] = plan.to_json()
+    payload["transcript"] = transcript.to_json()
     return {
-        "verdict": "pass" if transcript.passed else "fail",
-        "payload": {
-            "plan": plan.to_json(),
-            "transcript": transcript.to_json(),
-        },
+        "verdict": "pass" if passed else "fail",
+        "payload": payload,
         "residuals": {
             "prob_sum_error": transcript.checks["prob_sum_error"],
             "max_weight_mismatch": transcript.checks["max_weight_mismatch"],
@@ -300,7 +300,7 @@ def cmd_simulate(inst: Instance, args) -> dict:
             "fidelity": transcript.checks["fidelity_tol"],
             "offdiag_mass": transcript.checks["offdiag_tol"],
         },
-        "pass": transcript.passed,
+        "pass": passed,
     }
 
 
@@ -373,6 +373,10 @@ def cmd_multicopy(inst: Instance, args) -> dict:
 
 def cmd_catalyst(inst: Instance, args) -> dict:
     lam, mu = _require_vectors(inst)
+    if args.dmax < 1:
+        raise InstanceError("--dmax must be >= 1")
+    if not 0.0 < args.resolution <= 0.5:
+        raise InstanceError("--resolution must lie in (0, 0.5]")
     result = catalysis_search(lam, mu, d_max=args.dmax, resolution=args.resolution)
     verified = False
     if result.found and result.catalyst is not None:
@@ -395,6 +399,8 @@ def cmd_catalyst(inst: Instance, args) -> dict:
 def cmd_extract_gsd(inst: Instance, args) -> dict:
     if inst.state is None:
         raise InstanceError("extract-gsd needs a 'state' field in the instance")
+    if not 0.0 <= args.tol < 1.0:
+        raise InstanceError("--tol must lie in [0, 1)")
     result = extract_gsd(inst.state, tol=args.tol)
     return {
         "verdict": result.verdict,

@@ -15,7 +15,8 @@ Schur-monotone and multiplicative under the tensor product (largest and
 smallest coefficient, rank, power sums, entropy) must not get worse from
 source to target if any catalyst exists, so one that does proves there is
 none, in O(n).  Only a pair that none of them refutes goes to the grid,
-whose candidates are tested one at a time.
+whose candidates are counted first, against MAX_CATALYST_CANDIDATES, and
+then tested one at a time.
 """
 
 from __future__ import annotations
@@ -47,6 +48,10 @@ from .simulator import (
 )
 
 MAX_TENSOR_ENTRIES = 2**20
+# About 4 s of grid search at the measured 56-63 us per candidate (an open
+# n = 4 pair, d <= 4, 2-vCPU host); d_max = 5 at the default resolution
+# (46261 candidates) fits.
+MAX_CATALYST_CANDIDATES = 2**16
 
 
 def _tails(v: ProbVector) -> np.ndarray:
@@ -414,6 +419,32 @@ def _grid_partitions(total: int, parts: int, cap: int):
             yield (head,) + tail
 
 
+def _grid_size(steps: int, d_max: int) -> int:
+    """Candidates on the catalyst grid: partitions of steps into 2..d_max
+    positive parts.  Exact up to MAX_CATALYST_CANDIDATES; beyond it, some
+    count above the cap.
+
+    Dimension 2 alone has steps // 2 candidates.  Otherwise q[m] counts the
+    partitions of m into parts <= k, one k at a time, and p(steps, k) =
+    q[steps - k] (take one from each of the k parts); the count stops at
+    the first dimension that takes it past the cap.
+    """
+    if d_max < 2:
+        return 0
+    if steps // 2 > MAX_CATALYST_CANDIDATES:
+        return steps // 2
+    q = [1] + [0] * steps
+    total = 0
+    for k in range(1, min(d_max, steps) + 1):
+        for m in range(k, steps + 1):
+            q[m] += q[m - k]
+        if k > 1:
+            total += q[steps - k]
+            if total > MAX_CATALYST_CANDIDATES:
+                break
+    return total
+
+
 def catalysis_search(
     lam: ProbVector, mu: ProbVector, d_max: int = 2, resolution: float = 0.01
 ) -> CatalysisResult:
@@ -426,7 +457,9 @@ def catalysis_search(
     given simplex resolution, so "open" is not a proof that no catalyst
     exists.  The first hit in deterministic (dimension, then lexicographic)
     order is returned, with the number of candidates tested up to and
-    including it.  A refuted pair tests none.
+    including it.  A refuted pair tests none.  A grid of more than
+    MAX_CATALYST_CANDIDATES candidates raises CapExceeded before any is
+    tested.
     """
     if len(lam) != len(mu):
         raise ValueError("dimension mismatch; pad_to first")
@@ -450,7 +483,15 @@ def catalysis_search(
             certificate={"uncatalyzed_violation_prefix": witness, **refutation},
             candidates_tested=0,
         )
-    steps = round(1.0 / resolution)
+    # 1 / resolution is infinite for a subnormal resolution; clamped where
+    # dimension 2 alone already passes the cap
+    steps = round(min(1.0 / resolution, 2.0 * MAX_CATALYST_CANDIDATES + 2))
+    candidates = _grid_size(steps, d_max)
+    if candidates > MAX_CATALYST_CANDIDATES:
+        raise CapExceeded(
+            f"catalyst grid at d_max={d_max}, resolution={resolution} has more "
+            f"than {MAX_CATALYST_CANDIDATES} candidates"
+        )
     tested = 0
     for dim in range(2, d_max + 1):
         for ks in _grid_partitions(steps, dim, steps):

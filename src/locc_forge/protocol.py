@@ -6,7 +6,9 @@ outcome for party 0's measurement, diag_jk = sqrt(p_j mu[sigma_j^{-1}(k)] /
 lam_k), and one relabeling sigma_j^{-1} of the Schmidt levels that every
 party applies once outcome j is broadcast.  Plans are basis-free: they
 depend only on the two coefficient vectors and the permutation mixture
-connecting them, and no party basis ever enters.  The simulator runs a
+connecting them, and no party basis ever enters.  The diagonals follow
+from (lam, mu, weights, relabelings) by ``_kraus_diagonals``, so a plan
+travels as its weights and relabelings alone.  The simulator runs a
 plan on each state's n diagonal Schmidt amplitudes, where a measurement
 outcome is a pointwise product and a relabeling a permutation.
 """
@@ -36,9 +38,9 @@ class MeasurementPlan:
     is the Kraus diagonal of M_j = sum_k diags[j, k] |k><k| in the source
     Schmidt basis.  Row j of perms (J, n) is sigma_j^{-1}, the relabeling
     part of U_j: it moves level k to level perms[j, k].  The constructor
-    checks the shapes, that weights are finite, that diags are finite and
-    >= 0 and that every perms row is a permutation of 0..n-1, and makes
-    the arrays read-only.
+    checks the shapes, that weights are finite and >= 0, that every perms
+    row is a permutation of 0..n-1 and that diags are finite and >= 0, and
+    makes the arrays read-only.
     """
 
     weights: np.ndarray
@@ -55,13 +57,9 @@ class MeasurementPlan:
                 f"weights {weights.shape}, diags {shape} and perms {perms.shape} "
                 "must be (J,), (J, n) and (J, n)"
             )
-        if not np.all(np.isfinite(weights)):
-            raise ValueError("weights must be finite")
+        _check_outcomes(weights, perms)
         if not np.all(np.isfinite(diags)) or np.any(diags < 0.0):
             raise ValueError("diagonal entries must be finite and >= 0")
-        n = shape[1]
-        if np.any(np.sort(perms, axis=1) != np.arange(n)):
-            raise ValueError(f"a perms row is not a permutation of 0..{n - 1}")
         for name, arr in (("weights", weights), ("diags", diags), ("perms", perms)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -80,27 +78,52 @@ class MeasurementPlan:
         return float(np.max(np.abs(sums[support] - 1.0)))
 
     def to_json(self) -> dict:
+        """Each outcome's weight and relabeling; the diagonals are left out
+        because ``_kraus_diagonals`` rebuilds them from the coefficients."""
         return {
             "n": self.n,
             "outcomes": [
-                {"p": p, "diag": diag, "perm": perm}
-                for p, diag, perm in zip(
-                    self.weights.tolist(), self.diags.tolist(), self.perms.tolist()
-                )
+                {"p": p, "perm": perm}
+                for p, perm in zip(self.weights.tolist(), self.perms.tolist())
             ],
         }
 
     @classmethod
-    def from_json(cls, payload: dict) -> "MeasurementPlan":
+    def from_json(
+        cls, payload: dict, lam: ProbVector, mu: ProbVector
+    ) -> "MeasurementPlan":
+        """Read the weights and relabelings of ``to_json`` and rebuild the
+        diagonals for lam -> mu.  An outcome with any other key is refused.
+        The plan is not checked against the pair; ``validate`` shows a plan
+        that does not fit it as an incomplete measurement."""
         n = int(payload["n"])
+        if n != len(lam):
+            raise ValueError(f"plan dimension {n} does not match instance rank {len(lam)}")
         rows = payload["outcomes"]
+        for row in rows:
+            extra = sorted(set(row) - {"p", "perm"})
+            if extra:
+                raise ValueError(f"outcome keys {extra} are not p or perm")
         shape = (len(rows), n)
-        diags = np.array([o["diag"] for o in rows], dtype=float)
         perms = np.array([o["perm"] for o in rows], dtype=np.intp)
-        if rows and (diags.shape != shape or perms.shape != shape):
-            raise ValueError(f"diag and perm row lengths must both equal n={n}")
+        if rows and perms.shape != shape:
+            raise ValueError(f"perm rows must have length n={n}")
+        perms = perms.reshape(shape)
         weights = np.array([float(o["p"]) for o in rows])
-        return cls(weights, diags.reshape(shape), perms.reshape(shape))
+        _check_outcomes(weights, perms)
+        if np.any(weights > 1.0):  # a larger p can overflow the diagonals
+            raise ValueError("weights must be at most 1")
+        return cls(weights, _kraus_diagonals(lam, mu, weights, perms), perms)
+
+
+def _check_outcomes(weights: np.ndarray, perms: np.ndarray) -> None:
+    """Weights finite and >= 0, and every perms row a permutation of
+    0..n-1: what ``_kraus_diagonals`` needs of them."""
+    if not np.all(np.isfinite(weights)) or np.any(weights < 0.0):
+        raise ValueError("weights must be finite and >= 0")
+    n = perms.shape[1]
+    if np.any(np.sort(perms, axis=1) != np.arange(n)):
+        raise ValueError(f"a perms row is not a permutation of 0..{n - 1}")
 
 
 @dataclass(frozen=True)
@@ -132,35 +155,54 @@ class ValidationReport:
         }
 
 
-def synthesize(
-    lam: ProbVector, mu: ProbVector, mix: PermutationMixture
-) -> MeasurementPlan:
-    """Measurement operators diag_k = sqrt(p_j mu[sigma_j^{-1}(k)] / lam_k).
+def _agree(lam: ProbVector, mu: ProbVector) -> bool:
+    """The vectors agree within ZERO_TOL: the plan is the identity."""
+    return bool(np.max(np.abs(lam.entries - mu.entries)) <= ZERO_TOL)
+
+
+def _kraus_diagonals(
+    lam: ProbVector, mu: ProbVector, weights: np.ndarray, perms: np.ndarray
+) -> np.ndarray:
+    """Row j is diag_jk = sqrt(weights[j] mu[perms[j, k]] / lam_k), the
+    Kraus diagonal of the outcome that relabels by perms[j] = sigma_j^{-1}.
 
     The 0/0 -> 0 convention applies where lam_k = 0: support shrinkage
     under majorization forces the numerator to vanish there too, which is
-    what keeps zero-padded ranks legal.
+    what keeps zero-padded ranks legal.  A mu within ZERO_TOL of lam
+    counts as lam itself, as in ``build_plan``, so the identity plan has
+    diagonal 1 on lam's support.
     """
+    if _agree(lam, mu):
+        mu = lam
+    mass = weights[:, None] * mu.entries[perms]
+    live = lam.entries > 0.0
+    diags = np.zeros_like(mass)
+    diags[:, live] = np.sqrt(mass[:, live] / lam.entries[live])
+    return diags
+
+
+def synthesize(
+    lam: ProbVector, mu: ProbVector, mix: PermutationMixture
+) -> MeasurementPlan:
+    """The validated measurement of a permutation mixture: weights p_j,
+    relabelings sigma_j^{-1} and the diagonals of ``_kraus_diagonals``."""
     n = len(lam)
     if len(mu) != n or mix.n != n:
         raise ValueError("dimension mismatch between vectors and mixture")
     weights = np.array([p for p, _ in mix.terms])
     images = np.array([sigma for _, sigma in mix.terms])
     inverses = np.argsort(images, axis=1)  # row j is sigma_j^{-1}
-    mass = weights[:, None] * mu.entries[inverses]
-    live = lam.entries > 0.0
     # more than UNIT_TOL of mass on a dead level cannot come from a valid
     # decomposition
-    dead = np.argwhere((mass > UNIT_TOL) & ~live)
-    if dead.size:
-        j, k = (int(i) for i in dead[0])
+    dead = np.flatnonzero(lam.entries == 0.0)
+    hits = np.argwhere(weights[:, None] * mu.entries[inverses[:, dead]] > UNIT_TOL)
+    if hits.size:
+        j, k = int(hits[0, 0]), int(dead[hits[0, 1]])
         raise InternalContradiction(
             f"term weight {mix.terms[j][0]} maps mass {mu[inverses[j, k]]} "
             f"onto dead level {k}"
         )
-    diags = np.zeros_like(mass)
-    diags[:, live] = np.sqrt(mass[:, live] / lam.entries[live])
-    plan = MeasurementPlan(weights, diags, inverses)
+    plan = MeasurementPlan(weights, _kraus_diagonals(lam, mu, weights, inverses), inverses)
     _check_plan(plan, lam)
     return plan
 
@@ -172,9 +214,9 @@ def build_plan(lam: ProbVector, mu: ProbVector) -> MeasurementPlan:
     by mu."""
     if len(lam) != len(mu):
         raise ValueError("pad vectors to a common length first")
-    if np.max(np.abs(lam.entries - mu.entries)) <= ZERO_TOL:
-        n = len(lam)
-        return MeasurementPlan(np.ones(1), np.ones((1, n)), np.arange(n)[None, :])
+    if _agree(lam, mu):
+        weights, perms = np.ones(1), np.arange(len(lam))[None, :]
+        return MeasurementPlan(weights, _kraus_diagonals(lam, mu, weights, perms), perms)
     return synthesize(lam, mu, mixture_for(lam, mu))
 
 

@@ -115,6 +115,36 @@ class TestExitCodes:
         code, report, _ = run(capsys, [command, "--in", str(path)])
         assert code == 2 and message in report["error"]["message"]
 
+    @pytest.mark.parametrize("argv, message", [
+        (["catalyst", "--dmax", "0"], "--dmax must be >= 1"),
+        (["catalyst", "--resolution", "0"], "--resolution must lie in (0, 0.5]"),
+        (["catalyst", "--resolution=-1"], "--resolution must lie in (0, 0.5]"),
+        (["catalyst", "--resolution", "nan"], "--resolution must lie in (0, 0.5]"),
+        (["extract-gsd", "--tol", "nan"], "--tol must lie in [0, 1)"),
+        (["extract-gsd", "--tol", "inf"], "--tol must lie in [0, 1)"),
+        (["extract-gsd", "--tol=-1"], "--tol must lie in [0, 1)"),
+        (["extract-gsd", "--tol", "2"], "--tol must lie in [0, 1)"),
+    ])
+    def test_out_of_range_option_exits_2(self, tmp_path, capsys, argv, message):
+        path = write(tmp_path, dict(GHZ, lam=JP_PAIR["lam"], mu=JP_PAIR["mu"]))
+        code, report, _ = run(capsys, argv[:1] + ["--in", path] + argv[1:])
+        assert code == 2
+        assert report["error"]["message"] == message
+
+    @pytest.mark.parametrize("options", [
+        ["--dmax", "8"],
+        ["--dmax", "10", "--resolution", "0.005"],
+        ["--resolution", "5e-324"],
+    ])
+    def test_catalyst_grid_cap_exits_4(self, tmp_path, capsys, options):
+        # an open pair: the grid is counted, found over the cap and not searched
+        open_pair = {"schema_version": "1", "lam": [0.45, 0.35, 0.15, 0.05],
+                     "mu": [0.55, 0.2, 0.2, 0.05]}
+        code, report, _ = run(capsys, [
+            "catalyst", "--in", write(tmp_path, open_pair)] + options)
+        assert code == 4
+        assert report["error"]["type"] == "CapExceeded"
+
     def test_missing_file_exits_2(self, capsys):
         code, _, _ = run(capsys, ["check", "--in", "/nonexistent/x.json"])
         assert code == 2
@@ -176,8 +206,8 @@ class TestPlan:
         assert plan["n"] == 2
         weights = sorted(o["p"] for o in plan["outcomes"])
         np.testing.assert_allclose(weights, [0.5, 0.5], atol=1e-12)
-        mixture = report["payload"]["mixture"]
-        assert sum(t["p"] for t in mixture) == pytest.approx(1.0, abs=1e-9)
+        assert sorted(o["perm"] for o in plan["outcomes"]) == [[0, 1], [1, 0]]
+        assert "mixture" not in report["payload"]
 
     def test_identity_plan(self, tmp_path, capsys):
         inst = {"schema_version": "1", "lam": [0.6, 0.4], "mu": [0.6, 0.4]}
@@ -251,32 +281,91 @@ class TestSimulate:
         ("diag", [1.0]),
     ])
     def test_plan_rows_of_wrong_length_exit_2(self, tmp_path, capsys, field, entries):
+        # plans carry no diagonals: a diag row is refused by name, whatever
+        # its length
         inst_path = write(tmp_path, EASY_PAIR)
-        outcome = {"p": 1.0, "diag": [1.0, 1.0], "perm": [0, 1], field: entries}
+        outcome = {"p": 1.0, "perm": [0, 1], field: entries}
         plan_path = tmp_path / "plan.json"
         plan_path.write_text(json.dumps({"n": 2, "outcomes": [outcome]}))
         code, report, _ = run(capsys, [
             "simulate", "--in", inst_path, "--plan", str(plan_path)])
         assert code == 2
-        assert "must both equal n=2" in report["error"]["message"]
+        message = "perm rows must have length n=2" if field == "perm" else "['diag']"
+        assert message in report["error"]["message"]
 
     @pytest.mark.parametrize("field, entries, message", [
         ("perm", [0, 0], "not a permutation"),
         ("perm", [1, 2], "not a permutation"),
         ("perm", [1e400, 0], "cannot convert float infinity"),
-        ("diag", [-0.5, 1.0], "finite and >= 0"),
-        ("diag", [float("nan"), 1.0], "finite and >= 0"),
+        ("diag", [-0.5, 1.0], "outcome keys ['diag'] are not p or perm"),
+        ("diag", [float("nan"), 1.0], "outcome keys ['diag'] are not p or perm"),
         ("p", float("nan"), "weights must be finite"),
+        ("p", -0.5, "weights must be finite and >= 0"),
+        ("p", 1e308, "weights must be at most 1"),
+        ("weight", 1.0, "outcome keys ['weight'] are not p or perm"),
     ])
     def test_invalid_plan_rows_exit_2(self, tmp_path, capsys, field, entries, message):
         inst_path = write(tmp_path, EASY_PAIR)
-        outcome = {"p": 1.0, "diag": [1.0, 1.0], "perm": [0, 1], field: entries}
+        outcome = {"p": 1.0, "perm": [0, 1], field: entries}
         plan_path = tmp_path / "plan.json"
         plan_path.write_text(json.dumps({"n": 2, "outcomes": [outcome]}))
         code, report, _ = run(capsys, [
             "simulate", "--in", inst_path, "--plan", str(plan_path)])
         assert code == 2
         assert message in report["error"]["message"]
+
+    @pytest.mark.parametrize("payload", [
+        dict(EASY_PAIR, m=3),
+        {"schema_version": "1", "lam": [0.5, 0.3, 0.2], "mu": [0.7, 0.3]},
+        {"schema_version": "1", "lam": [0.7, 0.3], "mu": [0.7, 0.3, 0.0]},
+        {"schema_version": "1", "lam": [0.7, 0.3], "mu": [0.7 + 1e-13, 0.3 - 1e-13]},
+        json.loads((DATA / "report_n5.json").read_text()),
+        # a dead level under random complex bases
+        {"schema_version": "1", "lam": [0.6, 0.4, 0.0], "mu": [0.8, 0.2, 0.0],
+         "bases": [{"re": b.real.tolist(), "im": b.imag.tolist()} for b in
+                   (random_unitary(np.random.default_rng(seed), 3) for seed in (9, 10))]},
+    ])
+    def test_piped_plan_reproduces_the_transcript(self, tmp_path, capsys, monkeypatch,
+                                                  payload):
+        # plan | simulate --plan -: the rebuilt diagonals are the synthesized
+        # ones, so the transcript matches simulate without --plan bit for bit
+        import io
+        inst_path = write(tmp_path, payload)
+        code, plan_text = raw_run(capsys, ["plan", "--in", inst_path])
+        assert code == 0
+        monkeypatch.setattr("sys.stdin", io.StringIO(plan_text))
+        code, piped = raw_run(capsys, ["simulate", "--in", inst_path, "--plan", "-"])
+        assert code == 0
+        code, direct = raw_run(capsys, ["simulate", "--in", inst_path])
+        assert code == 0
+        piped, direct = json.loads(piped), json.loads(direct)
+        assert json.dumps(piped["payload"]["transcript"]) == json.dumps(
+            direct["payload"]["transcript"])
+        assert piped["payload"]["plan"] == direct["payload"]["plan"]
+        assert piped["payload"]["validation"]["ok"] is True
+
+    @pytest.mark.parametrize("tamper", ["p", "swap", "other_pair"])
+    def test_tampered_plan_fails_verification(self, tmp_path, capsys, tamper):
+        pair = {"schema_version": "1", "lam": [0.5, 0.3, 0.2], "mu": [0.6, 0.3, 0.1]}
+        source = {"schema_version": "1", "lam": [0.4, 0.35, 0.25], "mu": [0.6, 0.3, 0.1]}
+        inst_path = write(tmp_path, pair)
+        plan_source = source if tamper == "other_pair" else pair
+        code, report, _ = run(capsys, ["plan", "--in", write(tmp_path, plan_source, "src.json")])
+        assert code == 0
+        plan = report["payload"]["plan"]
+        outcomes = plan["outcomes"]
+        assert len(outcomes) >= 2 and outcomes[0]["p"] != outcomes[1]["p"]
+        if tamper == "p":
+            outcomes[0]["p"] *= 1.01
+        elif tamper == "swap":
+            outcomes[0]["perm"], outcomes[1]["perm"] = outcomes[1]["perm"], outcomes[0]["perm"]
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(plan))
+        code, report, _ = run(capsys, [
+            "simulate", "--in", inst_path, "--plan", str(plan_path)])
+        assert code == 5
+        assert report["pass"] is False and report["verdict"] == "fail"
+        assert report["payload"]["validation"]["ok"] is False
 
     def test_plan_accepts_full_report(self, tmp_path, capsys):
         inst_path = write(tmp_path, EASY_PAIR)
@@ -470,16 +559,18 @@ def error_cases(tmp_path):
     """(exit code, argv) of one failing run per error exit, 2 to 5."""
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
-    zero_plan = tmp_path / "zero_plan.json"
-    zero_plan.write_text(json.dumps(
-        {"n": 2, "outcomes": [{"p": 1.0, "diag": [0.0, 0.0], "perm": [0, 1]}]}))
+    # swapping the live level with the dead one gives the live level a zero
+    # diagonal, so the outcome annihilates the state (ZeroBranch)
+    swap_plan = tmp_path / "swap_plan.json"
+    swap_plan.write_text(json.dumps({"n": 2, "outcomes": [{"p": 1.0, "perm": [1, 0]}]}))
+    product = {"schema_version": "1", "lam": [1.0, 0.0], "mu": [1.0, 0.0]}
     cap = {"schema_version": "1", "lam": [1.0 / 64] * 64, "mu": [1.0 / 64] * 64}
     return [
         (2, ["check", "--in", str(bad)]),
         (3, ["plan", "--in", write(tmp_path, JP_PAIR, "jp.json")]),
         (4, ["multicopy", "--in", write(tmp_path, cap, "cap.json"), "--copies", "4"]),
-        (5, ["simulate", "--in", write(tmp_path, EASY_PAIR, "easy.json"),
-             "--plan", str(zero_plan)]),
+        (5, ["simulate", "--in", write(tmp_path, product, "product.json"),
+             "--plan", str(swap_plan)]),
     ]
 
 
@@ -529,6 +620,15 @@ class TestReportContract:
         blanked = re.sub(r'"wall_time_s": [^,}]+', '"wall_time_s": 0', out)
         assert blanked == (DATA / f"report_n5_{command}.out").read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize("command", ["plan", "simulate", "conclusive"])
+    def test_plan_outcomes_carry_only_p_and_perm(self, capsys, command):
+        _, report, _ = run(capsys, [command, "--in", str(DATA / "report_n5.json")])
+        payload = report["payload"]
+        plan = (payload["conclusive_plan"]["deterministic_stage"]
+                if command == "conclusive" else payload["plan"])
+        assert plan["outcomes"]
+        assert all(set(o) == {"p", "perm"} for o in plan["outcomes"])
+
     def test_out_file_matches_stdout(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         runs = [(0, argv + ["--in", write(tmp_path, payload, f"{i}.json")])
@@ -551,7 +651,7 @@ class TestReportContract:
     def test_inputs_echoed_and_options_recorded(self, tmp_path, capsys):
         path = write(tmp_path, dict(EASY_PAIR, seed=7))
         _, report, _ = run(capsys, ["check", "--in", path])
-        assert report["inputs"]["lam"] == [0.5, 0.5]
+        assert report["inputs"]["lam"] == {"sha256": _sha256([np.array([0.5, 0.5])])}
         assert report["inputs"]["seed"] == 7
 
     def test_options_echo_the_parsed_sub_command(self, tmp_path, capsys):
@@ -593,6 +693,34 @@ def _sha256(arrays) -> str:
 
 
 class TestInputDigest:
+    @pytest.mark.parametrize("argv, payload", EVERY_COMMAND)
+    def test_coefficient_digest_in_every_report(self, tmp_path, capsys, argv, payload):
+        # taken over the vectors as given: before sorting, padding or
+        # normalising
+        payload = dict(payload, lam=[0.25, 0.5, 0.25], mu=[0.5, 0.5])
+        if argv[0] in ("simulate", "conclusive"):
+            payload["lam"], payload["mu"] = [0.5, 0.5], [0.25, 0.75]
+        if argv[0] == "conclusive":
+            payload["lam"], payload["mu"] = payload["mu"], payload["lam"]
+        _, report, _ = run(capsys, argv + ["--in", write(tmp_path, payload)])
+        for key in ("lam", "mu"):
+            want = _sha256([np.array(payload[key], dtype=float)])
+            assert report["inputs"][key] == {"sha256": want}, (argv, key)
+
+    def test_coefficient_digest(self):
+        def digest(text):
+            payload = json.loads('{"schema_version": "1", "lam": %s, "mu": [1, 0]}' % text)
+            return load_instance(payload).echo["lam"]
+
+        first = digest("[0.75, 0.25]")
+        assert first == {"sha256": _sha256([np.array([0.75, 0.25])])}
+        assert digest("[7.5e-1, 0.250]") == digest("[75E-2, 2.5e-1]") == first
+        assert digest("[0.25, 0.75]") != first
+        assert digest("[0.75, 0.25, 0]") != first
+        assert digest("[0.75, 0.2500000000000001]") != first
+        ints = load_instance({"schema_version": "1", "lam": [1, 0], "mu": [1.0, 0.0]}).echo
+        assert ints["lam"] == ints["mu"]
+
     def test_state_digest(self):
         rng = np.random.default_rng(5)
         amps = rng.standard_normal(8) + 1j * rng.standard_normal(8)

@@ -1,3 +1,4 @@
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -32,7 +33,9 @@ from locc_forge import (
     run_conclusive,
 )
 from locc_forge.probabilistic import (
+    MAX_CATALYST_CANDIDATES,
     _grid_partitions,
+    _grid_size,
     _min_tail_ratio,
     _refute,
     _tails,
@@ -453,6 +456,47 @@ class TestCatalysis:
             refuted += refutation is not None
             hits += hit
         assert refuted > 1800 and hits > 0
+
+    def test_grid_size_counts_the_enumerated_grid(self):
+        for steps in (2, 3, 7, 20):
+            for d_max in (1, 2, 3, 5, 30):
+                enumerated = sum(1 for dim in range(2, d_max + 1)
+                                 for _ in _grid_partitions(steps, dim, steps))
+                assert _grid_size(steps, d_max) == enumerated, (steps, d_max)
+
+    def test_grid_cap(self):
+        @functools.lru_cache(maxsize=None)
+        def parts(total, k):  # partitions of total into exactly k parts
+            if total == 0 and k == 0:
+                return 1
+            if total <= 0 or k <= 0:
+                return 0
+            return parts(total - 1, k - 1) + parts(total - k, k)
+
+        def oracle(steps, d_max):
+            return sum(parts(steps, k) for k in range(2, d_max + 1))
+
+        # the JP search and the refutable pair at d_max = 4 stay under the cap
+        assert _grid_size(100, 2) == oracle(100, 2) == 50
+        assert _grid_size(100, 4) == oracle(100, 4) == 8036
+        assert oracle(100, 5) <= MAX_CATALYST_CANDIDATES
+        # counted, never searched: d_max = 8 holds 1,527,674 candidates and
+        # --dmax 10 --resolution 0.005 about 1.2e9
+        assert oracle(100, 8) == 1527674
+        assert oracle(200, 10) == 1212199423
+        for steps, d_max in ((100, 8), (200, 10), (100, 10**9), (10**9, 2)):
+            assert _grid_size(steps, d_max) > MAX_CATALYST_CANDIDATES
+        open_pair = (ProbVector([0.45, 0.35, 0.15, 0.05]),
+                     ProbVector([0.55, 0.2, 0.2, 0.05]))
+        for kwargs in ({"d_max": 8}, {"d_max": 10, "resolution": 0.005},
+                       {"resolution": 5e-324}):
+            with pytest.raises(CapExceeded, match="candidates"):
+                catalysis_search(*open_pair, **kwargs)
+        # refuted and trivially found pairs are answered before the count
+        assert catalysis_search(ProbVector([0.7, 0.2, 0.1]), ProbVector([0.6, 0.3, 0.1]),
+                                d_max=50).verdict == "refuted"
+        assert catalysis_search(ProbVector([0.5, 0.5]), ProbVector([0.75, 0.25]),
+                                d_max=50).verdict == "found"
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

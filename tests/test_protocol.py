@@ -175,19 +175,26 @@ class TestValidate:
 
 class TestPlanJson:
     def test_roundtrip(self):
-        lam = ProbVector([0.5, 0.3, 0.2])
-        mu = ProbVector([0.6, 0.3, 0.1])
-        plan = build_plan(lam, mu)
-        clone = MeasurementPlan.from_json(plan.to_json())
-        assert clone.n == plan.n
-        for name in ("weights", "diags", "perms"):
-            np.testing.assert_array_equal(getattr(clone, name), getattr(plan, name))
+        # from_json rebuilds the diagonals bit for bit, zero-padded levels
+        # and the identity plan of vectors within ZERO_TOL included
+        for lam, mu in [
+            ([0.5, 0.3, 0.2], [0.6, 0.3, 0.1]),
+            ([0.5, 0.5, 0.0], [1.0, 0.0, 0.0]),
+            ([0.6, 0.4, 0.0], [0.6, 0.4, 0.0]),
+            ([0.6, 0.4], [0.6 + 1e-13, 0.4 - 1e-13]),
+        ]:
+            lam, mu = ProbVector(lam), ProbVector(mu)
+            plan = build_plan(lam, mu)
+            clone = MeasurementPlan.from_json(plan.to_json(), lam, mu)
+            assert clone.n == plan.n
+            for name in ("weights", "diags", "perms"):
+                np.testing.assert_array_equal(getattr(clone, name), getattr(plan, name))
 
     def test_schema_shape(self):
         plan = build_plan(ProbVector([0.5, 0.5]), ProbVector([0.75, 0.25]))
         payload = plan.to_json()
         assert set(payload) == {"n", "outcomes"}
-        assert all(set(o) == {"p", "diag", "perm"} for o in payload["outcomes"])
+        assert all(set(o) == {"p", "perm"} for o in payload["outcomes"])
 
 
 class TestPlanArrays:
@@ -213,7 +220,8 @@ class TestPlanArrays:
                 arr[0] = 0
 
     def test_empty_plan_keeps_its_rank(self):
-        plan = MeasurementPlan.from_json({"n": 3, "outcomes": []})
+        v = ProbVector([0.5, 0.3, 0.2])
+        plan = MeasurementPlan.from_json({"n": 3, "outcomes": []}, v, v)
         assert plan.n == 3 and plan.to_json() == {"n": 3, "outcomes": []}
 
 
