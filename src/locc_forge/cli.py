@@ -70,7 +70,6 @@ EXIT_INTERNAL = 5
 class Instance:
     lam: ProbVector | None
     mu: ProbVector | None
-    m: int
     dims: tuple[int, ...]
     bases: list[np.ndarray] | None
     state: DenseState | None
@@ -184,9 +183,7 @@ def load_instance(payload: dict) -> Instance:
     if state is not None:
         echo["state"] = _digest([state.tensor()])
 
-    return Instance(
-        lam=lam, mu=mu, m=m, dims=dims, bases=bases, state=state, echo=echo
-    )
+    return Instance(lam=lam, mu=mu, dims=dims, bases=bases, state=state, echo=echo)
 
 
 def _require_vectors(inst: Instance) -> tuple[ProbVector, ProbVector]:

@@ -308,12 +308,14 @@ def run_conclusive(
 
 
 def tensor_power(v: ProbVector, copies: int) -> ProbVector:
-    """Sorted elementwise tensor power of a coefficient vector."""
+    """Sorted elementwise tensor power of a coefficient vector.  A rank-1
+    vector counts as rank 2 against the cap, so its copies are capped too."""
     if copies < 1:
         raise ValueError("copies must be >= 1")
-    if len(v) ** copies > MAX_TENSOR_ENTRIES:
+    if max(len(v), 2) ** copies > MAX_TENSOR_ENTRIES:
         raise CapExceeded(
             f"{len(v)}^{copies} tensor entries exceed cap {MAX_TENSOR_ENTRIES}"
+            + (" (rank 1 counts as 2)" if len(v) == 1 else "")
         )
     out = v.entries
     for _ in range(copies - 1):

@@ -12,8 +12,8 @@ miss, the off-diagonal mass, is a reported check that keeps the
 assemble -> coordinates round trip honest.  A measurement outcome then
 scales the diagonal by its Kraus diagonal and a relabeling permutes it,
 O(n) per outcome.  Fidelity needs no rotation back, since the branch and
-the target share the local unitary (the target's bases) that separates
-them from their dense forms.
+the target share the local unitary (any completion of the target's Schmidt
+columns) that separates them from their dense forms.
 
 Classical communication is a recorded event here, not a socket: the
 transcript notes the broadcast outcome and every single-party operator
@@ -102,10 +102,13 @@ def _complex_array(re, im) -> np.ndarray:
 
 
 class GeneralizedSchmidtState:
-    """Structured state: coefficients plus one orthonormal basis per party.
+    """Structured state: coefficients plus n Schmidt vectors per party.
 
-    Each basis is a full dims_i x dims_i unitary whose first n columns are
-    that party's Schmidt vectors, aligned with the sorted coefficients.
+    Each party's basis is a dims_i x n matrix whose columns are that
+    party's Schmidt vectors, aligned with the sorted coefficients.  The
+    constructor takes any dims_i x k matrix with orthonormal columns and
+    k >= n (a full unitary included), checks it and keeps its first n
+    columns.
     """
 
     __slots__ = ("m", "dims", "coeffs", "bases")
@@ -119,16 +122,14 @@ class GeneralizedSchmidtState:
         mats = []
         for i, b in enumerate(bases):
             mat = np.asarray(b, dtype=complex)
-            if mat.shape != (dims[i], dims[i]):
-                raise ValueError(f"basis {i} must be {dims[i]}x{dims[i]}")
-            if dims[i] < n:
-                raise ValueError(f"party {i} dimension {dims[i]} below rank {n}")
+            if mat.ndim != 2 or mat.shape[0] != dims[i] or mat.shape[1] < n:
+                raise ValueError(f"basis {i} must be {dims[i]}xk with k >= rank {n}")
             # a non-finite entry gives a NaN or infinite residual, which fails
             with np.errstate(invalid="ignore", over="ignore"):
-                residual = np.max(np.abs(mat.conj().T @ mat - np.eye(dims[i])))
+                residual = np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[1])))
             if not residual <= UNIT_TOL:
                 raise ValueError(f"basis {i} not unitary (residual {residual})")
-            mat = mat.copy()
+            mat = mat[:, :n].copy()
             mat.setflags(write=False)
             mats.append(mat)
         if len(mats) != len(dims):
@@ -147,8 +148,8 @@ class GeneralizedSchmidtState:
 
     @classmethod
     def computational(cls, dims, coeffs: ProbVector) -> "GeneralizedSchmidtState":
-        _check_caps(tuple(dims))  # before any d x d identity is built
-        return cls(dims, coeffs, [np.eye(d, dtype=complex) for d in dims])
+        _check_caps(tuple(dims))  # before any d x n column block is built
+        return cls(dims, coeffs, [np.eye(d, len(coeffs), dtype=complex) for d in dims])
 
     def _with_coeffs(self, coeffs: ProbVector) -> "GeneralizedSchmidtState":
         """The same state with other coefficients of the same rank.
@@ -172,10 +173,10 @@ def assemble(s: GeneralizedSchmidtState) -> DenseState:
     product, so the sum over k is a single matmul with party 0's columns.
     """
     n = s.n
-    chain = s.bases[-1][:, :n]
+    chain = s.bases[-1]
     for basis in s.bases[-2:0:-1]:
-        chain = (basis[:, None, :n] * chain[None, :, :]).reshape(-1, n)
-    head = s.bases[0][:, :n] * np.sqrt(s.coeffs.entries)
+        chain = (basis[:, None, :] * chain[None, :, :]).reshape(-1, n)
+    head = s.bases[0] * np.sqrt(s.coeffs.entries)
     return DenseState((head @ chain.T).reshape(-1), s.dims)
 
 
@@ -250,9 +251,9 @@ def _coords(s: GeneralizedSchmidtState) -> tuple[np.ndarray, float]:
     batched row contraction per further party: O(n D) for D amplitudes.
     """
     n = s.n
-    x = s.bases[0][:, :n].conj().T @ assemble(s).amplitudes.reshape(s.dims[0], -1)
+    x = s.bases[0].conj().T @ assemble(s).amplitudes.reshape(s.dims[0], -1)
     for basis in s.bases[1:]:
-        rows = basis[:, :n].conj().T[:, None, :]
+        rows = basis.conj().T[:, None, :]
         x = (rows @ x.reshape(n, basis.shape[0], -1))[:, 0, :]
     diag = x[:, 0]
     return diag, abs(1.0 - float(np.vdot(diag, diag).real))
@@ -406,25 +407,14 @@ class GsdExtraction:
         return payload
 
 
-def _complete_to_unitary(cols: np.ndarray, dim: int) -> np.ndarray:
-    """Extend k orthonormal columns to a full unitary, deterministically.
-
-    The Q factor of [cols | I] spans the whole space and its first k
-    columns span cols, so its other columns complete them.
-    """
-    k = cols.shape[1]
-    q = np.linalg.qr(np.hstack([cols, np.eye(dim)]))[0]
-    return np.hstack([cols, q[:, k:dim]])
-
-
 def extract_gsd(state: DenseState, tol: float = UNIT_TOL) -> GsdExtraction:
     """Operational structured-form test.
 
     Splits party 0 against the rest, then recursively demands that every
     retained cofactor be a product across the remaining parties (largest
     squared Schmidt coefficient >= 1 - tol at every cut).  On success the
-    per-party vectors are checked for orthonormality, completed to full
-    bases, and the reassembled state must reproduce the input.
+    per-party vectors are checked for orthonormality, become the state's
+    Schmidt columns, and the reassembled state must reproduce the input.
 
     Degenerate coefficients make the Schmidt basis non-unique; no rotation
     search is attempted, so a rejection under degeneracy is flagged
@@ -467,8 +457,8 @@ def extract_gsd(state: DenseState, tol: float = UNIT_TOL) -> GsdExtraction:
         factors[m - 1].append(w)
 
     # orthonormality of each party's extracted vectors
-    for party in range(m):
-        cols = np.column_stack(factors[party])
+    bases = [np.column_stack(cols) for cols in factors]
+    for party, cols in enumerate(bases):
         gram = cols.conj().T @ cols
         residual = float(np.max(np.abs(gram - np.eye(n))))
         if residual > UNIT_TOL:
@@ -478,10 +468,6 @@ def extract_gsd(state: DenseState, tol: float = UNIT_TOL) -> GsdExtraction:
                 inconclusive_degenerate=degenerate,
             )
 
-    bases = [
-        _complete_to_unitary(np.column_stack(factors[party]), dims[party])
-        for party in range(m)
-    ]
     gss = GeneralizedSchmidtState(dims, ProbVector(coeff_arr), bases)
     fid = fidelity(assemble(gss), state)
     if fid < 1.0 - UNIT_TOL:

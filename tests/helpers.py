@@ -130,11 +130,16 @@ def prefix_band_pairs(v: float):
         yield lam, mu
 
 
-def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+def random_columns(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
+    """d x n orthonormal columns: the Q factor of a complex Gaussian matrix."""
+    z = rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))
     q, r = np.linalg.qr(z)
     phases = np.diag(r) / np.abs(np.diag(r))
     return q * phases
+
+
+def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
+    return random_columns(rng, d, d)
 
 
 def random_gss(
@@ -142,8 +147,19 @@ def random_gss(
     coeffs: ProbVector,
     dims,
 ) -> GeneralizedSchmidtState:
-    bases = [random_unitary(rng, d) for d in dims]
+    bases = [random_columns(rng, d, len(coeffs)) for d in dims]
     return GeneralizedSchmidtState(dims, coeffs, bases)
+
+
+def full_basis(cols: np.ndarray) -> np.ndarray:
+    """A unitary whose first columns are the orthonormal columns cols.
+
+    The Q factor of [cols | I] spans the whole space and its first k
+    columns span cols, so its other columns complete them.
+    """
+    d, k = cols.shape
+    q = np.linalg.qr(np.hstack([cols, np.eye(d)]))[0]
+    return np.hstack([cols, q[:, k:d]])
 
 
 def random_doubly_stochastic(rng: np.random.Generator, n: int, transforms: int) -> np.ndarray:
@@ -177,10 +193,9 @@ def apply_local(state: DenseState, party: int, op: np.ndarray) -> tuple[float, D
 
 
 def measurement_matrix(basis: np.ndarray, diag) -> np.ndarray:
-    """Dense B diag(d) B^dag, with d zero-padded to the basis dimension."""
-    full = np.zeros(basis.shape[0])
-    full[: len(diag)] = diag
-    return basis @ np.diag(full) @ basis.conj().T
+    """Dense B diag(d) B^dag over the first len(d) columns of B."""
+    cols = basis[:, : len(diag)]
+    return (cols * np.asarray(diag)) @ cols.conj().T
 
 
 def relabel_matrix(perm, d: int) -> np.ndarray:
@@ -199,10 +214,13 @@ def dense_protocol(psi, phi, plan) -> list:
     Returns one entry per outcome: None when the outcome annihilates the
     state, else (probability, final state, fidelity with phi).  The final
     state is B_phi P B_psi^dag applied on every party after the
-    measurement.
+    measurement, B being each state's Schmidt columns completed to a
+    unitary.
     """
     phi_dense = assemble(phi)
     psi_dense = assemble(psi)
+    phi_full = [full_basis(b) for b in phi.bases]
+    psi_full = [full_basis(b) for b in psi.bases]
     out = []
     for diag, perm in zip(plan.diags, plan.perms):
         m_op = measurement_matrix(psi.bases[0], diag)
@@ -213,9 +231,7 @@ def dense_protocol(psi, phi, plan) -> list:
             continue
         current = post
         for party, d in enumerate(psi.dims):
-            u = phi.bases[party] @ relabel_matrix(perm, d) @ (
-                psi.bases[party].conj().T
-            )
+            u = phi_full[party] @ relabel_matrix(perm, d) @ psi_full[party].conj().T
             _, current = apply_local(current, party, u)
         out.append((prob, current, fidelity(current, phi_dense)))
     return out
@@ -239,6 +255,10 @@ def dense_conclusive(psi, phi, plan) -> list:
         )
     success_m = measurement_matrix(psi.bases[0], plan.success_diag)
     failure_m = measurement_matrix(psi.bases[0], plan.failure_diag)
+    rotations = [
+        full_basis(phi_b) @ full_basis(psi_b).conj().T
+        for phi_b, psi_b in zip(phi.bases, psi.bases)
+    ]
     out = []
     for stage in dense_protocol(psi, omega, plan.deterministic_stage):
         if stage is None:
@@ -246,8 +266,7 @@ def dense_conclusive(psi, phi, plan) -> list:
             continue
         prob, state, _ = stage
         s_prob, current = apply_local(state, 0, success_m)
-        for party in range(psi.m):
-            u = phi.bases[party] @ psi.bases[party].conj().T
+        for party, u in enumerate(rotations):
             _, current = apply_local(current, party, u)
         out.append((prob * s_prob, current, fidelity(current, phi_dense)))
         if failure_dense is not None:

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -108,6 +109,11 @@ class TestExitCodes:
          '[[1, 0], [0, 1]]]}', "not unitary"),
         ("extract-gsd", '{"schema_version": "1", "state": {"dims": [2, 2], '
          '"re": [0.5, 0.5, 0.5, 0.5], "im": [1e400, 0, 0, 0]}}', "squared norm"),
+        # the whole given basis is checked, not only its Schmidt columns
+        *((command, '{"schema_version": "1", "lam": [0.6, 0.4], "mu": [0.8, 0.2], '
+           '"dims": [3, 3], "bases": [[[1, 0, 0], [0, 1, 0], [0, 0, 2]], '
+           '[[1, 0, 0], [0, 1, 0], [0, 0, 1]]]}', "not unitary")
+          for command in ("simulate", "conclusive")),
     ])
     def test_malformed_instance_exits_2(self, tmp_path, capsys, command, text, message):
         path = tmp_path / "inst.json"
@@ -183,6 +189,18 @@ class TestExitCodes:
         code, _, _ = run(capsys, [
             "multicopy", "--in", write(tmp_path, inst), "--copies", "4"])
         assert code == 4
+
+    @pytest.mark.parametrize("copies, expected", [(20, 0), (21, 4)])
+    def test_rank_one_multicopy_is_capped(self, tmp_path, capsys, copies, expected):
+        # a rank-1 power has one entry; it counts as rank 2 against the cap
+        inst = {"schema_version": "1", "lam": [1.0], "mu": [1.0]}
+        start = time.perf_counter()
+        code, report, _ = run(capsys, [
+            "multicopy", "--in", write(tmp_path, inst), "--copies", str(copies)])
+        assert time.perf_counter() - start < 1.0
+        assert code == expected
+        if expected == 4:
+            assert report["error"]["type"] == "CapExceeded"
 
     def test_failed_verification_exits_5(self, tmp_path, capsys):
         # a plan from a different pair cannot verify against this instance
@@ -419,6 +437,17 @@ class TestLargeDense:
             "dims": [8] * 6,
             "bases": [{"re": b.real.tolist(), "im": b.imag.tolist()} for b in bases],
         }
+        code, report, _ = run(capsys, [command, "--in", write(tmp_path, inst)])
+        assert code == 0
+        assert report["pass"] is True
+
+    @pytest.mark.parametrize("command", ["simulate", "conclusive"])
+    def test_lopsided_computational_at_the_cap(self, tmp_path, capsys, command):
+        # 2 x 2^19 amplitudes: each party holds its two Schmidt columns only
+        inst = {"schema_version": "1", "lam": [0.6, 0.4], "mu": [0.8, 0.2],
+                "dims": [2, 524288]}
+        if command == "conclusive":
+            inst["lam"], inst["mu"] = inst["mu"], inst["lam"]
         code, report, _ = run(capsys, [command, "--in", write(tmp_path, inst)])
         assert code == 0
         assert report["pass"] is True
