@@ -41,7 +41,6 @@ from .majorization import (
     pad_to,
 )
 from .probabilistic import (
-    _tails,
     catalysis_search,
     intermediate_state,
     multicopy_check,
@@ -234,8 +233,6 @@ def cmd_check(inst: Instance, args) -> dict:
         "payload": {
             "convertible": idx is None,
             "violation_prefix": idx,
-            "lam": lam.to_json(),
-            "mu": mu.to_json(),
         },
         "residuals": {"max_prefix_excess": prefix_excess},
         "tolerances": {"majorization_tol": UNIT_TOL},
@@ -246,7 +243,7 @@ def cmd_check(inst: Instance, args) -> dict:
 def cmd_plan(inst: Instance, args) -> dict:
     lam, mu = _require_vectors(inst)
     plan = build_plan(lam, mu)  # raises ConversionImpossible -> exit 3
-    report = validate(plan, lam)
+    report = plan.validation
     return {
         "verdict": "plan",
         "payload": {
@@ -267,8 +264,9 @@ def cmd_plan(inst: Instance, args) -> dict:
 
 def cmd_simulate(inst: Instance, args) -> dict:
     """With --plan, the rebuilt plan is validated as `plan` validates its
-    own: its diagonals put every branch on the target with probability p_j,
-    so only completeness tells a plan that does not fit the instance."""
+    own: its diagonals make a complete measurement of any plan, so the
+    recomputed outcome weights tell a plan that does not fit the
+    instance."""
     psi, phi = _build_states(inst)
     payload = {}
     passed = True
@@ -309,8 +307,6 @@ def cmd_pmax(inst: Instance, args) -> dict:
         "payload": {
             "p_max": p,
             "l_star": l_star,
-            "source_tails": _tails(lam)[:-1].tolist(),
-            "target_tails": _tails(mu)[:-1].tolist(),
         },
         "residuals": {},
         "tolerances": {},

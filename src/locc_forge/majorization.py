@@ -13,6 +13,7 @@ threads.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,7 +167,9 @@ def pad_to(v: ProbVector, n: int) -> ProbVector:
     return ProbVector(np.concatenate([v.entries, np.zeros(n - len(v))]))
 
 
-def mixture_for(lam: ProbVector, mu: ProbVector) -> PermutationMixture:
+def mixture_for(
+    lam: ProbVector, mu: ProbVector, cuts: Sequence[int] = ()
+) -> PermutationMixture:
     """Permutation mixture carrying mu onto lam, with at most n terms.
 
     A walk over the faces of the permutohedron of mu.  The remainder
@@ -180,10 +183,12 @@ def mixture_for(lam: ProbVector, mu: ProbVector) -> PermutationMixture:
     last cuts a block, so there are at most n steps and n terms.
 
     The walk starts from the prefixes of lam that are tight in floating
-    point, with no tolerance: a cut at a prefix of slack s leaves an error
-    s in the reconstruction, which ``synthesize`` divides by the smallest
-    lam_k.  A tight prefix that rounding misses costs one extra step of
-    rounding-sized weight, which still cuts a block.
+    point, with no tolerance, and from the prefix lengths in ``cuts``,
+    which the caller knows to be tight in exact arithmetic (the conclusive
+    waypoint's segment starts): a cut at a prefix of slack s leaves an
+    error s in the reconstruction.  A tight prefix that rounding misses
+    costs one extra step of rounding-sized weight, which still cuts a
+    block.
 
     Terms are listed from the last vertex reached back to the first, which
     puts the swap before the identity at n = 2, the order of the closed-form
@@ -199,6 +204,7 @@ def mixture_for(lam: ProbVector, mu: ProbVector) -> PermutationMixture:
     prefix = np.concatenate(([0.0], np.cumsum(mu.entries)))
     tight = prefix[1:] - np.cumsum(lam.entries) <= 0.0
     begins = np.concatenate(([True], tight[:-1]))
+    begins[list(cuts)] = True
     start = np.maximum.accumulate(np.where(begins, np.arange(n), 0))
     rest = lam.entries.copy()
     mass = 1.0

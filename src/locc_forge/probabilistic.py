@@ -131,9 +131,12 @@ def intermediate_state(lam: ProbVector, mu: ProbVector) -> ConclusivePlan:
 
     The tail segment [l*, n) is p_max times the target; the remaining
     prefix is filled by repeating the worst-tail-ratio split on ever
-    shorter prefixes.  All plan invariants are re-checked numerically and
-    any violation is a hard error: it would signal a bug, not a legal
-    outcome.
+    shorter prefixes.  Each segment carries lam's tail difference over it,
+    so lam and gamma have equal prefix sums at every segment start, and the
+    deterministic stage is decomposed with those prefixes cut: its
+    relabelings keep every segment in place.  All plan invariants are
+    re-checked numerically and any violation is a hard error: it would
+    signal a bug, not a legal outcome.
     """
     if len(lam) != len(mu):
         raise ValueError("dimension mismatch; pad_to first")
@@ -194,7 +197,9 @@ def intermediate_state(lam: ProbVector, mu: ProbVector) -> ConclusivePlan:
         p_max=p,
         l_star=l_star,
         gamma=gamma_pv,
-        deterministic_stage=build_plan(lam, gamma_pv),
+        deterministic_stage=build_plan(
+            lam, gamma_pv, cuts=[start for start, _, _ in segments[1:]]
+        ),
         success_diag=success,
         failure_diag=failure,
         failure_coeffs=failure_coeffs,

@@ -3,19 +3,22 @@ deterministic coefficient conversion lam -> mu.
 
 A plan is three arrays: the outcome weights p_j, one Kraus diagonal per
 outcome for party 0's measurement, diag_jk = sqrt(p_j mu[sigma_j^{-1}(k)] /
-lam_k), and one relabeling sigma_j^{-1} of the Schmidt levels that every
-party applies once outcome j is broadcast.  Plans are basis-free: they
-depend only on the two coefficient vectors and the permutation mixture
-connecting them, and no party basis ever enters.  The diagonals follow
-from (lam, mu, weights, relabelings) by ``_kraus_diagonals``, so a plan
-travels as its weights and relabelings alone.  The simulator runs a
-plan on each state's n diagonal Schmidt amplitudes, where a measurement
-outcome is a pointwise product and a relabeling a permutation.
+r_k) with r_k = sum_j p_j mu[sigma_j^{-1}(k)] the source that the plan
+itself reconstructs, and one relabeling sigma_j^{-1} of the Schmidt levels
+that every party applies once outcome j is broadcast.  Plans are
+basis-free: they depend only on the two coefficient vectors and the
+permutation mixture connecting them, and no party basis ever enters.
+The diagonals follow from (lam, mu, weights, relabelings) by
+``_kraus_diagonals``, so a plan travels as its weights and relabelings
+alone.  The simulator runs a plan on each state's n diagonal Schmidt
+amplitudes, where a measurement outcome is a pointwise product and a
+relabeling a permutation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,12 +43,14 @@ class MeasurementPlan:
     part of U_j: it moves level k to level perms[j, k].  The constructor
     checks the shapes, that weights are finite and >= 0, that every perms
     row is a permutation of 0..n-1 and that diags are finite and >= 0, and
-    makes the arrays read-only.
+    makes the arrays read-only.  ``validation`` is the report of the check
+    that ``build_plan`` ran on its plan, and None on any other plan.
     """
 
     weights: np.ndarray
     diags: np.ndarray
     perms: np.ndarray
+    validation: ValidationReport | None = field(default=None, init=False)
 
     def __post_init__(self):
         weights = np.asarray(self.weights, dtype=float)
@@ -57,7 +62,9 @@ class MeasurementPlan:
                 f"weights {weights.shape}, diags {shape} and perms {perms.shape} "
                 "must be (J,), (J, n) and (J, n)"
             )
-        _check_outcomes(weights, perms)
+        _check_weights(weights)
+        if np.any(np.sort(perms, axis=1) != np.arange(shape[1])):
+            raise ValueError(f"a perms row is not a permutation of 0..{shape[1] - 1}")
         if not np.all(np.isfinite(diags)) or np.any(diags < 0.0):
             raise ValueError("diagonal entries must be finite and >= 0")
         for name, arr in (("weights", weights), ("diags", diags), ("perms", perms)):
@@ -95,7 +102,7 @@ class MeasurementPlan:
         """Read the weights and relabelings of ``to_json`` and rebuild the
         diagonals for lam -> mu.  An outcome with any other key is refused.
         The plan is not checked against the pair; ``validate`` shows a plan
-        that does not fit it as an incomplete measurement."""
+        that does not fit it by its outcome weights."""
         n = int(payload["n"])
         if n != len(lam):
             raise ValueError(f"plan dimension {n} does not match instance rank {len(lam)}")
@@ -110,20 +117,19 @@ class MeasurementPlan:
             raise ValueError(f"perm rows must have length n={n}")
         perms = perms.reshape(shape)
         weights = np.array([float(o["p"]) for o in rows])
-        _check_outcomes(weights, perms)
+        _check_weights(weights)
         if np.any(weights > 1.0):  # a larger p can overflow the diagonals
             raise ValueError("weights must be at most 1")
-        return cls(weights, _kraus_diagonals(lam, mu, weights, perms), perms)
+        # the constructor refuses every row that is not a permutation; until
+        # then, clipping keeps the lookup into mu in range
+        diags = _kraus_diagonals(lam, mu, weights, np.clip(perms, 0, n - 1))
+        return cls(weights, diags, perms)
 
 
-def _check_outcomes(weights: np.ndarray, perms: np.ndarray) -> None:
-    """Weights finite and >= 0, and every perms row a permutation of
-    0..n-1: what ``_kraus_diagonals`` needs of them."""
+def _check_weights(weights: np.ndarray) -> None:
+    """Weights finite and >= 0, as ``_kraus_diagonals`` needs them."""
     if not np.all(np.isfinite(weights)) or np.any(weights < 0.0):
         raise ValueError("weights must be finite and >= 0")
-    n = perms.shape[1]
-    if np.any(np.sort(perms, axis=1) != np.arange(n)):
-        raise ValueError(f"a perms row is not a permutation of 0..{n - 1}")
 
 
 @dataclass(frozen=True)
@@ -163,21 +169,26 @@ def _agree(lam: ProbVector, mu: ProbVector) -> bool:
 def _kraus_diagonals(
     lam: ProbVector, mu: ProbVector, weights: np.ndarray, perms: np.ndarray
 ) -> np.ndarray:
-    """Row j is diag_jk = sqrt(weights[j] mu[perms[j, k]] / lam_k), the
-    Kraus diagonal of the outcome that relabels by perms[j] = sigma_j^{-1}.
+    """Row j is diag_jk = sqrt(weights[j] mu[perms[j, k]] / r_k), the
+    Kraus diagonal of the outcome that relabels by perms[j] = sigma_j^{-1},
+    where r_k = sum_j weights[j] mu[perms[j, k]] is the source that the
+    plan reconstructs.
 
-    The 0/0 -> 0 convention applies where lam_k = 0: support shrinkage
-    under majorization forces the numerator to vanish there too, which is
-    what keeps zero-padded ranks legal.  A mu within ZERO_TOL of lam
-    counts as lam itself, as in ``build_plan``, so the identity plan has
-    diagonal 1 on lam's support.
+    Dividing by r_k rather than lam_k makes the measurement complete to
+    rounding by construction, however small lam_k is; the distance from
+    lam to r shows in the outcome weights that ``validate`` recomputes.
+    Level k stays dark (diagonal 0) where lam_k = 0, since support
+    shrinkage under majorization leaves no mass there, and where r_k = 0.
+    A mu within ZERO_TOL of lam counts as lam itself, as in
+    ``build_plan``, so the identity plan has diagonal 1 on lam's support.
     """
     if _agree(lam, mu):
         mu = lam
     mass = weights[:, None] * mu.entries[perms]
-    live = lam.entries > 0.0
+    recon = mass.sum(axis=0)
+    live = (lam.entries > 0.0) & (recon > 0.0)
     diags = np.zeros_like(mass)
-    diags[:, live] = np.sqrt(mass[:, live] / lam.entries[live])
+    diags[:, live] = np.sqrt(mass[:, live] / recon[live])
     return diags
 
 
@@ -203,21 +214,24 @@ def synthesize(
             f"onto dead level {k}"
         )
     plan = MeasurementPlan(weights, _kraus_diagonals(lam, mu, weights, inverses), inverses)
-    _check_plan(plan, lam)
-    return plan
+    return _check_plan(plan, lam)
 
 
-def build_plan(lam: ProbVector, mu: ProbVector) -> MeasurementPlan:
-    """Plan converting lam into mu: the one-outcome identity plan when the
-    vectors agree within ZERO_TOL, else the measurement synthesized from
-    ``mixture_for``.  Raises ConversionImpossible when lam is not majorized
-    by mu."""
+def build_plan(
+    lam: ProbVector, mu: ProbVector, cuts: Sequence[int] = ()
+) -> MeasurementPlan:
+    """Validated plan converting lam into mu: the one-outcome identity plan
+    when the vectors agree within ZERO_TOL, else the measurement
+    synthesized from ``mixture_for``, which starts from the prefixes
+    ``cuts`` as tight.  Raises ConversionImpossible when lam is not
+    majorized by mu."""
     if len(lam) != len(mu):
         raise ValueError("pad vectors to a common length first")
     if _agree(lam, mu):
         weights, perms = np.ones(1), np.arange(len(lam))[None, :]
-        return MeasurementPlan(weights, _kraus_diagonals(lam, mu, weights, perms), perms)
-    return synthesize(lam, mu, mixture_for(lam, mu))
+        plan = MeasurementPlan(weights, _kraus_diagonals(lam, mu, weights, perms), perms)
+        return _check_plan(plan, lam)
+    return synthesize(lam, mu, mixture_for(lam, mu, cuts))
 
 
 def validate(plan: MeasurementPlan, lam: ProbVector) -> ValidationReport:
@@ -236,7 +250,8 @@ def validate(plan: MeasurementPlan, lam: ProbVector) -> ValidationReport:
     )
 
 
-def _check_plan(plan: MeasurementPlan, lam: ProbVector) -> None:
+def _check_plan(plan: MeasurementPlan, lam: ProbVector) -> MeasurementPlan:
+    """The plan, carrying its passed validation report."""
     report = validate(plan, lam)
     if not report.ok:
         raise InternalContradiction(
@@ -244,3 +259,6 @@ def _check_plan(plan: MeasurementPlan, lam: ProbVector) -> None:
             f"completeness {report.completeness_residual}, "
             f"weights {report.weight_residual}"
         )
+    # set once, before the plan leaves this module
+    object.__setattr__(plan, "validation", report)
+    return plan

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import locc_forge
-from helpers import random_probs, random_unitary, slack_pairs, t_chain
+from helpers import prefix_band_pairs, random_probs, random_unitary, slack_pairs, t_chain
 from locc_forge.cli import COMMANDS, load_instance, main
 from test_simulator import plant_offdiag_mass
 
@@ -56,7 +56,8 @@ class TestCheck:
     def test_unsorted_input_is_sorted(self, tmp_path, capsys):
         inst = {"schema_version": "1", "lam": [0.25, 0.75], "mu": [0.5, 0.5]}
         code, report, _ = run(capsys, ["check", "--in", write(tmp_path, inst)])
-        assert report["payload"]["lam"] == [0.75, 0.25]
+        # unsorted, lam's first prefix 0.25 would sit below mu's 0.5
+        assert report["payload"]["violation_prefix"] == 0
         assert report["verdict"] == "not_convertible"
 
 
@@ -232,6 +233,27 @@ class TestPlan:
         code, report, _ = run(capsys, ["plan", "--in", write(tmp_path, inst)])
         assert code == 0
         assert len(report["payload"]["plan"]["outcomes"]) == 1
+
+    @pytest.mark.parametrize("payload", [
+        EASY_PAIR,
+        {"schema_version": "1", "lam": [0.6, 0.4], "mu": [0.6, 0.4]},
+        json.loads((DATA / "report_n5.json").read_text()),
+    ])
+    def test_plan_is_validated_once(self, tmp_path, capsys, monkeypatch, payload):
+        # the report shows the validation that synthesis already ran
+        import locc_forge.protocol as protocol
+        validate = protocol.validate
+        calls = []
+
+        def counted(plan, lam):
+            calls.append(plan)
+            return validate(plan, lam)
+
+        monkeypatch.setattr(protocol, "validate", counted)
+        monkeypatch.setattr("locc_forge.cli.validate", counted)
+        code, report, _ = run(capsys, ["plan", "--in", write(tmp_path, payload)])
+        assert code == 0 and report["payload"]["validation"]["ok"] is True
+        assert len(calls) == 1
 
     def test_residuals_accompany_pass(self, tmp_path, capsys):
         _, report, _ = run(capsys, ["plan", "--in", write(tmp_path, EASY_PAIR)])
@@ -479,6 +501,21 @@ class TestOtherCommands:
         assert code == 0
         assert report["payload"]["p_max"] == pytest.approx(0.25, abs=1e-12)
         assert report["payload"]["l_star"] == 1
+
+    @pytest.mark.parametrize("command", ["check", "pmax"])
+    def test_report_size_does_not_grow_with_rank(self, tmp_path, capsys, command):
+        # the payload holds the verdict and its witness, not the vectors
+        rng = np.random.default_rng(4)
+        texts = []
+        for n in (4, 1024):
+            inst = {"schema_version": "1", "lam": random_probs(rng, n).to_json(),
+                    "mu": random_probs(rng, n).to_json()}
+            code, text = raw_run(capsys, [command, "--in", write(tmp_path, inst)])
+            assert code == 0
+            texts.append(text)
+        small, large = (json.loads(text) for text in texts)
+        assert set(small["payload"]) == set(large["payload"])
+        assert abs(len(texts[0]) - len(texts[1])) < 100
 
     def test_conclusive_reports_achieved_probability(self, tmp_path, capsys):
         inst = {"schema_version": "1", "lam": [0.9, 0.1], "mu": [0.6, 0.4], "m": 3}
@@ -799,6 +836,16 @@ class TestInputSlack:
             path = write(tmp_path, {"schema_version": "1", "lam": lam, "mu": mu})
             code, report, _ = run(capsys, [command, "--in", path])
             assert code == 0, (lam, mu, report)
+
+    @pytest.mark.parametrize("command", ["plan", "simulate", "conclusive"])
+    def test_prefix_band_exits_0(self, tmp_path, capsys, command):
+        # lam exceeds one prefix of mu by v <= UNIT_TOL: `check` calls such
+        # pairs convertible, so every route must run and verify
+        for v in (1e-11, 1e-10, 9e-10):
+            for lam, mu in prefix_band_pairs(v):
+                inst = {"schema_version": "1", "lam": lam.tolist(), "mu": mu.tolist()}
+                code, report, _ = run(capsys, [command, "--in", write(tmp_path, inst)])
+                assert code == 0, (v, lam, mu, report)
 
 
 class TestModuleEntry:

@@ -178,6 +178,22 @@ class TestIntermediateState:
             phi = GeneralizedSchmidtState.computational((len(lam),) * 2, mu)
             assert run_conclusive(psi, phi, plan).passed
 
+    @pytest.mark.parametrize("ranks", [range(2, 65), [256, 1024]])
+    def test_stage_is_cut_at_every_segment(self, ranks):
+        # lam and gamma share their prefix sums at every segment start, so
+        # the stage's relabelings keep each segment in place, and its walk,
+        # starting from len(segments) blocks, takes at most
+        # n - len(segments) + 1 steps
+        rng = np.random.default_rng(1999)
+        for n in ranks:
+            for _ in range(3 if n <= 64 else 1):
+                plan = intermediate_state(random_probs(rng, n), random_probs(rng, n))
+                stage = plan.deterministic_stage
+                assert len(stage.weights) <= n - len(plan.segments) + 1
+                for start, end, _ in plan.segments:
+                    block = stage.perms[:, start:end]
+                    assert np.all((block >= start) & (block < end)), (n, start, end)
+
     def test_rank_increase_rejected(self):
         with pytest.raises(ConversionImpossible):
             intermediate_state(

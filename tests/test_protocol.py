@@ -80,13 +80,21 @@ class TestSynthesize:
         mix = mixture_for(lam, mu)
         plan = synthesize(lam, mu, mix)
         assert len(plan.weights) == len(mix.terms)
-        for (p, sigma), weight, diag, perm in zip(
-            mix.terms, plan.weights, plan.diags, plan.perms
-        ):
+        inverses = []
+        for _, sigma in mix.terms:
             inv = [0] * n
             for i, j in enumerate(sigma):
                 inv[j] = i
-            expected = [np.sqrt(p * mu[inv[k]] / lam[k]) for k in range(n)]
+            inverses.append(inv)
+        # r_k, the source the plan reconstructs, summed in term order
+        recon = [0.0] * n
+        for (p, _), inv in zip(mix.terms, inverses):
+            for k in range(n):
+                recon[k] += p * mu[inv[k]]
+        for (p, _), inv, weight, diag, perm in zip(
+            mix.terms, inverses, plan.weights, plan.diags, plan.perms
+        ):
+            expected = [np.sqrt(p * mu[inv[k]] / recon[k]) for k in range(n)]
             assert weight == p
             assert perm.tolist() == inv
             np.testing.assert_array_equal(diag, expected)
