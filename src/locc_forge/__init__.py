@@ -33,7 +33,6 @@ from .protocol import (
     MeasurementPlan,
     ValidationReport,
     build_plan,
-    synthesize,
     validate,
 )
 from .simulator import (
@@ -84,7 +83,6 @@ __all__ = [
     "pmax",
     "run_conclusive",
     "run_protocol",
-    "synthesize",
     "tensor_power",
     "validate",
 ]

@@ -39,6 +39,7 @@ from .majorization import (
     first_violation,
     is_majorized,
     pad_to,
+    to_int,
 )
 from .probabilistic import (
     catalysis_search,
@@ -142,12 +143,12 @@ def load_instance(payload: dict) -> Instance:
     dims = payload.get("dims")
     try:
         if dims is not None:
-            dims = tuple(int(d) for d in dims)
-            if m is not None and int(m) != len(dims):
+            dims = tuple(to_int(d) for d in dims)
+            if m is not None and to_int(m) != len(dims):
                 raise InstanceError(f"m={m} but {len(dims)} dims given")
             m = len(dims)
         else:
-            m = 2 if m is None else int(m)
+            m = 2 if m is None else to_int(m)
             dims = tuple([max(n, 1)] * m)
     except (TypeError, ValueError, OverflowError) as exc:
         raise InstanceError(f"bad m or dims: {exc}") from exc
@@ -253,10 +254,12 @@ def cmd_plan(inst: Instance, args) -> dict:
         "residuals": {
             "completeness": report.completeness_residual,
             "weights": report.weight_residual,
+            "reconstruction": report.reconstruction_residual,
         },
         "tolerances": {
             "completeness": PLAN_TOL,
             "weights": PLAN_TOL,
+            "reconstruction": UNIT_TOL,
         },
         "pass": report.ok,
     }
@@ -264,15 +267,15 @@ def cmd_plan(inst: Instance, args) -> dict:
 
 def cmd_simulate(inst: Instance, args) -> dict:
     """With --plan, the rebuilt plan is validated as `plan` validates its
-    own: its diagonals make a complete measurement of any plan, so the
-    recomputed outcome weights tell a plan that does not fit the
-    instance."""
+    own: its diagonals make a complete measurement of any plan, so its
+    reconstruction of the source and the recomputed outcome weights tell a
+    plan that does not fit the instance."""
     psi, phi = _build_states(inst)
     payload = {}
     passed = True
     if args.plan is not None:
         plan = _load_plan(args.plan, psi.coeffs, phi.coeffs)
-        validation = validate(plan, psi.coeffs)
+        validation = validate(plan, psi.coeffs, phi.coeffs)
         payload["validation"] = validation.to_json()
         passed = validation.ok
     else:

@@ -29,12 +29,13 @@ class CapExceeded(LoccForgeError):
 
 
 class DecompositionFailed(LoccForgeError):
-    """The permutation-mixture walk did not reproduce its target; the message
-    names the stage, the rank, the steps taken and the residual."""
+    """The permutation-mixture walk left mass unplaced; the message names
+    the stage, the rank, the steps taken and the mass."""
 
 
 class InternalContradiction(LoccForgeError):
-    """A mixture term places weight where the source coefficient vanishes."""
+    """A plan that ``build_plan`` made failed its own validation; the
+    message names the residuals and the worst reconstructed level."""
 
 
 class ConstructionInvalid(LoccForgeError):

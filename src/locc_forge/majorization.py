@@ -4,7 +4,9 @@ mixtures that realize it.
 lam is majorized by mu exactly when lam lies in the permutohedron of mu,
 the convex hull of all rearrangements of mu (Rado 1952).  ``mixture_for``
 writes lam as a convex combination of at most n such rearrangements by
-walking down the faces of that polytope.
+walking down the faces of that polytope, and records each one as the
+relabeling sigma^{-1} with rearrangement mu[sigma^{-1}], the form in which
+a measurement plan carries it.
 
 Everything here is pure vector arithmetic; no quantum state ever appears.
 All values are immutable after construction and safe to share between
@@ -32,10 +34,9 @@ from .errors import ConversionImpossible, DecompositionFailed
 #   below it vanish; tail ratios within it tie; p * mu may exceed the
 #   conclusive waypoint by it.
 # UNIT_TOL: the allowance on order-1 quantities.  Input sums, majorization
-#   prefixes, mixture reconstruction, mass on a dead level, norms,
-#   unitarity, fidelities, branch probabilities, and the default product
-#   test of extract_gsd.
-# PLAN_TOL: completeness and outcome weights of a synthesized measurement,
+#   prefixes, plan reconstruction, norms, unitarity, fidelities, branch
+#   probabilities, and the default product test of extract_gsd.
+# PLAN_TOL: completeness and outcome weights of a measurement plan,
 #   and of the conclusive success/failure pair.
 # DEGENERACY_GAP: Schmidt coefficients closer than this are degenerate.
 ZERO_TOL = 1e-12
@@ -94,43 +95,32 @@ class ProbVector:
         raise AttributeError("ProbVector is immutable")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PermutationMixture:
-    """Convex mixture of permutations realizing lam = sum_j p_j * (sigma_j mu).
+    """Convex mixture of permutations realizing lam = sum_j p_j * mu[terms[j]].
 
-    Each term pairs a weight p_j with the forward image of sigma_j as a
-    tuple of ints: sigma_j mu puts mu[i] at level image[i].
+    weights (J,) holds p_j.  Row j of terms (J, n) is the relabeling
+    sigma_j^{-1}: level k of the j-th vertex holds mu[terms[j, k]], the
+    convention of ``MeasurementPlan.perms``.  Both arrays are read-only and
+    unchecked; ``protocol.validate`` checks the plan built from them,
+    reconstruction included.
     """
 
-    terms: tuple[tuple[float, tuple[int, ...]], ...]
-    n: int
+    weights: np.ndarray
+    terms: np.ndarray
 
-    def __post_init__(self):
-        if not self.terms:
-            raise ValueError("mixture needs at least one term")
-        total = 0.0
-        for p, perm in self.terms:
-            if p <= 0.0:
-                raise ValueError(f"nonpositive weight {p}")
-            if len(perm) != self.n:
-                raise ValueError("permutation dimension mismatch")
-            total += p
-        images = np.array([perm for _, perm in self.terms])
-        if np.any(np.sort(images, axis=1) != np.arange(self.n)):
-            raise ValueError(f"a term is not a permutation of 0..{self.n - 1}")
-        if abs(total - 1.0) > UNIT_TOL:
-            raise ValueError(f"weights sum to {total}")
-        if len(self.terms) > self.n:
-            raise ValueError(f"{len(self.terms)} terms exceed bound {self.n}")
 
-    def reconstruct(self, mu: ProbVector) -> np.ndarray:
-        """sum_j p_j * mu[sigma_j^{-1}(k)] as a plain array."""
-        out = np.zeros(self.n)
-        vertex = np.empty(self.n)
-        for p, perm in self.terms:
-            vertex[list(perm)] = mu.entries
-            out += p * vertex
-        return out
+def to_int(value) -> int:
+    """A count read from JSON: ints and integral floats such as 2.0 pass;
+    fractional and non-finite numbers raise ValueError, and strings,
+    booleans and anything else TypeError."""
+    if isinstance(value, bool) or not isinstance(
+        value, (int, float, np.integer, np.floating)
+    ):
+        raise TypeError(f"{value!r} is not a number")
+    if isinstance(value, (float, np.floating)) and not float(value).is_integer():
+        raise ValueError(f"{value!r} is not a whole number")
+    return int(value)
 
 
 def is_majorized(lam: ProbVector, mu: ProbVector) -> bool:
@@ -190,9 +180,13 @@ def mixture_for(
     costs one extra step of rounding-sized weight, which still cuts a
     block.
 
-    Terms are listed from the last vertex reached back to the first, which
-    puts the swap before the identity at n = 2, the order of the closed-form
-    two-level plan.
+    Each vertex is recorded as the relabeling sigma^{-1} that lays mu out
+    on it, vertex = mu[row], the convention of the plan that ``build_plan``
+    makes from the mixture.  Terms are listed from the last vertex reached
+    back to the first, which puts the swap before the identity at n = 2,
+    the order of the closed-form two-level plan.  Nothing here checks that
+    the terms rebuild lam: ``protocol.validate`` does, on the plan.
+    Raises DecompositionFailed when the walk leaves mass unplaced.
     """
     violation = first_violation(lam, mu)
     if violation is not None:
@@ -208,16 +202,20 @@ def mixture_for(
     start = np.maximum.accumulate(np.where(begins, np.arange(n), 0))
     rest = lam.entries.copy()
     mass = 1.0
-    terms: list[tuple[float, tuple[int, ...]]] = []
+    levels = np.arange(n)
+    weights: list[float] = []
+    rows: list[np.ndarray] = []
     steps = 0
     while mass > 0.0 and steps < n:
         steps += 1
         order = np.lexsort((-rest, start))
-        vertex = np.empty(n)
-        vertex[order] = mu.entries
+        row = np.empty(n, dtype=np.intp)
+        row[order] = levels  # sigma^{-1}: level order[i] takes mu[i]
+        vertex = mu.entries[row]
         step, cut = _largest_step(rest, mass, vertex, start, prefix)
         if step > 0.0:
-            terms.append((step, tuple(order.tolist())))
+            weights.append(step)
+            rows.append(row)
             rest -= step * vertex
             mass = 0.0 if step == mass else mass - step
         if cut is not None:
@@ -229,14 +227,10 @@ def mixture_for(
             f"mixture_for: n={n}, walk stopped after {steps} steps "
             f"with mass {mass:.3g} unplaced"
         )
-    mixture = PermutationMixture(tuple(reversed(terms)), n)
-    residual = float(np.max(np.abs(mixture.reconstruct(mu) - lam.entries)))
-    if residual > UNIT_TOL:
-        raise DecompositionFailed(
-            f"mixture_for: n={n}, {steps} steps, reconstruction residual "
-            f"{residual:.3g} exceeds UNIT_TOL {UNIT_TOL:g}"
-        )
-    return mixture
+    arrays = np.array(weights[::-1]), np.stack(rows[::-1])
+    for arr in arrays:
+        arr.setflags(write=False)
+    return PermutationMixture(*arrays)
 
 
 def _largest_step(rest, mass, vertex, start, prefix):

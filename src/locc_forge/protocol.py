@@ -1,18 +1,21 @@
-"""Synthesis and validation of the measurement that realizes a
-deterministic coefficient conversion lam -> mu.
+"""The measurement that realizes a deterministic coefficient conversion
+lam -> mu, and its validation.
 
-A plan is three arrays: the outcome weights p_j, one Kraus diagonal per
-outcome for party 0's measurement, diag_jk = sqrt(p_j mu[sigma_j^{-1}(k)] /
-r_k) with r_k = sum_j p_j mu[sigma_j^{-1}(k)] the source that the plan
-itself reconstructs, and one relabeling sigma_j^{-1} of the Schmidt levels
-that every party applies once outcome j is broadcast.  Plans are
-basis-free: they depend only on the two coefficient vectors and the
-permutation mixture connecting them, and no party basis ever enters.
-The diagonals follow from (lam, mu, weights, relabelings) by
-``_kraus_diagonals``, so a plan travels as its weights and relabelings
-alone.  The simulator runs a plan on each state's n diagonal Schmidt
-amplitudes, where a measurement outcome is a pointwise product and a
-relabeling a permutation.
+A plan is three arrays: the outcome weights p_j, one relabeling
+sigma_j^{-1} of the Schmidt levels per outcome, and one Kraus diagonal per
+outcome for party 0's measurement.  The weights and relabelings are the
+permutation mixture lam = sum_j p_j mu[sigma_j^{-1}] as ``mixture_for``
+writes it, row for row: level k of outcome j's target holds
+mu[perms[j, k]], so every party applies perms[j] once outcome j is
+broadcast.  The diagonals follow from (lam, mu, weights, relabelings) by
+``_kraus_diagonals``, diag_jk = sqrt(p_j mu[sigma_j^{-1}(k)] / r_k) with
+r_k = sum_j p_j mu[sigma_j^{-1}(k)] the source that the plan itself
+reconstructs, so a plan travels as its weights and relabelings alone.
+``validate`` checks every plan, built or read, the same way:
+completeness, outcome weights, and the reconstruction max_k |lam_k - r_k|.
+Plans are basis-free: no party basis ever enters.  The simulator runs a
+plan on each state's n diagonal Schmidt amplitudes, where a measurement
+outcome is a pointwise product and a relabeling a permutation.
 """
 
 from __future__ import annotations
@@ -24,12 +27,12 @@ import numpy as np
 
 from .errors import InternalContradiction
 from .majorization import (
-    PermutationMixture,
     PLAN_TOL,
     ProbVector,
     UNIT_TOL,
     ZERO_TOL,
     mixture_for,
+    to_int,
 )
 
 
@@ -102,8 +105,8 @@ class MeasurementPlan:
         """Read the weights and relabelings of ``to_json`` and rebuild the
         diagonals for lam -> mu.  An outcome with any other key is refused.
         The plan is not checked against the pair; ``validate`` shows a plan
-        that does not fit it by its outcome weights."""
-        n = int(payload["n"])
+        that does not fit it by its reconstruction and outcome weights."""
+        n = to_int(payload["n"])
         if n != len(lam):
             raise ValueError(f"plan dimension {n} does not match instance rank {len(lam)}")
         rows = payload["outcomes"]
@@ -134,29 +137,32 @@ def _check_weights(weights: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Numeric audit of a plan against a source coefficient vector."""
+    """Numeric audit of a plan against the pair lam -> mu."""
 
     completeness_residual: float
-    outcome_probabilities: tuple[float, ...]
     weight_residual: float
+    reconstruction_residual: float
     probability_sum: float
     completeness_ok: bool
     weights_ok: bool
+    reconstruction_ok: bool
 
     @property
     def ok(self) -> bool:
-        return self.completeness_ok and self.weights_ok
+        return self.completeness_ok and self.weights_ok and self.reconstruction_ok
 
     def to_json(self) -> dict:
         return {
             "completeness_residual": self.completeness_residual,
-            "outcome_probabilities": list(self.outcome_probabilities),
             "weight_residual": self.weight_residual,
+            "reconstruction_residual": self.reconstruction_residual,
             "probability_sum": self.probability_sum,
             "completeness_ok": self.completeness_ok,
             "weights_ok": self.weights_ok,
+            "reconstruction_ok": self.reconstruction_ok,
             "completeness_tol": PLAN_TOL,
             "weight_tol": PLAN_TOL,
+            "reconstruction_tol": UNIT_TOL,
             "ok": self.ok,
         }
 
@@ -175,8 +181,8 @@ def _kraus_diagonals(
     plan reconstructs.
 
     Dividing by r_k rather than lam_k makes the measurement complete to
-    rounding by construction, however small lam_k is; the distance from
-    lam to r shows in the outcome weights that ``validate`` recomputes.
+    rounding by construction, however small lam_k is; ``validate`` checks
+    the distance from lam to r, which also shows in the outcome weights.
     Level k stays dark (diagonal 0) where lam_k = 0, since support
     shrinkage under majorization leaves no mass there, and where r_k = 0.
     A mu within ZERO_TOL of lam counts as lam itself, as in
@@ -192,73 +198,60 @@ def _kraus_diagonals(
     return diags
 
 
-def synthesize(
-    lam: ProbVector, mu: ProbVector, mix: PermutationMixture
-) -> MeasurementPlan:
-    """The validated measurement of a permutation mixture: weights p_j,
-    relabelings sigma_j^{-1} and the diagonals of ``_kraus_diagonals``."""
-    n = len(lam)
-    if len(mu) != n or mix.n != n:
-        raise ValueError("dimension mismatch between vectors and mixture")
-    weights = np.array([p for p, _ in mix.terms])
-    images = np.array([sigma for _, sigma in mix.terms])
-    inverses = np.argsort(images, axis=1)  # row j is sigma_j^{-1}
-    # more than UNIT_TOL of mass on a dead level cannot come from a valid
-    # decomposition
-    dead = np.flatnonzero(lam.entries == 0.0)
-    hits = np.argwhere(weights[:, None] * mu.entries[inverses[:, dead]] > UNIT_TOL)
-    if hits.size:
-        j, k = int(hits[0, 0]), int(dead[hits[0, 1]])
-        raise InternalContradiction(
-            f"term weight {mix.terms[j][0]} maps mass {mu[inverses[j, k]]} "
-            f"onto dead level {k}"
-        )
-    plan = MeasurementPlan(weights, _kraus_diagonals(lam, mu, weights, inverses), inverses)
-    return _check_plan(plan, lam)
-
-
 def build_plan(
     lam: ProbVector, mu: ProbVector, cuts: Sequence[int] = ()
 ) -> MeasurementPlan:
     """Validated plan converting lam into mu: the one-outcome identity plan
-    when the vectors agree within ZERO_TOL, else the measurement
-    synthesized from ``mixture_for``, which starts from the prefixes
-    ``cuts`` as tight.  Raises ConversionImpossible when lam is not
-    majorized by mu."""
+    when the vectors agree within ZERO_TOL, else the weights and
+    relabelings of ``mixture_for``, which starts from the prefixes ``cuts``
+    as tight.  The plan carries its passed ``validate`` report.  Raises
+    ConversionImpossible when lam is not majorized by mu, and
+    InternalContradiction when the plan fails validation."""
     if len(lam) != len(mu):
         raise ValueError("pad vectors to a common length first")
     if _agree(lam, mu):
         weights, perms = np.ones(1), np.arange(len(lam))[None, :]
-        plan = MeasurementPlan(weights, _kraus_diagonals(lam, mu, weights, perms), perms)
-        return _check_plan(plan, lam)
-    return synthesize(lam, mu, mixture_for(lam, mu, cuts))
-
-
-def validate(plan: MeasurementPlan, lam: ProbVector) -> ValidationReport:
-    """Recompute completeness and outcome probabilities; never raises."""
-    support = lam.entries > 0.0
-    completeness = plan.completeness_residual(support)
-    probs = np.sum(lam.entries * plan.diags**2, axis=1)
-    weight_residual = np.max(np.abs(probs - plan.weights), initial=0.0)
-    return ValidationReport(
-        completeness_residual=float(completeness),
-        outcome_probabilities=tuple(probs.tolist()),
-        weight_residual=float(weight_residual),
-        probability_sum=float(sum(probs)),
-        completeness_ok=bool(completeness <= PLAN_TOL),
-        weights_ok=bool(weight_residual <= PLAN_TOL),
-    )
-
-
-def _check_plan(plan: MeasurementPlan, lam: ProbVector) -> MeasurementPlan:
-    """The plan, carrying its passed validation report."""
-    report = validate(plan, lam)
+    else:
+        mix = mixture_for(lam, mu, cuts)
+        weights, perms = mix.weights, mix.terms
+    plan = MeasurementPlan(weights, _kraus_diagonals(lam, mu, weights, perms), perms)
+    report = validate(plan, lam, mu)
     if not report.ok:
+        recon = _reconstruction(plan, mu)
+        k = int(np.argmax(np.abs(recon - lam.entries)))
         raise InternalContradiction(
-            "synthesized plan failed validation: "
+            "built plan failed validation: "
             f"completeness {report.completeness_residual}, "
-            f"weights {report.weight_residual}"
+            f"weights {report.weight_residual}, "
+            f"reconstruction {report.reconstruction_residual} at level {k} "
+            f"(lam_k {lam[k]}, r_k {recon[k]})"
         )
     # set once, before the plan leaves this module
     object.__setattr__(plan, "validation", report)
     return plan
+
+
+def _reconstruction(plan: MeasurementPlan, mu: ProbVector) -> np.ndarray:
+    """r_k = sum_j p_j mu[perms[j, k]], the source vector the plan rebuilds."""
+    return np.sum(plan.weights[:, None] * mu.entries[plan.perms], axis=0)
+
+
+def validate(plan: MeasurementPlan, lam: ProbVector, mu: ProbVector) -> ValidationReport:
+    """Recompute completeness, the outcome probabilities and the
+    reconstruction r of lam; never raises.  Completeness and the weights
+    are checked to PLAN_TOL, max_k |lam_k - r_k| to UNIT_TOL.  Mass on a
+    level with lam_k = 0 shows in the reconstruction."""
+    support = lam.entries > 0.0
+    completeness = plan.completeness_residual(support)
+    probs = np.sum(lam.entries * plan.diags**2, axis=1)
+    weight_residual = np.max(np.abs(probs - plan.weights), initial=0.0)
+    reconstruction = np.max(np.abs(_reconstruction(plan, mu) - lam.entries))
+    return ValidationReport(
+        completeness_residual=float(completeness),
+        weight_residual=float(weight_residual),
+        reconstruction_residual=float(reconstruction),
+        probability_sum=float(sum(probs)),
+        completeness_ok=bool(completeness <= PLAN_TOL),
+        weights_ok=bool(weight_residual <= PLAN_TOL),
+        reconstruction_ok=bool(reconstruction <= UNIT_TOL),
+    )

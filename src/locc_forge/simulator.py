@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapExceeded, ZeroBranch
-from .majorization import DEGENERACY_GAP, UNIT_TOL, ZERO_TOL, ProbVector
+from .majorization import DEGENERACY_GAP, UNIT_TOL, ZERO_TOL, ProbVector, to_int
 from .protocol import MeasurementPlan
 
 MAX_PARTIES = 6
@@ -52,7 +52,7 @@ class DenseState:
     __slots__ = ("amplitudes", "dims")
 
     def __init__(self, amplitudes, dims):
-        dims = tuple(int(d) for d in dims)
+        dims = tuple(to_int(d) for d in dims)
         _check_caps(dims)
         amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
         expected = int(np.prod(dims))
@@ -114,7 +114,7 @@ class GeneralizedSchmidtState:
     __slots__ = ("m", "dims", "coeffs", "bases")
 
     def __init__(self, dims, coeffs: ProbVector, bases):
-        dims = tuple(int(d) for d in dims)
+        dims = tuple(to_int(d) for d in dims)
         if len(dims) < 2:
             raise ValueError("need at least two parties")
         _check_caps(dims)

@@ -53,6 +53,18 @@ def brute_force_pmax(lam, mu) -> float:
     return min(max(best, 0.0), 1.0)
 
 
+def loop_reconstruct(weights, rows, mu) -> np.ndarray:
+    """sum_j weights[j] * mu[rows[j][k]] at every level k, summed in plain
+    loops: the source that a mixture, or a plan's weights and relabelings,
+    rebuilds."""
+    b = [float(x) for x in mu]
+    recon = [0.0] * len(b)
+    for p, row in zip(np.asarray(weights).tolist(), np.asarray(rows).tolist()):
+        for k, src in enumerate(row):
+            recon[k] += p * b[src]
+    return np.array(recon)
+
+
 def loop_min_tail_ratio(e_lam, e_mu, end: int) -> tuple[float, int]:
     """The tail-ratio scan as a plain loop over l < end: ratio
     (e_lam[l]-e_lam[end])/(e_mu[l]-e_mu[end]), zero denominators skipped,

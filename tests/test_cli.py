@@ -115,6 +115,18 @@ class TestExitCodes:
            '"dims": [3, 3], "bases": [[[1, 0, 0], [0, 1, 0], [0, 0, 2]], '
            '[[1, 0, 0], [0, 1, 0], [0, 0, 1]]]}', "not unitary")
           for command in ("simulate", "conclusive")),
+        # counts must be whole numbers: no truncation, no strings, no booleans
+        ("check", '{"schema_version": "1", "lam": [0.5, 0.5], "mu": [0.5, 0.5], '
+         '"dims": [2.5, 2]}', "bad m or dims: 2.5 is not a whole number"),
+        ("check", '{"schema_version": "1", "lam": [0.5, 0.5], "mu": [0.5, 0.5], '
+         '"m": 2.7}', "bad m or dims: 2.7 is not a whole number"),
+        ("check", '{"schema_version": "1", "lam": [0.5, 0.5], "mu": [0.5, 0.5], '
+         '"dims": ["2", "2"]}', "bad m or dims: '2' is not a number"),
+        ("check", '{"schema_version": "1", "lam": [0.5, 0.5], "mu": [0.5, 0.5], '
+         '"dims": [true, 2]}', "bad m or dims: True is not a number"),
+        ("extract-gsd", '{"schema_version": "1", "state": {"dims": [2.5, 2.9], '
+         '"re": [1, 0, 0, 0], "im": [0, 0, 0, 0]}}',
+         "bad dense state: 2.5 is not a whole number"),
     ])
     def test_malformed_instance_exits_2(self, tmp_path, capsys, command, text, message):
         path = tmp_path / "inst.json"
@@ -245,9 +257,9 @@ class TestPlan:
         validate = protocol.validate
         calls = []
 
-        def counted(plan, lam):
+        def counted(plan, lam, mu):
             calls.append(plan)
-            return validate(plan, lam)
+            return validate(plan, lam, mu)
 
         monkeypatch.setattr(protocol, "validate", counted)
         monkeypatch.setattr("locc_forge.cli.validate", counted)
@@ -406,6 +418,44 @@ class TestSimulate:
         assert code == 5
         assert report["pass"] is False and report["verdict"] == "fail"
         assert report["payload"]["validation"]["ok"] is False
+
+    @pytest.mark.parametrize("n, message", [
+        (2.7, "2.7 is not a whole number"),
+        ("2", "'2' is not a number"),
+        (True, "True is not a number"),
+    ])
+    def test_plan_rank_must_be_whole(self, tmp_path, capsys, n, message):
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps({"n": n, "outcomes": [{"p": 1.0, "perm": [0, 1]}]}))
+        code, report, _ = run(capsys, [
+            "simulate", "--in", write(tmp_path, EASY_PAIR), "--plan", str(plan_path)])
+        assert code == 2
+        assert report["error"]["message"] == f"bad plan payload: {message}"
+
+    def test_integral_float_counts_are_read(self, tmp_path, capsys):
+        inst = dict(EASY_PAIR, dims=[2.0, 3], m=2.0)
+        code, report, _ = run(capsys, ["plan", "--in", write(tmp_path, inst)])
+        assert code == 0
+        plan_path = tmp_path / "plan.json"
+        plan = dict(report["payload"]["plan"], n=2.0)
+        plan_path.write_text(json.dumps(plan))
+        code, _, _ = run(capsys, [
+            "simulate", "--in", write(tmp_path, inst), "--plan", str(plan_path)])
+        assert code == 0
+
+    def test_plan_that_misses_the_source_fails_validation(self, tmp_path, capsys):
+        # completeness and weights hold: each diagonal is 1 on lam's support;
+        # only the reconstruction r = mu = [0.5, 0.5] of lam = [1, 0] fails
+        inst = {"schema_version": "1", "lam": [1.0, 0.0], "mu": [0.5, 0.5]}
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps({"n": 2, "outcomes": [{"p": 1, "perm": [0, 1]}]}))
+        code, report, _ = run(capsys, [
+            "simulate", "--in", write(tmp_path, inst), "--plan", str(plan_path)])
+        assert code == 5 and report["pass"] is False
+        validation = report["payload"]["validation"]
+        assert validation["completeness_ok"] and validation["weights_ok"]
+        assert validation["reconstruction_residual"] == 0.5
+        assert validation["reconstruction_ok"] is False and validation["ok"] is False
 
     def test_plan_accepts_full_report(self, tmp_path, capsys):
         inst_path = write(tmp_path, EASY_PAIR)

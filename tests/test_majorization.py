@@ -3,18 +3,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import prefix_sum_majorized, random_doubly_stochastic, random_probs, t_chain
+from helpers import (
+    loop_reconstruct,
+    prefix_sum_majorized,
+    random_doubly_stochastic,
+    random_probs,
+    t_chain,
+)
 from locc_forge import (
     ConversionImpossible,
-    DecompositionFailed,
-    PermutationMixture,
+    InternalContradiction,
     ProbVector,
+    build_plan,
     first_violation,
     is_majorized,
     mixture_for,
     pad_to,
 )
 from locc_forge.probabilistic import _tails
+
+
+def rounded_terms(mix) -> list[tuple[float, tuple[int, ...]]]:
+    """(weight to 12 digits, relabeling row) per mixture term, in order."""
+    return [(round(p, 12), tuple(row))
+            for p, row in zip(mix.weights.tolist(), mix.terms.tolist())]
+
+
+def reconstruction_error(mix, lam, mu) -> float:
+    """max_k |lam_k - sum_j p_j mu[terms[j, k]]| by the plain-loop oracle."""
+    return float(np.max(np.abs(loop_reconstruct(mix.weights, mix.terms, mu) - lam.entries)))
 
 
 @st.composite
@@ -136,21 +153,19 @@ class TestHlpMatrix:
     def test_equal_vectors_give_identity(self):
         v = ProbVector([0.6, 0.4])
         mix = mixture_for(v, v)
-        assert len(mix.terms) == 1
-        assert mix.terms[0][0] == 1.0 and mix.terms[0][1] == (0, 1)
+        assert mix.weights.tolist() == [1.0] and mix.terms.tolist() == [[0, 1]]
 
     def test_unique_2x2_solution(self):
         # the only mixture at n = 2 is half identity, half swap; swap first
         mix = mixture_for(ProbVector([0.5, 0.5]), ProbVector([0.75, 0.25]))
-        got = [(round(p, 12), perm) for p, perm in mix.terms]
-        assert got == [(0.5, (1, 0)), (0.5, (0, 1))]
+        assert rounded_terms(mix) == [(0.5, (1, 0)), (0.5, (0, 1))]
 
     def test_3x3_maps_target_to_source(self):
         lam = ProbVector([0.5, 0.3, 0.2])
         mu = ProbVector([0.6, 0.3, 0.1])
         mix = mixture_for(lam, mu)
-        assert np.max(np.abs(mix.reconstruct(mu) - lam.entries)) < 1e-9
-        assert sum(p for p, _ in mix.terms) == pytest.approx(1.0, abs=1e-9)
+        assert reconstruction_error(mix, lam, mu) < 1e-9
+        assert np.sum(mix.weights) == pytest.approx(1.0, abs=1e-9)
         assert len(mix.terms) <= 3
 
     def test_not_majorized_raises(self):
@@ -162,7 +177,7 @@ class TestHlpMatrix:
         lam = ProbVector([0.4, 0.3, 0.2, 0.1])
         mu = ProbVector([0.5, 0.25, 0.25, 0.0])
         mix = mixture_for(lam, mu)
-        assert np.max(np.abs(mix.reconstruct(mu) - lam.entries)) < 1e-9
+        assert reconstruction_error(mix, lam, mu) < 1e-9
 
 
 class TestBirkhoff:
@@ -171,14 +186,11 @@ class TestBirkhoff:
     def test_identity_matrix(self):
         v = ProbVector([0.5, 0.3, 0.2])
         mix = mixture_for(v, v)
-        assert len(mix.terms) == 1
-        weight, perm = mix.terms[0]
-        assert weight == pytest.approx(1.0) and perm == (0, 1, 2)
+        assert rounded_terms(mix) == [(1.0, (0, 1, 2))]
 
     def test_2x2_even_mix(self):
         mix = mixture_for(ProbVector([0.5, 0.5]), ProbVector([1.0, 0.0]))
-        got = {(round(p, 12), perm) for p, perm in mix.terms}
-        assert got == {(0.5, (0, 1)), (0.5, (1, 0))}
+        assert set(rounded_terms(mix)) == {(0.5, (0, 1)), (0.5, (1, 0))}
 
     def test_random_4x4_term_bound(self):
         rng = np.random.default_rng(42)
@@ -188,36 +200,35 @@ class TestBirkhoff:
             lam = ProbVector(d @ mu.entries)
             mix = mixture_for(lam, mu)
             assert len(mix.terms) <= 4
-            assert np.max(np.abs(mix.reconstruct(mu) - lam.entries)) < 1e-12
+            assert reconstruction_error(mix, lam, mu) < 1e-12
 
     def test_broken_input_fails_cleanly(self):
         # entries summing to 1.2 slip past the prefix test but cannot be
-        # reconstructed; the error names the stage and its numbers
+        # reconstructed; the plan's validation names the worst level
         bad = ProbVector.__new__(ProbVector)
         object.__setattr__(bad, "_entries", np.array([0.6, 0.6]))
-        with pytest.raises(DecompositionFailed) as err:
-            mixture_for(bad, ProbVector([0.8, 0.2]))
+        with pytest.raises(InternalContradiction) as err:
+            build_plan(bad, ProbVector([0.8, 0.2]))
         message = str(err.value)
-        assert "mixture_for" in message and "n=2" in message
-        assert "residual" in message and "UNIT_TOL 1e-09" in message
+        assert "reconstruction 0.19999999999999996 at level 0" in message
+        assert "(lam_k 0.6, r_k 0.4)" in message
 
 
 class TestMixtureFor:
     def test_equal_vectors(self):
         v = ProbVector([0.7, 0.3])
         mix = mixture_for(v, v)
-        assert len(mix.terms) == 1 and mix.terms[0][1] == (0, 1)
+        assert mix.terms.tolist() == [[0, 1]]
 
     def test_2x2_frozen(self):
         mix = mixture_for(ProbVector([0.5, 0.5]), ProbVector([0.75, 0.25]))
-        got = {(round(p, 12), perm) for p, perm in mix.terms}
-        assert got == {(0.5, (0, 1)), (0.5, (1, 0))}
+        assert set(rounded_terms(mix)) == {(0.5, (0, 1)), (0.5, (1, 0))}
 
     def test_3x3_reconstructs(self):
         lam = ProbVector([0.5, 0.3, 0.2])
         mu = ProbVector([0.6, 0.3, 0.1])
         mix = mixture_for(lam, mu)
-        assert np.max(np.abs(mix.reconstruct(mu) - lam.entries)) < 1e-9
+        assert reconstruction_error(mix, lam, mu) < 1e-9
 
     def test_propagates_impossibility(self):
         with pytest.raises(ConversionImpossible):
@@ -232,24 +243,27 @@ class TestPermutohedronWalk:
             lam = t_chain(rng, mu, transforms=4 * n)
             mix = mixture_for(lam, mu)
             assert len(mix.terms) <= n
-            assert np.max(np.abs(mix.reconstruct(mu) - lam.entries)) <= 1e-12
+            assert reconstruction_error(mix, lam, mu) <= 1e-12
 
 
-class TestMixtureInvariants:
-    def test_term_count_enforced(self):
-        # three positive terms at n = 2 exceed the bound of n terms
-        terms = tuple((1 / 3, (0, 1)) for _ in range(3))
-        with pytest.raises(ValueError, match="exceed bound 2"):
-            PermutationMixture(terms, 2)
+class TestMixtureArrays:
+    def test_weights_and_relabelings_are_read_only_arrays(self):
+        mix = mixture_for(ProbVector([0.5, 0.3, 0.2]), ProbVector([0.6, 0.3, 0.1]))
+        assert mix.terms.shape == (len(mix.weights), 3)
+        for arr in (mix.weights, mix.terms):
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
-    @pytest.mark.parametrize("perm", [(0, 0), (1, 2)])
-    def test_terms_must_be_permutations(self, perm):
-        with pytest.raises(ValueError, match="not a permutation of 0..1"):
-            PermutationMixture(((1.0, perm),), 2)
-
-    def test_weights_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            PermutationMixture(((0.5, (0, 1)),), 2)
+    def test_rows_are_inverse_relabelings(self):
+        # vertex j puts mu[terms[j, k]] at level k; here the walk takes a
+        # 3-cycle, so reading the rows as forward images misses lam
+        lam, mu = ProbVector([0.4, 0.35, 0.25]), ProbVector([0.7, 0.2, 0.1])
+        mix = mixture_for(lam, mu)
+        images = np.argsort(mix.terms, axis=1)
+        assert np.any(images != mix.terms)
+        assert reconstruction_error(mix, lam, mu) < 1e-15
+        forward = loop_reconstruct(mix.weights, images, mu)
+        assert np.max(np.abs(forward - lam.entries)) > 0.1
 
 
 @settings(max_examples=100, deadline=None)
@@ -327,5 +341,5 @@ def test_mixture_pipeline_invariants(pair):
     mix = mixture_for(lam, mu)
     n = len(lam)
     assert len(mix.terms) <= n
-    assert sum(p for p, _ in mix.terms) == pytest.approx(1.0, abs=1e-9)
-    assert np.max(np.abs(mix.reconstruct(mu) - lam.entries)) < 1e-9
+    assert np.sum(mix.weights) == pytest.approx(1.0, abs=1e-9)
+    assert reconstruction_error(mix, lam, mu) < 1e-9

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from helpers import random_probs, slack_pairs, t_chain
+from helpers import loop_reconstruct, random_probs, slack_pairs, t_chain
 from locc_forge import (
     ConversionImpossible,
     InternalContradiction,
@@ -12,17 +12,19 @@ from locc_forge import (
     build_plan,
     mixture_for,
     pad_to,
-    synthesize,
     validate,
 )
 from test_majorization import majorized_pairs
 
 
 class TestSynthesize:
+    """Plans that build_plan makes from the walk's weights and relabelings.
+    The class keeps the name of the function it first tested, so that its
+    test ids stay stable."""
+
     def test_trivial_identity(self):
         v = ProbVector([0.6, 0.4])
-        mix = mixture_for(v, v)
-        plan = synthesize(v, v, mix)
+        plan = build_plan(v, v)
         assert plan.weights.tolist() == [pytest.approx(1.0)]
         assert plan.diags.tolist() == [[1.0, 1.0]]
         assert plan.perms.tolist() == [[0, 1]]
@@ -30,10 +32,8 @@ class TestSynthesize:
     def test_frozen_2x2_example(self):
         lam = ProbVector([0.5, 0.5])
         mu = ProbVector([0.75, 0.25])
-        mix = PermutationMixture(
-            ((0.5, (0, 1)), (0.5, (1, 0))), 2
-        )
-        plan = synthesize(lam, mu, mix)
+        plan = build_plan(lam, mu)
+        assert plan.perms.tolist() == [[1, 0], [0, 1]]
         diags = {tuple(np.round(diag, 12)) for diag in plan.diags}
         expected = {
             (round(np.sqrt(0.75), 12), round(np.sqrt(0.25), 12)),
@@ -45,32 +45,31 @@ class TestSynthesize:
     def test_completeness_is_enforced_invariant(self):
         lam = ProbVector([0.5, 0.3, 0.2])
         mu = ProbVector([0.6, 0.3, 0.1])
-        plan = synthesize(lam, mu, mixture_for(lam, mu))
+        plan = build_plan(lam, mu)
         assert plan.completeness_residual(lam.entries > 0) < 1e-10
 
-    def test_contradictory_mixture_rejected(self):
-        # mass moved onto a dead source level violates the mixture identity
-        lam = ProbVector([1.0, 0.0])
-        mu = ProbVector([0.5, 0.5])
-        bogus = PermutationMixture(((1.0, (0, 1)),), 2)
-        with pytest.raises(InternalContradiction):
-            synthesize(lam, mu, bogus)
-
-    def test_first_dead_level_is_named(self):
-        # term 0 moves mass onto dead level 3 only, term 1 onto levels 2 and
-        # 3: the scan is term by term, level by level
-        lam = ProbVector([0.5, 0.5, 0.0, 0.0])
-        mu = ProbVector([0.5, 0.25, 0.25, 0.0])
-        bogus = PermutationMixture(
-            (
-                (0.7, (0, 3, 1, 2)),  # inverses of (0, 2, 3, 1) and (0, 3, 1, 2)
-                (0.3, (0, 2, 3, 1)),
-            ),
-            4,
-        )
+    def test_mass_on_a_dead_level_fails_reconstruction(self, monkeypatch):
+        # r = mu: the identity term puts 0.5 on level 1, where lam_1 = 0,
+        # and level 0 misses lam_0 by as much; the first worst level is named
+        bogus = PermutationMixture(np.ones(1), np.array([[0, 1]]))
+        monkeypatch.setattr("locc_forge.protocol.mixture_for", lambda *_: bogus)
         with pytest.raises(InternalContradiction) as err:
-            synthesize(lam, mu, bogus)
-        assert str(err.value) == "term weight 0.7 maps mass 0.25 onto dead level 3"
+            build_plan(ProbVector([1.0, 0.0]), ProbVector([0.5, 0.5]))
+        assert str(err.value) == (
+            "built plan failed validation: completeness 0.0, weights 0.0, "
+            "reconstruction 0.5 at level 0 (lam_k 1.0, r_k 0.5)"
+        )
+
+    def test_worst_reconstructed_level_is_named(self, monkeypatch):
+        # r = [0.5, 0.175, 0.075, 0.25] against lam = [0.5, 0.5, 0, 0]: two
+        # dead levels get mass, but live level 1 misses lam by the most
+        bogus = PermutationMixture(
+            np.array([0.7, 0.3]), np.array([[0, 2, 3, 1], [0, 3, 1, 2]])
+        )
+        monkeypatch.setattr("locc_forge.protocol.mixture_for", lambda *_: bogus)
+        with pytest.raises(InternalContradiction) as err:
+            build_plan(ProbVector([0.5, 0.5, 0.0, 0.0]), ProbVector([0.5, 0.25, 0.25, 0.0]))
+        assert "at level 1 (lam_k 0.5, r_k 0.175" in str(err.value)
 
     def test_matches_scalar_formula_at_rank_512(self):
         rng = np.random.default_rng(512)
@@ -78,21 +77,13 @@ class TestSynthesize:
         mu = random_probs(rng, n)
         lam = t_chain(rng, mu, 4 * n)
         mix = mixture_for(lam, mu)
-        plan = synthesize(lam, mu, mix)
+        plan = build_plan(lam, mu)
         assert len(plan.weights) == len(mix.terms)
-        inverses = []
-        for _, sigma in mix.terms:
-            inv = [0] * n
-            for i, j in enumerate(sigma):
-                inv[j] = i
-            inverses.append(inv)
+        inverses = mix.terms.tolist()
         # r_k, the source the plan reconstructs, summed in term order
-        recon = [0.0] * n
-        for (p, _), inv in zip(mix.terms, inverses):
-            for k in range(n):
-                recon[k] += p * mu[inv[k]]
-        for (p, _), inv, weight, diag, perm in zip(
-            mix.terms, inverses, plan.weights, plan.diags, plan.perms
+        recon = loop_reconstruct(mix.weights, inverses, mu).tolist()
+        for p, inv, weight, diag, perm in zip(
+            mix.weights.tolist(), inverses, plan.weights, plan.diags, plan.perms
         ):
             expected = [np.sqrt(p * mu[inv[k]] / recon[k]) for k in range(n)]
             assert weight == p
@@ -102,7 +93,7 @@ class TestSynthesize:
     def test_padded_zero_levels_are_legal(self):
         lam = ProbVector([0.7, 0.3, 0.0])
         mu = ProbVector([0.8, 0.2, 0.0])
-        plan = synthesize(lam, mu, mixture_for(lam, mu))
+        plan = build_plan(lam, mu)
         assert np.all(plan.diags[:, 2] == 0.0)
 
 
@@ -150,19 +141,19 @@ class TestQubitFastPath:
 class TestValidate:
     def test_trivial_plan(self):
         v = ProbVector([0.6, 0.4])
-        plan = synthesize(v, v, mixture_for(v, v))
-        report = validate(plan, v)
+        plan = build_plan(v, v)
+        report = validate(plan, v, v)
         assert report.completeness_residual == pytest.approx(0.0, abs=1e-15)
-        assert report.outcome_probabilities[0] == pytest.approx(1.0)
+        assert plan.weights.tolist() == [1.0]
+        assert report.weight_residual == pytest.approx(0.0, abs=1e-15)
         assert report.ok
 
     def test_qubit_probabilities(self):
-        lam = ProbVector([0.6, 0.4])
-        plan = build_plan(lam, ProbVector([0.8, 0.2]))
-        report = validate(plan, lam)
-        np.testing.assert_allclose(
-            report.outcome_probabilities, [1 / 3, 2 / 3], atol=1e-12
-        )
+        lam, mu = ProbVector([0.6, 0.4]), ProbVector([0.8, 0.2])
+        plan = build_plan(lam, mu)
+        report = validate(plan, lam, mu)
+        np.testing.assert_allclose(plan.weights, [1 / 3, 2 / 3], atol=1e-12)
+        assert report.weight_residual <= 1e-15
 
     def test_perturbed_plan_fails_flags_without_raising(self):
         lam = ProbVector([0.6, 0.4])
@@ -170,15 +161,16 @@ class TestValidate:
         bad_diags = plan.diags.copy()
         bad_diags[0, 0] += 1e-3
         tampered = MeasurementPlan(plan.weights, bad_diags, plan.perms)
-        report = validate(tampered, lam)
+        report = validate(tampered, lam, ProbVector([0.8, 0.2]))
         assert not report.ok
         assert not report.completeness_ok
 
     def test_report_carries_tolerances(self):
         v = ProbVector([1.0])
-        plan = synthesize(v, v, mixture_for(v, v))
-        payload = validate(plan, v).to_json()
-        assert "completeness_tol" in payload and "weight_tol" in payload
+        plan = build_plan(v, v)
+        payload = validate(plan, v, v).to_json()
+        assert {"completeness_tol", "weight_tol", "reconstruction_tol"} <= set(payload)
+        assert "outcome_probabilities" not in payload
 
 
 class TestPlanJson:
@@ -237,7 +229,7 @@ class TestPlanArrays:
 @given(majorized_pairs())
 def test_synthesized_plan_properties(pair):
     lam, mu = pair
-    plan = synthesize(lam, mu, mixture_for(lam, mu))
+    plan = build_plan(lam, mu)
     # weights form a distribution
     assert np.sum(plan.weights) == pytest.approx(1.0, abs=1e-10)
     # completeness on the support of lam
@@ -274,8 +266,9 @@ def _assert_walk_plan(lam, mu):
     """At most n terms, reconstruction within 1e-12, and a valid plan."""
     mix = mixture_for(lam, mu)
     assert len(mix.terms) <= len(lam)
-    assert np.max(np.abs(mix.reconstruct(mu) - lam.entries)) <= 1e-12
-    assert validate(synthesize(lam, mu, mix), lam).ok
+    recon = loop_reconstruct(mix.weights, mix.terms, mu)
+    assert np.max(np.abs(recon - lam.entries)) <= 1e-12
+    assert validate(build_plan(lam, mu), lam, mu).ok
 
 
 @pytest.mark.parametrize("n", [16, 24, 32, 64, 128])
@@ -315,7 +308,7 @@ def test_input_sum_slack_is_absorbed(n):
     # 1e-10; dividing by the sum keeps the slack out of the plan
     for lam, mu in slack_pairs(n):
         lam, mu = ProbVector(lam), ProbVector(mu)
-        assert validate(build_plan(lam, mu), lam).ok
+        assert validate(build_plan(lam, mu), lam, mu).ok
 
 
 def test_zero_padded_pairs():
