@@ -12,6 +12,7 @@ from .errors import (
     ZeroBranch,
 )
 from .majorization import (
+    Check,
     PermutationMixture,
     ProbVector,
     first_violation,
@@ -31,7 +32,6 @@ from .probabilistic import (
 )
 from .protocol import (
     MeasurementPlan,
-    ValidationReport,
     build_plan,
     validate,
 )
@@ -52,6 +52,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CapExceeded",
     "CatalysisResult",
+    "Check",
     "ConclusivePlan",
     "ConstructionInvalid",
     "ConversionImpossible",
@@ -67,7 +68,6 @@ __all__ = [
     "PermutationMixture",
     "ProbVector",
     "Transcript",
-    "ValidationReport",
     "ZeroBranch",
     "assemble",
     "build_plan",

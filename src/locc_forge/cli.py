@@ -33,8 +33,8 @@ from .errors import (
     LoccForgeError,
 )
 from .majorization import (
-    PLAN_TOL,
     UNIT_TOL,
+    Check,
     ProbVector,
     first_violation,
     is_majorized,
@@ -241,64 +241,46 @@ def cmd_check(inst: Instance, args) -> dict:
     }
 
 
+def _checked(checks: dict[str, Check]) -> dict:
+    """A check table as a report prints it: each check's value under
+    ``residuals`` and its tolerance under ``tolerances``, by the same name,
+    and ``pass``, true when every check passed."""
+    return {
+        "residuals": {name: check.value for name, check in checks.items()},
+        "tolerances": {name: check.tol for name, check in checks.items()},
+        "pass": all(check.ok for check in checks.values()),
+    }
+
+
 def cmd_plan(inst: Instance, args) -> dict:
     lam, mu = _require_vectors(inst)
     plan = build_plan(lam, mu)  # raises ConversionImpossible -> exit 3
-    report = plan.validation
     return {
         "verdict": "plan",
-        "payload": {
-            "plan": plan.to_json(),
-            "validation": report.to_json(),
-        },
-        "residuals": {
-            "completeness": report.completeness_residual,
-            "weights": report.weight_residual,
-            "reconstruction": report.reconstruction_residual,
-        },
-        "tolerances": {
-            "completeness": PLAN_TOL,
-            "weights": PLAN_TOL,
-            "reconstruction": UNIT_TOL,
-        },
-        "pass": report.ok,
+        "payload": {"plan": plan.to_json()},
+        **_checked(plan.validation),
     }
 
 
 def cmd_simulate(inst: Instance, args) -> dict:
     """With --plan, the rebuilt plan is validated as `plan` validates its
-    own: its diagonals make a complete measurement of any plan, so its
-    reconstruction of the source and the recomputed outcome weights tell a
-    plan that does not fit the instance."""
+    own, and its checks join the run's: its diagonals make a complete
+    measurement of any plan, so its reconstruction of the source and the
+    recomputed outcome weights tell a plan that does not fit the
+    instance."""
     psi, phi = _build_states(inst)
-    payload = {}
-    passed = True
+    checks = {}
     if args.plan is not None:
         plan = _load_plan(args.plan, psi.coeffs, phi.coeffs)
-        validation = validate(plan, psi.coeffs, phi.coeffs)
-        payload["validation"] = validation.to_json()
-        passed = validation.ok
+        checks = validate(plan, psi.coeffs, phi.coeffs)
     else:
         plan = build_plan(psi.coeffs, phi.coeffs)
     transcript = run_protocol(psi, phi, plan)
-    passed = passed and transcript.passed
-    payload["plan"] = plan.to_json()
-    payload["transcript"] = transcript.to_json()
+    body = _checked({**checks, **transcript.checks})
     return {
-        "verdict": "pass" if passed else "fail",
-        "payload": payload,
-        "residuals": {
-            "prob_sum_error": transcript.checks["prob_sum_error"],
-            "max_weight_mismatch": transcript.checks["max_weight_mismatch"],
-            "min_fidelity": transcript.checks["min_fidelity"],
-            "offdiag_mass": transcript.checks["offdiag_mass"],
-        },
-        "tolerances": {
-            "prob": transcript.checks["prob_tol"],
-            "fidelity": transcript.checks["fidelity_tol"],
-            "offdiag_mass": transcript.checks["offdiag_tol"],
-        },
-        "pass": passed,
+        "verdict": "pass" if body["pass"] else "fail",
+        "payload": {"plan": plan.to_json(), "transcript": transcript.to_json()},
+        **body,
     }
 
 
@@ -321,26 +303,16 @@ def cmd_conclusive(inst: Instance, args) -> dict:
     psi, phi = _build_states(inst)
     plan = intermediate_state(psi.coeffs, phi.coeffs)  # may raise -> exit 3
     transcript = run_conclusive(psi, phi, plan)
+    body = _checked(transcript.checks)
     return {
-        "verdict": "pass" if transcript.passed else "fail",
+        "verdict": "pass" if body["pass"] else "fail",
         "payload": {
             "conclusive_plan": plan.to_json(),
             "transcript": transcript.to_json(),
             "predicted_probability": plan.p_max,
-            "achieved_probability": transcript.checks["success_probability"],
+            "achieved_probability": transcript.success_probability,
         },
-        "residuals": {
-            "success_prob_error": transcript.checks["success_prob_error"],
-            "min_success_fidelity": transcript.checks["min_success_fidelity"],
-            "prob_sum_error": transcript.checks["prob_sum_error"],
-            "offdiag_mass": transcript.checks["offdiag_mass"],
-        },
-        "tolerances": {
-            "prob": transcript.checks["prob_tol"],
-            "fidelity": transcript.checks["fidelity_tol"],
-            "offdiag_mass": transcript.checks["offdiag_tol"],
-        },
-        "pass": transcript.passed,
+        **body,
     }
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,6 +44,27 @@ ZERO_TOL = 1e-12
 UNIT_TOL = 1e-9
 PLAN_TOL = 1e-10
 DEGENERACY_GAP = 1e-8
+
+
+class Check(NamedTuple):
+    """One numeric check of a plan or a run: the value measured, its
+    tolerance, and whether it passed, decided once, when the record is
+    made.  A check table maps names to these records and passes when every
+    one of them does; a report prints the table whole."""
+
+    value: float
+    tol: float
+    ok: bool
+
+    @classmethod
+    def within(cls, residual, tol: float) -> "Check":
+        """A residual, which passes at most tol."""
+        return cls(float(residual), tol, bool(residual <= tol))
+
+    @classmethod
+    def fidelity(cls, value) -> "Check":
+        """A fidelity, which passes at least 1 - UNIT_TOL."""
+        return cls(float(value), UNIT_TOL, bool(value >= 1.0 - UNIT_TOL))
 
 
 class ProbVector:

@@ -28,6 +28,7 @@ import numpy as np
 from .errors import CapExceeded, ConstructionInvalid, ConversionImpossible, ZeroBranch
 from .majorization import (
     PLAN_TOL,
+    Check,
     ProbVector,
     UNIT_TOL,
     ZERO_TOL,
@@ -36,15 +37,13 @@ from .majorization import (
 )
 from .protocol import MeasurementPlan, build_plan
 from .simulator import (
-    AppliedOp,
     BranchRecord,
     GeneralizedSchmidtState,
     Transcript,
+    _branch_checks,
     _branches,
     _coords,
     _fidelity,
-    _offdiag_checks,
-    _protocol_transcript,
 )
 
 MAX_TENSOR_ENTRIES = 2**20
@@ -100,7 +99,12 @@ def pmax(lam: ProbVector, mu: ProbVector) -> tuple[float, int]:
 
 @dataclass(frozen=True)
 class ConclusivePlan:
-    """Everything needed to run the optimal conclusive conversion."""
+    """Everything needed to run the optimal conclusive conversion.
+
+    ``to_json`` prints p_max, l_star, the deterministic stage and the
+    segments; gamma and the success/failure pair follow from them and are
+    kept here only for the run.
+    """
 
     p_max: float
     l_star: int
@@ -115,13 +119,7 @@ class ConclusivePlan:
         return {
             "p_max": self.p_max,
             "l_star": self.l_star,
-            "gamma": self.gamma.to_json(),
             "deterministic_stage": self.deterministic_stage.to_json(),
-            "success_diag": self.success_diag.tolist(),
-            "failure_diag": self.failure_diag.tolist(),
-            "failure_coeffs": (
-                None if self.failure_coeffs is None else self.failure_coeffs.to_json()
-            ),
             "segments": [list(s) for s in self.segments],
         }
 
@@ -136,18 +134,30 @@ def intermediate_state(lam: ProbVector, mu: ProbVector) -> ConclusivePlan:
     deterministic stage is decomposed with those prefixes cut: its
     relabelings keep every segment in place.  All plan invariants are
     re-checked numerically and any violation is a hard error: it would
-    signal a bug, not a legal outcome.
+    signal a bug, not a legal outcome.  A p_max within ZERO_TOL of 0
+    raises ConversionImpossible, which names the rank obstruction when
+    mu's rank exceeds lam's, and otherwise the cut l* and both tails.
     """
     if len(lam) != len(mu):
         raise ValueError("dimension mismatch; pad_to first")
     n = len(lam)
     p, l_star = pmax(lam, mu)
-    if p <= ZERO_TOL:
-        raise ConversionImpossible(
-            "conclusive conversion impossible: target rank exceeds source rank"
-        )
     e_lam = _tails(lam)
     e_mu = _tails(mu)
+    if p <= ZERO_TOL:
+        rank_lam, rank_mu = np.count_nonzero(lam.entries), np.count_nonzero(mu.entries)
+        if rank_mu > rank_lam:
+            raise ConversionImpossible(
+                "conclusive conversion impossible: target rank "
+                f"{rank_mu} exceeds source rank {rank_lam}"
+            )
+        raise ConversionImpossible(
+            f"conclusive conversion impossible within ZERO_TOL {ZERO_TOL}: source "
+            f"rank {rank_lam} is not below target rank {rank_mu}, but at the cut "
+            f"l*={l_star} the source tail {e_lam[l_star]} over the target tail "
+            f"{e_mu[l_star]} gives p_max {p}, a tail or ratio within ZERO_TOL "
+            "counting as 0"
+        )
     gamma = np.zeros(n)
     segments: list[tuple[int, int, float]] = []
     end = n
@@ -210,9 +220,7 @@ def intermediate_state(lam: ProbVector, mu: ProbVector) -> ConclusivePlan:
 def _settle(
     stage: BranchRecord,
     branch: np.ndarray,
-    dims: tuple[int, ...],
     diag: np.ndarray,
-    share: float,
     target: np.ndarray,
     success: bool,
 ) -> BranchRecord:
@@ -222,13 +230,7 @@ def _settle(
     prob = float(np.vdot(out, out).real)
     if prob <= ZERO_TOL * stage.simulated_prob:
         raise ZeroBranch(f"conclusive measurement annihilated outcome {stage.outcome}")
-    ops = stage.operations + (AppliedOp(0, "measurement", dims[0]),)
-    if success:
-        ops += tuple(AppliedOp(p, "unitary", d) for p, d in enumerate(dims))
-    return BranchRecord(
-        stage.outcome, stage.analytic_prob * share, prob, True, ops,
-        _fidelity(target, out, prob), success,
-    )
+    return BranchRecord(stage.outcome, prob, _fidelity(target, out, prob), success)
 
 
 def run_conclusive(
@@ -241,13 +243,15 @@ def run_conclusive(
 
     As in ``run_protocol``, psi, the waypoint omega, phi and the failure
     state are each reduced to their n diagonal amplitudes in their own
-    bases, and the transcript fails when any of them leaves more than
-    UNIT_TOL of its squared norm off the diagonal.  omega and the failure
-    state share psi's bases, which were checked when psi was built and are
-    not checked again.  So each stage branch's diagonal takes the
-    success and failure diagonals directly, and B_phi B_psi^dag is the
-    identity on coordinates.  Overlaps of diagonals equal the dense
-    fidelities.
+    bases, and ``offdiag_mass`` is the largest squared norm that any of
+    them leaves off its diagonal.  omega and the failure state share psi's
+    bases, which were checked when psi was built and are not checked
+    again.  So each stage branch's diagonal takes the success and failure
+    diagonals directly, and B_phi B_psi^dag is the identity on
+    coordinates.  Overlaps of diagonals equal the dense fidelities.  The
+    check table holds the success probability against p_max, the success
+    fidelity, the probability sum, ``offdiag_mass``, and the stage's own
+    branch checks under ``stage_`` names.
     """
     if psi.dims != phi.dims:
         raise ValueError(f"incompatible dims {psi.dims} vs {phi.dims}")
@@ -262,54 +266,32 @@ def run_conclusive(
     failure_c, failure_m = None, 0.0
     if plan.failure_coeffs is not None:
         failure_c, failure_m = _coords(psi._with_coeffs(plan.failure_coeffs))
-    offdiag_mass = max(psi_m, omega_m, phi_m, failure_m)
 
     stage: list[BranchRecord] = []
     branches: list[BranchRecord] = []
-    for br, diag in _branches(plan.deterministic_stage, psi.dims, psi_c, omega_c):
+    for br, diag in _branches(plan.deterministic_stage, psi_c, omega_c):
         stage.append(br)
         if diag is None:
             branches.append(br)
             continue
-        branches.append(
-            _settle(br, diag, psi.dims, plan.success_diag, plan.p_max, phi_c, True)
-        )
+        branches.append(_settle(br, diag, plan.success_diag, phi_c, True))
         if failure_c is not None:
-            branches.append(
-                _settle(br, diag, psi.dims, plan.failure_diag, 1.0 - plan.p_max,
-                        failure_c, False)
-            )
-    stage_passed = _protocol_transcript(tuple(stage), offdiag_mass).passed
+            branches.append(_settle(br, diag, plan.failure_diag, failure_c, False))
 
-    realizable = [br for br in branches if br.realizable]
-    prob_sum = sum(br.simulated_prob for br in realizable)
-    success_prob = sum(br.simulated_prob for br in realizable if br.success)
-    success_fids = [br.fidelity for br in realizable if br.success]
-    min_success_fid = min(success_fids) if success_fids else 0.0
-    checks = {
-        "pmax": float(plan.p_max),
-        "success_probability": float(success_prob),
-        "success_prob_error": float(abs(success_prob - plan.p_max)),
-        "min_success_fidelity": float(min_success_fid),
-        "prob_sum_error": float(abs(prob_sum - 1.0)),
-        "stage_passed": stage_passed,
-        "fidelity_tol": UNIT_TOL,
-        "prob_tol": UNIT_TOL,
-        **_offdiag_checks(offdiag_mass),
-    }
-    passed = bool(
-        stage_passed
-        and offdiag_mass <= UNIT_TOL
-        and abs(success_prob - plan.p_max) <= UNIT_TOL
-        and min_success_fid >= 1.0 - UNIT_TOL
-        and abs(prob_sum - 1.0) <= UNIT_TOL
+    transcript = Transcript(tuple(branches), {})
+    prob_sum = sum(br.simulated_prob for br in branches)
+    success_fid = min((br.fidelity for br in branches if br.success), default=0.0)
+    stage_checks = _branch_checks(plan.deterministic_stage.weights, tuple(stage))
+    transcript.checks.update(
+        success_prob_error=Check.within(
+            abs(transcript.success_probability - plan.p_max), UNIT_TOL
+        ),
+        min_success_fidelity=Check.fidelity(success_fid),
+        prob_sum_error=Check.within(abs(prob_sum - 1.0), UNIT_TOL),
+        offdiag_mass=Check.within(max(psi_m, omega_m, phi_m, failure_m), UNIT_TOL),
+        **{f"stage_{name}": check for name, check in stage_checks.items()},
     )
-    return Transcript(
-        branches=tuple(branches),
-        passed=passed,
-        prob_sum=float(prob_sum),
-        checks=checks,
-    )
+    return transcript
 
 
 def tensor_power(v: ProbVector, copies: int) -> ProbVector:

@@ -11,8 +11,9 @@ broadcast.  The diagonals follow from (lam, mu, weights, relabelings) by
 ``_kraus_diagonals``, diag_jk = sqrt(p_j mu[sigma_j^{-1}(k)] / r_k) with
 r_k = sum_j p_j mu[sigma_j^{-1}(k)] the source that the plan itself
 reconstructs, so a plan travels as its weights and relabelings alone.
-``validate`` checks every plan, built or read, the same way:
-completeness, outcome weights, and the reconstruction max_k |lam_k - r_k|.
+``validate`` checks every plan, built or read, the same way, and returns
+one check table (``majorization.Check`` records by name): completeness,
+outcome weights, and the reconstruction max_k |lam_k - r_k|.
 Plans are basis-free: no party basis ever enters.  The simulator runs a
 plan on each state's n diagonal Schmidt amplitudes, where a measurement
 outcome is a pointwise product and a relabeling a permutation.
@@ -28,6 +29,7 @@ import numpy as np
 from .errors import InternalContradiction
 from .majorization import (
     PLAN_TOL,
+    Check,
     ProbVector,
     UNIT_TOL,
     ZERO_TOL,
@@ -46,14 +48,15 @@ class MeasurementPlan:
     part of U_j: it moves level k to level perms[j, k].  The constructor
     checks the shapes, that weights are finite and >= 0, that every perms
     row is a permutation of 0..n-1 and that diags are finite and >= 0, and
-    makes the arrays read-only.  ``validation`` is the report of the check
-    that ``build_plan`` ran on its plan, and None on any other plan.
+    makes the arrays read-only.  ``validation`` is the check table of the
+    ``validate`` run that ``build_plan`` made on its plan, and None on any
+    other plan.
     """
 
     weights: np.ndarray
     diags: np.ndarray
     perms: np.ndarray
-    validation: ValidationReport | None = field(default=None, init=False)
+    validation: dict[str, Check] | None = field(default=None, init=False)
 
     def __post_init__(self):
         weights = np.asarray(self.weights, dtype=float)
@@ -135,38 +138,6 @@ def _check_weights(weights: np.ndarray) -> None:
         raise ValueError("weights must be finite and >= 0")
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Numeric audit of a plan against the pair lam -> mu."""
-
-    completeness_residual: float
-    weight_residual: float
-    reconstruction_residual: float
-    probability_sum: float
-    completeness_ok: bool
-    weights_ok: bool
-    reconstruction_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.completeness_ok and self.weights_ok and self.reconstruction_ok
-
-    def to_json(self) -> dict:
-        return {
-            "completeness_residual": self.completeness_residual,
-            "weight_residual": self.weight_residual,
-            "reconstruction_residual": self.reconstruction_residual,
-            "probability_sum": self.probability_sum,
-            "completeness_ok": self.completeness_ok,
-            "weights_ok": self.weights_ok,
-            "reconstruction_ok": self.reconstruction_ok,
-            "completeness_tol": PLAN_TOL,
-            "weight_tol": PLAN_TOL,
-            "reconstruction_tol": UNIT_TOL,
-            "ok": self.ok,
-        }
-
-
 def _agree(lam: ProbVector, mu: ProbVector) -> bool:
     """The vectors agree within ZERO_TOL: the plan is the identity."""
     return bool(np.max(np.abs(lam.entries - mu.entries)) <= ZERO_TOL)
@@ -190,8 +161,7 @@ def _kraus_diagonals(
     """
     if _agree(lam, mu):
         mu = lam
-    mass = weights[:, None] * mu.entries[perms]
-    recon = mass.sum(axis=0)
+    mass, recon = _reconstruction(weights, perms, mu)
     live = (lam.entries > 0.0) & (recon > 0.0)
     diags = np.zeros_like(mass)
     diags[:, live] = np.sqrt(mass[:, live] / recon[live])
@@ -204,7 +174,7 @@ def build_plan(
     """Validated plan converting lam into mu: the one-outcome identity plan
     when the vectors agree within ZERO_TOL, else the weights and
     relabelings of ``mixture_for``, which starts from the prefixes ``cuts``
-    as tight.  The plan carries its passed ``validate`` report.  Raises
+    as tight.  The plan carries its passed ``validate`` table.  Raises
     ConversionImpossible when lam is not majorized by mu, and
     InternalContradiction when the plan fails validation."""
     if len(lam) != len(mu):
@@ -215,43 +185,44 @@ def build_plan(
         mix = mixture_for(lam, mu, cuts)
         weights, perms = mix.weights, mix.terms
     plan = MeasurementPlan(weights, _kraus_diagonals(lam, mu, weights, perms), perms)
-    report = validate(plan, lam, mu)
-    if not report.ok:
-        recon = _reconstruction(plan, mu)
+    checks = validate(plan, lam, mu)
+    if not all(check.ok for check in checks.values()):
+        _, recon = _reconstruction(weights, perms, mu)
         k = int(np.argmax(np.abs(recon - lam.entries)))
         raise InternalContradiction(
             "built plan failed validation: "
-            f"completeness {report.completeness_residual}, "
-            f"weights {report.weight_residual}, "
-            f"reconstruction {report.reconstruction_residual} at level {k} "
-            f"(lam_k {lam[k]}, r_k {recon[k]})"
+            + ", ".join(f"{name} {check.value}" for name, check in checks.items())
+            + f" at level {k} (lam_k {lam[k]}, r_k {recon[k]})"
         )
     # set once, before the plan leaves this module
-    object.__setattr__(plan, "validation", report)
+    object.__setattr__(plan, "validation", checks)
     return plan
 
 
-def _reconstruction(plan: MeasurementPlan, mu: ProbVector) -> np.ndarray:
-    """r_k = sum_j p_j mu[perms[j, k]], the source vector the plan rebuilds."""
-    return np.sum(plan.weights[:, None] * mu.entries[plan.perms], axis=0)
+def _reconstruction(
+    weights: np.ndarray, perms: np.ndarray, mu: ProbVector
+) -> tuple[np.ndarray, np.ndarray]:
+    """mass[j, k] = weights[j] mu[perms[j, k]], and r_k = sum_j mass[j, k],
+    the source vector that the plan rebuilds."""
+    mass = weights[:, None] * mu.entries[perms]
+    return mass, mass.sum(axis=0)
 
 
-def validate(plan: MeasurementPlan, lam: ProbVector, mu: ProbVector) -> ValidationReport:
-    """Recompute completeness, the outcome probabilities and the
-    reconstruction r of lam; never raises.  Completeness and the weights
-    are checked to PLAN_TOL, max_k |lam_k - r_k| to UNIT_TOL.  Mass on a
-    level with lam_k = 0 shows in the reconstruction."""
-    support = lam.entries > 0.0
-    completeness = plan.completeness_residual(support)
+def validate(
+    plan: MeasurementPlan, lam: ProbVector, mu: ProbVector
+) -> dict[str, Check]:
+    """The plan's check table; never raises.  ``completeness`` and the
+    outcome ``weights`` are checked to PLAN_TOL, the ``reconstruction``
+    max_k |lam_k - r_k| to UNIT_TOL.  Mass on a level with lam_k = 0 shows
+    in the reconstruction."""
     probs = np.sum(lam.entries * plan.diags**2, axis=1)
-    weight_residual = np.max(np.abs(probs - plan.weights), initial=0.0)
-    reconstruction = np.max(np.abs(_reconstruction(plan, mu) - lam.entries))
-    return ValidationReport(
-        completeness_residual=float(completeness),
-        weight_residual=float(weight_residual),
-        reconstruction_residual=float(reconstruction),
-        probability_sum=float(sum(probs)),
-        completeness_ok=bool(completeness <= PLAN_TOL),
-        weights_ok=bool(weight_residual <= PLAN_TOL),
-        reconstruction_ok=bool(reconstruction <= UNIT_TOL),
-    )
+    _, recon = _reconstruction(plan.weights, plan.perms, mu)
+    return {
+        "completeness": Check.within(
+            plan.completeness_residual(lam.entries > 0.0), PLAN_TOL
+        ),
+        "weights": Check.within(
+            np.max(np.abs(probs - plan.weights), initial=0.0), PLAN_TOL
+        ),
+        "reconstruction": Check.within(np.max(np.abs(recon - lam.entries)), UNIT_TOL),
+    }

@@ -15,19 +15,24 @@ O(n) per outcome.  Fidelity needs no rotation back, since the branch and
 the target share the local unitary (any completion of the target's Schmidt
 columns) that separates them from their dense forms.
 
-Classical communication is a recorded event here, not a socket: the
-transcript notes the broadcast outcome and every single-party operator
-that was applied, which is what makes the locality audit checkable.
+Classical communication is a recorded event here, not a socket: each
+branch of the transcript is one broadcast outcome, with what the run
+measured on it.  Every branch follows one fixed schedule of single-party
+operations, so none is listed per branch: party 0 measures, the outcome
+is broadcast and every party relabels its Schmidt levels; a conclusive
+run then has party 0 measure success or failure, and on success every
+party applies its unitary.  The transcript's check table holds each
+check once, with its value, tolerance and verdict.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapExceeded, ZeroBranch
-from .majorization import DEGENERACY_GAP, UNIT_TOL, ZERO_TOL, ProbVector, to_int
+from .majorization import DEGENERACY_GAP, UNIT_TOL, ZERO_TOL, Check, ProbVector, to_int
 from .protocol import MeasurementPlan
 
 MAX_PARTIES = 6
@@ -188,35 +193,20 @@ def fidelity(a: DenseState, b: DenseState) -> float:
 
 
 @dataclass(frozen=True)
-class AppliedOp:
-    """One recorded single-party operation (the locality audit unit)."""
-
-    party: int
-    kind: str  # "measurement" or "unitary"
-    dim: int
-
-    def to_json(self) -> dict:
-        return {"party": self.party, "kind": self.kind, "dim": self.dim}
-
-
-@dataclass(frozen=True)
 class BranchRecord:
+    """What a run measured on one outcome; fidelity is None where a
+    zero-weight outcome annihilated the state."""
+
     outcome: int
-    analytic_prob: float
     simulated_prob: float
-    realizable: bool
-    operations: tuple[AppliedOp, ...]
     fidelity: float | None = None
     success: bool | None = None  # set only by conclusive runs
 
     def to_json(self) -> dict:
         payload = {
             "outcome": self.outcome,
-            "analytic_prob": self.analytic_prob,
             "simulated_prob": self.simulated_prob,
-            "realizable": self.realizable,
             "fidelity": self.fidelity,
-            "operations": [op.to_json() for op in self.operations],
         }
         if self.success is not None:
             payload["success"] = self.success
@@ -225,21 +215,22 @@ class BranchRecord:
 
 @dataclass(frozen=True)
 class Transcript:
-    """Audit trail of one protocol run."""
+    """Audit trail of one protocol run: its branches and its check table."""
 
     branches: tuple[BranchRecord, ...]
-    passed: bool
-    prob_sum: float
-    checks: dict = field(default_factory=dict)
+    checks: dict[str, Check]
+
+    @property
+    def passed(self) -> bool:
+        return all(check.ok for check in self.checks.values())
+
+    @property
+    def success_probability(self) -> float:
+        """Summed probability of the conclusive success branches."""
+        return float(sum(br.simulated_prob for br in self.branches if br.success))
 
     def to_json(self) -> dict:
-        return {
-            "mode": "exhaustive",
-            "passed": self.passed,
-            "prob_sum": self.prob_sum,
-            "checks": self.checks,
-            "branches": [br.to_json() for br in self.branches],
-        }
+        return {"branches": [br.to_json() for br in self.branches]}
 
 
 def _coords(s: GeneralizedSchmidtState) -> tuple[np.ndarray, float]:
@@ -264,9 +255,7 @@ def _fidelity(target: np.ndarray, branch: np.ndarray, norm_sq: float) -> float:
     return float(abs(np.vdot(target, branch)) ** 2 / norm_sq)
 
 
-def _branches(
-    plan: MeasurementPlan, dims: tuple[int, ...], source: np.ndarray, target: np.ndarray
-):
+def _branches(plan: MeasurementPlan, source: np.ndarray, target: np.ndarray):
     """Run every outcome of plan on the source's diagonal amplitudes.
 
     Yields (record, branch) in plan order.  The branch is the measured and
@@ -274,9 +263,6 @@ def _branches(
     probability) and in the target's coordinates; it is None when a
     zero-weight outcome annihilates the state.
     """
-    ops = (AppliedOp(0, "measurement", dims[0]),) + tuple(
-        AppliedOp(party, "unitary", d) for party, d in enumerate(dims)
-    )
     for j, (weight, diag, perm) in enumerate(
         zip(plan.weights.tolist(), plan.diags, plan.perms)
     ):
@@ -287,50 +273,29 @@ def _branches(
                 raise ZeroBranch(
                     f"outcome {j} carries weight {weight} but annihilated the state"
                 )
-            yield BranchRecord(j, weight, 0.0, False, ops[:1]), None
+            yield BranchRecord(j, 0.0), None
             continue
         branch = np.empty_like(measured)
         branch[perm] = measured  # level k moves to perm[k]
-        fid = _fidelity(target, branch, prob)
-        yield BranchRecord(j, weight, prob, True, ops, fid), branch
+        yield BranchRecord(j, prob, _fidelity(target, branch, prob)), branch
 
 
-def _offdiag_checks(offdiag_mass: float) -> dict:
-    """The off-diagonal mass check: largest value over the compared states,
-    its tolerance and margin."""
+def _branch_checks(
+    weights: np.ndarray, branches: tuple[BranchRecord, ...]
+) -> dict[str, Check]:
+    """Checks of one measurement's branches: their probabilities sum to 1
+    and match the outcome weights, and each lands on its target.  Branches
+    that a zero-weight outcome annihilated are left out."""
+    live = [br for br in branches if br.fidelity is not None]
+    prob_sum = sum(br.simulated_prob for br in live)
+    mismatch = max(
+        (abs(br.simulated_prob - weights[br.outcome]) for br in live), default=0.0
+    )
     return {
-        "offdiag_mass": float(offdiag_mass),
-        "offdiag_tol": UNIT_TOL,
-        "offdiag_margin": float(UNIT_TOL - offdiag_mass),
+        "prob_sum_error": Check.within(abs(prob_sum - 1.0), UNIT_TOL),
+        "max_weight_mismatch": Check.within(mismatch, UNIT_TOL),
+        "min_fidelity": Check.fidelity(min((br.fidelity for br in live), default=1.0)),
     }
-
-
-def _protocol_transcript(
-    branches: tuple[BranchRecord, ...], offdiag_mass: float
-) -> Transcript:
-    realizable = [br for br in branches if br.realizable]
-    prob_sum = sum(br.simulated_prob for br in realizable)
-    max_mismatch = max(
-        (abs(br.simulated_prob - br.analytic_prob) for br in realizable), default=0.0
-    )
-    min_fid = min((br.fidelity for br in realizable), default=1.0)
-    checks = {
-        "prob_sum_error": float(abs(prob_sum - 1.0)),
-        "max_weight_mismatch": float(max_mismatch),
-        "min_fidelity": float(min_fid),
-        "fidelity_tol": UNIT_TOL,
-        "prob_tol": UNIT_TOL,
-        **_offdiag_checks(offdiag_mass),
-    }
-    passed = bool(
-        offdiag_mass <= UNIT_TOL
-        and max_mismatch <= UNIT_TOL
-        and min_fid >= 1.0 - UNIT_TOL
-        and abs(prob_sum - 1.0) <= UNIT_TOL
-    )
-    return Transcript(
-        branches=branches, passed=passed, prob_sum=float(prob_sum), checks=checks
-    )
 
 
 def run_protocol(
@@ -345,19 +310,19 @@ def run_protocol(
     Kraus diagonal (the squared norm is the simulated probability) and
     permutes it by its relabeling.  Its overlap with phi's diagonal equals
     that of B_phi P_j B_psi^dag M_j |psi> with |phi>: both dense states
-    carry the same local unitary, phi's bases.  The transcript fails when
-    either state leaves more than UNIT_TOL of its squared norm off the
-    diagonal.
+    carry the same local unitary, phi's bases.  The check table adds
+    ``offdiag_mass``, the larger squared norm that either state leaves off
+    its diagonal, to the branch checks.
     """
     if psi.dims != phi.dims:
         raise ValueError(f"incompatible dims {psi.dims} vs {phi.dims}")
     if plan.n != psi.n or plan.n != phi.n:
         raise ValueError("plan dimension does not match the states")
     (source, psi_mass), (target, phi_mass) = _coords(psi), _coords(phi)
-    records = _branches(plan, psi.dims, source, target)
-    return _protocol_transcript(
-        tuple(record for record, _ in records), max(psi_mass, phi_mass)
-    )
+    records = tuple(record for record, _ in _branches(plan, source, target))
+    checks = _branch_checks(plan.weights, records)
+    checks["offdiag_mass"] = Check.within(max(psi_mass, phi_mass), UNIT_TOL)
+    return Transcript(records, checks)
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,11 @@ from locc_forge import (
 from locc_forge.majorization import ZERO_TOL
 
 
+def passed(checks: dict) -> bool:
+    """A check table passes when every check in it does."""
+    return all(check.ok for check in checks.values())
+
+
 def prefix_sum_majorized(lam, mu, tol: float = 1e-9) -> bool:
     """Independent majorization oracle: sorted copies, running prefix sums."""
     a = sorted((float(x) for x in lam), reverse=True)

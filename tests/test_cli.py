@@ -264,7 +264,8 @@ class TestPlan:
         monkeypatch.setattr(protocol, "validate", counted)
         monkeypatch.setattr("locc_forge.cli.validate", counted)
         code, report, _ = run(capsys, ["plan", "--in", write(tmp_path, payload)])
-        assert code == 0 and report["payload"]["validation"]["ok"] is True
+        assert code == 0 and report["pass"] is True
+        assert set(report["residuals"]) == {"completeness", "weights", "reconstruction"}
         assert len(calls) == 1
 
     def test_residuals_accompany_pass(self, tmp_path, capsys):
@@ -281,6 +282,46 @@ class TestPlan:
         assert code == 0 and report["pass"] is True
         assert report["payload"]["plan"]["n"] == 32
         assert len(report["payload"]["plan"]["outcomes"]) <= 32
+
+
+def check_passes(name: str, value: float, tol: float) -> bool:
+    """A printed check: a fidelity passes at least 1 - tol, a residual at
+    most tol."""
+    return value >= 1.0 - tol if name.endswith("fidelity") else value <= tol
+
+
+def failed_checks(report: dict) -> set:
+    return {name for name, value in report["residuals"].items()
+            if not check_passes(name, value, report["tolerances"][name])}
+
+
+def assert_one_check_table(report: dict) -> None:
+    """Every check is printed once, with its value and its tolerance under
+    the same name, and the report passes exactly when they all do."""
+    assert set(report["residuals"]) == set(report["tolerances"])
+    assert report["residuals"]
+    assert report["pass"] is (not failed_checks(report))
+
+
+class TestCheckTable:
+    """plan, simulate and conclusive print one check table."""
+
+    @pytest.mark.parametrize("argv", [
+        ["plan"], ["simulate"], ["simulate", "--plan"], ["conclusive"],
+    ])
+    def test_pass_is_the_conjunction_of_the_printed_checks(self, tmp_path, capsys, argv):
+        inst = {"schema_version": "1", "lam": [0.5, 0.3, 0.2], "mu": [0.6, 0.3, 0.1]}
+        if argv == ["conclusive"]:
+            inst["lam"], inst["mu"] = inst["mu"], inst["lam"]
+        path = write(tmp_path, inst)
+        if argv[1:]:
+            _, plan_report, _ = run(capsys, ["plan", "--in", path])
+            argv = argv + [write(tmp_path, plan_report, "plan.json")]
+        code, report, _ = run(capsys, [argv[0], "--in", path] + argv[1:])
+        assert code == 0
+        assert_one_check_table(report)
+        assert "transcript" not in report["payload"] or set(
+            report["payload"]["transcript"]) == {"branches"}
 
 
 class TestSimulate:
@@ -394,7 +435,10 @@ class TestSimulate:
         assert json.dumps(piped["payload"]["transcript"]) == json.dumps(
             direct["payload"]["transcript"])
         assert piped["payload"]["plan"] == direct["payload"]["plan"]
-        assert piped["payload"]["validation"]["ok"] is True
+        # the plan's checks join the run's
+        assert piped["pass"] is True
+        assert set(piped["residuals"]) == set(direct["residuals"]) | {
+            "completeness", "weights", "reconstruction"}
 
     @pytest.mark.parametrize("tamper", ["p", "swap", "other_pair"])
     def test_tampered_plan_fails_verification(self, tmp_path, capsys, tamper):
@@ -417,7 +461,8 @@ class TestSimulate:
             "simulate", "--in", inst_path, "--plan", str(plan_path)])
         assert code == 5
         assert report["pass"] is False and report["verdict"] == "fail"
-        assert report["payload"]["validation"]["ok"] is False
+        assert failed_checks(report) & {"completeness", "weights", "reconstruction"}
+        assert_one_check_table(report)
 
     @pytest.mark.parametrize("n, message", [
         (2.7, "2.7 is not a whole number"),
@@ -452,10 +497,10 @@ class TestSimulate:
         code, report, _ = run(capsys, [
             "simulate", "--in", write(tmp_path, inst), "--plan", str(plan_path)])
         assert code == 5 and report["pass"] is False
-        validation = report["payload"]["validation"]
-        assert validation["completeness_ok"] and validation["weights_ok"]
-        assert validation["reconstruction_residual"] == 0.5
-        assert validation["reconstruction_ok"] is False and validation["ok"] is False
+        assert report["residuals"]["reconstruction"] == 0.5
+        # of the plan's checks only the reconstruction fails; the run that
+        # follows lands on [1, 0], not on mu
+        assert failed_checks(report) == {"reconstruction", "min_fidelity"}
 
     def test_plan_accepts_full_report(self, tmp_path, capsys):
         inst_path = write(tmp_path, EASY_PAIR)
@@ -540,8 +585,8 @@ class TestOffdiagMass:
         code, report, _ = run(capsys, [command, "--in", path])
         assert code == 5 and report["verdict"] == "fail"
         assert report["residuals"]["offdiag_mass"] == pytest.approx(1e-8, rel=1e-6)
-        checks = report["payload"]["transcript"]["checks"]
-        assert checks["offdiag_margin"] < 0
+        assert "offdiag_mass" in failed_checks(report)
+        assert_one_check_table(report)
 
 
 class TestOtherCommands:

@@ -135,6 +135,35 @@ class TestIntermediateState:
         )
         np.testing.assert_allclose(plan.failure_coeffs.entries, [1.0, 0.0], atol=1e-12)
 
+    def test_json_determines_waypoint_and_measurement(self):
+        # the printed plan leaves out gamma and the success/failure pair;
+        # the formulas of the README rebuild them from segments and p_max
+        rng = np.random.default_rng(23)
+        pairs = [(t_chain(rng, random_probs(rng, n), n), random_probs(rng, n))
+                 for n in (2, 3, 5, 8, 16)]
+        for lam, mu in pairs + [(ProbVector([0.9, 0.1]), ProbVector([0.6, 0.4]))]:
+            plan = intermediate_state(lam, mu)
+            payload = plan.to_json()
+            assert set(payload) == {"p_max", "l_star", "deterministic_stage", "segments"}
+            p = payload["p_max"]
+            gamma = np.zeros(len(mu))
+            for start, end, scale in payload["segments"]:
+                gamma[start:end] = scale * mu.entries[start:end]
+            live = gamma > 0.0
+            t = np.zeros(len(mu))
+            t[live] = np.minimum(p * mu.entries[live] / gamma[live], 1.0)
+            np.testing.assert_allclose(gamma, plan.gamma.entries, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(np.sqrt(t), plan.success_diag, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(
+                np.sqrt(1.0 - t), plan.failure_diag, rtol=0, atol=1e-15)
+            leftover = np.maximum(gamma - p * mu.entries, 0.0)
+            if p >= 1.0 - 1e-9:
+                assert plan.failure_coeffs is None
+            else:
+                np.testing.assert_allclose(
+                    leftover / leftover.sum(), plan.failure_coeffs.entries,
+                    rtol=0, atol=1e-12)
+
     def test_frozen_three_level(self):
         plan = intermediate_state(
             ProbVector([0.55, 0.25, 0.20]), ProbVector([0.50, 0.45, 0.05])
@@ -195,10 +224,28 @@ class TestIntermediateState:
                     assert np.all((block >= start) & (block < end)), (n, start, end)
 
     def test_rank_increase_rejected(self):
-        with pytest.raises(ConversionImpossible):
+        with pytest.raises(ConversionImpossible) as err:
             intermediate_state(
                 ProbVector([0.6, 0.4, 0.0]), ProbVector([0.5, 0.3, 0.2])
             )
+        assert str(err.value) == (
+            "conclusive conversion impossible: target rank 3 exceeds source rank 2"
+        )
+
+    def test_zero_tol_verdict_names_the_cut(self):
+        # both ranks are 3; the source tail 1e-14 at l* = 2 is within
+        # ZERO_TOL of 0, which decides p_max = 0 (exactly it is 5e-14)
+        with pytest.raises(ConversionImpossible) as err:
+            intermediate_state(
+                ProbVector([0.6, 0.39999999999999, 1e-14]), ProbVector([0.5, 0.3, 0.2])
+            )
+        message = str(err.value)
+        assert "rank exceeds" not in message
+        assert message.startswith(
+            "conclusive conversion impossible within ZERO_TOL 1e-12: source rank 3 "
+            "is not below target rank 3, but at the cut l*=2 the source tail "
+        )
+        assert "over the target tail 0.2" in message and "p_max 0.0" in message
 
 
 class TestRunConclusive:
@@ -208,14 +255,14 @@ class TestRunConclusive:
         phi = GeneralizedSchmidtState.computational((2, 2), mu)
         tx = run_conclusive(psi, phi)
         assert tx.passed
-        assert tx.checks["success_probability"] == pytest.approx(1.0, abs=1e-9)
+        assert tx.success_probability == pytest.approx(1.0, abs=1e-9)
 
     def test_three_party_quarter(self):
         psi = GeneralizedSchmidtState.computational((2, 2, 2), ProbVector([0.9, 0.1]))
         phi = GeneralizedSchmidtState.computational((2, 2, 2), ProbVector([0.6, 0.4]))
         tx = run_conclusive(psi, phi)
         assert tx.passed
-        assert tx.checks["success_probability"] == pytest.approx(0.25, abs=1e-9)
+        assert tx.success_probability == pytest.approx(0.25, abs=1e-9)
 
     def test_failure_branch_is_recorded_product_state(self):
         lam = ProbVector([0.55, 0.25, 0.20])
@@ -225,7 +272,7 @@ class TestRunConclusive:
         plan = intermediate_state(lam, mu)
         tx = run_conclusive(psi, phi, plan)
         assert tx.passed
-        assert tx.checks["success_probability"] == pytest.approx(0.9, abs=1e-9)
+        assert tx.success_probability == pytest.approx(0.9, abs=1e-9)
         failures = [
             (br, dense)
             for br, dense in zip(tx.branches, dense_conclusive(psi, phi, plan))
@@ -246,7 +293,7 @@ class TestRunConclusive:
         phi = random_gss(rng, mu, (3, 4, 3))
         tx = run_conclusive(psi, phi)
         assert tx.passed
-        assert tx.checks["success_probability"] == pytest.approx(
+        assert tx.success_probability == pytest.approx(
             brute_force_pmax(lam, mu), abs=1e-9
         )
 
@@ -277,7 +324,7 @@ class TestConclusiveEngine:
             assert any(br.success is False for br in tx.branches)
             assert len(tx.branches) == len(oracle)
             for br, dense in zip(tx.branches, oracle):
-                assert br.realizable == (dense is not None)
+                assert (br.fidelity is not None) == (dense is not None)
                 if dense is None:
                     continue
                 prob, _, fid = dense
@@ -296,7 +343,8 @@ class TestConclusiveEngine:
         ):
             tx = run_conclusive(psi, phi, replace(plan, deterministic_stage=tampered))
             assert not tx.passed
-            assert tx.checks["stage_passed"] is False
+            assert not all(
+                check.ok for name, check in tx.checks.items() if name.startswith("stage_"))
 
     @pytest.mark.parametrize("field", ["success_diag", "failure_diag"])
     def test_annihilating_measurement_raises(self, field):
