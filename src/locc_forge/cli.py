@@ -37,8 +37,8 @@ from .majorization import (
     Check,
     ProbVector,
     first_violation,
-    is_majorized,
     pad_to,
+    prefix_excess,
     to_int,
 )
 from .probabilistic import (
@@ -223,46 +223,45 @@ def _load_plan(source: str, lam: ProbVector, mu: ProbVector) -> MeasurementPlan:
         raise InstanceError(f"bad plan payload: {exc}") from exc
 
 
-def cmd_check(inst: Instance, args) -> dict:
-    lam, mu = _require_vectors(inst)
-    idx = first_violation(lam, mu)
-    prefix_excess = float(
-        np.max(np.cumsum(lam.entries[:-1]) - np.cumsum(mu.entries[:-1]), initial=0.0)
-    )
-    return {
-        "verdict": "convertible" if idx is None else "not_convertible",
-        "payload": {
-            "convertible": idx is None,
-            "violation_prefix": idx,
-        },
-        "residuals": {"max_prefix_excess": prefix_excess},
-        "tolerances": {"majorization_tol": UNIT_TOL},
-        "pass": True,
-    }
+# What every command returns: its verdict, its payload and its check
+# table.  ``main`` prints the table through ``_checked``, the one place
+# that writes a report's ``residuals``, ``tolerances`` and ``pass``.
+Outcome = tuple[str, dict, dict[str, Check]]
+
+
+def _passed(checks: dict[str, Check]) -> bool:
+    return all(check.ok for check in checks.values())
 
 
 def _checked(checks: dict[str, Check]) -> dict:
     """A check table as a report prints it: each check's value under
     ``residuals`` and its tolerance under ``tolerances``, by the same name,
-    and ``pass``, true when every check passed."""
+    and ``pass``, true when every check passed (so for an empty table)."""
     return {
         "residuals": {name: check.value for name, check in checks.items()},
         "tolerances": {name: check.tol for name, check in checks.items()},
-        "pass": all(check.ok for check in checks.values()),
+        "pass": _passed(checks),
     }
 
 
-def cmd_plan(inst: Instance, args) -> dict:
+def cmd_check(inst: Instance, args) -> Outcome:
+    lam, mu = _require_vectors(inst)
+    idx = first_violation(lam, mu)
+    payload = {
+        "convertible": idx is None,
+        "violation_prefix": idx,
+        "max_prefix_excess": max(0.0, prefix_excess(lam, mu)),
+    }
+    return ("convertible" if idx is None else "not_convertible"), payload, {}
+
+
+def cmd_plan(inst: Instance, args) -> Outcome:
     lam, mu = _require_vectors(inst)
     plan = build_plan(lam, mu)  # raises ConversionImpossible -> exit 3
-    return {
-        "verdict": "plan",
-        "payload": {"plan": plan.to_json()},
-        **_checked(plan.validation),
-    }
+    return "plan", {"plan": plan.to_json()}, plan.validation
 
 
-def cmd_simulate(inst: Instance, args) -> dict:
+def cmd_simulate(inst: Instance, args) -> Outcome:
     """With --plan, the rebuilt plan is validated as `plan` validates its
     own, and its checks join the run's: its diagonals make a complete
     measurement of any plan, so its reconstruction of the source and the
@@ -276,47 +275,31 @@ def cmd_simulate(inst: Instance, args) -> dict:
     else:
         plan = build_plan(psi.coeffs, phi.coeffs)
     transcript = run_protocol(psi, phi, plan)
-    body = _checked({**checks, **transcript.checks})
-    return {
-        "verdict": "pass" if body["pass"] else "fail",
-        "payload": {"plan": plan.to_json(), "transcript": transcript.to_json()},
-        **body,
-    }
+    checks.update(transcript.checks)
+    payload = {"plan": plan.to_json(), "transcript": transcript.to_json()}
+    return ("pass" if _passed(checks) else "fail"), payload, checks
 
 
-def cmd_pmax(inst: Instance, args) -> dict:
+def cmd_pmax(inst: Instance, args) -> Outcome:
     lam, mu = _require_vectors(inst)
     p, l_star = pmax(lam, mu)
-    return {
-        "verdict": "pmax",
-        "payload": {
-            "p_max": p,
-            "l_star": l_star,
-        },
-        "residuals": {},
-        "tolerances": {},
-        "pass": True,
-    }
+    return "pmax", {"p_max": p, "l_star": l_star}, {}
 
 
-def cmd_conclusive(inst: Instance, args) -> dict:
+def cmd_conclusive(inst: Instance, args) -> Outcome:
     psi, phi = _build_states(inst)
     plan = intermediate_state(psi.coeffs, phi.coeffs)  # may raise -> exit 3
     transcript = run_conclusive(psi, phi, plan)
-    body = _checked(transcript.checks)
-    return {
-        "verdict": "pass" if body["pass"] else "fail",
-        "payload": {
-            "conclusive_plan": plan.to_json(),
-            "transcript": transcript.to_json(),
-            "predicted_probability": plan.p_max,
-            "achieved_probability": transcript.success_probability,
-        },
-        **body,
+    payload = {
+        "conclusive_plan": plan.to_json(),
+        "transcript": transcript.to_json(),
+        "predicted_probability": plan.p_max,
+        "achieved_probability": transcript.success_probability,
     }
+    return ("pass" if transcript.passed else "fail"), payload, transcript.checks
 
 
-def cmd_multicopy(inst: Instance, args) -> dict:
+def cmd_multicopy(inst: Instance, args) -> Outcome:
     lam, mu = _require_vectors(inst)
     copies = args.copies
     if copies < 1:
@@ -325,62 +308,32 @@ def cmd_multicopy(inst: Instance, args) -> dict:
         str(c): multicopy_check(lam, mu, c) for c in range(1, copies + 1)
     }
     verdict = per_copy[str(copies)]
-    return {
-        "verdict": "convertible" if verdict else "not_convertible",
-        "payload": {
-            "copies": copies,
-            "convertible": verdict,
-            "per_copy": per_copy,
-            "tensor_entries": len(lam) ** copies,
-        },
-        "residuals": {},
-        "tolerances": {"majorization_tol": UNIT_TOL},
-        "pass": True,
+    payload = {
+        "copies": copies,
+        "convertible": verdict,
+        "per_copy": per_copy,
+        "tensor_entries": len(lam) ** copies,
     }
+    return ("convertible" if verdict else "not_convertible"), payload, {}
 
 
-def cmd_catalyst(inst: Instance, args) -> dict:
+def cmd_catalyst(inst: Instance, args) -> Outcome:
     lam, mu = _require_vectors(inst)
     if args.dmax < 1:
         raise InstanceError("--dmax must be >= 1")
     if not 0.0 < args.resolution <= 0.5:
         raise InstanceError("--resolution must lie in (0, 0.5]")
     result = catalysis_search(lam, mu, d_max=args.dmax, resolution=args.resolution)
-    verified = False
-    if result.found and result.catalyst is not None:
-        c = result.catalyst.entries
-        verified = is_majorized(
-            ProbVector(np.multiply.outer(lam.entries, c).reshape(-1)),
-            ProbVector(np.multiply.outer(mu.entries, c).reshape(-1)),
-        )
-    return {
-        "verdict": result.verdict,
-        "payload": result.to_json(),
-        "residuals": {
-            "certificate_verified": verified if result.found else None,
-        },
-        "tolerances": {"majorization_tol": UNIT_TOL},
-        "pass": (not result.found) or verified,
-    }
+    return result.verdict, result.to_json(), result.checks
 
 
-def cmd_extract_gsd(inst: Instance, args) -> dict:
+def cmd_extract_gsd(inst: Instance, args) -> Outcome:
     if inst.state is None:
         raise InstanceError("extract-gsd needs a 'state' field in the instance")
     if not 0.0 <= args.tol < 1.0:
         raise InstanceError("--tol must lie in [0, 1)")
     result = extract_gsd(inst.state, tol=args.tol)
-    return {
-        "verdict": result.verdict,
-        "payload": result.to_json(),
-        "residuals": {
-            "witness_residual": (
-                result.witness.residual if result.witness is not None else 0.0
-            ),
-        },
-        "tolerances": {"product_tol": args.tol},
-        "pass": True,
-    }
+    return result.verdict, result.to_json(), {}
 
 
 COMMANDS = {
@@ -450,13 +403,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         payload = _read_json(args.infile)
         inst = load_instance(payload)
-        body = COMMANDS[args.command](inst, args)
+        verdict, body, checks = COMMANDS[args.command](inst, args)
         report = {
             "schema_version": SCHEMA_VERSION,
             "command": args.command,
             "inputs": inst.echo,
             "options": _option_echo(args),
-            **body,
+            "verdict": verdict,
+            "payload": body,
+            **_checked(checks),
             "wall_time_s": time.perf_counter() - start,
         }
         try:

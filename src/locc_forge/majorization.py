@@ -170,6 +170,13 @@ def first_violation(lam: ProbVector, mu: ProbVector) -> int | None:
     return int(bad[0]) if bad.size else None
 
 
+def prefix_excess(lam: ProbVector, mu: ProbVector) -> float:
+    """Largest excess of a prefix sum of lam over mu's, over prefixes
+    0..n-2: negative when every prefix has slack, 0 when n = 1."""
+    excess = np.cumsum(lam.entries[:-1]) - np.cumsum(mu.entries[:-1])
+    return float(excess.max()) if excess.size else 0.0
+
+
 def pad_to(v: ProbVector, n: int) -> ProbVector:
     """Extend with trailing zeros so source and target ranks can differ."""
     if n < len(v):

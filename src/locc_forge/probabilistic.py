@@ -15,13 +15,14 @@ Schur-monotone and multiplicative under the tensor product (largest and
 smallest coefficient, rank, power sums, entropy) must not get worse from
 source to target if any catalyst exists, so one that does proves there is
 none, in O(n).  Only a pair that none of them refutes goes to the grid,
-whose candidates are counted first, against MAX_CATALYST_CANDIDATES, and
-then tested one at a time.
+which is listed up to one candidate past MAX_CATALYST_CANDIDATES before
+any candidate is tested.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,6 +35,7 @@ from .majorization import (
     ZERO_TOL,
     first_violation,
     is_majorized,
+    prefix_excess,
 )
 from .protocol import MeasurementPlan, build_plan
 from .simulator import (
@@ -234,9 +236,7 @@ def _settle(
 
 
 def run_conclusive(
-    psi: GeneralizedSchmidtState,
-    phi: GeneralizedSchmidtState,
-    plan: ConclusivePlan | None = None,
+    psi: GeneralizedSchmidtState, phi: GeneralizedSchmidtState, plan: ConclusivePlan
 ) -> Transcript:
     """Deterministic stage into the waypoint, then the success/failure
     measurement on party A, with every branch checked against its target.
@@ -257,8 +257,6 @@ def run_conclusive(
         raise ValueError(f"incompatible dims {psi.dims} vs {phi.dims}")
     if psi.n != phi.n:
         raise ValueError("pad coefficient vectors to a common rank first")
-    if plan is None:
-        plan = intermediate_state(psi.coeffs, phi.coeffs)
     if plan.deterministic_stage.n != psi.n:
         raise ValueError("plan dimension does not match the states")
     omega = psi._with_coeffs(plan.gamma)
@@ -278,20 +276,18 @@ def run_conclusive(
         if failure_c is not None:
             branches.append(_settle(br, diag, plan.failure_diag, failure_c, False))
 
-    transcript = Transcript(tuple(branches), {})
     prob_sum = sum(br.simulated_prob for br in branches)
+    success_prob = sum(br.simulated_prob for br in branches if br.success)
     success_fid = min((br.fidelity for br in branches if br.success), default=0.0)
     stage_checks = _branch_checks(plan.deterministic_stage.weights, tuple(stage))
-    transcript.checks.update(
-        success_prob_error=Check.within(
-            abs(transcript.success_probability - plan.p_max), UNIT_TOL
-        ),
-        min_success_fidelity=Check.fidelity(success_fid),
-        prob_sum_error=Check.within(abs(prob_sum - 1.0), UNIT_TOL),
-        offdiag_mass=Check.within(max(psi_m, omega_m, phi_m, failure_m), UNIT_TOL),
+    checks = {
+        "success_prob_error": Check.within(abs(success_prob - plan.p_max), UNIT_TOL),
+        "min_success_fidelity": Check.fidelity(success_fid),
+        "prob_sum_error": Check.within(abs(prob_sum - 1.0), UNIT_TOL),
+        "offdiag_mass": Check.within(max(psi_m, omega_m, phi_m, failure_m), UNIT_TOL),
         **{f"stage_{name}": check for name, check in stage_checks.items()},
-    )
-    return transcript
+    }
+    return Transcript(tuple(branches), checks)
 
 
 def tensor_power(v: ProbVector, copies: int) -> ProbVector:
@@ -319,10 +315,15 @@ def multicopy_check(lam: ProbVector, mu: ProbVector, copies: int) -> bool:
 
 @dataclass(frozen=True)
 class CatalysisResult:
+    """A search's verdict, catalyst and certificate.  ``checks`` is the
+    check table of a found catalyst, ``{"certificate": ...}`` (see
+    ``_found``), and empty otherwise."""
+
     verdict: str  # "found" | "refuted" | "open"
     catalyst: ProbVector | None
     certificate: dict
     candidates_tested: int
+    checks: dict[str, Check] = field(default_factory=dict)
 
     @property
     def found(self) -> bool:
@@ -408,30 +409,27 @@ def _grid_partitions(total: int, parts: int, cap: int):
             yield (head,) + tail
 
 
-def _grid_size(steps: int, d_max: int) -> int:
-    """Candidates on the catalyst grid: partitions of steps into 2..d_max
-    positive parts.  Exact up to MAX_CATALYST_CANDIDATES; beyond it, some
-    count above the cap.
+def _grid(steps: int, d_max: int) -> list[tuple[int, ...]]:
+    """The catalyst grid in search order, dimension 2..d_max, then
+    lexicographic: the partitions of steps into that many positive parts.
+    None has more than steps parts.  At most MAX_CATALYST_CANDIDATES + 1
+    are listed, so a longer list means a grid over the cap."""
+    grid = itertools.chain.from_iterable(
+        _grid_partitions(steps, dim, steps) for dim in range(2, min(d_max, steps) + 1)
+    )
+    return list(itertools.islice(grid, MAX_CATALYST_CANDIDATES + 1))
 
-    Dimension 2 alone has steps // 2 candidates.  Otherwise q[m] counts the
-    partitions of m into parts <= k, one k at a time, and p(steps, k) =
-    q[steps - k] (take one from each of the k parts); the count stops at
-    the first dimension that takes it past the cap.
-    """
-    if d_max < 2:
-        return 0
-    if steps // 2 > MAX_CATALYST_CANDIDATES:
-        return steps // 2
-    q = [1] + [0] * steps
-    total = 0
-    for k in range(1, min(d_max, steps) + 1):
-        for m in range(k, steps + 1):
-            q[m] += q[m - k]
-        if k > 1:
-            total += q[steps - k]
-            if total > MAX_CATALYST_CANDIDATES:
-                break
-    return total
+
+def _found(
+    lam: ProbVector, mu: ProbVector, c: ProbVector, certificate: dict, tested: int
+) -> CatalysisResult:
+    """A found catalyst with its check ``certificate``: the largest prefix
+    excess of lam(x)c over mu(x)c, recomputed from the catalyst as
+    returned, against UNIT_TOL.  It passes exactly when ``is_majorized``
+    does on the same tensors."""
+    lam_c, mu_c = _tensor_with(lam, c.entries), _tensor_with(mu, c.entries)
+    check = Check(prefix_excess(lam_c, mu_c), UNIT_TOL, is_majorized(lam_c, mu_c))
+    return CatalysisResult("found", c, certificate, tested, {"certificate": check})
 
 
 def catalysis_search(
@@ -448,7 +446,7 @@ def catalysis_search(
     order is returned, with the number of candidates tested up to and
     including it.  A refuted pair tests none.  A grid of more than
     MAX_CATALYST_CANDIDATES candidates raises CapExceeded before any is
-    tested.
+    tested.  A found result carries its ``certificate`` check.
     """
     if len(lam) != len(mu):
         raise ValueError("dimension mismatch; pad_to first")
@@ -458,12 +456,8 @@ def catalysis_search(
         raise ValueError("resolution must lie in (0, 0.5]")
     witness = first_violation(lam, mu)
     if witness is None:
-        return CatalysisResult(
-            verdict="found",
-            catalyst=ProbVector([1.0]),
-            certificate={"note": "already majorized; trivial catalyst"},
-            candidates_tested=0,
-        )
+        trivial = {"note": "already majorized; trivial catalyst"}
+        return _found(lam, mu, ProbVector([1.0]), trivial, 0)
     refutation = _refute(lam, mu)
     if refutation is not None:
         return CatalysisResult(
@@ -475,38 +469,20 @@ def catalysis_search(
     # 1 / resolution is infinite for a subnormal resolution; clamped where
     # dimension 2 alone already passes the cap
     steps = round(min(1.0 / resolution, 2.0 * MAX_CATALYST_CANDIDATES + 2))
-    candidates = _grid_size(steps, d_max)
-    if candidates > MAX_CATALYST_CANDIDATES:
+    candidates = _grid(steps, d_max)
+    if len(candidates) > MAX_CATALYST_CANDIDATES:
         raise CapExceeded(
             f"catalyst grid at d_max={d_max}, resolution={resolution} has more "
             f"than {MAX_CATALYST_CANDIDATES} candidates"
         )
-    tested = 0
-    for dim in range(2, d_max + 1):
-        for ks in _grid_partitions(steps, dim, steps):
-            c = np.asarray(ks, dtype=float) / steps
-            tested += 1
-            lam_c = _tensor_with(lam, c)
-            mu_c = _tensor_with(mu, c)
-            if is_majorized(lam_c, mu_c):
-                lam_prefix = np.cumsum(lam_c.entries)
-                mu_prefix = np.cumsum(mu_c.entries)
-                return CatalysisResult(
-                    verdict="found",
-                    catalyst=ProbVector(c),
-                    certificate={
-                        "uncatalyzed_violation_prefix": witness,
-                        "source_tensor_prefix": [float(x) for x in lam_prefix],
-                        "target_tensor_prefix": [float(x) for x in mu_prefix],
-                        "min_prefix_margin": float(
-                            np.min((mu_prefix - lam_prefix)[:-1])
-                        ),
-                    },
-                    candidates_tested=tested,
-                )
+    certificate = {"uncatalyzed_violation_prefix": witness}
+    for tested, ks in enumerate(candidates, 1):
+        c = np.asarray(ks, dtype=float) / steps
+        if is_majorized(_tensor_with(lam, c), _tensor_with(mu, c)):
+            return _found(lam, mu, ProbVector(c), certificate, tested)
     return CatalysisResult(
         verdict="open",
         catalyst=None,
-        certificate={"uncatalyzed_violation_prefix": witness},
-        candidates_tested=tested,
+        certificate=certificate,
+        candidates_tested=len(candidates),
     )

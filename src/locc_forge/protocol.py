@@ -81,11 +81,9 @@ class MeasurementPlan:
     def n(self) -> int:
         return self.diags.shape[1]
 
-    def completeness_residual(self, support: np.ndarray | None = None) -> float:
+    def completeness_residual(self, support: np.ndarray) -> float:
         """max_k |sum_j M_j^dag M_j - 1| over the given support indices."""
         sums = np.sum(self.diags**2, axis=0)
-        if support is None:
-            support = np.ones(self.n, dtype=bool)
         if not np.any(support):
             return 0.0
         return float(np.max(np.abs(sums[support] - 1.0)))
@@ -128,8 +126,9 @@ class MeasurementPlan:
             raise ValueError("weights must be at most 1")
         # the constructor refuses every row that is not a permutation; until
         # then, clipping keeps the lookup into mu in range
-        diags = _kraus_diagonals(lam, mu, weights, np.clip(perms, 0, n - 1))
-        return cls(weights, diags, perms)
+        source = lam if _agree(lam, mu) else mu  # mu reads as lam, as in build_plan
+        mass, recon = _reconstruction(weights, np.clip(perms, 0, n - 1), source)
+        return cls(weights, _kraus_diagonals(lam, mass, recon), perms)
 
 
 def _check_weights(weights: np.ndarray) -> None:
@@ -143,25 +142,25 @@ def _agree(lam: ProbVector, mu: ProbVector) -> bool:
     return bool(np.max(np.abs(lam.entries - mu.entries)) <= ZERO_TOL)
 
 
-def _kraus_diagonals(
-    lam: ProbVector, mu: ProbVector, weights: np.ndarray, perms: np.ndarray
-) -> np.ndarray:
-    """Row j is diag_jk = sqrt(weights[j] mu[perms[j, k]] / r_k), the
-    Kraus diagonal of the outcome that relabels by perms[j] = sigma_j^{-1},
-    where r_k = sum_j weights[j] mu[perms[j, k]] is the source that the
-    plan reconstructs.
+def _reconstruction(
+    weights: np.ndarray, perms: np.ndarray, mu: ProbVector
+) -> tuple[np.ndarray, np.ndarray]:
+    """mass[j, k] = weights[j] mu[perms[j, k]], and r_k = sum_j mass[j, k],
+    the source vector that the plan rebuilds."""
+    mass = weights[:, None] * mu.entries[perms]
+    return mass, mass.sum(axis=0)
+
+
+def _kraus_diagonals(lam: ProbVector, mass: np.ndarray, recon: np.ndarray) -> np.ndarray:
+    """Row j is diag_jk = sqrt(mass[j, k] / r_k), the Kraus diagonal of
+    outcome j, from ``_reconstruction``'s mass and r.
 
     Dividing by r_k rather than lam_k makes the measurement complete to
     rounding by construction, however small lam_k is; ``validate`` checks
     the distance from lam to r, which also shows in the outcome weights.
     Level k stays dark (diagonal 0) where lam_k = 0, since support
     shrinkage under majorization leaves no mass there, and where r_k = 0.
-    A mu within ZERO_TOL of lam counts as lam itself, as in
-    ``build_plan``, so the identity plan has diagonal 1 on lam's support.
     """
-    if _agree(lam, mu):
-        mu = lam
-    mass, recon = _reconstruction(weights, perms, mu)
     live = (lam.entries > 0.0) & (recon > 0.0)
     diags = np.zeros_like(mass)
     diags[:, live] = np.sqrt(mass[:, live] / recon[live])
@@ -174,20 +173,25 @@ def build_plan(
     """Validated plan converting lam into mu: the one-outcome identity plan
     when the vectors agree within ZERO_TOL, else the weights and
     relabelings of ``mixture_for``, which starts from the prefixes ``cuts``
-    as tight.  The plan carries its passed ``validate`` table.  Raises
-    ConversionImpossible when lam is not majorized by mu, and
+    as tight.  The reconstruction r is formed once, for the diagonals and
+    the checks; the identity plan's diagonals read mu as lam, so they are
+    1 on lam's support.  The plan carries its passed ``validate`` table.
+    Raises ConversionImpossible when lam is not majorized by mu, and
     InternalContradiction when the plan fails validation."""
     if len(lam) != len(mu):
         raise ValueError("pad vectors to a common length first")
     if _agree(lam, mu):
         weights, perms = np.ones(1), np.arange(len(lam))[None, :]
+        recon = mu.entries
+        diags = (lam.entries > 0.0)[None, :].astype(float)
     else:
         mix = mixture_for(lam, mu, cuts)
         weights, perms = mix.weights, mix.terms
-    plan = MeasurementPlan(weights, _kraus_diagonals(lam, mu, weights, perms), perms)
-    checks = validate(plan, lam, mu)
+        mass, recon = _reconstruction(weights, perms, mu)
+        diags = _kraus_diagonals(lam, mass, recon)
+    plan = MeasurementPlan(weights, diags, perms)
+    checks = _checks(plan, lam, recon)
     if not all(check.ok for check in checks.values()):
-        _, recon = _reconstruction(weights, perms, mu)
         k = int(np.argmax(np.abs(recon - lam.entries)))
         raise InternalContradiction(
             "built plan failed validation: "
@@ -199,24 +203,20 @@ def build_plan(
     return plan
 
 
-def _reconstruction(
-    weights: np.ndarray, perms: np.ndarray, mu: ProbVector
-) -> tuple[np.ndarray, np.ndarray]:
-    """mass[j, k] = weights[j] mu[perms[j, k]], and r_k = sum_j mass[j, k],
-    the source vector that the plan rebuilds."""
-    mass = weights[:, None] * mu.entries[perms]
-    return mass, mass.sum(axis=0)
-
-
 def validate(
     plan: MeasurementPlan, lam: ProbVector, mu: ProbVector
 ) -> dict[str, Check]:
-    """The plan's check table; never raises.  ``completeness`` and the
-    outcome ``weights`` are checked to PLAN_TOL, the ``reconstruction``
-    max_k |lam_k - r_k| to UNIT_TOL.  Mass on a level with lam_k = 0 shows
-    in the reconstruction."""
-    probs = np.sum(lam.entries * plan.diags**2, axis=1)
+    """The check table of a plan read for lam -> mu; never raises.
+    ``completeness`` and the outcome ``weights`` are checked to PLAN_TOL,
+    the ``reconstruction`` max_k |lam_k - r_k| to UNIT_TOL.  Mass on a
+    level with lam_k = 0 shows in the reconstruction."""
     _, recon = _reconstruction(plan.weights, plan.perms, mu)
+    return _checks(plan, lam, recon)
+
+
+def _checks(plan: MeasurementPlan, lam: ProbVector, recon: np.ndarray) -> dict[str, Check]:
+    """``validate``'s table, given the plan's reconstruction r."""
+    probs = np.sum(lam.entries * plan.diags**2, axis=1)
     return {
         "completeness": Check.within(
             plan.completeness_residual(lam.entries > 0.0), PLAN_TOL

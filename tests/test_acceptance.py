@@ -166,7 +166,7 @@ def test_criterion_4_optimal_conclusive_conversion():
         dims = (n,) * m
         psi = GeneralizedSchmidtState.computational(dims, lam)
         phi = GeneralizedSchmidtState.computational(dims, mu)
-        tx = run_conclusive(psi, phi)
+        tx = run_conclusive(psi, phi, intermediate_state(psi.coeffs, phi.coeffs))
         assert tx.passed
         assert abs(tx.success_probability - p) <= 1e-9
         for br in tx.branches:

@@ -156,7 +156,7 @@ class TestExitCodes:
         ["--resolution", "5e-324"],
     ])
     def test_catalyst_grid_cap_exits_4(self, tmp_path, capsys, options):
-        # an open pair: the grid is counted, found over the cap and not searched
+        # an open pair: the grid is listed to one past the cap and not searched
         open_pair = {"schema_version": "1", "lam": [0.45, 0.35, 0.15, 0.05],
                      "mu": [0.55, 0.2, 0.2, 0.05]}
         code, report, _ = run(capsys, [
@@ -252,21 +252,21 @@ class TestPlan:
         json.loads((DATA / "report_n5.json").read_text()),
     ])
     def test_plan_is_validated_once(self, tmp_path, capsys, monkeypatch, payload):
-        # the report shows the validation that synthesis already ran
+        # the report shows the validation that synthesis already ran, and
+        # synthesis forms the reconstruction r once, for the diagonals and
+        # the checks (the identity plan needs none: it reads mu as lam)
         import locc_forge.protocol as protocol
-        validate = protocol.validate
-        calls = []
-
-        def counted(plan, lam, mu):
-            calls.append(plan)
-            return validate(plan, lam, mu)
-
-        monkeypatch.setattr(protocol, "validate", counted)
-        monkeypatch.setattr("locc_forge.cli.validate", counted)
+        calls = {"_checks": 0, "_reconstruction": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(protocol, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(protocol, name, counted)
         code, report, _ = run(capsys, ["plan", "--in", write(tmp_path, payload)])
         assert code == 0 and report["pass"] is True
         assert set(report["residuals"]) == {"completeness", "weights", "reconstruction"}
-        assert len(calls) == 1
+        identity = payload["lam"] == payload["mu"]
+        assert calls == {"_checks": 1, "_reconstruction": 0 if identity else 1}
 
     def test_residuals_accompany_pass(self, tmp_path, capsys):
         _, report, _ = run(capsys, ["plan", "--in", write(tmp_path, EASY_PAIR)])
@@ -637,7 +637,11 @@ class TestOtherCommands:
         assert report["verdict"] == "found"
         assert report["payload"]["catalyst"] == [0.6, 0.4]
         assert report["payload"]["candidates_tested"] == 11
-        assert report["residuals"]["certificate_verified"] is True
+        # the one check: the largest prefix excess of lam(x)c over mu(x)c
+        assert report["tolerances"] == {"certificate": 1e-9}
+        assert set(report["residuals"]) == {"certificate"}
+        assert abs(report["residuals"]["certificate"]) <= 1e-9
+        assert report["payload"]["certificate"] == {"uncatalyzed_violation_prefix": 1}
 
     def test_catalyst_refuted_and_open(self, tmp_path, capsys):
         refutable = {"schema_version": "1", "lam": [0.7, 0.2, 0.1],
@@ -653,7 +657,7 @@ class TestOtherCommands:
             "alpha": None, "source": pytest.approx(0.7, abs=1e-15),
             "target": pytest.approx(0.6, abs=1e-15),
             "excess": pytest.approx(0.1, abs=1e-15)}
-        assert report["residuals"]["certificate_verified"] is None
+        assert report["residuals"] == report["tolerances"] == {}
         # no monotone refutes this pair, and no grid point catalyses it
         open_pair = {"schema_version": "1", "lam": [0.45, 0.35, 0.15, 0.05],
                      "mu": [0.55, 0.2, 0.2, 0.05]}
@@ -661,6 +665,7 @@ class TestOtherCommands:
             "catalyst", "--in", write(tmp_path, open_pair), "--dmax", "2"])
         assert code == 0 and report["verdict"] == "open"
         assert report["payload"]["found"] is False
+        assert report["residuals"] == report["tolerances"] == {}
         assert report["payload"]["candidates_tested"] == 50
 
     def test_extract_gsd_w_state(self, tmp_path, capsys):
@@ -733,6 +738,33 @@ def error_cases(tmp_path):
         (5, ["simulate", "--in", write(tmp_path, product, "product.json"),
              "--plan", str(swap_plan)]),
     ]
+
+
+W3 = {"schema_version": "1", "state": {
+    "dims": [2, 2, 2], "re": [0, 3**-0.5, 3**-0.5, 0, 3**-0.5, 0, 0, 0], "im": [0] * 8}}
+
+# every command, and every verdict of catalyst and extract-gsd
+EVERY_VERDICT = EVERY_COMMAND + [
+    (["check"], JP_PAIR),
+    (["catalyst", "--dmax", "4"], {"schema_version": "1", "lam": [0.7, 0.2, 0.1],
+                                   "mu": [0.6, 0.3, 0.1]}),
+    (["catalyst", "--dmax", "2"], {"schema_version": "1", "lam": [0.45, 0.35, 0.15, 0.05],
+                                   "mu": [0.55, 0.2, 0.2, 0.05]}),
+    (["catalyst", "--dmax", "2"], EASY_PAIR),
+    (["extract-gsd"], W3),
+]
+
+
+@pytest.mark.parametrize("argv, payload", EVERY_VERDICT,
+                         ids=[" ".join(argv) for argv, _ in EVERY_VERDICT])
+def test_every_report_prints_one_check_table(tmp_path, capsys, argv, payload):
+    """residuals and tolerances pair each check's value with its bound by
+    name, and pass is the conjunction of the printed checks, in every
+    command; a verdict's own tolerance is no check."""
+    code, report, _ = run(capsys, argv + ["--in", write(tmp_path, payload)])
+    assert code == 0
+    assert set(report["residuals"]) == set(report["tolerances"])
+    assert report["pass"] is (not failed_checks(report))
 
 
 class TestReportContract:

@@ -1,4 +1,6 @@
 import functools
+import itertools
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -34,8 +36,9 @@ from locc_forge import (
 )
 from locc_forge.probabilistic import (
     MAX_CATALYST_CANDIDATES,
+    _grid,
     _grid_partitions,
-    _grid_size,
+    _found,
     _min_tail_ratio,
     _refute,
     _tails,
@@ -253,14 +256,14 @@ class TestRunConclusive:
         lam, mu = ProbVector([0.6, 0.4]), ProbVector([0.8, 0.2])
         psi = GeneralizedSchmidtState.computational((2, 2), lam)
         phi = GeneralizedSchmidtState.computational((2, 2), mu)
-        tx = run_conclusive(psi, phi)
+        tx = run_conclusive(psi, phi, intermediate_state(psi.coeffs, phi.coeffs))
         assert tx.passed
         assert tx.success_probability == pytest.approx(1.0, abs=1e-9)
 
     def test_three_party_quarter(self):
         psi = GeneralizedSchmidtState.computational((2, 2, 2), ProbVector([0.9, 0.1]))
         phi = GeneralizedSchmidtState.computational((2, 2, 2), ProbVector([0.6, 0.4]))
-        tx = run_conclusive(psi, phi)
+        tx = run_conclusive(psi, phi, intermediate_state(psi.coeffs, phi.coeffs))
         assert tx.passed
         assert tx.success_probability == pytest.approx(0.25, abs=1e-9)
 
@@ -291,7 +294,7 @@ class TestRunConclusive:
         mu = ProbVector([0.5, 0.45, 0.05])
         psi = random_gss(rng, lam, (3, 4, 3))
         phi = random_gss(rng, mu, (3, 4, 3))
-        tx = run_conclusive(psi, phi)
+        tx = run_conclusive(psi, phi, intermediate_state(psi.coeffs, phi.coeffs))
         assert tx.passed
         assert tx.success_probability == pytest.approx(
             brute_force_pmax(lam, mu), abs=1e-9
@@ -422,6 +425,21 @@ class TestMulticopy:
             multicopy_check(v, v, 4)
 
 
+@functools.lru_cache(maxsize=None)
+def partitions(total, k):
+    """Partitions of total into exactly k positive parts."""
+    if total == 0 and k == 0:
+        return 1
+    if total <= 0 or k <= 0:
+        return 0
+    return partitions(total - 1, k - 1) + partitions(total - k, k)
+
+
+def grid_count(steps, d_max):
+    """Candidates on the catalyst grid: partitions into 2..d_max parts."""
+    return sum(partitions(steps, k) for k in range(2, d_max + 1))
+
+
 class TestCatalysis:
     def test_trivial_when_majorized(self):
         result = catalysis_search(
@@ -448,9 +466,32 @@ class TestCatalysis:
         result = catalysis_search(JP_LAM, JP_MU, d_max=2, resolution=0.01)
         assert result.found
         c = result.catalyst.entries
-        assert prefix_sum_majorized(sorted_tensor(JP_LAM, c), sorted_tensor(JP_MU, c))
-        assert result.certificate["min_prefix_margin"] >= -1e-9
-        assert result.certificate["uncatalyzed_violation_prefix"] == 1
+        lam_c, mu_c = sorted_tensor(JP_LAM, c), sorted_tensor(JP_MU, c)
+        assert prefix_sum_majorized(lam_c, mu_c)
+        # the check: the largest prefix excess of lam(x)c over mu(x)c
+        check = result.checks["certificate"]
+        assert check.ok and check.tol == 1e-9
+        assert check.value == pytest.approx(
+            np.max(np.cumsum(lam_c)[:-1] - np.cumsum(mu_c)[:-1]), abs=1e-15)
+        assert check.value <= 1e-9
+        assert result.certificate == {"uncatalyzed_violation_prefix": 1}
+
+    def test_certificate_passes_exactly_when_majorized(self):
+        # the check's ok is is_majorized on the same tensors, also at the
+        # 1e-9 edge; its value is minus the smallest prefix margin
+        pairs = [(JP_LAM, JP_MU)] + [
+            (ProbVector(lam), ProbVector(mu)) for v in (9e-10, 1e-9, 1.1e-9)
+            for lam, mu in itertools.islice(prefix_band_pairs(v), 10)]
+        for lam, mu in pairs:
+            for c in ([1.0], [0.6, 0.4], [0.5, 0.3, 0.2]):
+                c = ProbVector(c)
+                result = _found(lam, mu, c, {}, 0)
+                check = result.checks["certificate"]
+                lam_c = ProbVector(np.multiply.outer(lam.entries, c.entries).ravel())
+                mu_c = ProbVector(np.multiply.outer(mu.entries, c.entries).ravel())
+                assert check.ok is is_majorized(lam_c, mu_c)
+                margin = np.min(np.cumsum(mu_c.entries)[:-1] - np.cumsum(lam_c.entries)[:-1])
+                assert check.value == -margin
 
     def test_rank_increase_is_never_catalyzable(self):
         result = catalysis_search(
@@ -521,46 +562,51 @@ class TestCatalysis:
             hits += hit
         assert refuted > 1800 and hits > 0
 
-    def test_grid_size_counts_the_enumerated_grid(self):
+    def test_grid_lists_the_partitions_in_search_order(self):
         for steps in (2, 3, 7, 20):
             for d_max in (1, 2, 3, 5, 30):
-                enumerated = sum(1 for dim in range(2, d_max + 1)
-                                 for _ in _grid_partitions(steps, dim, steps))
-                assert _grid_size(steps, d_max) == enumerated, (steps, d_max)
+                grid = _grid(steps, d_max)
+                assert len(grid) == grid_count(steps, d_max), (steps, d_max)
+                # by dimension, then lexicographic; each a nonincreasing
+                # partition of steps
+                assert grid == sorted(grid, key=lambda ks: (len(ks), ks))
+                assert len(set(grid)) == len(grid)
+                assert all(sum(ks) == steps and list(ks) == sorted(ks, reverse=True)
+                           and ks[-1] >= 1 for ks in grid)
 
     def test_grid_cap(self):
-        @functools.lru_cache(maxsize=None)
-        def parts(total, k):  # partitions of total into exactly k parts
-            if total == 0 and k == 0:
-                return 1
-            if total <= 0 or k <= 0:
-                return 0
-            return parts(total - 1, k - 1) + parts(total - k, k)
-
-        def oracle(steps, d_max):
-            return sum(parts(steps, k) for k in range(2, d_max + 1))
-
         # the JP search and the refutable pair at d_max = 4 stay under the cap
-        assert _grid_size(100, 2) == oracle(100, 2) == 50
-        assert _grid_size(100, 4) == oracle(100, 4) == 8036
-        assert oracle(100, 5) <= MAX_CATALYST_CANDIDATES
-        # counted, never searched: d_max = 8 holds 1,527,674 candidates and
-        # --dmax 10 --resolution 0.005 about 1.2e9
-        assert oracle(100, 8) == 1527674
-        assert oracle(200, 10) == 1212199423
+        assert len(_grid(100, 2)) == grid_count(100, 2) == 50
+        assert len(_grid(100, 4)) == grid_count(100, 4) == 8036
+        assert len(_grid(100, 5)) == grid_count(100, 5) == 46261
+        assert 46261 <= MAX_CATALYST_CANDIDATES
+        # listed to one past the cap, never searched: d_max = 8 holds
+        # 1,527,674 candidates and --dmax 10 --resolution 0.005 about 1.2e9
+        assert grid_count(100, 8) == 1527674
+        assert grid_count(200, 10) == 1212199423
         for steps, d_max in ((100, 8), (200, 10), (100, 10**9), (10**9, 2)):
-            assert _grid_size(steps, d_max) > MAX_CATALYST_CANDIDATES
+            assert len(_grid(steps, d_max)) == MAX_CATALYST_CANDIDATES + 1
         open_pair = (ProbVector([0.45, 0.35, 0.15, 0.05]),
                      ProbVector([0.55, 0.2, 0.2, 0.05]))
         for kwargs in ({"d_max": 8}, {"d_max": 10, "resolution": 0.005},
                        {"resolution": 5e-324}):
             with pytest.raises(CapExceeded, match="candidates"):
                 catalysis_search(*open_pair, **kwargs)
-        # refuted and trivially found pairs are answered before the count
+        # refuted and trivially found pairs are answered before the grid
         assert catalysis_search(ProbVector([0.7, 0.2, 0.1]), ProbVector([0.6, 0.3, 0.1]),
                                 d_max=50).verdict == "refuted"
         assert catalysis_search(ProbVector([0.5, 0.5]), ProbVector([0.75, 0.25]),
                                 d_max=50).verdict == "found"
+
+    def test_large_d_max_walks_only_the_grid(self):
+        # no grid point has more than 1/resolution parts: at resolution 0.5
+        # the grid is the one point (1/2, 1/2) however large d_max is
+        open_pair = (ProbVector([0.45, 0.35, 0.15, 0.05]),
+                     ProbVector([0.55, 0.2, 0.2, 0.05]))
+        start = time.perf_counter()
+        result = catalysis_search(*open_pair, d_max=10**9, resolution=0.5)
+        assert time.perf_counter() - start < 0.2
+        assert result.verdict == "open" and result.candidates_tested == 1
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -40,7 +40,7 @@ class TestSynthesize:
             (round(np.sqrt(0.25), 12), round(np.sqrt(0.75), 12)),
         }
         assert diags == expected
-        assert plan.completeness_residual() < 1e-10
+        assert plan.completeness_residual(lam.entries > 0) < 1e-10
 
     def test_completeness_is_enforced_invariant(self):
         lam = ProbVector([0.5, 0.3, 0.2])
