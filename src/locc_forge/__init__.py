@@ -30,11 +30,7 @@ from .probabilistic import (
     run_conclusive,
     tensor_power,
 )
-from .protocol import (
-    MeasurementPlan,
-    build_plan,
-    validate,
-)
+from .protocol import MeasurementPlan, build_plan
 from .simulator import (
     DenseState,
     GeneralizedSchmidtState,
@@ -84,5 +80,4 @@ __all__ = [
     "run_conclusive",
     "run_protocol",
     "tensor_power",
-    "validate",
 ]

@@ -48,7 +48,7 @@ from .probabilistic import (
     pmax,
     run_conclusive,
 )
-from .protocol import MeasurementPlan, build_plan, validate
+from .protocol import MeasurementPlan, build_plan
 from .simulator import (
     DenseState,
     GeneralizedSchmidtState,
@@ -258,24 +258,20 @@ def cmd_check(inst: Instance, args) -> Outcome:
 def cmd_plan(inst: Instance, args) -> Outcome:
     lam, mu = _require_vectors(inst)
     plan = build_plan(lam, mu)  # raises ConversionImpossible -> exit 3
-    return "plan", {"plan": plan.to_json()}, plan.validation
+    return "plan", {"plan": plan.to_json()}, plan.checks
 
 
 def cmd_simulate(inst: Instance, args) -> Outcome:
-    """With --plan, the rebuilt plan is validated as `plan` validates its
-    own, and its checks join the run's: its diagonals make a complete
+    """The plan's checks, the same whether ``build_plan`` made it or
+    --plan read it, join the run's: the diagonals make a complete
     measurement of any plan, so its reconstruction of the source and the
     recomputed outcome weights tell a plan that does not fit the
     instance."""
     psi, phi = _build_states(inst)
-    checks = {}
-    if args.plan is not None:
-        plan = _load_plan(args.plan, psi.coeffs, phi.coeffs)
-        checks = validate(plan, psi.coeffs, phi.coeffs)
-    else:
-        plan = build_plan(psi.coeffs, phi.coeffs)
+    plan = (build_plan(psi.coeffs, phi.coeffs) if args.plan is None
+            else _load_plan(args.plan, psi.coeffs, phi.coeffs))
     transcript = run_protocol(psi, phi, plan)
-    checks.update(transcript.checks)
+    checks = {**plan.checks, **transcript.checks}
     payload = {"plan": plan.to_json(), "transcript": transcript.to_json()}
     return ("pass" if _passed(checks) else "fail"), payload, checks
 

@@ -124,23 +124,30 @@ class PermutationMixture:
     weights (J,) holds p_j.  Row j of terms (J, n) is the relabeling
     sigma_j^{-1}: level k of the j-th vertex holds mu[terms[j, k]], the
     convention of ``MeasurementPlan.perms``.  Both arrays are read-only and
-    unchecked; ``protocol.validate`` checks the plan built from them,
-    reconstruction included.
+    unchecked; the check table of the plan realized from them
+    (``MeasurementPlan.checks``) covers them, reconstruction included.
     """
 
     weights: np.ndarray
     terms: np.ndarray
 
 
-def to_int(value) -> int:
-    """A count read from JSON: ints and integral floats such as 2.0 pass;
-    fractional and non-finite numbers raise ValueError, and strings,
-    booleans and anything else TypeError."""
+def to_float(value) -> float:
+    """A number read from JSON, as a float; strings, booleans and anything
+    else raise TypeError."""
     if isinstance(value, bool) or not isinstance(
         value, (int, float, np.integer, np.floating)
     ):
         raise TypeError(f"{value!r} is not a number")
-    if isinstance(value, (float, np.floating)) and not float(value).is_integer():
+    return float(value)
+
+
+def to_int(value) -> int:
+    """A count read from JSON: ints and integral floats such as 2.0 pass;
+    fractional and non-finite numbers raise ValueError, and what
+    ``to_float`` refuses TypeError."""
+    exact = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not exact and not to_float(value).is_integer():
         raise ValueError(f"{value!r} is not a whole number")
     return int(value)
 
@@ -214,7 +221,7 @@ def mixture_for(
     makes from the mixture.  Terms are listed from the last vertex reached
     back to the first, which puts the swap before the identity at n = 2,
     the order of the closed-form two-level plan.  Nothing here checks that
-    the terms rebuild lam: ``protocol.validate`` does, on the plan.
+    the terms rebuild lam: the plan's ``reconstruction`` check does.
     Raises DecompositionFailed when the walk leaves mass unplaced.
     """
     violation = first_violation(lam, mu)

@@ -143,9 +143,11 @@ def intermediate_state(lam: ProbVector, mu: ProbVector) -> ConclusivePlan:
     if len(lam) != len(mu):
         raise ValueError("dimension mismatch; pad_to first")
     n = len(lam)
-    p, l_star = pmax(lam, mu)
     e_lam = _tails(lam)
     e_mu = _tails(mu)
+    # the first segment's scale, clamped, is p_max and its start l*, as in pmax
+    scale, l_star = _min_tail_ratio(e_lam, e_mu, n)
+    p = min(max(scale, 0.0), 1.0)
     if p <= ZERO_TOL:
         rank_lam, rank_mu = np.count_nonzero(lam.entries), np.count_nonzero(mu.entries)
         if rank_mu > rank_lam:
@@ -160,15 +162,15 @@ def intermediate_state(lam: ProbVector, mu: ProbVector) -> ConclusivePlan:
             f"{e_mu[l_star]} gives p_max {p}, a tail or ratio within ZERO_TOL "
             "counting as 0"
         )
-    gamma = np.zeros(n)
-    segments: list[tuple[int, int, float]] = []
-    end = n
-    while end > 0:
+    segments = [(l_star, n, scale)]
+    while segments[-1][0] > 0:
+        end = segments[-1][0]
         scale, start = _min_tail_ratio(e_lam, e_mu, end)
-        gamma[start:end] = scale * mu.entries[start:end]
         segments.append((start, end, scale))
-        end = start
     segments.reverse()
+    gamma = np.zeros(n)
+    for start, end, scale in segments:
+        gamma[start:end] = scale * mu.entries[start:end]
 
     if np.any(np.diff(gamma) > ZERO_TOL):
         raise ConstructionInvalid("intermediate vector not nonincreasing")

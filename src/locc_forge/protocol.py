@@ -1,5 +1,5 @@
 """The measurement that realizes a deterministic coefficient conversion
-lam -> mu, and its validation.
+lam -> mu, and its check table.
 
 A plan is three arrays: the outcome weights p_j, one relabeling
 sigma_j^{-1} of the Schmidt levels per outcome, and one Kraus diagonal per
@@ -11,8 +11,9 @@ broadcast.  The diagonals follow from (lam, mu, weights, relabelings) by
 ``_kraus_diagonals``, diag_jk = sqrt(p_j mu[sigma_j^{-1}(k)] / r_k) with
 r_k = sum_j p_j mu[sigma_j^{-1}(k)] the source that the plan itself
 reconstructs, so a plan travels as its weights and relabelings alone.
-``validate`` checks every plan, built or read, the same way, and returns
-one check table (``majorization.Check`` records by name): completeness,
+Every plan, built by ``build_plan`` or read by ``MeasurementPlan.from_json``,
+is realized by ``_realize``: one reconstruction r gives its diagonals and
+its check table (``majorization.Check`` records by name), completeness,
 outcome weights, and the reconstruction max_k |lam_k - r_k|.
 Plans are basis-free: no party basis ever enters.  The simulator runs a
 plan on each state's n diagonal Schmidt amplitudes, where a measurement
@@ -34,6 +35,7 @@ from .majorization import (
     UNIT_TOL,
     ZERO_TOL,
     mixture_for,
+    to_float,
     to_int,
 )
 
@@ -48,15 +50,15 @@ class MeasurementPlan:
     part of U_j: it moves level k to level perms[j, k].  The constructor
     checks the shapes, that weights are finite and >= 0, that every perms
     row is a permutation of 0..n-1 and that diags are finite and >= 0, and
-    makes the arrays read-only.  ``validation`` is the check table of the
-    ``validate`` run that ``build_plan`` made on its plan, and None on any
-    other plan.
+    makes the arrays read-only; it is the one permutation check of every
+    plan.  ``checks`` is the check table that ``_realize`` made for the
+    pair the plan was realized for, and None on a plan made directly.
     """
 
     weights: np.ndarray
     diags: np.ndarray
     perms: np.ndarray
-    validation: dict[str, Check] | None = field(default=None, init=False)
+    checks: dict[str, Check] | None = field(default=None, init=False)
 
     def __post_init__(self):
         weights = np.asarray(self.weights, dtype=float)
@@ -81,13 +83,6 @@ class MeasurementPlan:
     def n(self) -> int:
         return self.diags.shape[1]
 
-    def completeness_residual(self, support: np.ndarray) -> float:
-        """max_k |sum_j M_j^dag M_j - 1| over the given support indices."""
-        sums = np.sum(self.diags**2, axis=0)
-        if not np.any(support):
-            return 0.0
-        return float(np.max(np.abs(sums[support] - 1.0)))
-
     def to_json(self) -> dict:
         """Each outcome's weight and relabeling; the diagonals are left out
         because ``_kraus_diagonals`` rebuilds them from the coefficients."""
@@ -103,10 +98,10 @@ class MeasurementPlan:
     def from_json(
         cls, payload: dict, lam: ProbVector, mu: ProbVector
     ) -> "MeasurementPlan":
-        """Read the weights and relabelings of ``to_json`` and rebuild the
-        diagonals for lam -> mu.  An outcome with any other key is refused.
-        The plan is not checked against the pair; ``validate`` shows a plan
-        that does not fit it by its reconstruction and outcome weights."""
+        """Realize the weights and relabelings of ``to_json`` for lam -> mu,
+        read by ``to_float`` and ``to_int``; an outcome with any other key
+        is refused.  A plan that does not fit the pair shows it in its
+        ``checks``, by its reconstruction and outcome weights."""
         n = to_int(payload["n"])
         if n != len(lam):
             raise ValueError(f"plan dimension {n} does not match instance rank {len(lam)}")
@@ -115,20 +110,20 @@ class MeasurementPlan:
             extra = sorted(set(row) - {"p", "perm"})
             if extra:
                 raise ValueError(f"outcome keys {extra} are not p or perm")
-        shape = (len(rows), n)
-        perms = np.array([o["perm"] for o in rows], dtype=np.intp)
-        if rows and perms.shape != shape:
-            raise ValueError(f"perm rows must have length n={n}")
-        perms = perms.reshape(shape)
-        weights = np.array([float(o["p"]) for o in rows])
+        perms = np.array([_read_perm(o["perm"], n) for o in rows], dtype=np.intp)
+        weights = np.array([to_float(o["p"]) for o in rows])
         _check_weights(weights)
         if np.any(weights > 1.0):  # a larger p can overflow the diagonals
             raise ValueError("weights must be at most 1")
-        # the constructor refuses every row that is not a permutation; until
-        # then, clipping keeps the lookup into mu in range
-        source = lam if _agree(lam, mu) else mu  # mu reads as lam, as in build_plan
-        mass, recon = _reconstruction(weights, np.clip(perms, 0, n - 1), source)
-        return cls(weights, _kraus_diagonals(lam, mass, recon), perms)
+        return _realize(lam, mu, weights, perms.reshape(len(rows), n))
+
+
+def _read_perm(row, n: int) -> list[int]:
+    """One outcome's ``perm``: n entries read by ``to_int``, which a row of
+    plain ints, as ``to_json`` writes it, passes by type alone."""
+    if len(row) != n:
+        raise ValueError(f"perm rows must have length n={n}")
+    return row if set(map(type, row)) <= {int} else [to_int(v) for v in row]
 
 
 def _check_weights(weights: np.ndarray) -> None:
@@ -146,8 +141,9 @@ def _reconstruction(
     weights: np.ndarray, perms: np.ndarray, mu: ProbVector
 ) -> tuple[np.ndarray, np.ndarray]:
     """mass[j, k] = weights[j] mu[perms[j, k]], and r_k = sum_j mass[j, k],
-    the source vector that the plan rebuilds."""
-    mass = weights[:, None] * mu.entries[perms]
+    the source vector that the plan rebuilds.  The lookup clips an index
+    out of range; the plan constructor then refuses its row."""
+    mass = weights[:, None] * np.take(mu.entries, perms, mode="clip")
     return mass, mass.sum(axis=0)
 
 
@@ -156,8 +152,9 @@ def _kraus_diagonals(lam: ProbVector, mass: np.ndarray, recon: np.ndarray) -> np
     outcome j, from ``_reconstruction``'s mass and r.
 
     Dividing by r_k rather than lam_k makes the measurement complete to
-    rounding by construction, however small lam_k is; ``validate`` checks
-    the distance from lam to r, which also shows in the outcome weights.
+    rounding by construction, however small lam_k is; the
+    ``reconstruction`` check measures the distance from lam to r, which
+    also shows in the outcome weights.
     Level k stays dark (diagonal 0) where lam_k = 0, since support
     shrinkage under majorization leaves no mass there, and where r_k = 0.
     """
@@ -167,62 +164,53 @@ def _kraus_diagonals(lam: ProbVector, mass: np.ndarray, recon: np.ndarray) -> np
     return diags
 
 
+def _realize(
+    lam: ProbVector, mu: ProbVector, weights: np.ndarray, perms: np.ndarray
+) -> MeasurementPlan:
+    """The plan with these weights and relabelings for lam -> mu, with its
+    diagonals and check table from one reconstruction r: ``completeness``
+    and outcome ``weights`` to PLAN_TOL, ``reconstruction`` max_k |lam_k -
+    r_k| to UNIT_TOL.  A mu within ZERO_TOL of lam reads as lam for the
+    diagonals, with r formed again from lam: read as mu, a level with
+    lam_k > 0 = mu_k would get r_k = 0 and stay dark."""
+    mass, recon = _reconstruction(weights, perms, mu)
+    source = _reconstruction(weights, perms, lam) if _agree(lam, mu) else (mass, recon)
+    plan = MeasurementPlan(weights, _kraus_diagonals(lam, *source), perms)
+    squares = plan.diags**2
+    probs = np.sum(lam.entries * squares, axis=1)
+    completeness = np.max(np.abs(np.sum(squares, axis=0)[lam.entries > 0.0] - 1.0))
+    checks = {
+        "completeness": Check.within(completeness, PLAN_TOL),
+        "weights": Check.within(np.max(np.abs(probs - plan.weights), initial=0.0), PLAN_TOL),
+        "reconstruction": Check.within(np.max(np.abs(recon - lam.entries)), UNIT_TOL),
+    }
+    # set once, before the plan leaves this module
+    object.__setattr__(plan, "checks", checks)
+    return plan
+
+
 def build_plan(
     lam: ProbVector, mu: ProbVector, cuts: Sequence[int] = ()
 ) -> MeasurementPlan:
-    """Validated plan converting lam into mu: the one-outcome identity plan
-    when the vectors agree within ZERO_TOL, else the weights and
-    relabelings of ``mixture_for``, which starts from the prefixes ``cuts``
-    as tight.  The reconstruction r is formed once, for the diagonals and
-    the checks; the identity plan's diagonals read mu as lam, so they are
-    1 on lam's support.  The plan carries its passed ``validate`` table.
-    Raises ConversionImpossible when lam is not majorized by mu, and
-    InternalContradiction when the plan fails validation."""
+    """Plan converting lam into mu, realized with a passed check table: the
+    one-outcome identity plan when the vectors agree within ZERO_TOL, else
+    the weights and relabelings of ``mixture_for``, which starts from the
+    prefixes ``cuts`` as tight.  Raises ConversionImpossible when lam is
+    not majorized by mu, and InternalContradiction when a check fails."""
     if len(lam) != len(mu):
         raise ValueError("pad vectors to a common length first")
     if _agree(lam, mu):
         weights, perms = np.ones(1), np.arange(len(lam))[None, :]
-        recon = mu.entries
-        diags = (lam.entries > 0.0)[None, :].astype(float)
     else:
         mix = mixture_for(lam, mu, cuts)
         weights, perms = mix.weights, mix.terms
-        mass, recon = _reconstruction(weights, perms, mu)
-        diags = _kraus_diagonals(lam, mass, recon)
-    plan = MeasurementPlan(weights, diags, perms)
-    checks = _checks(plan, lam, recon)
-    if not all(check.ok for check in checks.values()):
+    plan = _realize(lam, mu, weights, perms)
+    if not all(check.ok for check in plan.checks.values()):
+        _, recon = _reconstruction(weights, perms, mu)
         k = int(np.argmax(np.abs(recon - lam.entries)))
         raise InternalContradiction(
             "built plan failed validation: "
-            + ", ".join(f"{name} {check.value}" for name, check in checks.items())
+            + ", ".join(f"{name} {check.value}" for name, check in plan.checks.items())
             + f" at level {k} (lam_k {lam[k]}, r_k {recon[k]})"
         )
-    # set once, before the plan leaves this module
-    object.__setattr__(plan, "validation", checks)
     return plan
-
-
-def validate(
-    plan: MeasurementPlan, lam: ProbVector, mu: ProbVector
-) -> dict[str, Check]:
-    """The check table of a plan read for lam -> mu; never raises.
-    ``completeness`` and the outcome ``weights`` are checked to PLAN_TOL,
-    the ``reconstruction`` max_k |lam_k - r_k| to UNIT_TOL.  Mass on a
-    level with lam_k = 0 shows in the reconstruction."""
-    _, recon = _reconstruction(plan.weights, plan.perms, mu)
-    return _checks(plan, lam, recon)
-
-
-def _checks(plan: MeasurementPlan, lam: ProbVector, recon: np.ndarray) -> dict[str, Check]:
-    """``validate``'s table, given the plan's reconstruction r."""
-    probs = np.sum(lam.entries * plan.diags**2, axis=1)
-    return {
-        "completeness": Check.within(
-            plan.completeness_residual(lam.entries > 0.0), PLAN_TOL
-        ),
-        "weights": Check.within(
-            np.max(np.abs(probs - plan.weights), initial=0.0), PLAN_TOL
-        ),
-        "reconstruction": Check.within(np.max(np.abs(recon - lam.entries)), UNIT_TOL),
-    }

@@ -116,7 +116,7 @@ class GeneralizedSchmidtState:
     columns.
     """
 
-    __slots__ = ("m", "dims", "coeffs", "bases")
+    __slots__ = ("dims", "coeffs", "bases")
 
     def __init__(self, dims, coeffs: ProbVector, bases):
         dims = tuple(to_int(d) for d in dims)
@@ -139,7 +139,6 @@ class GeneralizedSchmidtState:
             mats.append(mat)
         if len(mats) != len(dims):
             raise ValueError("one basis per party required")
-        object.__setattr__(self, "m", len(dims))
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "bases", tuple(mats))
@@ -165,7 +164,7 @@ class GeneralizedSchmidtState:
         if len(coeffs) != self.n:
             raise ValueError(f"rank {len(coeffs)} differs from the state's {self.n}")
         out = object.__new__(GeneralizedSchmidtState)
-        for name in ("m", "dims", "bases"):
+        for name in ("dims", "bases"):
             object.__setattr__(out, name, getattr(self, name))
         object.__setattr__(out, "coeffs", coeffs)
         return out

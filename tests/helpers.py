@@ -58,6 +58,14 @@ def brute_force_pmax(lam, mu) -> float:
     return min(max(best, 0.0), 1.0)
 
 
+def loop_completeness(plan, lam) -> float:
+    """max_k |sum_j diag_jk^2 - 1| over the levels with lam_k > 0, summed
+    in plain loops."""
+    diags = plan.diags.tolist()
+    return max(abs(sum(row[k] ** 2 for row in diags) - 1.0)
+               for k, x in enumerate(lam) if x > 0.0)
+
+
 def loop_reconstruct(weights, rows, mu) -> np.ndarray:
     """sum_j weights[j] * mu[rows[j][k]] at every level k, summed in plain
     loops: the source that a mixture, or a plan's weights and relabelings,

@@ -252,11 +252,12 @@ class TestPlan:
         json.loads((DATA / "report_n5.json").read_text()),
     ])
     def test_plan_is_validated_once(self, tmp_path, capsys, monkeypatch, payload):
-        # the report shows the validation that synthesis already ran, and
-        # synthesis forms the reconstruction r once, for the diagonals and
-        # the checks (the identity plan needs none: it reads mu as lam)
+        # the report shows the check table that realizing the plan made, and
+        # realizing forms the reconstruction r once, for the diagonals and
+        # the checks, or twice for the identity plan, whose diagonals read
+        # mu as lam
         import locc_forge.protocol as protocol
-        calls = {"_checks": 0, "_reconstruction": 0}
+        calls = {"_realize": 0, "_reconstruction": 0}
         for name in calls:
             def counted(*args, _fn=getattr(protocol, name), _name=name):
                 calls[_name] += 1
@@ -266,7 +267,7 @@ class TestPlan:
         assert code == 0 and report["pass"] is True
         assert set(report["residuals"]) == {"completeness", "weights", "reconstruction"}
         identity = payload["lam"] == payload["mu"]
-        assert calls == {"_checks": 1, "_reconstruction": 0 if identity else 1}
+        assert calls == {"_realize": 1, "_reconstruction": 2 if identity else 1}
 
     def test_residuals_accompany_pass(self, tmp_path, capsys):
         _, report, _ = run(capsys, ["plan", "--in", write(tmp_path, EASY_PAIR)])
@@ -389,7 +390,10 @@ class TestSimulate:
     @pytest.mark.parametrize("field, entries, message", [
         ("perm", [0, 0], "not a permutation"),
         ("perm", [1, 2], "not a permutation"),
-        ("perm", [1e400, 0], "cannot convert float infinity"),
+        ("perm", [1e400, 0], "inf is not a whole number"),
+        ("perm", [1.9, 0.2], "1.9 is not a whole number"),
+        ("perm", [True, False], "True is not a number"),
+        ("p", "0.5", "'0.5' is not a number"),
         ("diag", [-0.5, 1.0], "outcome keys ['diag'] are not p or perm"),
         ("diag", [float("nan"), 1.0], "outcome keys ['diag'] are not p or perm"),
         ("p", float("nan"), "weights must be finite"),
@@ -420,8 +424,9 @@ class TestSimulate:
     ])
     def test_piped_plan_reproduces_the_transcript(self, tmp_path, capsys, monkeypatch,
                                                   payload):
-        # plan | simulate --plan -: the rebuilt diagonals are the synthesized
-        # ones, so the transcript matches simulate without --plan bit for bit
+        # plan | simulate --plan -: the rebuilt diagonals and checks are the
+        # synthesized ones, so the report matches simulate without --plan
+        # bit for bit, check table included
         import io
         inst_path = write(tmp_path, payload)
         code, plan_text = raw_run(capsys, ["plan", "--in", inst_path])
@@ -435,10 +440,11 @@ class TestSimulate:
         assert json.dumps(piped["payload"]["transcript"]) == json.dumps(
             direct["payload"]["transcript"])
         assert piped["payload"]["plan"] == direct["payload"]["plan"]
+        for field in ("residuals", "tolerances", "pass"):
+            assert json.dumps(piped[field]) == json.dumps(direct[field])
         # the plan's checks join the run's
         assert piped["pass"] is True
-        assert set(piped["residuals"]) == set(direct["residuals"]) | {
-            "completeness", "weights", "reconstruction"}
+        assert {"completeness", "weights", "reconstruction"} < set(piped["residuals"])
 
     @pytest.mark.parametrize("tamper", ["p", "swap", "other_pair"])
     def test_tampered_plan_fails_verification(self, tmp_path, capsys, tamper):
@@ -973,6 +979,16 @@ class TestInputSlack:
                 inst = {"schema_version": "1", "lam": lam.tolist(), "mu": mu.tolist()}
                 code, report, _ = run(capsys, [command, "--in", write(tmp_path, inst)])
                 assert code == 0, (v, lam, mu, report)
+
+    @pytest.mark.parametrize("command", ["plan", "simulate", "conclusive"])
+    def test_tiny_tail_within_zero_tol_exits_0(self, tmp_path, capsys, command):
+        # mu is within ZERO_TOL of lam, so the plan's diagonals read mu as
+        # lam; without that rule the waypoint's stage leaves a live level
+        # with r_k = 0 and conclusive exits 5
+        inst = {"schema_version": "1", "lam": [0.4999999999998, 0.3, 0.2, 1e-13, 1e-13],
+                "mu": [0.5, 0.3, 0.2, 0.0, 0.0]}
+        code, report, _ = run(capsys, [command, "--in", write(tmp_path, inst)])
+        assert code == 0 and report["pass"] is True
 
 
 class TestModuleEntry:

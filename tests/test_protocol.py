@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from helpers import loop_reconstruct, passed, random_probs, slack_pairs, t_chain
+from helpers import (
+    loop_completeness,
+    loop_reconstruct,
+    passed,
+    random_probs,
+    slack_pairs,
+    t_chain,
+)
 from locc_forge import (
     ConversionImpossible,
     InternalContradiction,
@@ -12,7 +19,6 @@ from locc_forge import (
     build_plan,
     mixture_for,
     pad_to,
-    validate,
 )
 from test_majorization import majorized_pairs
 
@@ -40,13 +46,13 @@ class TestSynthesize:
             (round(np.sqrt(0.25), 12), round(np.sqrt(0.75), 12)),
         }
         assert diags == expected
-        assert plan.completeness_residual(lam.entries > 0) < 1e-10
+        assert loop_completeness(plan, lam) < 1e-10
 
     def test_completeness_is_enforced_invariant(self):
         lam = ProbVector([0.5, 0.3, 0.2])
         mu = ProbVector([0.6, 0.3, 0.1])
         plan = build_plan(lam, mu)
-        assert plan.completeness_residual(lam.entries > 0) < 1e-10
+        assert loop_completeness(plan, lam) < 1e-10
 
     def test_mass_on_a_dead_level_fails_reconstruction(self, monkeypatch):
         # r = mu: the identity term puts 0.5 on level 1, where lam_1 = 0,
@@ -139,38 +145,46 @@ class TestQubitFastPath:
 
 
 class TestValidate:
+    """The check table that every realized plan carries as ``checks``.  The
+    class keeps the name of the function it first tested, so that its test
+    ids stay stable."""
+
     def test_trivial_plan(self):
         v = ProbVector([0.6, 0.4])
-        plan = build_plan(v, v)
-        checks = validate(plan, v, v)
+        checks = build_plan(v, v).checks
         assert checks["completeness"].value == pytest.approx(0.0, abs=1e-15)
-        assert plan.weights.tolist() == [1.0]
+        assert build_plan(v, v).weights.tolist() == [1.0]
         assert checks["weights"].value == pytest.approx(0.0, abs=1e-15)
         assert passed(checks)
 
     def test_qubit_probabilities(self):
         lam, mu = ProbVector([0.6, 0.4]), ProbVector([0.8, 0.2])
         plan = build_plan(lam, mu)
-        checks = validate(plan, lam, mu)
         np.testing.assert_allclose(plan.weights, [1 / 3, 2 / 3], atol=1e-12)
-        assert checks["weights"].value <= 1e-15
+        assert plan.checks["weights"].value <= 1e-15
 
     def test_perturbed_plan_fails_flags_without_raising(self):
-        lam = ProbVector([0.6, 0.4])
-        plan = build_plan(lam, ProbVector([0.8, 0.2]))
-        bad_diags = plan.diags.copy()
-        bad_diags[0, 0] += 1e-3
-        tampered = MeasurementPlan(plan.weights, bad_diags, plan.perms)
-        checks = validate(tampered, lam, ProbVector([0.8, 0.2]))
+        # a read plan with a changed p: its rebuilt diagonals stay complete,
+        # but r misses lam and the outcome weights miss p
+        lam, mu = ProbVector([0.6, 0.4]), ProbVector([0.8, 0.2])
+        payload = build_plan(lam, mu).to_json()
+        payload["outcomes"][0]["p"] *= 1.01
+        checks = MeasurementPlan.from_json(payload, lam, mu).checks
         assert not passed(checks)
-        assert not checks["completeness"].ok
+        assert checks["completeness"].ok
+        assert not checks["weights"].ok and not checks["reconstruction"].ok
 
     def test_report_carries_tolerances(self):
         v = ProbVector([1.0])
-        plan = build_plan(v, v)
-        checks = validate(plan, v, v)
+        checks = build_plan(v, v).checks
         assert {name: check.tol for name, check in checks.items()} == {
             "completeness": 1e-10, "weights": 1e-10, "reconstruction": 1e-9}
+
+    def test_read_plan_carries_the_built_table(self):
+        lam, mu = ProbVector([0.5, 0.3, 0.2]), ProbVector([0.6, 0.3, 0.1])
+        plan = build_plan(lam, mu)
+        clone = MeasurementPlan.from_json(plan.to_json(), lam, mu)
+        assert clone.checks == plan.checks
 
 
 class TestPlanJson:
@@ -233,7 +247,7 @@ def test_synthesized_plan_properties(pair):
     # weights form a distribution
     assert np.sum(plan.weights) == pytest.approx(1.0, abs=1e-10)
     # completeness on the support of lam
-    assert plan.completeness_residual(lam.entries > 0) <= 1e-10
+    assert loop_completeness(plan, lam) <= 1e-10
     # each branch lands exactly on the permuted target coefficients
     for weight, diag, perm in zip(plan.weights, plan.diags, plan.perms):
         post = lam.entries * diag**2 / weight
@@ -268,7 +282,7 @@ def _assert_walk_plan(lam, mu):
     assert len(mix.terms) <= len(lam)
     recon = loop_reconstruct(mix.weights, mix.terms, mu)
     assert np.max(np.abs(recon - lam.entries)) <= 1e-12
-    assert passed(validate(build_plan(lam, mu), lam, mu))
+    assert passed(build_plan(lam, mu).checks)
 
 
 @pytest.mark.parametrize("n", [16, 24, 32, 64, 128])
@@ -308,7 +322,7 @@ def test_input_sum_slack_is_absorbed(n):
     # 1e-10; dividing by the sum keeps the slack out of the plan
     for lam, mu in slack_pairs(n):
         lam, mu = ProbVector(lam), ProbVector(mu)
-        assert passed(validate(build_plan(lam, mu), lam, mu))
+        assert passed(build_plan(lam, mu).checks)
 
 
 def test_zero_padded_pairs():
