@@ -119,11 +119,10 @@ class MeasurementPlan:
 
 
 def _read_perm(row, n: int) -> list[int]:
-    """One outcome's ``perm``: n entries read by ``to_int``, which a row of
-    plain ints, as ``to_json`` writes it, passes by type alone."""
+    """One outcome's ``perm``: n entries, each read by ``to_int``."""
     if len(row) != n:
         raise ValueError(f"perm rows must have length n={n}")
-    return row if set(map(type, row)) <= {int} else [to_int(v) for v in row]
+    return [to_int(v) for v in row]
 
 
 def _check_weights(weights: np.ndarray) -> None:

@@ -174,6 +174,15 @@ class TestValidate:
         assert checks["completeness"].ok
         assert not checks["weights"].ok and not checks["reconstruction"].ok
 
+    def test_dark_live_level_fails_completeness(self):
+        # a read plan that leaves r_k = 0 on a level with lam_k > 0: that
+        # level stays dark, so the measurement misses it by its whole weight
+        lam, mu = ProbVector([0.5, 0.5]), ProbVector([1.0, 0.0])
+        payload = {"n": 2, "outcomes": [{"p": 1, "perm": [0, 1]}]}
+        checks = MeasurementPlan.from_json(payload, lam, mu).checks
+        assert checks["completeness"].value == pytest.approx(1.0)
+        assert not checks["completeness"].ok
+
     def test_report_carries_tolerances(self):
         v = ProbVector([1.0])
         checks = build_plan(v, v).checks
