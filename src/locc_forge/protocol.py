@@ -7,14 +7,15 @@ outcome for party 0's measurement.  The weights and relabelings are the
 permutation mixture lam = sum_j p_j mu[sigma_j^{-1}] as ``mixture_for``
 writes it, row for row: level k of outcome j's target holds
 mu[perms[j, k]], so every party applies perms[j] once outcome j is
-broadcast.  The diagonals follow from (lam, mu, weights, relabelings) by
+broadcast.  The diagonals follow from (mu, weights, relabelings) alone by
 ``_kraus_diagonals``, diag_jk = sqrt(p_j mu[sigma_j^{-1}(k)] / r_k) with
 r_k = sum_j p_j mu[sigma_j^{-1}(k)] the source that the plan itself
-reconstructs, so a plan travels as its weights and relabelings alone.
-Every plan, built by ``build_plan`` or read by ``MeasurementPlan.from_json``,
-is realized by ``_realize``: one reconstruction r gives its diagonals and
-its check table (``majorization.Check`` records by name), completeness,
-outcome weights, and the reconstruction max_k |lam_k - r_k|.
+reconstructs, and sqrt(p_j) where r_k = 0, so every plan is complete and
+travels as its weights and relabelings.  Every plan, built by
+``build_plan`` or read by ``MeasurementPlan.from_json``, is realized by
+``_realize``: one reconstruction r gives its diagonals and its check table
+(``majorization.Check`` records by name), where lam first enters:
+completeness, outcome weights, and the reconstruction max_k |lam_k - r_k|.
 Plans are basis-free: no party basis ever enters.  The simulator runs a
 plan on each state's n diagonal Schmidt amplitudes, where a measurement
 outcome is a pointwise product and a relabeling a permutation.
@@ -115,7 +116,7 @@ class MeasurementPlan:
         _check_weights(weights)
         if np.any(weights > 1.0):  # a larger p can overflow the diagonals
             raise ValueError("weights must be at most 1")
-        return _realize(lam, mu, weights, perms.reshape(len(rows), n))
+        return _realize(lam, mu, weights, perms.reshape(len(rows), n))[0]
 
 
 def _read_perm(row, n: int) -> list[int]:
@@ -131,11 +132,6 @@ def _check_weights(weights: np.ndarray) -> None:
         raise ValueError("weights must be finite and >= 0")
 
 
-def _agree(lam: ProbVector, mu: ProbVector) -> bool:
-    """The vectors agree within ZERO_TOL: the plan is the identity."""
-    return bool(np.max(np.abs(lam.entries - mu.entries)) <= ZERO_TOL)
-
-
 def _reconstruction(
     weights: np.ndarray, perms: np.ndarray, mu: ProbVector
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -146,46 +142,47 @@ def _reconstruction(
     return mass, mass.sum(axis=0)
 
 
-def _kraus_diagonals(lam: ProbVector, mass: np.ndarray, recon: np.ndarray) -> np.ndarray:
-    """Row j is diag_jk = sqrt(mass[j, k] / r_k), the Kraus diagonal of
-    outcome j, from ``_reconstruction``'s mass and r.
-
-    Dividing by r_k rather than lam_k makes the measurement complete to
-    rounding by construction, however small lam_k is; the
-    ``reconstruction`` check measures the distance from lam to r, which
-    also shows in the outcome weights.
-    Level k stays dark (diagonal 0) where lam_k = 0, since support
-    shrinkage under majorization leaves no mass there, and where r_k = 0.
-    """
-    live = (lam.entries > 0.0) & (recon > 0.0)
-    diags = np.zeros_like(mass)
-    diags[:, live] = np.sqrt(mass[:, live] / recon[live])
-    return diags
+def _kraus_diagonals(weights: np.ndarray, mass: np.ndarray, recon: np.ndarray) -> np.ndarray:
+    """Row j is the Kraus diagonal of outcome j, diag_jk = sqrt(mass[j, k] /
+    r_k) from ``_reconstruction``, and sqrt(p_j) where r_k = 0.  A function
+    of the plan alone, so complete to rounding on every level, however
+    small lam_k is: how far r is from lam is the ``reconstruction`` check's
+    to tell, and a level the plan leaves empty costs its lam_k there."""
+    share = np.repeat(weights[:, None], mass.shape[1], axis=1)
+    np.divide(mass, recon, out=share, where=recon > 0.0)
+    return np.sqrt(share)
 
 
 def _realize(
     lam: ProbVector, mu: ProbVector, weights: np.ndarray, perms: np.ndarray
-) -> MeasurementPlan:
+) -> tuple[MeasurementPlan, dict[str, str]]:
     """The plan with these weights and relabelings for lam -> mu, with its
     diagonals and check table from one reconstruction r: ``completeness``
     and outcome ``weights`` to PLAN_TOL, ``reconstruction`` max_k |lam_k -
-    r_k| to UNIT_TOL.  A mu within ZERO_TOL of lam reads as lam for the
-    diagonals, with r formed again from lam: read as mu, a level with
-    lam_k > 0 = mu_k would get r_k = 0 and stay dark."""
+    r_k| to UNIT_TOL; lam enters the table only.  Also returns where each
+    failing check failed: the level and its sum_j diag_jk^2, the outcome
+    with its probability on lam and p_j, or the level with lam_k and r_k."""
     mass, recon = _reconstruction(weights, perms, mu)
-    source = _reconstruction(weights, perms, lam) if _agree(lam, mu) else (mass, recon)
-    plan = MeasurementPlan(weights, _kraus_diagonals(lam, *source), perms)
+    plan = MeasurementPlan(weights, _kraus_diagonals(weights, mass, recon), perms)
     squares = plan.diags**2
+    cover = np.sum(squares, axis=0)
     probs = np.sum(lam.entries * squares, axis=1)
-    completeness = np.max(np.abs(np.sum(squares, axis=0)[lam.entries > 0.0] - 1.0))
-    checks = {
-        "completeness": Check.within(completeness, PLAN_TOL),
-        "weights": Check.within(np.max(np.abs(probs - plan.weights), initial=0.0), PLAN_TOL),
-        "reconstruction": Check.within(np.max(np.abs(recon - lam.entries)), UNIT_TOL),
+    gaps = {  # each check's residual per level or outcome, and its tolerance
+        "completeness": (np.where(lam.entries > 0.0, np.abs(cover - 1.0), 0.0), PLAN_TOL),
+        "weights": (np.abs(probs - plan.weights), PLAN_TOL),
+        "reconstruction": (np.abs(recon - lam.entries), UNIT_TOL),
     }
+    checks = {name: Check.within(np.max(gap, initial=0.0), tol)
+              for name, (gap, tol) in gaps.items()}
     # set once, before the plan leaves this module
     object.__setattr__(plan, "checks", checks)
-    return plan
+    where = {
+        "completeness": lambda k: f"level {k} (sum_j diag_jk^2 {cover[k]})",
+        "weights": lambda j: f"outcome {j} (probability {probs[j]}, p_j {weights[j]})",
+        "reconstruction": lambda k: f"level {k} (lam_k {lam[k]}, r_k {recon[k]})",
+    }
+    return plan, {name: f" at {where[name](int(np.argmax(gaps[name][0])))}"
+                  for name, check in checks.items() if not check.ok}
 
 
 def build_plan(
@@ -195,21 +192,21 @@ def build_plan(
     one-outcome identity plan when the vectors agree within ZERO_TOL, else
     the weights and relabelings of ``mixture_for``, which starts from the
     prefixes ``cuts`` as tight.  Raises ConversionImpossible when lam is
-    not majorized by mu, and InternalContradiction when a check fails."""
+    not majorized by mu, and InternalContradiction when a check fails,
+    naming every check's value and where each failing one failed."""
     if len(lam) != len(mu):
         raise ValueError("pad vectors to a common length first")
-    if _agree(lam, mu):
+    # the walk would make outcomes of rounding weight here, each checked for its fidelity
+    if np.max(np.abs(lam.entries - mu.entries)) <= ZERO_TOL:
         weights, perms = np.ones(1), np.arange(len(lam))[None, :]
     else:
         mix = mixture_for(lam, mu, cuts)
         weights, perms = mix.weights, mix.terms
-    plan = _realize(lam, mu, weights, perms)
-    if not all(check.ok for check in plan.checks.values()):
-        _, recon = _reconstruction(weights, perms, mu)
-        k = int(np.argmax(np.abs(recon - lam.entries)))
+    plan, failed = _realize(lam, mu, weights, perms)
+    if failed:
         raise InternalContradiction(
             "built plan failed validation: "
-            + ", ".join(f"{name} {check.value}" for name, check in plan.checks.items())
-            + f" at level {k} (lam_k {lam[k]}, r_k {recon[k]})"
+            + ", ".join(f"{name} {check.value}{failed.get(name, '')}"
+                        for name, check in plan.checks.items())
         )
     return plan

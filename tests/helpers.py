@@ -155,6 +155,33 @@ def prefix_band_pairs(v: float):
         yield lam, mu
 
 
+def dark_level_pairs(count: int = 400, seed: int = 2):
+    """count raw (lam, mu) arrays where mu has zeros and a steep tail, so
+    that lam's tiny entries can land on levels that no outcome of a plan
+    reaches: n in {3, 5, 8, 16, 64}; mu has entries u**s for uniform u,
+    with s in {20, 60, 150, 400}, and each entry but the largest set to 0
+    with probability 0.3; lam is 2n random T-transforms of mu (probability
+    0.7) or drawn independently in the same way."""
+    rng = np.random.default_rng(seed)
+
+    def draw(n):
+        # u**s in logs, scaled so that the largest entry is 1 and no draw
+        # underflows to all zeros
+        logs = float(rng.choice([20, 60, 150, 400])) * np.log(rng.uniform(size=n))
+        v = np.exp(logs - logs.max())
+        v[(rng.uniform(size=n) < 0.3) & (v < 1.0)] = 0.0
+        return v / v.sum()
+
+    for _ in range(count):
+        n = int(rng.choice([3, 5, 8, 16, 64]))
+        mu = draw(n)
+        if rng.uniform() < 0.7:
+            lam = t_chain(rng, ProbVector(mu), transforms=2 * n).entries
+        else:
+            lam = draw(n)
+        yield lam, mu
+
+
 def random_columns(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
     """d x n orthonormal columns: the Q factor of a complex Gaussian matrix."""
     z = rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))

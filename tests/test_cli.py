@@ -11,7 +11,17 @@ import numpy as np
 import pytest
 
 import locc_forge
-from helpers import prefix_band_pairs, random_probs, random_unitary, slack_pairs, t_chain
+from helpers import (
+    dark_level_pairs,
+    loop_reconstruct,
+    prefix_band_pairs,
+    prefix_sum_majorized,
+    random_probs,
+    random_unitary,
+    slack_pairs,
+    t_chain,
+)
+from locc_forge import ProbVector, mixture_for
 from locc_forge.cli import COMMANDS, load_instance, main
 from test_simulator import plant_offdiag_mass
 
@@ -254,8 +264,7 @@ class TestPlan:
     def test_plan_is_validated_once(self, tmp_path, capsys, monkeypatch, payload):
         # the report shows the check table that realizing the plan made, and
         # realizing forms the reconstruction r once, for the diagonals and
-        # the checks, or twice for the identity plan, whose diagonals read
-        # mu as lam
+        # the checks, the identity plan included
         import locc_forge.protocol as protocol
         calls = {"_realize": 0, "_reconstruction": 0}
         for name in calls:
@@ -266,8 +275,7 @@ class TestPlan:
         code, report, _ = run(capsys, ["plan", "--in", write(tmp_path, payload)])
         assert code == 0 and report["pass"] is True
         assert set(report["residuals"]) == {"completeness", "weights", "reconstruction"}
-        identity = payload["lam"] == payload["mu"]
-        assert calls == {"_realize": 1, "_reconstruction": 2 if identity else 1}
+        assert calls == {"_realize": 1, "_reconstruction": 1}
 
     def test_residuals_accompany_pass(self, tmp_path, capsys):
         _, report, _ = run(capsys, ["plan", "--in", write(tmp_path, EASY_PAIR)])
@@ -417,6 +425,8 @@ class TestSimulate:
         {"schema_version": "1", "lam": [0.7, 0.3], "mu": [0.7, 0.3, 0.0]},
         {"schema_version": "1", "lam": [0.7, 0.3], "mu": [0.7 + 1e-13, 0.3 - 1e-13]},
         json.loads((DATA / "report_n5.json").read_text()),
+        # the walk reaches no level that holds lam_2 = 3.5e-17
+        json.loads((DATA / "dark_n3.json").read_text()),
         # a dead level under random complex bases
         {"schema_version": "1", "lam": [0.6, 0.4, 0.0], "mu": [0.8, 0.2, 0.0],
          "bases": [{"re": b.real.tolist(), "im": b.imag.tolist()} for b in
@@ -731,18 +741,19 @@ def error_cases(tmp_path):
     """(exit code, argv) of one failing run per error exit, 2 to 5."""
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
-    # swapping the live level with the dead one gives the live level a zero
-    # diagonal, so the outcome annihilates the state (ZeroBranch)
-    swap_plan = tmp_path / "swap_plan.json"
-    swap_plan.write_text(json.dumps({"n": 2, "outcomes": [{"p": 1.0, "perm": [1, 0]}]}))
-    product = {"schema_version": "1", "lam": [1.0, 0.0], "mu": [1.0, 0.0]}
+    # outcome 1 puts no mass on level 0, the only live level of the source,
+    # so its diagonal there is 0 and it annihilates the state (ZeroBranch)
+    dead_plan = tmp_path / "dead_plan.json"
+    dead_plan.write_text(json.dumps({"n": 3, "outcomes": [
+        {"p": 0.5, "perm": [0, 1, 2]}, {"p": 0.5, "perm": [2, 0, 1]}]}))
+    pair = {"schema_version": "1", "lam": [1.0, 0.0, 0.0], "mu": [0.5, 0.5, 0.0]}
     cap = {"schema_version": "1", "lam": [1.0 / 64] * 64, "mu": [1.0 / 64] * 64}
     return [
         (2, ["check", "--in", str(bad)]),
         (3, ["plan", "--in", write(tmp_path, JP_PAIR, "jp.json")]),
         (4, ["multicopy", "--in", write(tmp_path, cap, "cap.json"), "--copies", "4"]),
-        (5, ["simulate", "--in", write(tmp_path, product, "product.json"),
-             "--plan", str(swap_plan)]),
+        (5, ["simulate", "--in", write(tmp_path, pair, "pair.json"),
+             "--plan", str(dead_plan)]),
     ]
 
 
@@ -982,12 +993,46 @@ class TestInputSlack:
 
     @pytest.mark.parametrize("command", ["plan", "simulate", "conclusive"])
     def test_tiny_tail_within_zero_tol_exits_0(self, tmp_path, capsys, command):
-        # mu is within ZERO_TOL of lam, so the plan's diagonals read mu as
-        # lam; without that rule the waypoint's stage leaves a live level
-        # with r_k = 0 and conclusive exits 5
+        # mu is within ZERO_TOL of lam, so the plan is the one-outcome
+        # identity, which reaches neither level that holds 1e-13 (r_k = 0)
         inst = {"schema_version": "1", "lam": [0.4999999999998, 0.3, 0.2, 1e-13, 1e-13],
                 "mu": [0.5, 0.3, 0.2, 0.0, 0.0]}
         code, report, _ = run(capsys, [command, "--in", write(tmp_path, inst)])
+        assert code == 0 and report["pass"] is True
+
+
+class TestDarkLevels:
+    """Pairs whose plan reaches no level that holds a tiny lam_k, so r_k =
+    0 there: each outcome's diagonal is sqrt(p_j) on such a level, and the
+    measurement stays complete."""
+
+    def test_generator_reaches_dark_levels(self):
+        # the walk leaves lam_k > 0 = r_k on a good share of the pairs
+        dark = 0
+        for lam, mu in dark_level_pairs():
+            if prefix_sum_majorized(lam, mu):
+                mix = mixture_for(ProbVector(lam), ProbVector(mu))
+                recon = loop_reconstruct(mix.weights, mix.terms, np.sort(mu)[::-1])
+                dark += bool(np.any((np.sort(lam)[::-1] > 0.0) & (recon == 0.0)))
+        assert dark >= 50
+
+    def test_generator_exits_0(self, tmp_path, capsys):
+        # plan and simulate exit 0 on every majorized pair; every other run
+        # exits 0 or 3 (for conclusive, p_max within ZERO_TOL of 0)
+        wrong = []
+        for lam, mu in dark_level_pairs():
+            path = write(tmp_path, {"schema_version": "1", "lam": lam.tolist(),
+                                    "mu": mu.tolist()})
+            majorized = prefix_sum_majorized(lam, mu)
+            for command in ("plan", "simulate", "conclusive"):
+                code, report, _ = run(capsys, [command, "--in", path])
+                if code not in ({0} if majorized and command != "conclusive" else {0, 3}):
+                    wrong.append((command, code, lam.tolist(), mu.tolist(), report))
+        assert not wrong, wrong[:2]
+
+    @pytest.mark.parametrize("command", ["plan", "simulate", "conclusive"])
+    def test_smallest_dark_pair_exits_0(self, capsys, command):
+        code, report, _ = run(capsys, [command, "--in", str(DATA / "dark_n3.json")])
         assert code == 0 and report["pass"] is True
 
 

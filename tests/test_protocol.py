@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -77,6 +79,37 @@ class TestSynthesize:
             build_plan(ProbVector([0.5, 0.5, 0.0, 0.0]), ProbVector([0.5, 0.25, 0.25, 0.0]))
         assert "at level 1 (lam_k 0.5, r_k 0.175" in str(err.value)
 
+    def test_only_the_weights_check_fails(self, monkeypatch):
+        # the qubit plan with 5e-10 moved between its weights: r misses lam
+        # by 3e-10, within UNIT_TOL, but each outcome's weight by 1.67e-10,
+        # outcome 1's by the most after rounding
+        bogus = PermutationMixture(
+            np.array([1 / 3 + 5e-10, 2 / 3 - 5e-10]), np.array([[1, 0], [0, 1]])
+        )
+        monkeypatch.setattr("locc_forge.protocol.mixture_for", lambda *_: bogus)
+        with pytest.raises(InternalContradiction) as err:
+            build_plan(ProbVector([0.6, 0.4]), ProbVector([0.8, 0.2]))
+        message = str(err.value)
+        assert re.fullmatch(
+            r"built plan failed validation: completeness \S+, weights 1\.66\d+e-10 "
+            r"at outcome 1 \(probability 0\.666\d+, p_j 0\.666\d+\), "
+            r"reconstruction 3\.0\d*e-10", message), message
+
+    def test_every_failing_check_says_where(self, monkeypatch):
+        # weights of sum 0.5 and no mass on level 1: the empty level is
+        # covered by sum_j p_j = 0.5 (sqrt(0.5)**2 after rounding), outcome 0
+        # gets 0.75 of lam against p_0 = 0.5, and r = [0.5, 0]
+        bogus = PermutationMixture(np.array([0.5]), np.array([[0, 1]]))
+        monkeypatch.setattr("locc_forge.protocol.mixture_for", lambda *_: bogus)
+        with pytest.raises(InternalContradiction) as err:
+            build_plan(ProbVector([0.5, 0.5]), ProbVector([1.0, 0.0]))
+        assert str(err.value) == (
+            "built plan failed validation: "
+            "completeness 0.4999999999999999 at level 1 (sum_j diag_jk^2 0.5000000000000001), "
+            "weights 0.25 at outcome 0 (probability 0.75, p_j 0.5), "
+            "reconstruction 0.5 at level 1 (lam_k 0.5, r_k 0.0)"
+        )
+
     def test_matches_scalar_formula_at_rank_512(self):
         rng = np.random.default_rng(512)
         n = 512
@@ -97,10 +130,14 @@ class TestSynthesize:
             np.testing.assert_array_equal(diag, expected)
 
     def test_padded_zero_levels_are_legal(self):
+        # no outcome reaches padded level 2 (r_2 = 0), so each outcome's
+        # diagonal there is sqrt(p_j): the measurement is complete on every
+        # level, padded ones included
         lam = ProbVector([0.7, 0.3, 0.0])
         mu = ProbVector([0.8, 0.2, 0.0])
         plan = build_plan(lam, mu)
-        assert np.all(plan.diags[:, 2] == 0.0)
+        np.testing.assert_allclose(plan.diags[:, 2], np.sqrt(plan.weights))
+        np.testing.assert_allclose(np.sum(plan.diags**2, axis=0), 1.0, atol=1e-15)
 
 
 class TestQubitFastPath:
@@ -175,12 +212,18 @@ class TestValidate:
         assert not checks["weights"].ok and not checks["reconstruction"].ok
 
     def test_dark_live_level_fails_completeness(self):
-        # a read plan that leaves r_k = 0 on a level with lam_k > 0: that
-        # level stays dark, so the measurement misses it by its whole weight
+        # a read plan that leaves r_k = 0 on a level with lam_k > 0: the
+        # measurement stays complete there, with diagonal sqrt(p_j), and the
+        # empty level costs its whole weight in the reconstruction
         lam, mu = ProbVector([0.5, 0.5]), ProbVector([1.0, 0.0])
         payload = {"n": 2, "outcomes": [{"p": 1, "perm": [0, 1]}]}
         checks = MeasurementPlan.from_json(payload, lam, mu).checks
-        assert checks["completeness"].value == pytest.approx(1.0)
+        assert checks["completeness"].value == 0.0 and checks["weights"].value == 0.0
+        assert checks["reconstruction"].value == 0.5 and not checks["reconstruction"].ok
+        # weights that do not sum to 1 leave the empty level with sum_j p_j
+        payload = {"n": 2, "outcomes": [{"p": 0.5, "perm": [0, 1]}]}
+        checks = MeasurementPlan.from_json(payload, lam, mu).checks
+        assert checks["completeness"].value == pytest.approx(0.5)
         assert not checks["completeness"].ok
 
     def test_report_carries_tolerances(self):
