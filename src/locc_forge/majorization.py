@@ -208,6 +208,14 @@ def mixture_for(
     and cuts off the top-k set that this made tight.  Every step but the
     last cuts a block, so there are at most n steps and n terms.
 
+    The face is kept across steps, by index (``start``, each index's block
+    start) and by position (``first``, ``caps`` and ``mask`` of
+    ``_largest_step``), and a cut rewrites only the block it splits.  The
+    last Newton evaluation of a step is at the step's t, unless t is 0, so
+    its remainder is the next ``rest``, and its order, sorted by block and
+    then by remainder, is the next vertex order whenever the cut is the top
+    of its block there; only otherwise is the remainder sorted again.
+
     The walk starts from the prefixes of lam that are tight in floating
     point, with no tolerance, and from the prefix lengths in ``cuts``,
     which the caller knows to be tight in exact arithmetic (the conclusive
@@ -236,7 +244,13 @@ def mixture_for(
     begins = np.concatenate(([True], tight[:-1]))
     begins[list(cuts)] = True
     start = np.maximum.accumulate(np.where(begins, np.arange(n), 0))
-    rest = lam.entries.copy()
+    # the face by position: before the first step, index i is at position i
+    first = start.copy()
+    caps = prefix[1:] - prefix[first]
+    mask = np.where(np.append(first[1:] == first[:-1], False), 0.0, -np.inf)
+    run = np.zeros(n + 1)
+    rest = lam.entries
+    order = np.lexsort((-rest, start))
     mass = 1.0
     levels = np.arange(n)
     weights: list[float] = []
@@ -244,20 +258,26 @@ def mixture_for(
     steps = 0
     while mass > 0.0 and steps < n:
         steps += 1
-        order = np.lexsort((-rest, start))
         row = np.empty(n, dtype=np.intp)
         row[order] = levels  # sigma^{-1}: level order[i] takes mu[i]
         vertex = mu.entries[row]
-        step, cut = _largest_step(rest, mass, vertex, start, prefix)
+        step, cut, last = _largest_step(rest, mass, vertex, start, first, caps, mask, run)
         if step > 0.0:
             weights.append(step)
             rows.append(row)
-            rest -= step * vertex
             mass = 0.0 if step == mass else mass - step
+            order, rest = last
         if cut is not None:
-            block = start == start[cut[0]]
-            block[cut] = False
-            start[block] += cut.size
+            # split block [a, b): cut keeps a, the rest of it starts at a + size
+            a, size = int(start[cut[0]]), cut.size
+            b = int(np.searchsorted(first, a, side="right"))
+            start[order[a:b]] = a + size
+            start[cut] = a
+            first[a + size:b] = a + size
+            np.subtract(prefix[a + size + 1:b + 1], prefix[a + size], out=caps[a + size:b])
+            mask[a + size - 1] = -np.inf
+            if not (start[order[a:a + size]] == a).all():
+                order = np.lexsort((-rest, start))
     if mass > 0.0:
         raise DecompositionFailed(
             f"mixture_for: n={n}, walk stopped after {steps} steps "
@@ -269,35 +289,38 @@ def mixture_for(
     return PermutationMixture(*arrays)
 
 
-def _largest_step(rest, mass, vertex, start, prefix):
+def _largest_step(rest, mass, vertex, start, first, caps, mask, run):
     """Largest t <= mass keeping rest - t * vertex in (mass - t) times the face.
 
     Sorting on ``start`` first puts the block owning segment [a, b) at
-    positions a..b-1, so position p holds the top-(p - a + 1) sum of its
-    block, capped by (mass - t) * sum(mu[a:p + 1]).  The largest excess
-    G(t) over the in-block positions is convex and piecewise linear with
-    G(0) <= 0, so Newton's method from t = mass runs down its active pieces
-    onto the exact breakpoint.  Returns t and the index set that the step
-    made tight (None when t = mass ends the walk); t is 0 when that set is
-    tight already.
+    positions a..b-1 (``first`` holds a at each of them), so position p
+    holds the top-(p - a + 1) sum of its block, capped by (mass - t) *
+    ``caps[p]`` = (mass - t) * sum(mu[a:p + 1]); ``mask`` is 0 at the
+    positions followed by one of the same block and -inf at a block's
+    last.  The sums go into ``run``, whose slot 0 stays 0.  The largest
+    excess G(t) over the in-block positions is convex and piecewise linear
+    with G(0) <= 0, so Newton's method from t = mass runs down its active
+    pieces onto the exact breakpoint.  Returns t, the index set that the
+    step made tight (None when t = mass ends the walk; t is 0 when that
+    set is tight already), and the evaluation at t, its order and
+    remainder rest - t * vertex (None when t = 0 was not evaluated).
     """
-    first = np.sort(start)
-    caps = prefix[1:] - prefix[first]
-    inner = np.append(first[1:] == first[:-1], False)
     step, cut = mass, None
     while True:
         z = rest - step * vertex
         order = np.lexsort((-z, start))
-        run = np.concatenate(([0.0], np.cumsum(z[order])))
-        excess = np.where(inner, run[1:] - run[first] - (mass - step) * caps, -np.inf)
+        np.cumsum(z[order], out=run[1:])
+        excess = run[1:] - run[first]
+        excess -= (mass - step) * caps
+        excess += mask
         p = int(np.argmax(excess))
         if excess[p] <= 0.0:
-            return step, cut
+            return step, cut, (order, z)
         cut = order[first[p]: p + 1]
         slope = caps[p] - vertex[cut].sum()
         root = (mass * caps[p] - rest[cut].sum()) / slope if slope > 0.0 else 0.0
         if root >= step:
-            return step, cut
+            return step, cut, (order, z)
         if root <= 0.0:
-            return 0.0, cut
+            return 0.0, cut, None
         step = root

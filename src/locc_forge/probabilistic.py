@@ -5,10 +5,12 @@ The conclusive route goes through a deterministic waypoint: the source is
 first converted with certainty to an intermediate vector gamma, then a
 single two-outcome measurement either lands on the target (success) or on
 a leftover state (failure).  gamma is built scale-by-scale from the right:
-each pass finds the worst tail ratio of the still-unassigned prefix and
-pins that tail segment to a rescaled copy of the target.  The resulting
-vector is sorted, majorizes the source, and dominates p_max times the
-target entrywise, which is exactly what the success operator needs.
+each segment pins a tail of the still-unassigned prefix, the one of worst
+tail ratio, to a rescaled copy of the target.  One scan finds the worst
+tail ratio for every end at once, and the segments follow from it as a
+chain of ends.  The resulting vector is sorted, majorizes the source, and
+dominates p_max times the target entrywise, which is exactly what the
+success operator needs.
 
 The catalyst search first tries to refute: a few quantities that are
 Schur-monotone and multiplicative under the tensor product (largest and
@@ -53,6 +55,9 @@ MAX_TENSOR_ENTRIES = 2**20
 # n = 4 pair, d <= 4, 2-vCPU host); d_max = 5 at the default resolution
 # (46261 candidates) fits.
 MAX_CATALYST_CANDIDATES = 2**16
+# Tail ratios per chunk of the conclusive waypoint's all-ends scan: 2 MB a
+# float array, about 7 MB for the scan's arrays together.
+_SCAN_ENTRIES = 2**18
 
 
 def _tails(v: ProbVector) -> np.ndarray:
@@ -81,6 +86,44 @@ def _min_tail_ratio(
         raise ConstructionInvalid("no admissible tail ratio")
     near = np.flatnonzero(ratio <= best + ZERO_TOL)
     return float(ratio[near[0]]), int(near[-1])
+
+
+def _tail_ratio_chain(
+    e_lam: np.ndarray, e_mu: np.ndarray, end: int
+) -> list[tuple[int, int, float]]:
+    """The segments (start, end, scale) that repeating ``_min_tail_ratio``
+    from ``end`` gives, each ending where the last one started, down to
+    start 0, with the same values bit for bit.
+
+    ``_min_tail_ratio`` is evaluated for every end in 1..end at once, one
+    column per end over the rows l < end, and the chain of ends is then
+    followed in Python.  A row l >= e counts for no end e: tails do not
+    grow to the right, so its denominator is at most 0.  The columns go
+    in chunks of at most _SCAN_ENTRIES ratios, so the scan holds
+    O(_SCAN_ENTRIES) floats at any rank.
+    """
+    value = np.empty(end + 1)
+    index = np.zeros(end + 1, dtype=np.intp)
+    width = max(1, _SCAN_ENTRIES // max(end, 1))
+    for lo in range(1, end + 1, width):
+        hi = min(lo + width, end + 1)
+        rows = hi - 1  # the largest end of the chunk looks at l < hi - 1
+        den = e_mu[:rows, None] - e_mu[lo:hi]
+        num = e_lam[:rows, None] - e_lam[lo:hi]
+        live = den > ZERO_TOL
+        ratio = np.divide(num, den, out=np.full(den.shape, np.inf), where=live)
+        ratio[live & (num <= ZERO_TOL)] = 0.0
+        near = ratio <= ratio.min(axis=0) + ZERO_TOL
+        value[lo:hi] = ratio[near.argmax(axis=0), np.arange(hi - lo)]
+        index[lo:hi] = rows - 1 - near[::-1].argmax(axis=0)
+    segments = []
+    while end > 0:
+        # an end whose column has no admissible ratio has value inf
+        if not np.isfinite(value[end]):
+            raise ConstructionInvalid("no admissible tail ratio")
+        segments.append((int(index[end]), end, float(value[end])))
+        end = segments[-1][0]
+    return segments
 
 
 def pmax(lam: ProbVector, mu: ProbVector) -> tuple[float, int]:
@@ -131,14 +174,16 @@ def intermediate_state(lam: ProbVector, mu: ProbVector) -> ConclusivePlan:
 
     The tail segment [l*, n) is p_max times the target; the remaining
     prefix is filled by repeating the worst-tail-ratio split on ever
-    shorter prefixes.  Each segment carries lam's tail difference over it,
-    so lam and gamma have equal prefix sums at every segment start, and the
-    deterministic stage is decomposed with those prefixes cut: its
-    relabelings keep every segment in place.  All plan invariants are
-    re-checked numerically and any violation is a hard error: it would
-    signal a bug, not a legal outcome.  A p_max within ZERO_TOL of 0
-    raises ConversionImpossible, which names the rank obstruction when
-    mu's rank exceeds lam's, and otherwise the cut l* and both tails.
+    shorter prefixes, all of which ``_tail_ratio_chain`` reads off one
+    scan over every end l <= l*.  Each segment carries lam's tail
+    difference over it, so lam and gamma have equal prefix sums at every
+    segment start, and the deterministic stage is decomposed with those
+    prefixes cut: its relabelings keep every segment in place.  All plan
+    invariants are re-checked numerically and any violation is a hard
+    error: it would signal a bug, not a legal outcome.  A p_max within
+    ZERO_TOL of 0 raises ConversionImpossible, which names the rank
+    obstruction when mu's rank exceeds lam's, and otherwise the cut l* and
+    both tails.
     """
     if len(lam) != len(mu):
         raise ValueError("dimension mismatch; pad_to first")
@@ -162,11 +207,7 @@ def intermediate_state(lam: ProbVector, mu: ProbVector) -> ConclusivePlan:
             f"{e_mu[l_star]} gives p_max {p}, a tail or ratio within ZERO_TOL "
             "counting as 0"
         )
-    segments = [(l_star, n, scale)]
-    while segments[-1][0] > 0:
-        end = segments[-1][0]
-        scale, start = _min_tail_ratio(e_lam, e_mu, end)
-        segments.append((start, end, scale))
+    segments = [(l_star, n, scale)] + _tail_ratio_chain(e_lam, e_mu, l_star)
     segments.reverse()
     gamma = np.zeros(n)
     for start, end, scale in segments:

@@ -72,7 +72,7 @@ class MeasurementPlan:
                 "must be (J,), (J, n) and (J, n)"
             )
         _check_weights(weights)
-        if np.any(np.sort(perms, axis=1) != np.arange(shape[1])):
+        if not _permutation_rows(perms):
             raise ValueError(f"a perms row is not a permutation of 0..{shape[1] - 1}")
         if not np.all(np.isfinite(diags)) or np.any(diags < 0.0):
             raise ValueError("diagonal entries must be finite and >= 0")
@@ -117,6 +117,19 @@ class MeasurementPlan:
         if np.any(weights > 1.0):  # a larger p can overflow the diagonals
             raise ValueError("weights must be at most 1")
         return _realize(lam, mu, weights, perms.reshape(len(rows), n))[0]
+
+
+def _permutation_rows(perms: np.ndarray) -> bool:
+    """Whether every row of perms (J, n) is a permutation of 0..n-1: the
+    entries in range, then one boolean scatter of row j onto slots j n..j n
+    + n - 1, O(J n) with no sort."""
+    rows, n = perms.shape
+    # read as unsigned, a negative entry, which the scatter would wrap, is huge
+    if perms.size and perms.view(np.uintp).max() >= n:
+        return False
+    seen = np.zeros(rows * n, dtype=bool)
+    seen[(perms + n * np.arange(rows)[:, None]).ravel()] = True
+    return bool(seen.all())
 
 
 def _read_perm(row, n: int) -> list[int]:

@@ -1,8 +1,10 @@
 """Shared generators and independent oracles for the test suite.
 
 The oracles are deliberately plain Python (no calls into the package) so
-they stay independent of the code paths they check.  The dense branch
-oracles are the exception: they assemble states with the package's
+they stay independent of the code paths they check.  Two exceptions:
+``frozen_mixture_for`` is the permutohedron walk as first written, in
+numpy, the reference that the faster walk must match bit for bit; and the
+dense branch oracles, which assemble states with the package's
 ``assemble`` and run every branch with dense per-party operators through
 ``apply_local`` below, the full-tensor work that the diagonal
 Schmidt-coordinate engine does not do.
@@ -97,6 +99,69 @@ def loop_min_tail_ratio(e_lam, e_mu, end: int) -> tuple[float, int]:
         elif ratio <= best + 1e-12:
             best_l = max(best_l, l)
     return best, best_l
+
+
+def frozen_mixture_for(lam, mu, cuts=()) -> tuple[np.ndarray, np.ndarray]:
+    """The permutohedron walk as ``mixture_for`` first wrote it, kept as the
+    reference for its faster form: the face (each index's block start, the
+    caps and the in-block positions) is rebuilt from scratch and the
+    remainder re-sorted at every step.  Takes lam and mu as majorized
+    ProbVectors and returns (weights, terms) as ``mixture_for`` orders
+    them; no check, no error path."""
+    n = len(lam)
+    prefix = np.concatenate(([0.0], np.cumsum(mu.entries)))
+    tight = prefix[1:] - np.cumsum(lam.entries) <= 0.0
+    begins = np.concatenate(([True], tight[:-1]))
+    begins[list(cuts)] = True
+    start = np.maximum.accumulate(np.where(begins, np.arange(n), 0))
+    rest = lam.entries.copy()
+    mass = 1.0
+    levels = np.arange(n)
+    weights, rows = [], []
+    steps = 0
+    while mass > 0.0 and steps < n:
+        steps += 1
+        order = np.lexsort((-rest, start))
+        row = np.empty(n, dtype=np.intp)
+        row[order] = levels
+        vertex = mu.entries[row]
+        step, cut = _frozen_largest_step(rest, mass, vertex, start, prefix)
+        if step > 0.0:
+            weights.append(step)
+            rows.append(row)
+            rest -= step * vertex
+            mass = 0.0 if step == mass else mass - step
+        if cut is not None:
+            block = start == start[cut[0]]
+            block[cut] = False
+            start[block] += cut.size
+    return np.array(weights[::-1]), np.stack(rows[::-1])
+
+
+def _frozen_largest_step(rest, mass, vertex, start, prefix):
+    """The Newton search of ``frozen_mixture_for``: the face arrays from
+    ``start``, a lexsort, a concatenated cumsum and a masked excess at
+    every iteration."""
+    first = np.sort(start)
+    caps = prefix[1:] - prefix[first]
+    inner = np.append(first[1:] == first[:-1], False)
+    step, cut = mass, None
+    while True:
+        z = rest - step * vertex
+        order = np.lexsort((-z, start))
+        run = np.concatenate(([0.0], np.cumsum(z[order])))
+        excess = np.where(inner, run[1:] - run[first] - (mass - step) * caps, -np.inf)
+        p = int(np.argmax(excess))
+        if excess[p] <= 0.0:
+            return step, cut
+        cut = order[first[p]: p + 1]
+        slope = caps[p] - vertex[cut].sum()
+        root = (mass * caps[p] - rest[cut].sum()) / slope if slope > 0.0 else 0.0
+        if root >= step:
+            return step, cut
+        if root <= 0.0:
+            return 0.0, cut
+        step = root
 
 
 def sorted_tensor(lam, c) -> list[float]:

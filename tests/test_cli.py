@@ -397,7 +397,10 @@ class TestSimulate:
 
     @pytest.mark.parametrize("field, entries, message", [
         ("perm", [0, 0], "not a permutation"),
+        ("perm", [1, 1], "not a permutation"),
         ("perm", [1, 2], "not a permutation"),
+        # numpy indexing would wrap -1 onto level 1
+        ("perm", [-1, 0], "not a permutation"),
         ("perm", [1e400, 0], "inf is not a whole number"),
         ("perm", [1.9, 0.2], "1.9 is not a whole number"),
         ("perm", [True, False], "True is not a number"),

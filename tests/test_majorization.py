@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    frozen_mixture_for,
     loop_reconstruct,
     prefix_sum_majorized,
     random_doubly_stochastic,
@@ -20,7 +21,7 @@ from locc_forge import (
     mixture_for,
     pad_to,
 )
-from locc_forge.probabilistic import _tails
+from locc_forge.probabilistic import _tails, intermediate_state
 
 
 def rounded_terms(mix) -> list[tuple[float, tuple[int, ...]]]:
@@ -244,6 +245,51 @@ class TestPermutohedronWalk:
             mix = mixture_for(lam, mu)
             assert len(mix.terms) <= n
             assert reconstruction_error(mix, lam, mu) <= 1e-12
+
+
+def walk_pairs():
+    """Majorized (lam, mu) at n = 2..64, 256 and 1024: lam from a random mu
+    by 4n random T-transforms; below 1024 also by n // 2 + 1 of them, and
+    a tie-heavy pair, mu with integer entries 0..4 and lam from it by n
+    unit moves from an entry to one at least 2 smaller, so that both hold
+    exactly equal entries."""
+    rng = np.random.default_rng(31)
+    for n in [*range(2, 65), 256, 1024]:
+        mu = random_probs(rng, n)
+        yield t_chain(rng, mu, transforms=4 * n), mu
+        if n == 1024:
+            continue
+        yield t_chain(rng, mu, transforms=n // 2 + 1), mu
+        units = rng.integers(0, 4, n)
+        units[0] += 1
+        moved = units.copy()
+        for _ in range(n):
+            i, j = rng.choice(n, size=2, replace=False)
+            if moved[i] - moved[j] >= 2:
+                moved[i] -= 1
+                moved[j] += 1
+        yield (ProbVector(moved / moved.sum()), ProbVector(units / units.sum()))
+
+
+class TestFrozenWalk:
+    def test_same_bits_as_the_frozen_walk(self):
+        # the walk keeps its face and its last Newton order across steps;
+        # the frozen one rebuilds both at every step.  Each pair runs
+        # without cuts, and the reversed pair's waypoint stage with the
+        # waypoint's segment starts as cuts
+        checked = 0
+        for lam, mu in walk_pairs():
+            walks = [(lam, mu, ())]
+            if np.count_nonzero(mu.entries) >= np.count_nonzero(lam.entries):
+                way = intermediate_state(mu, lam)
+                walks.append((mu, way.gamma, [s for s, _, _ in way.segments[1:]]))
+            for source, target, cuts in walks:
+                mix = mixture_for(source, target, cuts)
+                weights, terms = frozen_mixture_for(source, target, cuts)
+                assert np.array_equal(mix.weights, weights), (len(source), cuts)
+                assert np.array_equal(mix.terms, terms), (len(source), cuts)
+                checked += len(cuts) > 1
+        assert checked > 100
 
 
 class TestMixtureArrays:

@@ -109,8 +109,8 @@ def tail_ratio_pairs():
 
 class TestMinTailRatio:
     def test_matches_loop_oracle(self):
-        # bit for bit, at the cut pmax takes and at every segment end
-        # intermediate_state's walk takes
+        # bit for bit, at the cut pmax takes and at every segment end of
+        # the chain that intermediate_state's all-ends scan follows
         for lam, mu in tail_ratio_pairs():
             e_lam, e_mu = _tails(lam), _tails(mu)
             end = len(lam)
@@ -118,6 +118,24 @@ class TestMinTailRatio:
                 expected = loop_min_tail_ratio(e_lam, e_mu, end)
                 assert _min_tail_ratio(e_lam, e_mu, end) == expected, (len(lam), end)
                 end = expected[1]
+
+    def test_waypoint_segments_match_loop_chain(self):
+        # the scan over all ends, against one loop scan per segment
+        converted = 0
+        for lam, mu in tail_ratio_pairs():
+            try:
+                plan = intermediate_state(lam, mu)
+            except ConversionImpossible:
+                continue
+            e_lam, e_mu = _tails(lam), _tails(mu)
+            chain, end = [], len(lam)
+            while end > 0:
+                scale, start = loop_min_tail_ratio(e_lam, e_mu, end)
+                chain.append((start, end, scale))
+                end = start
+            assert plan.segments == tuple(chain[::-1]), len(lam)
+            converted += 1
+        assert converted > 100
 
 
 class TestIntermediateState:
