@@ -209,12 +209,14 @@ def mixture_for(
     last cuts a block, so there are at most n steps and n terms.
 
     The face is kept across steps, by index (``start``, each index's block
-    start) and by position (``first``, ``caps`` and ``mask`` of
-    ``_largest_step``), and a cut rewrites only the block it splits.  The
-    last Newton evaluation of a step is at the step's t, unless t is 0, so
-    its remainder is the next ``rest``, and its order, sorted by block and
-    then by remainder, is the next vertex order whenever the cut is the top
-    of its block there; only otherwise is the remainder sorted again.
+    start) and by position (``caps`` and ``lead`` of ``_largest_step``),
+    and a cut rewrites only the block it splits.  The remainder is carried
+    negated, ``neg_rest`` = -rest, the key on which a lexsort puts the
+    largest remainder first.  The last Newton evaluation of a step is at
+    the step's t, unless t is 0, so its negated remainder is the next
+    ``neg_rest``, and its order, sorted by block and then by remainder, is
+    the next vertex order whenever the cut is the top of its block there;
+    only otherwise is the remainder sorted again.
 
     The walk starts from the prefixes of lam that are tight in floating
     point, with no tolerance, and from the prefix lengths in ``cuts``,
@@ -245,12 +247,14 @@ def mixture_for(
     begins[list(cuts)] = True
     start = np.maximum.accumulate(np.where(begins, np.arange(n), 0))
     # the face by position: before the first step, index i is at position i
-    first = start.copy()
-    caps = prefix[1:] - prefix[first]
-    mask = np.where(np.append(first[1:] == first[:-1], False), 0.0, -np.inf)
-    run = np.zeros(n + 1)
-    rest = lam.entries
-    order = np.lexsort((-rest, start))
+    caps = prefix[1:] - prefix[start]
+    # lead: each position's run slot, its block's start, or the -inf
+    # sentinel run[n + 1] at a block's last position
+    lead = np.where(np.append(start[1:] == start[:-1], False), start, n + 1)
+    run = np.zeros(n + 2)
+    run[n + 1] = -np.inf
+    neg_rest = -lam.entries
+    order = np.lexsort((neg_rest, start))
     mass = 1.0
     levels = np.arange(n)
     weights: list[float] = []
@@ -261,23 +265,23 @@ def mixture_for(
         row = np.empty(n, dtype=np.intp)
         row[order] = levels  # sigma^{-1}: level order[i] takes mu[i]
         vertex = mu.entries[row]
-        step, cut, last = _largest_step(rest, mass, vertex, start, first, caps, mask, run)
+        step, cut, last = _largest_step(neg_rest, mass, vertex, start, caps, lead, run)
         if step > 0.0:
             weights.append(step)
             rows.append(row)
             mass = 0.0 if step == mass else mass - step
-            order, rest = last
+            order, neg_rest = last
         if cut is not None:
             # split block [a, b): cut keeps a, the rest of it starts at a + size
             a, size = int(start[cut[0]]), cut.size
-            b = int(np.searchsorted(first, a, side="right"))
+            b = a + int(np.count_nonzero(start == a))
             start[order[a:b]] = a + size
             start[cut] = a
-            first[a + size:b] = a + size
+            lead[a + size:b - 1] = a + size
+            lead[a + size - 1] = n + 1
             np.subtract(prefix[a + size + 1:b + 1], prefix[a + size], out=caps[a + size:b])
-            mask[a + size - 1] = -np.inf
-            if not (start[order[a:a + size]] == a).all():
-                order = np.lexsort((-rest, start))
+            if (start[order[a:a + size]] != a).any():
+                order = np.lexsort((neg_rest, start))
     if mass > 0.0:
         raise DecompositionFailed(
             f"mixture_for: n={n}, walk stopped after {steps} steps "
@@ -289,38 +293,48 @@ def mixture_for(
     return PermutationMixture(*arrays)
 
 
-def _largest_step(rest, mass, vertex, start, first, caps, mask, run):
+def _largest_step(neg_rest, mass, vertex, start, caps, lead, run):
     """Largest t <= mass keeping rest - t * vertex in (mass - t) times the face.
 
-    Sorting on ``start`` first puts the block owning segment [a, b) at
-    positions a..b-1 (``first`` holds a at each of them), so position p
-    holds the top-(p - a + 1) sum of its block, capped by (mass - t) *
-    ``caps[p]`` = (mass - t) * sum(mu[a:p + 1]); ``mask`` is 0 at the
-    positions followed by one of the same block and -inf at a block's
-    last.  The sums go into ``run``, whose slot 0 stays 0.  The largest
-    excess G(t) over the in-block positions is convex and piecewise linear
-    with G(0) <= 0, so Newton's method from t = mass runs down its active
-    pieces onto the exact breakpoint.  Returns t, the index set that the
-    step made tight (None when t = mass ends the walk; t is 0 when that
-    set is tight already), and the evaluation at t, its order and
-    remainder rest - t * vertex (None when t = 0 was not evaluated).
+    The remainder comes negated, ``neg_rest`` = -rest, and each Newton
+    evaluation forms y = t * vertex + neg_rest, the remainder at t negated.
+    A lexsort on ``start`` and then on y puts the block owning segment
+    [a, b) at positions a..b-1, largest remainder first.  ``run`` takes the
+    running sums of y in slots 1..n; slot 0 stays 0 and slot n + 1 is the
+    -inf sentinel.  The lead index ``lead[p]`` of an in-block position p is
+    its block start a, so run[a] - run[p + 1] is the block's top-(p - a + 1)
+    remainder sum, capped by (mass - t) * ``caps[p]`` = (mass - t) *
+    sum(mu[a:p + 1]); at a block's last position it is n + 1, and the
+    sentinel gives that position the excess -inf.  The largest excess G(t)
+    over the in-block positions is convex and piecewise linear with
+    G(0) <= 0, so Newton's method from t = mass runs down its active pieces
+    onto the exact breakpoint.  Returns t, the index set that the step made
+    tight (None when t = mass ends the walk; t is 0 when that set is tight
+    already), and the evaluation at t, its order and negated remainder
+    (None when t = 0 was not evaluated).
+
+    IEEE addition rounds symmetrically, so y is -(rest - t * vertex) bit
+    for bit up to the sign of zeros, its running sums are those of the
+    unnegated remainder negated, and the excess, t and the cut are the
+    ones the unnegated remainder gives.
     """
+    sums = run[1:-1]
     step, cut = mass, None
     while True:
-        z = rest - step * vertex
-        order = np.lexsort((-z, start))
-        np.cumsum(z[order], out=run[1:])
-        excess = run[1:] - run[first]
+        y = step * vertex + neg_rest
+        order = np.lexsort((y, start))
+        np.add.accumulate(y[order], out=sums)
+        excess = run[lead] - sums
         excess -= (mass - step) * caps
-        excess += mask
-        p = int(np.argmax(excess))
+        p = int(excess.argmax())
         if excess[p] <= 0.0:
-            return step, cut, (order, z)
-        cut = order[first[p]: p + 1]
-        slope = caps[p] - vertex[cut].sum()
-        root = (mass * caps[p] - rest[cut].sum()) / slope if slope > 0.0 else 0.0
+            return step, cut, (order, y)
+        cut = order[lead[p]: p + 1]
+        cap = caps.item(p)
+        slope = cap - float(np.add.reduce(vertex[cut]))
+        root = (mass * cap + float(np.add.reduce(neg_rest[cut]))) / slope if slope > 0.0 else 0.0
         if root >= step:
-            return step, cut, (order, z)
+            return step, cut, (order, y)
         if root <= 0.0:
             return 0.0, cut, None
         step = root

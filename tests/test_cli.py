@@ -833,6 +833,15 @@ class TestReportContract:
         blanked = re.sub(r'"wall_time_s": [^,}]+', '"wall_time_s": 0', out)
         assert blanked == (DATA / f"report_n5_{command}.out").read_text(encoding="utf-8")
 
+    def test_n32_plan_matches_recorded_bytes(self, capsys):
+        # mu from helpers.random_probs and lam from 4n = 128 T-transforms of
+        # it (default_rng(32)): the plan pins a 32-step walk, every digit of
+        # its weights and every relabeling, wall_time_s blanked
+        code, out = raw_run(capsys, ["plan", "--in", str(DATA / "report_n32.json")])
+        assert code == 0
+        blanked = re.sub(r'"wall_time_s": [^,}]+', '"wall_time_s": 0', out)
+        assert blanked == (DATA / "report_n32_plan.out").read_text(encoding="utf-8")
+
     @pytest.mark.parametrize("command", ["plan", "simulate", "conclusive"])
     def test_plan_outcomes_carry_only_p_and_perm(self, capsys, command):
         _, report, _ = run(capsys, [command, "--in", str(DATA / "report_n5.json")])

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    dark_level_pairs,
     frozen_mixture_for,
     loop_reconstruct,
     prefix_sum_majorized,
@@ -271,25 +272,71 @@ def walk_pairs():
         yield (ProbVector(moved / moved.sum()), ProbVector(units / units.sum()))
 
 
-class TestFrozenWalk:
-    def test_same_bits_as_the_frozen_walk(self):
-        # the walk keeps its face and its last Newton order across steps;
-        # the frozen one rebuilds both at every step.  Each pair runs
-        # without cuts, and the reversed pair's waypoint stage with the
-        # waypoint's segment starts as cuts
-        checked = 0
-        for lam, mu in walk_pairs():
-            walks = [(lam, mu, ())]
-            if np.count_nonzero(mu.entries) >= np.count_nonzero(lam.entries):
+def dark_walk_pairs():
+    """The majorized pairs of ``helpers.dark_level_pairs``: mu has exact
+    zeros, so a remainder entry can be exactly 0 during the walk."""
+    for lam, mu in dark_level_pairs():
+        lam, mu = ProbVector(lam), ProbVector(mu)
+        if is_majorized(lam, mu):
+            yield lam, mu
+
+
+def assert_frozen_walks(pairs) -> tuple[int, int]:
+    """Walk each pair without cuts, and the reversed pair's waypoint stage
+    with the waypoint's segment starts as cuts, and assert the same weights
+    and terms as the frozen walk, bit for bit; returns the number of walks
+    and the number of them with more than one cut."""
+    walked = checked = 0
+    for lam, mu in pairs:
+        walks = [(lam, mu, ())]
+        if np.count_nonzero(mu.entries) >= np.count_nonzero(lam.entries):
+            try:
                 way = intermediate_state(mu, lam)
+            except ConversionImpossible:  # p_max 0: the pair has no waypoint
+                pass
+            else:
                 walks.append((mu, way.gamma, [s for s, _, _ in way.segments[1:]]))
-            for source, target, cuts in walks:
-                mix = mixture_for(source, target, cuts)
-                weights, terms = frozen_mixture_for(source, target, cuts)
-                assert np.array_equal(mix.weights, weights), (len(source), cuts)
-                assert np.array_equal(mix.terms, terms), (len(source), cuts)
-                checked += len(cuts) > 1
+        for source, target, cuts in walks:
+            mix = mixture_for(source, target, cuts)
+            weights, terms = frozen_mixture_for(source, target, cuts)
+            assert np.array_equal(mix.weights, weights), (len(source), cuts)
+            assert np.array_equal(mix.terms, terms), (len(source), cuts)
+            walked += 1
+            checked += len(cuts) > 1
+    return walked, checked
+
+
+class TestFrozenWalk:
+    # the walk keeps its face and its last Newton order across steps and
+    # carries the remainder negated; the frozen one rebuilds both at every
+    # step from the remainder itself
+    def test_same_bits_as_the_frozen_walk(self):
+        _, checked = assert_frozen_walks(walk_pairs())
         assert checked > 100
+
+    def test_same_bits_on_dark_level_pairs(self):
+        # exact zeros in mu, and so remainder entries that are exactly 0,
+        # where a negated zero remainder or the -inf sentinel would first show
+        walked, checked = assert_frozen_walks(dark_walk_pairs())
+        assert walked > 357 and checked >= 10  # 357 majorized pairs
+
+    def test_no_state_kept_between_calls(self):
+        # two pairs of one rank, so that a buffer hoisted out of the call
+        # would fit the second walk and carry its face into the third
+        rng = np.random.default_rng(17)
+        pairs = []
+        for _ in range(2):
+            mu = random_probs(rng, 32)
+            pairs.append((t_chain(rng, mu, transforms=4 * 32), mu))
+        (lam_a, mu_a), (lam_b, mu_b) = pairs
+        inputs = [v.entries.copy() for v in (lam_a, mu_a, lam_b, mu_b)]
+        first = mixture_for(lam_a, mu_a)
+        mixture_for(lam_b, mu_b)
+        again = mixture_for(lam_a, mu_a)
+        assert np.array_equal(first.weights, again.weights)
+        assert np.array_equal(first.terms, again.terms)
+        for v, before in zip((lam_a, mu_a, lam_b, mu_b), inputs):
+            assert np.array_equal(v.entries, before)
 
 
 class TestMixtureArrays:
