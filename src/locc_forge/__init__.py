@@ -3,7 +3,6 @@ verification for multipartite pure states in generalized Schmidt form."""
 
 from .errors import (
     CapExceeded,
-    ConstructionInvalid,
     ConversionImpossible,
     DecompositionFailed,
     InstanceError,
@@ -50,7 +49,6 @@ __all__ = [
     "CatalysisResult",
     "Check",
     "ConclusivePlan",
-    "ConstructionInvalid",
     "ConversionImpossible",
     "DecompositionFailed",
     "DenseState",

@@ -34,12 +34,10 @@ class DecompositionFailed(LoccForgeError):
 
 
 class InternalContradiction(LoccForgeError):
-    """A plan that ``build_plan`` made failed its own validation; the
-    message names the residuals and the worst reconstructed level."""
-
-
-class ConstructionInvalid(LoccForgeError):
-    """Post-construction validation of a conclusive plan failed."""
+    """A plan or waypoint that the package made failed its own validation:
+    a built plan or a conclusive settle measurement failed a check, or the
+    conclusive waypoint broke an invariant.  The message names the stage,
+    the values that tripped it and where."""
 
 
 class ZeroBranch(LoccForgeError):

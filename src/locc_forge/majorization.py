@@ -78,10 +78,10 @@ class ProbVector:
         raw = np.asarray(entries, dtype=float)
         if raw.ndim != 1 or raw.size < 1:
             raise ValueError("ProbVector needs a 1-D vector of length >= 1")
-        if np.min(raw) < -ZERO_TOL:
-            raise ValueError(f"negative entry {np.min(raw)} below clamp {-ZERO_TOL}")
-        clipped = np.clip(raw, 0.0, None)
-        total = float(np.sum(clipped))
+        if raw.min() < -ZERO_TOL:
+            raise ValueError(f"negative entry {raw.min()} below clamp {-ZERO_TOL}")
+        clipped = raw.clip(0.0, None)
+        total = float(clipped.sum())
         if not abs(total - 1.0) <= UNIT_TOL:
             raise ValueError(f"entries sum to {total}, not 1 within {UNIT_TOL}")
         srt = -np.sort(-clipped) / total

@@ -2,15 +2,15 @@
 search.
 
 The conclusive route goes through a deterministic waypoint: the source is
-first converted with certainty to an intermediate vector gamma, then a
-single two-outcome measurement either lands on the target (success) or on
-a leftover state (failure).  gamma is built scale-by-scale from the right:
-each segment pins a tail of the still-unassigned prefix, the one of worst
-tail ratio, to a rescaled copy of the target.  One scan finds the worst
-tail ratio for every end at once, and the segments follow from it as a
-chain of ends.  The resulting vector is sorted, majorizes the source, and
-dominates p_max times the target entrywise, which is exactly what the
-success operator needs.
+first converted with certainty to an intermediate vector gamma, then the
+settle measurement, a plan on gamma like any other, either lands on the
+target (success) or on a leftover state (failure).  gamma is built
+scale-by-scale from the right: each segment pins a tail of the
+still-unassigned prefix, the one of worst tail ratio, to a rescaled copy
+of the target.  One scan finds the worst tail ratio for a chunk of ends
+at once, and the segments follow from it as a chain of ends.  The
+resulting vector is sorted, majorizes the source, and dominates p_max
+times the target entrywise, as the success outcome needs.
 
 The catalyst search first tries to refute: a few quantities that are
 Schur-monotone and multiplicative under the tensor product (largest and
@@ -28,9 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapExceeded, ConstructionInvalid, ConversionImpossible, ZeroBranch
+from .errors import CapExceeded, ConversionImpossible, InternalContradiction
 from .majorization import (
-    PLAN_TOL,
     Check,
     ProbVector,
     UNIT_TOL,
@@ -39,7 +38,7 @@ from .majorization import (
     is_majorized,
     prefix_excess,
 )
-from .protocol import MeasurementPlan, build_plan
+from .protocol import MeasurementPlan, _realize, build_plan
 from .simulator import (
     BranchRecord,
     GeneralizedSchmidtState,
@@ -47,7 +46,7 @@ from .simulator import (
     _branch_checks,
     _branches,
     _coords,
-    _fidelity,
+    _record,
 )
 
 MAX_TENSOR_ENTRIES = 2**20
@@ -67,25 +66,41 @@ def _tails(v: ProbVector) -> np.ndarray:
     return out
 
 
+def _tail_ratio_scan(
+    e_lam: np.ndarray, e_mu: np.ndarray, lo: int, hi: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_min_tail_ratio``'s value and index for every end in lo..hi - 1,
+    one column per end over the rows l < hi - 1; a row l >= e counts for no
+    end e: tails do not grow to the right, so its denominator is at most 0.
+    Raises InternalContradiction at the first end with no admissible ratio."""
+    rows = hi - 1
+    den = e_mu[:rows, None] - e_mu[lo:hi]
+    num = e_lam[:rows, None] - e_lam[lo:hi]
+    live = den > ZERO_TOL
+    ratio = np.divide(num, den, out=np.full(den.shape, np.inf), where=live)
+    ratio[live & (num <= ZERO_TOL)] = 0.0
+    near = ratio <= ratio.min(axis=0) + ZERO_TOL
+    value = ratio[near.argmax(axis=0), np.arange(hi - lo)]
+    if value.max() == np.inf:
+        end = lo + int(value.argmax())
+        raise InternalContradiction(
+            f"no admissible tail ratio at end {end}: no l < {end} has a target "
+            f"tail difference above ZERO_TOL {ZERO_TOL}")
+    return value, rows - 1 - near[::-1].argmax(axis=0)
+
+
 def _min_tail_ratio(
     e_lam: np.ndarray, e_mu: np.ndarray, end: int
 ) -> tuple[float, int]:
-    """Minimum of (e_lam[l]-e_lam[end])/(e_mu[l]-e_mu[end]) over l < end.
+    """Minimum of (e_lam[l]-e_lam[end])/(e_mu[l]-e_mu[end]) over l < end,
+    the one-column ``_tail_ratio_scan``.
 
     Zero denominators are skipped; a zero numerator over a positive
     denominator counts as ratio 0.  Ratios within ZERO_TOL of the minimum
     tie: the first of them gives the value and the last the index.
     """
-    den = e_mu[:end] - e_mu[end]
-    num = e_lam[:end] - e_lam[end]
-    live = den > ZERO_TOL
-    ratio = np.divide(num, den, out=np.full(end, np.inf), where=live)
-    ratio[live & (num <= ZERO_TOL)] = 0.0
-    best = ratio.min(initial=np.inf)
-    if not np.isfinite(best):
-        raise ConstructionInvalid("no admissible tail ratio")
-    near = np.flatnonzero(ratio <= best + ZERO_TOL)
-    return float(ratio[near[0]]), int(near[-1])
+    value, index = _tail_ratio_scan(e_lam, e_mu, end, end + 1)
+    return float(value[0]), int(index[0])
 
 
 def _tail_ratio_chain(
@@ -95,33 +110,19 @@ def _tail_ratio_chain(
     from ``end`` gives, each ending where the last one started, down to
     start 0, with the same values bit for bit.
 
-    ``_min_tail_ratio`` is evaluated for every end in 1..end at once, one
-    column per end over the rows l < end, and the chain of ends is then
-    followed in Python.  A row l >= e counts for no end e: tails do not
-    grow to the right, so its denominator is at most 0.  The columns go
-    in chunks of at most _SCAN_ENTRIES ratios, so the scan holds
-    O(_SCAN_ENTRIES) floats at any rank.
+    The ends are scanned in chunks of at most _SCAN_ENTRIES ratios, so the
+    scan holds O(_SCAN_ENTRIES) floats at any rank.  Each chunk ends at the
+    chain's current end and the next is scanned only when the chain leaves
+    it, so ends that the chain jumps over are not computed; a column's
+    value does not depend on its chunk.
     """
-    value = np.empty(end + 1)
-    index = np.zeros(end + 1, dtype=np.intp)
-    width = max(1, _SCAN_ENTRIES // max(end, 1))
-    for lo in range(1, end + 1, width):
-        hi = min(lo + width, end + 1)
-        rows = hi - 1  # the largest end of the chunk looks at l < hi - 1
-        den = e_mu[:rows, None] - e_mu[lo:hi]
-        num = e_lam[:rows, None] - e_lam[lo:hi]
-        live = den > ZERO_TOL
-        ratio = np.divide(num, den, out=np.full(den.shape, np.inf), where=live)
-        ratio[live & (num <= ZERO_TOL)] = 0.0
-        near = ratio <= ratio.min(axis=0) + ZERO_TOL
-        value[lo:hi] = ratio[near.argmax(axis=0), np.arange(hi - lo)]
-        index[lo:hi] = rows - 1 - near[::-1].argmax(axis=0)
     segments = []
+    lo = end + 1  # the first end of the chunk scanned last; none yet
     while end > 0:
-        # an end whose column has no admissible ratio has value inf
-        if not np.isfinite(value[end]):
-            raise ConstructionInvalid("no admissible tail ratio")
-        segments.append((int(index[end]), end, float(value[end])))
+        if end < lo:
+            lo = max(1, end + 1 - max(1, _SCAN_ENTRIES // end))
+            value, index = _tail_ratio_scan(e_lam, e_mu, lo, end + 1)
+        segments.append((int(index[end - lo]), end, float(value[end - lo])))
         end = segments[-1][0]
     return segments
 
@@ -147,16 +148,15 @@ class ConclusivePlan:
     """Everything needed to run the optimal conclusive conversion.
 
     ``to_json`` prints p_max, l_star, the deterministic stage and the
-    segments; gamma and the success/failure pair follow from them and are
-    kept here only for the run.
+    segments; gamma, the settle plan and the failure coefficients follow
+    from them and are kept here only for the run.
     """
 
     p_max: float
     l_star: int
     gamma: ProbVector
     deterministic_stage: MeasurementPlan
-    success_diag: np.ndarray  # Kraus diagonals of the success/failure pair
-    failure_diag: np.ndarray
+    settle: MeasurementPlan  # on gamma: outcome 0 onto mu, outcome 1 onto the failure
     failure_coeffs: ProbVector | None
     segments: tuple[tuple[int, int, float], ...]  # (start, end, scale)
 
@@ -174,16 +174,16 @@ def intermediate_state(lam: ProbVector, mu: ProbVector) -> ConclusivePlan:
 
     The tail segment [l*, n) is p_max times the target; the remaining
     prefix is filled by repeating the worst-tail-ratio split on ever
-    shorter prefixes, all of which ``_tail_ratio_chain`` reads off one
-    scan over every end l <= l*.  Each segment carries lam's tail
-    difference over it, so lam and gamma have equal prefix sums at every
-    segment start, and the deterministic stage is decomposed with those
-    prefixes cut: its relabelings keep every segment in place.  All plan
-    invariants are re-checked numerically and any violation is a hard
-    error: it would signal a bug, not a legal outcome.  A p_max within
-    ZERO_TOL of 0 raises ConversionImpossible, which names the rank
-    obstruction when mu's rank exceeds lam's, and otherwise the cut l* and
-    both tails.
+    shorter prefixes, which ``_tail_ratio_chain`` follows.  Each segment
+    carries lam's tail difference over it, so lam and gamma have equal
+    prefix sums at every segment start, and the deterministic stage is
+    decomposed with those prefixes cut: its relabelings keep every
+    segment in place.  Both stages are realized plans with a passed check
+    table, and the waypoint's invariants are re-checked: a violation
+    raises InternalContradiction with the numbers that tripped it, since
+    it would signal a bug, not a legal outcome.  A p_max within ZERO_TOL
+    of 0 raises ConversionImpossible, which names the rank obstruction
+    when mu's rank exceeds lam's, and otherwise the cut l* and both tails.
     """
     if len(lam) != len(mu):
         raise ValueError("dimension mismatch; pad_to first")
@@ -213,40 +213,44 @@ def intermediate_state(lam: ProbVector, mu: ProbVector) -> ConclusivePlan:
     for start, end, scale in segments:
         gamma[start:end] = scale * mu.entries[start:end]
 
-    if np.any(np.diff(gamma) > ZERO_TOL):
-        raise ConstructionInvalid("intermediate vector not nonincreasing")
+    rise = np.flatnonzero(np.diff(gamma) > ZERO_TOL)
+    if rise.size:
+        k = int(rise[0]) + 1
+        raise InternalContradiction(
+            f"waypoint not nonincreasing: gamma_{k} {gamma[k]} exceeds gamma_{k - 1} "
+            f"{gamma[k - 1]} by more than ZERO_TOL {ZERO_TOL}")
     gamma_pv = ProbVector(gamma)
-    if not is_majorized(lam, gamma_pv):
-        raise ConstructionInvalid("source not majorized by intermediate vector")
-    if np.any(p * mu.entries > gamma + ZERO_TOL):
-        raise ConstructionInvalid("intermediate vector fails p*target dominance")
+    k = first_violation(lam, gamma_pv)
+    if k is not None:
+        excess = np.sum(lam.entries[:k + 1]) - np.sum(gamma_pv.entries[:k + 1])
+        raise InternalContradiction(
+            f"source not majorized by the waypoint: its prefix {k} exceeds gamma's "
+            f"by {excess}, above UNIT_TOL {UNIT_TOL}")
+    over = p * mu.entries - gamma
+    k = int(np.argmax(over))
+    if over[k] > ZERO_TOL:
+        raise InternalContradiction(
+            f"waypoint fails p*mu dominance at level {k}: p*mu_k {p * mu[k]} exceeds "
+            f"gamma_k {gamma[k]} by more than ZERO_TOL {ZERO_TOL}")
 
-    support = gamma > 0.0
-    ratio = np.zeros(n)
-    ratio[support] = np.minimum(p * mu.entries[support] / gamma[support], 1.0)
-    success = np.sqrt(ratio)
-    failure = np.sqrt(1.0 - ratio)
-    completeness = float(np.max(np.abs((success**2 + failure**2)[support] - 1.0))) if support.any() else 0.0
-    if completeness > PLAN_TOL:
-        raise ConstructionInvalid(f"success/failure completeness residual {completeness}")
-    achieved = float(np.sum(gamma[support] * ratio[support]))
-    if abs(achieved - p) > PLAN_TOL:
-        raise ConstructionInvalid(
-            f"success operator yields probability {achieved}, expected {p}"
-        )
-
-    # Below UNIT_TOL the leftover mass is unmeasurable; drop the branch.
-    # Dividing gamma - p*mu by a small 1-p would magnify its rounding, so
-    # the leftover is clipped at 0 and divided by its own sum.
+    # The settle plan lands on mu with weight p, and on the failure
+    # coefficients with weight 1 - p; below UNIT_TOL the leftover mass is
+    # unmeasurable, and outcome 0 alone has weight 1.  Dividing gamma - p*mu
+    # by a small 1-p would magnify its rounding, so the leftover is clipped
+    # at 0 and divided by its own sum.
     failure_coeffs = None
+    weights, targets = np.ones(1), mu.entries[None, :]
     if p < 1.0 - UNIT_TOL:
         leftover = np.maximum(gamma - p * mu.entries, 0.0)
         mass = float(leftover.sum())
         if abs(mass - (1.0 - p)) > UNIT_TOL:
-            raise ConstructionInvalid(
-                f"failure branch mass {mass}, expected 1 - p_max = {1.0 - p}"
-            )
+            raise InternalContradiction(
+                f"failure branch mass {mass}, expected 1 - p_max = {1.0 - p} "
+                f"within UNIT_TOL {UNIT_TOL}")
         failure_coeffs = ProbVector(leftover / mass)
+        weights = np.array([p, 1.0 - p])
+        targets = np.array([mu.entries, failure_coeffs.entries])
+    levels = np.arange(n)[None, :].repeat(len(weights), axis=0)  # no outcome relabels
 
     return ConclusivePlan(
         p_max=p,
@@ -255,74 +259,68 @@ def intermediate_state(lam: ProbVector, mu: ProbVector) -> ConclusivePlan:
         deterministic_stage=build_plan(
             lam, gamma_pv, cuts=[start for start, _, _ in segments[1:]]
         ),
-        success_diag=success,
-        failure_diag=failure,
+        settle=_realize(gamma_pv, weights, levels, targets, "settle measurement"),
         failure_coeffs=failure_coeffs,
         segments=tuple(segments),
     )
 
 
-def _settle(
-    stage: BranchRecord,
-    branch: np.ndarray,
-    diag: np.ndarray,
-    target: np.ndarray,
-    success: bool,
-) -> BranchRecord:
-    """Success or failure measurement on one stage branch's diagonal,
-    checked against its target's diagonal."""
-    out = diag * branch
-    prob = float(np.vdot(out, out).real)
-    if prob <= ZERO_TOL * stage.simulated_prob:
-        raise ZeroBranch(f"conclusive measurement annihilated outcome {stage.outcome}")
-    return BranchRecord(stage.outcome, prob, _fidelity(target, out, prob), success)
-
-
 def run_conclusive(
     psi: GeneralizedSchmidtState, phi: GeneralizedSchmidtState, plan: ConclusivePlan
 ) -> Transcript:
-    """Deterministic stage into the waypoint, then the success/failure
-    measurement on party A, with every branch checked against its target.
+    """Deterministic stage into the waypoint, then the settle measurement
+    on party A, with every branch checked against its target.
 
     As in ``run_protocol``, psi, the waypoint omega, phi and the failure
     state are each reduced to their n diagonal amplitudes in their own
     bases, and ``offdiag_mass`` is the largest squared norm that any of
     them leaves off its diagonal.  omega and the failure state share psi's
     bases, which were checked when psi was built and are not checked
-    again.  So each stage branch's diagonal takes the success and failure
-    diagonals directly, and B_phi B_psi^dag is the identity on
-    coordinates.  Overlaps of diagonals equal the dense fidelities.  The
-    check table holds the success probability against p_max, the success
-    fidelity, the probability sum, ``offdiag_mass``, and the stage's own
-    branch checks under ``stage_`` names.
+    again.  So the settle plan runs on every live stage branch at once,
+    normalized, against phi's diagonal (outcome 0) and the failure
+    state's, and B_phi B_psi^dag is the identity on coordinates.  Overlaps
+    of diagonals equal the dense fidelities.  The check table holds the
+    success probability against p_max, the success fidelity, the
+    probability sum, ``offdiag_mass``, and the stage's own branch checks
+    under ``stage_`` names.
     """
     if psi.dims != phi.dims:
         raise ValueError(f"incompatible dims {psi.dims} vs {phi.dims}")
     if psi.n != phi.n:
         raise ValueError("pad coefficient vectors to a common rank first")
-    if plan.deterministic_stage.n != psi.n:
+    stage, settle = plan.deterministic_stage, plan.settle
+    if stage.n != psi.n or settle.n != psi.n:
         raise ValueError("plan dimension does not match the states")
     omega = psi._with_coeffs(plan.gamma)
     (psi_c, psi_m), (omega_c, omega_m), (phi_c, phi_m) = map(_coords, (psi, omega, phi))
-    failure_c, failure_m = None, 0.0
+    targets, failure_m = [phi_c], 0.0
     if plan.failure_coeffs is not None:
         failure_c, failure_m = _coords(psi._with_coeffs(plan.failure_coeffs))
+        targets.append(failure_c)
 
-    stage: list[BranchRecord] = []
-    branches: list[BranchRecord] = []
-    for br, diag in _branches(plan.deterministic_stage, psi_c, omega_c):
-        stage.append(br)
-        if diag is None:
-            branches.append(br)
-            continue
-        branches.append(_settle(br, diag, plan.success_diag, phi_c, True))
-        if failure_c is not None:
-            branches.append(_settle(br, diag, plan.failure_diag, failure_c, False))
+    stage_probs, stage_fids = _branches(stage, psi_c, omega_c)
+    stage_records = tuple(map(_record, range(stage.weights.size), stage_probs.tolist(),
+                              stage_fids.tolist()))
+    # every live stage branch, normalized, in omega's levels
+    live = stage_probs > 0.0
+    moved = np.empty(stage.diags.shape, dtype=complex)
+    moved[np.arange(len(moved))[:, None], stage.perms] = stage.diags * psi_c
+    sources = moved[live] / np.sqrt(stage_probs[live])[:, None]
+    probs, fids = _branches(settle, sources, np.array(targets))
+    settled = iter(zip((stage_probs[live, None] * probs).tolist(), fids.tolist()))
+
+    branches = []
+    for record in stage_records:
+        if record.fidelity is None:  # annihilated by a zero-weight outcome
+            branches.append(record)
+        else:
+            branches += [_record(record.outcome, prob, fid, i == 0)
+                         for i, (prob, fid) in enumerate(zip(*next(settled)))]
 
     prob_sum = sum(br.simulated_prob for br in branches)
     success_prob = sum(br.simulated_prob for br in branches if br.success)
     success_fid = min((br.fidelity for br in branches if br.success), default=0.0)
-    stage_checks = _branch_checks(plan.deterministic_stage.weights, tuple(stage))
+    stage_checks = _branch_checks(stage.weights, stage_records)
     checks = {
         "success_prob_error": Check.within(abs(success_prob - plan.p_max), UNIT_TOL),
         "min_success_fidelity": Check.fidelity(success_fid),

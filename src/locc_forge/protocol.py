@@ -12,10 +12,13 @@ broadcast.  The diagonals follow from (mu, weights, relabelings) alone by
 r_k = sum_j p_j mu[sigma_j^{-1}(k)] the source that the plan itself
 reconstructs, and sqrt(p_j) where r_k = 0, so every plan is complete and
 travels as its weights and relabelings.  Every plan, built by
-``build_plan`` or read by ``MeasurementPlan.from_json``, is realized by
-``_realize``: one reconstruction r gives its diagonals and its check table
-(``majorization.Check`` records by name), where lam first enters:
-completeness, outcome weights, and the reconstruction max_k |lam_k - r_k|.
+``build_plan``, read by ``MeasurementPlan.from_json`` or made for the
+conclusive settle step (whose outcomes land on different vectors, so
+each outcome's row of coefficients takes the place of mu[sigma_j^{-1}]),
+is realized by ``_realize``: one reconstruction r gives its diagonals and
+its check table (``majorization.Check`` records by name), where lam first
+enters: completeness, outcome weights, and the reconstruction max_k
+|lam_k - r_k|.
 Plans are basis-free: no party basis ever enters.  The simulator runs a
 plan on each state's n diagonal Schmidt amplitudes, where a measurement
 outcome is a pointwise product and a relabeling a permutation.
@@ -71,11 +74,10 @@ class MeasurementPlan:
                 f"weights {weights.shape}, diags {shape} and perms {perms.shape} "
                 "must be (J,), (J, n) and (J, n)"
             )
-        _check_weights(weights)
+        _check_nonnegative(weights, "weights")
         if not _permutation_rows(perms):
             raise ValueError(f"a perms row is not a permutation of 0..{shape[1] - 1}")
-        if not np.all(np.isfinite(diags)) or np.any(diags < 0.0):
-            raise ValueError("diagonal entries must be finite and >= 0")
+        _check_nonnegative(diags, "diagonal entries")
         for name, arr in (("weights", weights), ("diags", diags), ("perms", perms)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -113,10 +115,12 @@ class MeasurementPlan:
                 raise ValueError(f"outcome keys {extra} are not p or perm")
         perms = np.array([_read_perm(o["perm"], n) for o in rows], dtype=np.intp)
         weights = np.array([to_float(o["p"]) for o in rows])
-        _check_weights(weights)
+        _check_nonnegative(weights, "weights")
         if np.any(weights > 1.0):  # a larger p can overflow the diagonals
             raise ValueError("weights must be at most 1")
-        return _realize(lam, mu, weights, perms.reshape(len(rows), n))[0]
+        perms = perms.reshape(len(rows), n)
+        # an entry out of range, clipped here, is refused by the plan constructor
+        return _realize(lam, weights, perms, np.take(mu.entries, perms, mode="clip"))
 
 
 def _permutation_rows(perms: np.ndarray) -> bool:
@@ -139,63 +143,64 @@ def _read_perm(row, n: int) -> list[int]:
     return [to_int(v) for v in row]
 
 
-def _check_weights(weights: np.ndarray) -> None:
-    """Weights finite and >= 0, as ``_kraus_diagonals`` needs them."""
-    if not np.all(np.isfinite(weights)) or np.any(weights < 0.0):
-        raise ValueError("weights must be finite and >= 0")
-
-
-def _reconstruction(
-    weights: np.ndarray, perms: np.ndarray, mu: ProbVector
-) -> tuple[np.ndarray, np.ndarray]:
-    """mass[j, k] = weights[j] mu[perms[j, k]], and r_k = sum_j mass[j, k],
-    the source vector that the plan rebuilds.  The lookup clips an index
-    out of range; the plan constructor then refuses its row."""
-    mass = weights[:, None] * np.take(mu.entries, perms, mode="clip")
-    return mass, mass.sum(axis=0)
+def _check_nonnegative(arr: np.ndarray, what: str) -> None:
+    """Every entry finite and >= 0, as ``_kraus_diagonals`` needs weights;
+    a NaN fails both bounds."""
+    if not (arr.min(initial=0.0) >= 0.0 and arr.max(initial=0.0) < np.inf):
+        raise ValueError(f"{what} must be finite and >= 0")
 
 
 def _kraus_diagonals(weights: np.ndarray, mass: np.ndarray, recon: np.ndarray) -> np.ndarray:
     """Row j is the Kraus diagonal of outcome j, diag_jk = sqrt(mass[j, k] /
-    r_k) from ``_reconstruction``, and sqrt(p_j) where r_k = 0.  A function
+    r_k) with r_k = sum_j mass[j, k], and sqrt(p_j) where r_k = 0.  A function
     of the plan alone, so complete to rounding on every level, however
     small lam_k is: how far r is from lam is the ``reconstruction`` check's
     to tell, and a level the plan leaves empty costs its lam_k there."""
-    share = np.repeat(weights[:, None], mass.shape[1], axis=1)
+    share = weights[:, None].repeat(mass.shape[1], axis=1)
     np.divide(mass, recon, out=share, where=recon > 0.0)
     return np.sqrt(share)
 
 
 def _realize(
-    lam: ProbVector, mu: ProbVector, weights: np.ndarray, perms: np.ndarray
-) -> tuple[MeasurementPlan, dict[str, str]]:
-    """The plan with these weights and relabelings for lam -> mu, with its
-    diagonals and check table from one reconstruction r: ``completeness``
-    and outcome ``weights`` to PLAN_TOL, ``reconstruction`` max_k |lam_k -
-    r_k| to UNIT_TOL; lam enters the table only.  Also returns where each
-    failing check failed: the level and its sum_j diag_jk^2, the outcome
+    lam: ProbVector, weights: np.ndarray, perms: np.ndarray, targets: np.ndarray,
+    stage: str | None = None,
+) -> MeasurementPlan:
+    """The plan with these weights and relabelings for the source lam, where
+    row j of targets (J, n) holds the coefficients that outcome j lands on
+    at each source level, mu[perms[j]] for a plan lam -> mu.  Its diagonals
+    and check table come from one reconstruction r_k = sum_j p_j
+    targets[j, k]: ``completeness`` and outcome ``weights`` to PLAN_TOL,
+    ``reconstruction`` max_k |lam_k - r_k| to UNIT_TOL; lam enters the
+    table only.  Given a ``stage`` name, a failing check raises
+    InternalContradiction naming the stage, every check's value and where
+    each failing one failed: the level and its sum_j diag_jk^2, the outcome
     with its probability on lam and p_j, or the level with lam_k and r_k."""
-    mass, recon = _reconstruction(weights, perms, mu)
+    mass = weights[:, None] * targets
+    recon = mass.sum(axis=0)
     plan = MeasurementPlan(weights, _kraus_diagonals(weights, mass, recon), perms)
     squares = plan.diags**2
-    cover = np.sum(squares, axis=0)
-    probs = np.sum(lam.entries * squares, axis=1)
+    cover = squares.sum(axis=0)
+    probs = (lam.entries * squares).sum(axis=1)
     gaps = {  # each check's residual per level or outcome, and its tolerance
         "completeness": (np.where(lam.entries > 0.0, np.abs(cover - 1.0), 0.0), PLAN_TOL),
         "weights": (np.abs(probs - plan.weights), PLAN_TOL),
         "reconstruction": (np.abs(recon - lam.entries), UNIT_TOL),
     }
-    checks = {name: Check.within(np.max(gap, initial=0.0), tol)
+    checks = {name: Check.within(gap.max(initial=0.0), tol)
               for name, (gap, tol) in gaps.items()}
     # set once, before the plan leaves this module
     object.__setattr__(plan, "checks", checks)
+    if stage is None or all(check.ok for check in checks.values()):
+        return plan
     where = {
         "completeness": lambda k: f"level {k} (sum_j diag_jk^2 {cover[k]})",
         "weights": lambda j: f"outcome {j} (probability {probs[j]}, p_j {weights[j]})",
         "reconstruction": lambda k: f"level {k} (lam_k {lam[k]}, r_k {recon[k]})",
     }
-    return plan, {name: f" at {where[name](int(np.argmax(gaps[name][0])))}"
-                  for name, check in checks.items() if not check.ok}
+    raise InternalContradiction(f"{stage} failed validation: " + ", ".join(
+        f"{name} {check.value}"
+        + ("" if check.ok else f" at {where[name](int(np.argmax(gaps[name][0])))}")
+        for name, check in checks.items()))
 
 
 def build_plan(
@@ -205,8 +210,7 @@ def build_plan(
     one-outcome identity plan when the vectors agree within ZERO_TOL, else
     the weights and relabelings of ``mixture_for``, which starts from the
     prefixes ``cuts`` as tight.  Raises ConversionImpossible when lam is
-    not majorized by mu, and InternalContradiction when a check fails,
-    naming every check's value and where each failing one failed."""
+    not majorized by mu, and InternalContradiction when a check fails."""
     if len(lam) != len(mu):
         raise ValueError("pad vectors to a common length first")
     # the walk would make outcomes of rounding weight here, each checked for its fidelity
@@ -215,11 +219,4 @@ def build_plan(
     else:
         mix = mixture_for(lam, mu, cuts)
         weights, perms = mix.weights, mix.terms
-    plan, failed = _realize(lam, mu, weights, perms)
-    if failed:
-        raise InternalContradiction(
-            "built plan failed validation: "
-            + ", ".join(f"{name} {check.value}{failed.get(name, '')}"
-                        for name, check in plan.checks.items())
-        )
-    return plan
+    return _realize(lam, weights, perms, mu.entries[perms], "built plan")

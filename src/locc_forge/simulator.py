@@ -20,9 +20,9 @@ branch of the transcript is one broadcast outcome, with what the run
 measured on it.  Every branch follows one fixed schedule of single-party
 operations, so none is listed per branch: party 0 measures, the outcome
 is broadcast and every party relabels its Schmidt levels; a conclusive
-run then has party 0 measure success or failure, and on success every
-party applies its unitary.  The transcript's check table holds each
-check once, with its value, tolerance and verdict.
+run then has party 0 make the settle measurement, success or failure,
+and on success every party applies its unitary.  The transcript's check
+table holds each check once, with its value, tolerance and verdict.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ MAX_PARTIES = 6
 MAX_AMPLITUDES = 2**20
 
 
-def _check_caps(dims: tuple[int, ...]) -> None:
+def _check_caps(dims: tuple[int, ...]) -> int:
     if len(dims) > MAX_PARTIES:
         raise CapExceeded(f"{len(dims)} parties exceed cap {MAX_PARTIES}")
     total = 1
@@ -49,6 +49,7 @@ def _check_caps(dims: tuple[int, ...]) -> None:
         total *= d
     if total > MAX_AMPLITUDES:
         raise CapExceeded(f"{total} amplitudes exceed cap {MAX_AMPLITUDES}")
+    return total
 
 
 class DenseState:
@@ -58,9 +59,8 @@ class DenseState:
 
     def __init__(self, amplitudes, dims):
         dims = tuple(to_int(d) for d in dims)
-        _check_caps(dims)
+        expected = _check_caps(dims)
         amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
-        expected = int(np.prod(dims))
         if amps.size != expected:
             raise ValueError(f"{amps.size} amplitudes for dims {dims}")
         norm_sq = float(np.vdot(amps, amps).real)
@@ -249,34 +249,38 @@ def _coords(s: GeneralizedSchmidtState) -> tuple[np.ndarray, float]:
     return diag, abs(1.0 - float(np.vdot(diag, diag).real))
 
 
-def _fidelity(target: np.ndarray, branch: np.ndarray, norm_sq: float) -> float:
-    """|<target|branch>|^2 for an unnormalized branch of squared norm norm_sq."""
-    return float(abs(np.vdot(target, branch)) ** 2 / norm_sq)
+def _branches(
+    plan: MeasurementPlan, sources: np.ndarray, targets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilities and fidelities, (J,) or (B, J), of every outcome of
+    plan on one diagonal source (n,) or a stack (B, n) of normalized ones,
+    against row j of targets (J, n) or the one target (n,).  Outcome j
+    scales a source s by its Kraus diagonal d_j and moves level k to
+    perms[j, k]: probability |d_j s|^2, fidelity |<target_j|branch>|^2
+    over it, each one matmul, with no branch formed.  Where an outcome
+    annihilates a source (probability at most ZERO_TOL) they are 0 and
+    NaN, and ZeroBranch is raised if its weight is above ZERO_TOL."""
+    diags, perms = plan.diags, plan.perms
+    # target_j at the level that level k of the source moves to
+    pulled = (targets[perms] if targets.ndim == 1
+              else targets[np.arange(len(perms))[:, None], perms])
+    probs = np.abs(sources)**2 @ (diags**2).T
+    fids = np.abs(sources @ (pulled.conj() * diags).T)**2
+    if probs.min(initial=np.inf) > ZERO_TOL:
+        return probs, fids / probs
+    dead = probs <= ZERO_TOL
+    culprit = np.argwhere(dead & (plan.weights > ZERO_TOL))
+    if culprit.size:
+        *source, j = culprit[0].tolist()
+        raise ZeroBranch(f"outcome {j} carries weight {plan.weights[j]} but annihilated "
+                         + (f"source {source[0]}" if source else "the state"))
+    probs[dead] = 0.0
+    return probs, np.divide(fids, probs, out=np.full(probs.shape, np.nan), where=~dead)
 
 
-def _branches(plan: MeasurementPlan, source: np.ndarray, target: np.ndarray):
-    """Run every outcome of plan on the source's diagonal amplitudes.
-
-    Yields (record, branch) in plan order.  The branch is the measured and
-    relabeled diagonal, unnormalized (its squared norm is the branch
-    probability) and in the target's coordinates; it is None when a
-    zero-weight outcome annihilates the state.
-    """
-    for j, (weight, diag, perm) in enumerate(
-        zip(plan.weights.tolist(), plan.diags, plan.perms)
-    ):
-        measured = diag * source
-        prob = float(np.vdot(measured, measured).real)
-        if prob <= ZERO_TOL:
-            if weight > ZERO_TOL:
-                raise ZeroBranch(
-                    f"outcome {j} carries weight {weight} but annihilated the state"
-                )
-            yield BranchRecord(j, 0.0), None
-            continue
-        branch = np.empty_like(measured)
-        branch[perm] = measured  # level k moves to perm[k]
-        yield BranchRecord(j, prob, _fidelity(target, branch, prob)), branch
+def _record(outcome: int, prob: float, fid: float, success=None) -> BranchRecord:
+    """A branch's record; a NaN fidelity marks an annihilated outcome."""
+    return BranchRecord(outcome, prob, None if fid != fid else fid, success)
 
 
 def _branch_checks(
@@ -318,7 +322,8 @@ def run_protocol(
     if plan.n != psi.n or plan.n != phi.n:
         raise ValueError("plan dimension does not match the states")
     (source, psi_mass), (target, phi_mass) = _coords(psi), _coords(phi)
-    records = tuple(record for record, _ in _branches(plan, source, target))
+    probs, fids = _branches(plan, source, target)
+    records = tuple(map(_record, range(plan.weights.size), probs.tolist(), fids.tolist()))
     checks = _branch_checks(plan.weights, records)
     checks["offdiag_mass"] = Check.within(max(psi_mass, phi_mass), UNIT_TOL)
     return Transcript(records, checks)

@@ -357,12 +357,14 @@ def dense_protocol(psi, phi, plan) -> list:
 def dense_conclusive(psi, phi, plan) -> list:
     """Per-branch dense run of a conclusive plan, in run_conclusive's order.
 
-    Each realizable stage branch gives a success entry (measure, then
-    B_phi B_psi^dag on every party, compared with phi) and, when the plan
-    has failure coefficients, a failure entry (measure only, compared with
-    the failure state in psi's bases).  Entries are (probability, final
-    state, fidelity); an unrealizable stage branch gives None.
+    Each realizable stage branch gives one entry per outcome of the settle
+    plan (``plan.settle.diags``), whose relabelings are all the identity:
+    outcome 0 measures, then applies B_phi B_psi^dag on every party and
+    is compared with phi; outcome 1 measures only and is compared with the
+    failure state in psi's bases.  Entries are (probability, final state,
+    fidelity); an unrealizable stage branch gives None.
     """
+    assert np.all(plan.settle.perms == np.arange(psi.n))
     omega = GeneralizedSchmidtState(psi.dims, plan.gamma, psi.bases)
     phi_dense = assemble(phi)
     failure_dense = None
@@ -370,8 +372,8 @@ def dense_conclusive(psi, phi, plan) -> list:
         failure_dense = assemble(
             GeneralizedSchmidtState(psi.dims, plan.failure_coeffs, psi.bases)
         )
-    success_m = measurement_matrix(psi.bases[0], plan.success_diag)
-    failure_m = measurement_matrix(psi.bases[0], plan.failure_diag)
+    success_m, *failure_m = [measurement_matrix(psi.bases[0], diag)
+                             for diag in plan.settle.diags]
     rotations = [
         full_basis(phi_b) @ full_basis(psi_b).conj().T
         for phi_b, psi_b in zip(phi.bases, psi.bases)
@@ -386,7 +388,7 @@ def dense_conclusive(psi, phi, plan) -> list:
         for party, u in enumerate(rotations):
             _, current = apply_local(current, party, u)
         out.append((prob * s_prob, current, fidelity(current, phi_dense)))
-        if failure_dense is not None:
-            f_prob, f_post = apply_local(state, 0, failure_m)
+        for m_op in failure_m:
+            f_prob, f_post = apply_local(state, 0, m_op)
             out.append((prob * f_prob, f_post, fidelity(f_post, failure_dense)))
     return out

@@ -266,7 +266,7 @@ class TestPlan:
         # realizing forms the reconstruction r once, for the diagonals and
         # the checks, the identity plan included
         import locc_forge.protocol as protocol
-        calls = {"_realize": 0, "_reconstruction": 0}
+        calls = {"_realize": 0, "_kraus_diagonals": 0}
         for name in calls:
             def counted(*args, _fn=getattr(protocol, name), _name=name):
                 calls[_name] += 1
@@ -275,7 +275,7 @@ class TestPlan:
         code, report, _ = run(capsys, ["plan", "--in", write(tmp_path, payload)])
         assert code == 0 and report["pass"] is True
         assert set(report["residuals"]) == {"completeness", "weights", "reconstruction"}
-        assert calls == {"_realize": 1, "_reconstruction": 1}
+        assert calls == {"_realize": 1, "_kraus_diagonals": 1}
 
     def test_residuals_accompany_pass(self, tmp_path, capsys):
         _, report, _ = run(capsys, ["plan", "--in", write(tmp_path, EASY_PAIR)])
@@ -631,6 +631,17 @@ class TestOtherCommands:
         assert set(small["payload"]) == set(large["payload"])
         assert abs(len(texts[0]) - len(texts[1])) < 100
 
+    def test_conclusive_within_unit_tol_of_certainty_exits_0(self, tmp_path, capsys):
+        # 1 - p_max = 5e-10, in (PLAN_TOL, UNIT_TOL]: one settle outcome, of
+        # weight 1, lands every stage branch on mu
+        payload = {"schema_version": "1", "lam": [0.6, 0.4],
+                   "mu": [0.6 - 2e-10, 0.4 + 2e-10], "m": 2}
+        code, report, _ = run(capsys, ["conclusive", "--in", write(tmp_path, payload)])
+        assert code == 0 and report["pass"] is True
+        branches = report["payload"]["transcript"]["branches"]
+        assert [br["success"] for br in branches] == [True]
+        assert report["residuals"]["success_prob_error"] == pytest.approx(5e-10, rel=1e-6)
+
     def test_conclusive_reports_achieved_probability(self, tmp_path, capsys):
         inst = {"schema_version": "1", "lam": [0.9, 0.1], "mu": [0.6, 0.4], "m": 3}
         code, report, _ = run(capsys, ["conclusive", "--in", write(tmp_path, inst)])
@@ -841,6 +852,18 @@ class TestReportContract:
         assert code == 0
         blanked = re.sub(r'"wall_time_s": [^,}]+', '"wall_time_s": 0', out)
         assert blanked == (DATA / "report_n32_plan.out").read_text(encoding="utf-8")
+
+    def test_n16_conclusive_matches_recorded_bytes(self, capsys):
+        # mu from helpers.random_probs and lam from 64 T-transforms of it
+        # (default_rng(16)), run in reverse on (16, 17) with random bases:
+        # p_max 0.028, 13 segments, 4 stage outcomes, each settled onto mu
+        # and onto the failure coefficients, wall_time_s blanked
+        code, out = raw_run(capsys, ["conclusive", "--in", str(DATA / "report_n16.json")])
+        assert code == 0
+        blanked = re.sub(r'"wall_time_s": [^,}]+', '"wall_time_s": 0', out)
+        assert blanked == (DATA / "report_n16_conclusive.out").read_text(encoding="utf-8")
+        branches = json.loads(out)["payload"]["transcript"]["branches"]
+        assert [br["success"] for br in branches] == [True, False] * 4
 
     @pytest.mark.parametrize("command", ["plan", "simulate", "conclusive"])
     def test_plan_outcomes_carry_only_p_and_perm(self, capsys, command):

@@ -23,6 +23,8 @@ from locc_forge import (
     CapExceeded,
     ConversionImpossible,
     GeneralizedSchmidtState,
+    InternalContradiction,
+    MeasurementPlan,
     ProbVector,
     ZeroBranch,
     catalysis_search,
@@ -34,6 +36,7 @@ from locc_forge import (
     pmax,
     run_conclusive,
 )
+import locc_forge.probabilistic as probabilistic
 from locc_forge.probabilistic import (
     MAX_CATALYST_CANDIDATES,
     _grid,
@@ -41,8 +44,10 @@ from locc_forge.probabilistic import (
     _found,
     _min_tail_ratio,
     _refute,
+    _tail_ratio_chain,
     _tails,
 )
+from locc_forge.protocol import _realize
 from test_majorization import majorized_pairs, prob_vectors
 from test_simulator import ENGINE_SHAPES, scale_heaviest_entry, swap_heaviest_perms
 
@@ -151,14 +156,16 @@ class TestIntermediateState:
         assert plan.p_max == pytest.approx(0.25, abs=1e-12)
         assert plan.l_star == 1
         np.testing.assert_allclose(plan.gamma.entries, [0.9, 0.1], atol=1e-12)
+        np.testing.assert_allclose(plan.settle.weights, [0.25, 0.75], atol=1e-12)
         np.testing.assert_allclose(
-            plan.success_diag, [np.sqrt(0.15 / 0.9), 1.0], atol=1e-12
-        )
+            plan.settle.diags, [[np.sqrt(0.15 / 0.9), 1.0], [np.sqrt(0.75 / 0.9), 0.0]],
+            atol=1e-12)
         np.testing.assert_allclose(plan.failure_coeffs.entries, [1.0, 0.0], atol=1e-12)
 
     def test_json_determines_waypoint_and_measurement(self):
-        # the printed plan leaves out gamma and the success/failure pair;
-        # the formulas of the README rebuild them from segments and p_max
+        # the printed plan leaves out gamma and the settle plan; the formulas
+        # of the README rebuild them from segments and p_max, the settle
+        # diagonals by the one plan formula sqrt(p_j t_jk / r_k)
         rng = np.random.default_rng(23)
         pairs = [(t_chain(rng, random_probs(rng, n), n), random_probs(rng, n))
                  for n in (2, 3, 5, 8, 16)]
@@ -170,20 +177,22 @@ class TestIntermediateState:
             gamma = np.zeros(len(mu))
             for start, end, scale in payload["segments"]:
                 gamma[start:end] = scale * mu.entries[start:end]
-            live = gamma > 0.0
-            t = np.zeros(len(mu))
-            t[live] = np.minimum(p * mu.entries[live] / gamma[live], 1.0)
             np.testing.assert_allclose(gamma, plan.gamma.entries, rtol=0, atol=1e-15)
-            np.testing.assert_allclose(np.sqrt(t), plan.success_diag, rtol=0, atol=1e-15)
-            np.testing.assert_allclose(
-                np.sqrt(1.0 - t), plan.failure_diag, rtol=0, atol=1e-15)
             leftover = np.maximum(gamma - p * mu.entries, 0.0)
             if p >= 1.0 - 1e-9:
                 assert plan.failure_coeffs is None
+                weights, targets = np.ones(1), mu.entries[None, :]
             else:
+                failure = leftover / leftover.sum()
                 np.testing.assert_allclose(
-                    leftover / leftover.sum(), plan.failure_coeffs.entries,
-                    rtol=0, atol=1e-12)
+                    failure, plan.failure_coeffs.entries, rtol=0, atol=1e-12)
+                weights, targets = np.array([p, 1.0 - p]), np.array([mu.entries, failure])
+            mass = weights[:, None] * targets
+            r = mass.sum(axis=0)
+            share = np.where(r > 0.0, mass / np.where(r > 0.0, r, 1.0), weights[:, None])
+            assert plan.settle.weights.tolist() == weights.tolist()
+            assert np.all(plan.settle.perms == np.arange(len(mu)))
+            np.testing.assert_allclose(np.sqrt(share), plan.settle.diags, rtol=0, atol=1e-15)
 
     def test_frozen_three_level(self):
         plan = intermediate_state(
@@ -267,6 +276,116 @@ class TestIntermediateState:
             "is not below target rank 3, but at the cut l*=2 the source tail "
         )
         assert "over the target tail 0.2" in message and "p_max 0.0" in message
+
+
+    @pytest.mark.parametrize("entries", [1, 7, 64])
+    def test_chain_does_not_depend_on_the_chunk_width(self, monkeypatch, entries):
+        # the chain scans a chunk of ends only when it leaves the last one,
+        # and a column's value does not depend on its chunk: the segments
+        # are the same bits at any chunk width
+        pairs = [pair for pair in tail_ratio_pairs() if len(pair[0]) <= 256]
+        expected = [_tail_ratio_chain(_tails(lam), _tails(mu), len(lam))
+                    for lam, mu in pairs]
+        monkeypatch.setattr(probabilistic, "_SCAN_ENTRIES", entries)
+        for (lam, mu), chain in zip(pairs, expected):
+            assert _tail_ratio_chain(_tails(lam), _tails(mu), len(lam)) == chain
+
+    def test_settle_is_one_outcome_within_unit_tol_of_one(self):
+        # 1 - p_max = 5e-10 lies in (PLAN_TOL, UNIT_TOL]: the settle plan is
+        # outcome 0 alone, of weight 1; of weight p_max it would miss its
+        # outcome weight by 1 - p_max, above PLAN_TOL
+        lam, mu = ProbVector([0.6, 0.4]), ProbVector([0.6 - 2e-10, 0.4 + 2e-10])
+        plan = intermediate_state(lam, mu)
+        assert 1e-10 < 1.0 - plan.p_max <= 1e-9
+        assert plan.failure_coeffs is None
+        assert plan.settle.weights.tolist() == [1.0]
+        assert all(check.ok for check in plan.settle.checks.values())
+        weighted_p = _realize(plan.gamma, np.array([plan.p_max]), plan.settle.perms,
+                              mu.entries[None, :])
+        assert [name for name, check in weighted_p.checks.items() if not check.ok] == [
+            "weights"]
+        assert weighted_p.checks["weights"].value == pytest.approx(1.0 - plan.p_max)
+        psi = GeneralizedSchmidtState.computational((2, 2), lam)
+        phi = GeneralizedSchmidtState.computational((2, 2), mu)
+        tx = run_conclusive(psi, phi, plan)
+        assert tx.passed
+        assert [br.success for br in tx.branches] == [True]
+
+
+class TestWaypointInvariants:
+    """Each invariant of the waypoint and its settle plan raises
+    InternalContradiction naming the numbers that tripped it; a chain of
+    segments put in place of ``_tail_ratio_chain`` trips each one."""
+
+    @staticmethod
+    def raised(monkeypatch, lam, mu, chain) -> str:
+        monkeypatch.setattr(probabilistic, "_tail_ratio_chain",
+                            lambda e_lam, e_mu, end: chain)
+        with pytest.raises(InternalContradiction) as err:
+            intermediate_state(ProbVector(lam), ProbVector(mu))
+        return str(err.value)
+
+    def test_increase_names_the_first_increasing_level(self, monkeypatch):
+        # p_max = 0.9 at l* = 1; a head scale of 0.1 puts gamma_0 at 0.05
+        message = self.raised(monkeypatch, [0.55, 0.25, 0.20], [0.5, 0.45, 0.05],
+                              [(0, 1, 0.1)])
+        assert message == ("waypoint not nonincreasing: gamma_1 0.405 exceeds "
+                           "gamma_0 0.05 by more than ZERO_TOL 1e-12")
+
+    def test_majorization_names_the_prefix_and_its_excess(self, monkeypatch):
+        # gamma = [0.3375, 0.3375, 0.225, 0.1] sums to 1 but lam_0 = 0.4
+        message = self.raised(monkeypatch, [0.4, 0.3, 0.2, 0.1], [0.3, 0.3, 0.2, 0.2],
+                              [(0, 3, 1.125)])
+        assert message.startswith(
+            "source not majorized by the waypoint: its prefix 0 exceeds gamma's by 0.0625")
+        assert message.endswith("above UNIT_TOL 1e-09")
+
+    def test_dominance_names_the_level(self, monkeypatch):
+        # p_max = 0.9; the segment [1, 3) at scale 0.8 < p_max leaves
+        # gamma = [0.515, 0.24, 0.2, 0.045] below p*mu = 0.27 at level 1
+        message = self.raised(monkeypatch, [0.355, 0.3, 0.3, 0.045],
+                              [0.4, 0.3, 0.25, 0.05], [(1, 3, 0.8), (0, 1, 1.2875)])
+        assert message == ("waypoint fails p*mu dominance at level 1: p*mu_k "
+                           "0.26999999999999996 exceeds gamma_k 0.24 by more than "
+                           "ZERO_TOL 1e-12")
+
+    def test_failure_mass_names_both_masses(self, monkeypatch):
+        # p_max = 0.5 at l* = n - 1, n = 2001; 1999 levels sit 0.99e-12 below
+        # p*mu, within ZERO_TOL each, and their clipped leftover takes 2e-9
+        # off the failure mass
+        n, p = 2001, 0.5
+        eps = 0.99e-12 * n
+        lam = [(1 - 0.5 / n) / (n - 1)] * (n - 1) + [0.5 / n]
+        head = n - (n - 2) * (p - eps) - p
+        message = self.raised(monkeypatch, lam, [1.0 / n] * n,
+                              [(1, n - 1, p - eps), (0, 1, head)])
+        assert message.startswith("failure branch mass 0.50000000197")
+        assert message.endswith(
+            "expected 1 - p_max = 0.5000000000000001 within UNIT_TOL 1e-09")
+
+    @pytest.mark.parametrize("end", [1, 2])
+    def test_no_admissible_ratio_names_the_end(self, end):
+        # the columns of ends 1 and 2 have no target tail difference above
+        # ZERO_TOL; the chain from end 3 scans them in one chunk and names
+        # the first
+        e_lam, e_mu = np.array([1.0, 0.8, 0.5, 0.0]), np.array([1.0, 1.0, 1.0, 0.0])
+        scan = (lambda: _tail_ratio_chain(e_lam, e_mu, 3)) if end == 1 else (
+            lambda: _min_tail_ratio(e_lam, e_mu, 2))
+        with pytest.raises(InternalContradiction) as err:
+            scan()
+        assert str(err.value) == (
+            f"no admissible tail ratio at end {end}: no l < {end} has a target tail "
+            "difference above ZERO_TOL 1e-12")
+
+    def test_failed_settle_check_names_the_stage(self, monkeypatch):
+        # p_max = 0.9; with the failure branch dropped as if 1 - p_max were
+        # unmeasurable, the one-outcome settle plan rebuilds mu, not gamma
+        monkeypatch.setattr(probabilistic, "UNIT_TOL", 0.5)
+        with pytest.raises(InternalContradiction) as err:
+            intermediate_state(ProbVector([0.55, 0.25, 0.20]), ProbVector([0.5, 0.45, 0.05]))
+        assert str(err.value) == (
+            "settle measurement failed validation: completeness 0.0, weights 0.0, "
+            "reconstruction 0.050000000000000044 at level 0 (lam_k 0.55, r_k 0.5)")
 
 
 class TestRunConclusive:
@@ -367,13 +486,60 @@ class TestConclusiveEngine:
             assert not all(
                 check.ok for name, check in tx.checks.items() if name.startswith("stage_"))
 
-    @pytest.mark.parametrize("field", ["success_diag", "failure_diag"])
-    def test_annihilating_measurement_raises(self, field):
+    @pytest.mark.parametrize("row", [0, 1])
+    def test_annihilating_measurement_raises(self, row):
+        # a zeroed settle row (0 success, 1 failure) annihilates every
+        # stage branch, and both rows carry weight
         rng = np.random.default_rng(19)
         psi, phi, plan = conclusive_instance(rng, (3, 4, 3), 3)
-        dead = replace(plan, **{field: np.zeros(3)})
-        with pytest.raises(ZeroBranch):
+        diags = plan.settle.diags.copy()
+        diags[row] = 0.0
+        dead = replace(plan, settle=MeasurementPlan(plan.settle.weights, diags,
+                                                    plan.settle.perms))
+        with pytest.raises(ZeroBranch, match=f"outcome {row} carries weight .* source 0$"):
             run_conclusive(psi, phi, dead)
+
+    def test_annihilated_stage_outcome_is_not_settled(self):
+        # a zero-weight stage outcome that annihilates the state is one
+        # record, with no fidelity, and the settle plan runs on the live one
+        lam, mu = ProbVector([0.9, 0.1]), ProbVector([0.6, 0.4])
+        psi = GeneralizedSchmidtState.computational((2, 2), lam)
+        phi = GeneralizedSchmidtState.computational((2, 2), mu)
+        plan = intermediate_state(lam, mu)
+        stage = MeasurementPlan([1.0, 0.0], [[1.0, 1.0], [0.0, 0.0]], [[0, 1], [1, 0]])
+        tx = run_conclusive(psi, phi, replace(plan, deterministic_stage=stage))
+        assert tx.passed
+        assert [(br.outcome, br.success) for br in tx.branches] == [
+            (0, True), (0, False), (1, None)]
+        assert (tx.branches[2].simulated_prob, tx.branches[2].fidelity) == (0.0, None)
+        assert tx.success_probability == pytest.approx(0.25, abs=1e-15)
+
+    @pytest.mark.parametrize("scale, raises", [(1e-7, True), (1e-5, False)])
+    def test_zero_branch_is_conditional_on_the_stage_branch(self, scale, raises):
+        # stage outcome 1 has weight 1e-4; the failure row scaled by 1e-5
+        # leaves it a conditional probability of 7.5e-11, above ZERO_TOL,
+        # though 7.5e-15 of the whole; scaled by 1e-7 it is 7.5e-15 of its
+        # stage branch, at most ZERO_TOL, and raises
+        lam, mu = ProbVector([0.9, 0.1]), ProbVector([0.6, 0.4])
+        psi = GeneralizedSchmidtState.computational((2, 2), lam)
+        phi = GeneralizedSchmidtState.computational((2, 2), mu)
+        plan = intermediate_state(lam, mu)
+        weights = np.array([1.0 - 1e-4, 1e-4])
+        stage = MeasurementPlan(weights, np.sqrt(weights)[:, None] * np.ones((2, 2)),
+                                np.array([[0, 1], [0, 1]]))
+        diags = plan.settle.diags.copy()
+        diags[1] *= scale
+        settle = MeasurementPlan(plan.settle.weights, diags, plan.settle.perms)
+        tampered = replace(plan, deterministic_stage=stage, settle=settle)
+        if raises:
+            with pytest.raises(ZeroBranch, match="outcome 1 carries weight 0.75"):
+                run_conclusive(psi, phi, tampered)
+            return
+        tx = run_conclusive(psi, phi, tampered)
+        assert [(br.outcome, br.success) for br in tx.branches] == [
+            (0, True), (0, False), (1, True), (1, False)]
+        assert tx.branches[3].simulated_prob == pytest.approx(1e-4 * 0.75e-10, rel=1e-9)
+        assert tx.branches[3].fidelity == pytest.approx(1.0, abs=1e-12)
 
 
 class TestMulticopy:
@@ -677,7 +843,10 @@ def test_intermediate_invariants(lam, mu):
     assert is_majorized(lam, gamma)
     assert np.all(plan.p_max * mu.entries <= gamma.entries + 1e-12)
     support = gamma.entries > 0
-    ssq = plan.success_diag**2
-    fsq = plan.failure_diag**2
-    assert np.max(np.abs((ssq + fsq)[support] - 1.0)) <= 1e-10
-    assert np.sum(gamma.entries * ssq) == pytest.approx(plan.p_max, abs=1e-10)
+    squares = plan.settle.diags**2
+    assert np.max(np.abs(squares.sum(axis=0)[support] - 1.0)) <= 1e-10
+    # outcome 0 (success) has weight p_max, or 1 where p_max >= 1 - 1e-9
+    success = plan.p_max if plan.failure_coeffs is not None else 1.0
+    assert plan.settle.weights[0] == success
+    np.testing.assert_allclose(np.sum(gamma.entries * squares, axis=1),
+                               plan.settle.weights, rtol=0, atol=1e-10)
