@@ -273,10 +273,11 @@ def run_conclusive(
 
     As in ``run_protocol``, psi, the waypoint omega, phi and the failure
     state are each reduced to their n diagonal amplitudes in their own
-    bases, and ``offdiag_mass`` is the largest squared norm that any of
-    them leaves off its diagonal.  omega and the failure state share psi's
-    bases, which were checked when psi was built and are not checked
-    again.  So the settle plan runs on every live stage branch at once,
+    bases (assembled and contracted a slice of party 1's levels at a time,
+    with no array of all D amplitudes held), and ``offdiag_mass`` is the
+    largest squared norm that any of them leaves off its diagonal.  omega
+    and the failure state share psi's bases, which were checked when psi
+    was built and are not checked again.  So the settle plan runs on every live stage branch at once,
     normalized, against phi's diagonal (outcome 0) and the failure
     state's, and B_phi B_psi^dag is the identity on coordinates.  Overlaps
     of diagonals equal the dense fidelities.  The check table holds the

@@ -5,11 +5,13 @@ protocols, and operationally tests whether an arbitrary dense state admits
 the structured (single-sum) form.
 
 Protocols are checked in Schmidt coordinates.  Each compared state is
-assembled densely once and contracted with its own n product basis
-vectors; in those coordinates it is diagonal, amplitude sqrt(coeff_k) at
-(k, ..., k), so the n diagonal amplitudes carry it.  The squared norm they
-miss, the off-diagonal mass, is a reported check that keeps the
-assemble -> coordinates round trip honest.  A measurement outcome then
+assembled densely, a slice of party 1's levels at a time, and each slice
+is contracted with the state's own n product basis vectors as it is
+formed, so no array of all D amplitudes is held.  In those coordinates
+the state is diagonal, amplitude sqrt(coeff_k) at (k, ..., k), so the n
+diagonal amplitudes carry it.  The squared norm they miss, the
+off-diagonal mass, is a reported check that keeps the
+assembly -> coordinates round trip honest.  A measurement outcome then
 scales the diagonal by its Kraus diagonal and a relabeling permutes it,
 O(n) per outcome.  Fidelity needs no rotation back, since the branch and
 the target share the local unitary (any completion of the target's Schmidt
@@ -27,6 +29,7 @@ table holds each check once, with its value, tolerance and verdict.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +40,11 @@ from .protocol import MeasurementPlan
 
 MAX_PARTIES = 6
 MAX_AMPLITUDES = 2**20
+# Amplitudes per block of the dense check, 256 KiB of complex: a larger
+# state is formed and contracted a slice of party 1's levels at a time
+# (``_amplitude_blocks``), so that no array of all its amplitudes is held
+# unless party 0's n Schmidt columns are as large.
+_BLOCK = 2**14
 
 
 def _check_caps(dims: tuple[int, ...]) -> int:
@@ -52,6 +60,12 @@ def _check_caps(dims: tuple[int, ...]) -> int:
     return total
 
 
+def _check_norm(norm_sq: float) -> None:
+    """Refuse a state whose squared norm is not 1 within UNIT_TOL."""
+    if not abs(norm_sq - 1.0) <= UNIT_TOL:
+        raise ValueError(f"squared norm {norm_sq} deviates from 1")
+
+
 class DenseState:
     """Normalized complex amplitude tensor, stored flat in row-major order."""
 
@@ -63,9 +77,7 @@ class DenseState:
         amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
         if amps.size != expected:
             raise ValueError(f"{amps.size} amplitudes for dims {dims}")
-        norm_sq = float(np.vdot(amps, amps).real)
-        if not abs(norm_sq - 1.0) <= UNIT_TOL:
-            raise ValueError(f"squared norm {norm_sq} deviates from 1")
+        _check_norm(float(np.vdot(amps, amps).real))
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "dims", dims)
@@ -170,18 +182,45 @@ class GeneralizedSchmidtState:
         return out
 
 
-def assemble(s: GeneralizedSchmidtState) -> DenseState:
-    """Sum over k of sqrt(coeff_k) times the k-th basis column of every party.
+def _amplitude_blocks(s: GeneralizedSchmidtState):
+    """Yield (lo, hi, amps) for consecutive slices lo..hi-1 of party 1's
+    levels: amps is the (d_0, (hi - lo) r) block of s's amplitudes with
+    party 1 in the slice, r the dimension of parties 2..
 
-    The columns of parties 1.. are chained into one (rest, n) outer
-    product, so the sum over k is a single matmul with party 0's columns.
+    The columns of parties 2.., if any, are chained once into an (r, n)
+    outer product.  A slice's chain is party 1's rows times it (the rows
+    themselves for two parties), and its amplitudes are one matmul with
+    party 0's scaled columns.  A block holds at most _BLOCK amplitudes, or
+    as many as those d_0 x n columns if that is more (so each matmul is at
+    least n columns wide), and at least one level of party 1.  The blocks
+    share their buffers: each is valid until the next is yielded.
     """
-    n = s.n
-    chain = s.bases[-1]
-    for basis in s.bases[-2:0:-1]:
-        chain = (basis[:, None, :] * chain[None, :, :]).reshape(-1, n)
+    n, d0, d1 = s.n, s.dims[0], s.dims[1]
+    sub = s.bases[-1] if len(s.bases) > 2 else None
+    for basis in s.bases[-2:1:-1]:
+        sub = (basis[:, None, :] * sub[None, :, :]).reshape(-1, n)
+    r = math.prod(s.dims[2:])
     head = s.bases[0] * np.sqrt(s.coeffs.entries)
-    return DenseState((head @ chain.T).reshape(-1), s.dims)
+    step = min(d1, max(1, max(_BLOCK, d0 * n) // (d0 * r)))
+    chain = None if sub is None else np.empty((step, r, n), dtype=complex)
+    amps = np.empty(d0 * step * r, dtype=complex)
+    for lo in range(0, d1, step):
+        hi = min(lo + step, d1)
+        part = s.bases[1][lo:hi]
+        if sub is not None:
+            part = np.multiply(part[:, None, :], sub, out=chain[:hi - lo]).reshape(-1, n)
+        block = amps[:d0 * (hi - lo) * r].reshape(d0, -1)
+        yield lo, hi, np.matmul(head, part.T, out=block)
+
+
+def assemble(s: GeneralizedSchmidtState) -> DenseState:
+    """Sum over k of sqrt(coeff_k) times the k-th basis column of every
+    party, copied together from ``_amplitude_blocks``."""
+    amps = np.empty((s.dims[0], math.prod(s.dims[1:])), dtype=complex)
+    width = math.prod(s.dims[2:])  # columns per level of party 1
+    for lo, hi, block in _amplitude_blocks(s):
+        amps[:, lo * width:hi * width] = block
+    return DenseState(amps.reshape(-1), s.dims)
 
 
 def fidelity(a: DenseState, b: DenseState) -> float:
@@ -233,19 +272,33 @@ class Transcript:
 
 
 def _coords(s: GeneralizedSchmidtState) -> tuple[np.ndarray, float]:
-    """Assemble s and contract it with its n product basis vectors.
+    """Contract s with its n product basis vectors, a block at a time.
 
     Returns the diagonal amplitudes <b_0k|<b_1k|...|s> and the off-diagonal
-    mass |1 - sum_k |diag_k|^2|, the squared norm the diagonal misses.  The
-    contraction is one matmul with party 0's Schmidt columns, then one
-    batched row contraction per further party: O(n D) for D amplitudes.
+    mass |1 - sum_k |diag_k|^2|, the squared norm the diagonal misses.  Every
+    amplitude is formed, by ``_amplitude_blocks``, and counted in the
+    squared norm, which must be 1 as for a DenseState; no array of all D
+    amplitudes is held unless party 0's n columns are as large.  Each block
+    is contracted with party 0's Schmidt columns (one matmul), with party
+    1's rows for its slice, then with each further party's (one batched row
+    contraction each), and the diagonals of the blocks are summed: O(n D)
+    in all.
     """
     n = s.n
-    x = s.bases[0].conj().T @ assemble(s).amplitudes.reshape(s.dims[0], -1)
-    for basis in s.bases[1:]:
-        rows = basis.conj().T[:, None, :]
-        x = (rows @ x.reshape(n, basis.shape[0], -1))[:, 0, :]
-    diag = x[:, 0]
+    b0h = s.bases[0].conj().T
+    rest = [basis.conj().T[:, None, :] for basis in s.bases[2:]]
+    diag, norm_sq, buf = np.zeros(n, dtype=complex), 0.0, None
+    for lo, hi, amps in _amplitude_blocks(s):
+        norm_sq += float(np.vdot(amps, amps).real)
+        if buf is None:  # the first block is the widest
+            buf = np.empty(n * amps.shape[1], dtype=complex)
+        x = np.matmul(b0h, amps, out=buf[:n * amps.shape[1]].reshape(n, -1))
+        rows = s.bases[1][lo:hi].conj().T[:, None, :]  # party 1's, for the slice
+        x = (rows @ x.reshape(n, hi - lo, -1))[:, 0, :]
+        for rows in rest:
+            x = (rows @ x.reshape(n, rows.shape[2], -1))[:, 0, :]
+        diag += x[:, 0]
+    _check_norm(norm_sq)
     return diag, abs(1.0 - float(np.vdot(diag, diag).real))
 
 
@@ -309,13 +362,14 @@ def run_protocol(
     """Execute measure-broadcast-rotate on every outcome and verify it.
 
     psi and phi are each reduced to their n diagonal amplitudes in their
-    own bases (``_coords``).  Outcome j multiplies psi's diagonal by its
-    Kraus diagonal (the squared norm is the simulated probability) and
-    permutes it by its relabeling.  Its overlap with phi's diagonal equals
-    that of B_phi P_j B_psi^dag M_j |psi> with |phi>: both dense states
-    carry the same local unitary, phi's bases.  The check table adds
-    ``offdiag_mass``, the larger squared norm that either state leaves off
-    its diagonal, to the branch checks.
+    own bases (``_coords``, a slice of party 1's levels at a time, with no
+    array of all D amplitudes held).  Outcome j multiplies psi's diagonal
+    by its Kraus diagonal (the squared norm is the simulated probability)
+    and permutes it by its relabeling.  Its overlap with phi's diagonal
+    equals that of B_phi P_j B_psi^dag M_j |psi> with |phi>: both dense
+    states carry the same local unitary, phi's bases.  The check table
+    adds ``offdiag_mass``, the larger squared norm that either state leaves
+    off its diagonal, to the branch checks.
     """
     if psi.dims != phi.dims:
         raise ValueError(f"incompatible dims {psi.dims} vs {phi.dims}")

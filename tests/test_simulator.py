@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -130,6 +132,7 @@ class TestAssemble:
         ((2, 3), [1.0, 0.0]),
         ((3, 4, 3), [0.6, 0.4, 0.0]),
         ((5, 6, 5, 5), [0.5, 0.3, 0.2, 0.0, 0.0]),
+        ((8, 64, 40), [0.4, 0.3, 0.2, 0.1, 0.0, 0.0]),  # two blocks
     ])
     def test_matches_per_term_oracle_with_zero_coeffs(self, dims, entries):
         rng = np.random.default_rng(sum(dims))
@@ -393,24 +396,82 @@ class TestCapSizes:
             assert abs(br.simulated_prob - model) <= 1e-12
 
 
+def _coords_oracle(s: GeneralizedSchmidtState) -> tuple[np.ndarray, float]:
+    """_coords by explicit product vectors against the per-term assembly.
+    np.sum adds pairwise, so the oracle's rounding grows with log D, not
+    with D as a dot product's does."""
+    amps = _assemble_unsorted(s.dims, s.coeffs.entries, s.bases).amplitudes
+    diag = np.empty(s.n, dtype=complex)
+    for k in range(s.n):
+        vec = s.bases[0][:, k]
+        for basis in s.bases[1:]:
+            vec = np.multiply.outer(vec, basis[:, k])
+        diag[k] = np.sum(vec.reshape(-1).conj() * amps)
+    return diag, abs(1.0 - float(np.vdot(diag, diag).real))
+
+
+class TestCoords:
+    """The contraction that works one slice of party 1's levels at a time."""
+
+    @pytest.mark.parametrize("dims,entries", [
+        ((8,) * 6, [0.3, 0.2, 0.15, 0.12, 0.1, 0.08, 0.03, 0.02]),
+        ((2, 2**19), [0.7, 0.3]),  # m = 2: many levels of party 1 per block
+        ((8, 64, 40), [0.4, 0.3, 0.2, 0.1, 0.0, 0.0]),  # padded, zero coefficients
+    ])
+    def test_matches_product_vector_oracle(self, dims, entries):
+        rng = np.random.default_rng(len(dims))
+        psi = random_gss(rng, ProbVector(entries), dims)
+        assert sum(1 for _ in simulator._amplitude_blocks(psi)) > 1
+        diag, mass = _coords(psi)
+        want_diag, want_mass = _coords_oracle(psi)
+        np.testing.assert_allclose(diag, want_diag, rtol=0, atol=1e-14)
+        assert abs(mass - want_mass) <= 1e-15
+
+    def test_norm_off_by_1e6_raises_as_dense_state(self):
+        rng = np.random.default_rng(5)
+        psi = random_gss(rng, random_probs(rng, 8), (8,) * 6)
+        coeffs = ProbVector(psi.coeffs.entries)
+        object.__setattr__(coeffs, "_entries", coeffs.entries * (1.0 + 1e-6))
+        off = psi._with_coeffs(coeffs)
+        for check in (_coords, assemble):
+            with pytest.raises(ValueError, match=r"^squared norm 1\.00000(1|09)\d* deviates "
+                                                 r"from 1$"):
+                check(off)
+
+    def test_holds_no_array_of_all_amplitudes(self):
+        rng = np.random.default_rng(6)
+        psi = random_gss(rng, random_probs(rng, 8), (8,) * 6)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            _coords(psi)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 8**6 * 16  # one complex array of all D amplitudes
+
+
 def plant_offdiag_mass(monkeypatch, mass: float, only: ProbVector | None = None) -> None:
-    """Make assemble move `mass` of the squared norm of every state (or only
-    of those with the coefficients `only`) onto the product vector
-    b_0 (x) b_1 (x) b_0 ..., which lies off the diagonal in the state's own
-    bases."""
-    clean = simulator.assemble
+    """Make the amplitude blocks that assemble and _coords read move `mass`
+    of the squared norm of every state (or only of those with the
+    coefficients `only`) onto the product vector b_0 (x) b_1 (x) b_0 ...,
+    which lies off the diagonal in the state's own bases."""
+    clean = simulator._amplitude_blocks
 
     def planted(s):
-        dense = clean(s)
         if only is not None and s.coeffs is not only:
-            return dense
+            yield from clean(s)
+            return
         off = s.bases[0][:, 0]
         for party, basis in enumerate(s.bases[1:], start=1):
             off = np.multiply.outer(off, basis[:, party % 2])
-        amps = np.sqrt(1.0 - mass) * dense.amplitudes + np.sqrt(mass) * off.reshape(-1)
-        return DenseState(amps, s.dims)
+        off = off.reshape(s.dims[0], s.dims[1], -1)
+        for lo, hi, block in clean(s):
+            yield lo, hi, (np.sqrt(1.0 - mass) * block
+                           + np.sqrt(mass) * off[:, lo:hi].reshape(s.dims[0], -1))
 
-    monkeypatch.setattr(simulator, "assemble", planted)
+    monkeypatch.setattr(simulator, "_amplitude_blocks", planted)
 
 
 class TestOffdiagMass:
