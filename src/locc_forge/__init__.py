@@ -36,9 +36,7 @@ from .simulator import (
     GsdExtraction,
     GsdWitness,
     Transcript,
-    assemble,
     extract_gsd,
-    fidelity,
     run_protocol,
 )
 
@@ -63,11 +61,9 @@ __all__ = [
     "ProbVector",
     "Transcript",
     "ZeroBranch",
-    "assemble",
     "build_plan",
     "catalysis_search",
     "extract_gsd",
-    "fidelity",
     "first_violation",
     "intermediate_state",
     "is_majorized",

@@ -1,8 +1,9 @@
 """Dense multipartite pure-state simulator.
 
-Materializes structured states, executes measure-broadcast-rotate
-protocols, and operationally tests whether an arbitrary dense state admits
-the structured (single-sum) form.
+Executes measure-broadcast-rotate protocols on structured states, and
+operationally tests whether an arbitrary dense state admits the
+structured (single-sum) form.  Both rest on one dense contraction,
+``_contract``: amplitude blocks against n product vectors.
 
 Protocols are checked in Schmidt coordinates.  Each compared state is
 assembled densely, a slice of party 1's levels at a time, and each slice
@@ -15,7 +16,9 @@ assembly -> coordinates round trip honest.  A measurement outcome then
 scales the diagonal by its Kraus diagonal and a relabeling permutes it,
 O(n) per outcome.  Fidelity needs no rotation back, since the branch and
 the target share the local unitary (any completion of the target's Schmidt
-columns) that separates them from their dense forms.
+columns) that separates them from their dense forms.  Extraction
+contracts its input with the product vectors it extracted, and the
+overlap with the extracted state is its reassembly fidelity.
 
 Classical communication is a recorded event here, not a socket: each
 branch of the transcript is one broadcast outcome, with what the run
@@ -190,17 +193,17 @@ def _amplitude_blocks(s: GeneralizedSchmidtState):
     The columns of parties 2.., if any, are chained once into an (r, n)
     outer product.  A slice's chain is party 1's rows times it (the rows
     themselves for two parties), and its amplitudes are one matmul with
-    party 0's scaled columns.  A block holds at most _BLOCK amplitudes, or
-    as many as those d_0 x n columns if that is more (so each matmul is at
-    least n columns wide), and at least one level of party 1.  The blocks
-    share their buffers: each is valid until the next is yielded.
+    party 0's scaled columns, formed per block.  A block holds at most
+    _BLOCK amplitudes, or as many as those d_0 x n columns if that is more
+    (so each matmul is at least n columns wide), and at least one level of
+    party 1.  The blocks share their buffers: each is valid until the next.
     """
     n, d0, d1 = s.n, s.dims[0], s.dims[1]
     sub = s.bases[-1] if len(s.bases) > 2 else None
     for basis in s.bases[-2:1:-1]:
         sub = (basis[:, None, :] * sub[None, :, :]).reshape(-1, n)
     r = math.prod(s.dims[2:])
-    head = s.bases[0] * np.sqrt(s.coeffs.entries)
+    root = np.sqrt(s.coeffs.entries)
     step = min(d1, max(1, max(_BLOCK, d0 * n) // (d0 * r)))
     chain = None if sub is None else np.empty((step, r, n), dtype=complex)
     amps = np.empty(d0 * step * r, dtype=complex)
@@ -210,24 +213,30 @@ def _amplitude_blocks(s: GeneralizedSchmidtState):
         if sub is not None:
             part = np.multiply(part[:, None, :], sub, out=chain[:hi - lo]).reshape(-1, n)
         block = amps[:d0 * (hi - lo) * r].reshape(d0, -1)
-        yield lo, hi, np.matmul(head, part.T, out=block)
+        yield lo, hi, np.matmul(s.bases[0] * root, part.T, out=block)
 
 
-def assemble(s: GeneralizedSchmidtState) -> DenseState:
-    """Sum over k of sqrt(coeff_k) times the k-th basis column of every
-    party, copied together from ``_amplitude_blocks``."""
-    amps = np.empty((s.dims[0], math.prod(s.dims[1:])), dtype=complex)
-    width = math.prod(s.dims[2:])  # columns per level of party 1
-    for lo, hi, block in _amplitude_blocks(s):
-        amps[:, lo * width:hi * width] = block
-    return DenseState(amps.reshape(-1), s.dims)
-
-
-def fidelity(a: DenseState, b: DenseState) -> float:
-    """|<a|b>|^2; 1 means identical up to global phase."""
-    if a.dims != b.dims:
-        raise ValueError(f"dimension mismatch {a.dims} vs {b.dims}")
-    return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
+def _contract(blocks, bases) -> tuple[np.ndarray, float]:
+    """The diagonal <b_0k|<b_1k|...|amps> and the squared norm, summed
+    over blocks (lo, hi, amps) shaped as ``_amplitude_blocks`` yields them,
+    against each party's n columns b_ik in bases.  A block is contracted
+    with party 0's conjugated columns (one matmul, the columns formed per
+    block), party 1's rows for its slice, then each further party's rows
+    (one batched contraction each): O(n D) in all."""
+    n = bases[0].shape[1]
+    rest = [basis.conj().T[:, None, :] for basis in bases[2:]]
+    diag, norm_sq, buf = np.zeros(n, dtype=complex), 0.0, None
+    for lo, hi, amps in blocks:
+        norm_sq += float(np.vdot(amps, amps).real)
+        if buf is None:  # the first block is the widest
+            buf = np.empty(n * amps.shape[1], dtype=complex)
+        x = np.matmul(bases[0].conj().T, amps, out=buf[:n * amps.shape[1]].reshape(n, -1))
+        rows = bases[1][lo:hi].conj().T[:, None, :]  # party 1's, for the slice
+        x = (rows @ x.reshape(n, hi - lo, -1))[:, 0, :]
+        for rows in rest:
+            x = (rows @ x.reshape(n, rows.shape[2], -1))[:, 0, :]
+        diag += x[:, 0]
+    return diag, norm_sq
 
 
 @dataclass(frozen=True)
@@ -278,26 +287,11 @@ def _coords(s: GeneralizedSchmidtState) -> tuple[np.ndarray, float]:
     mass |1 - sum_k |diag_k|^2|, the squared norm the diagonal misses.  Every
     amplitude is formed, by ``_amplitude_blocks``, and counted in the
     squared norm, which must be 1 as for a DenseState; no array of all D
-    amplitudes is held unless party 0's n columns are as large.  Each block
-    is contracted with party 0's Schmidt columns (one matmul), with party
-    1's rows for its slice, then with each further party's (one batched row
-    contraction each), and the diagonals of the blocks are summed: O(n D)
-    in all.
+    amplitudes is held unless party 0's n columns are as large.  The
+    contraction uses the per-party bases, not the assembly chain, so an
+    assembly fault shows as off-diagonal mass.
     """
-    n = s.n
-    b0h = s.bases[0].conj().T
-    rest = [basis.conj().T[:, None, :] for basis in s.bases[2:]]
-    diag, norm_sq, buf = np.zeros(n, dtype=complex), 0.0, None
-    for lo, hi, amps in _amplitude_blocks(s):
-        norm_sq += float(np.vdot(amps, amps).real)
-        if buf is None:  # the first block is the widest
-            buf = np.empty(n * amps.shape[1], dtype=complex)
-        x = np.matmul(b0h, amps, out=buf[:n * amps.shape[1]].reshape(n, -1))
-        rows = s.bases[1][lo:hi].conj().T[:, None, :]  # party 1's, for the slice
-        x = (rows @ x.reshape(n, hi - lo, -1))[:, 0, :]
-        for rows in rest:
-            x = (rows @ x.reshape(n, rows.shape[2], -1))[:, 0, :]
-        diag += x[:, 0]
+    diag, norm_sq = _contract(_amplitude_blocks(s), s.bases)
     _check_norm(norm_sq)
     return diag, abs(1.0 - float(np.vdot(diag, diag).real))
 
@@ -430,22 +424,47 @@ class GsdExtraction:
         return payload
 
 
+def _cofactor_chain(w: np.ndarray, dims: tuple[int, ...], tol: float):
+    """Split each row of w, a cofactor over parties 1.., into one vector
+    per party by one batched SVD per party 1..m-2: party i's columns and
+    residuals 1 - s_0^2 of the cofactors that reach it.  Only those before
+    the first that fails (residual > tol) go on, so the last party where
+    one fails holds the smallest that fails.  Cofactor 0 goes alone first,
+    as a state without the form most often fails there."""
+    cols, residuals = [[] for _ in dims[1:]], [[] for _ in dims[2:]]
+    for rows in (w[:1], w[1:]):
+        for i, d_i in enumerate(dims[1:-1]):
+            stack = rows.reshape(len(rows), d_i, rows.shape[1] // d_i)
+            u, s, vh = np.linalg.svd(stack, full_matrices=False)
+            residuals[i].append(1.0 - s[:, 0] ** 2)
+            fails = np.flatnonzero(residuals[i][-1] > tol)
+            keep = int(fails[0]) if fails.size else len(rows)
+            cols[i].append(u[:keep, :, 0].T)
+            rows = vh[:keep, 0, :]
+        cols[-1].append(rows.T)
+        if not len(rows):  # cofactor 0 failed: the others need no SVD
+            break
+    return [np.hstack(c) for c in cols], [np.concatenate(r) for r in residuals]
+
+
 def extract_gsd(state: DenseState, tol: float = UNIT_TOL) -> GsdExtraction:
     """Operational structured-form test.
 
-    Splits party 0 against the rest, then recursively demands that every
-    retained cofactor be a product across the remaining parties (largest
-    squared Schmidt coefficient >= 1 - tol at every cut).  On success the
-    per-party vectors are checked for orthonormality, become the state's
-    Schmidt columns, and the reassembled state must reproduce the input.
+    Splits party 0 against the rest, then demands that every retained
+    cofactor be a product across the remaining parties (largest squared
+    Schmidt coefficient >= 1 - tol at every cut); the witness is the
+    smallest cofactor that fails, at its first failing party.  On success
+    the per-party vectors are checked for orthonormality and become the
+    state's Schmidt columns, and the input is contracted with them
+    (``_contract``): the reassembly fidelity, |sum_k sqrt(coeff_k)
+    <b_0k|<b_1k|...|state>|^2, must be at least 1 - UNIT_TOL.
 
     Degenerate coefficients make the Schmidt basis non-unique; no rotation
     search is attempted, so a rejection under degeneracy is flagged
     inconclusive rather than treated as a hard verdict.
     """
     dims = state.dims
-    m = len(dims)
-    if m < 2:
+    if len(dims) < 2:
         raise ValueError("need at least two parties")
 
     mat = state.amplitudes.reshape(dims[0], -1)
@@ -453,50 +472,30 @@ def extract_gsd(state: DenseState, tol: float = UNIT_TOL) -> GsdExtraction:
     lam = sing**2
     n = int(np.sum(lam > ZERO_TOL))
     coeff_arr = lam[:n]
-    degenerate = (
-        bool(np.any(np.abs(np.diff(coeff_arr)) < DEGENERACY_GAP)) if n > 1 else False
-    )
+    degenerate = n > 1 and bool(np.any(np.abs(np.diff(coeff_arr)) < DEGENERACY_GAP))
 
-    factors: list[list[np.ndarray]] = [[u0[:, k] for k in range(n)]]
-    for _ in range(1, m):
-        factors.append([])
+    def rejects(kind: str, index: int, party: int | None, residual: float) -> GsdExtraction:
+        return GsdExtraction("rejects", witness=GsdWitness(kind, index, party, residual),
+                             inconclusive_degenerate=degenerate)
 
-    for k in range(n):
-        w = vh[k, :]
-        rem = dims[1:]
-        for rel, d_i in enumerate(rem[:-1]):
-            party = rel + 1
-            w_mat = w.reshape(d_i, -1)
-            u2, s2, v2h = np.linalg.svd(w_mat, full_matrices=False)
-            residual = float(1.0 - s2[0] ** 2)
-            if residual > tol:
-                return GsdExtraction(
-                    verdict="rejects",
-                    witness=GsdWitness("entangled_cofactor", k, party, residual),
-                    inconclusive_degenerate=degenerate,
-                )
-            factors[party].append(u2[:, 0])
-            w = v2h[0, :]
-        factors[m - 1].append(w)
+    cols, residuals = _cofactor_chain(vh[:n], dims, tol)
+    for party in range(len(residuals), 0, -1):  # the last failing party holds the witness
+        fails = np.flatnonzero(residuals[party - 1] > tol)
+        if fails.size:
+            k = int(fails[0])
+            return rejects("entangled_cofactor", k, party, float(residuals[party - 1][k]))
 
     # orthonormality of each party's extracted vectors
-    bases = [np.column_stack(cols) for cols in factors]
-    for party, cols in enumerate(bases):
-        gram = cols.conj().T @ cols
+    bases = [u0[:, :n], *cols]
+    for party, basis in enumerate(bases):
+        gram = basis.conj().T @ basis
         residual = float(np.max(np.abs(gram - np.eye(n))))
         if residual > UNIT_TOL:
-            return GsdExtraction(
-                verdict="rejects",
-                witness=GsdWitness("party_overlap", -1, party, residual),
-                inconclusive_degenerate=degenerate,
-            )
+            return rejects("party_overlap", -1, party, residual)
 
     gss = GeneralizedSchmidtState(dims, ProbVector(coeff_arr), bases)
-    fid = fidelity(assemble(gss), state)
+    diag, _ = _contract([(0, dims[1], mat)], gss.bases)
+    fid = float(abs(np.sqrt(gss.coeffs.entries) @ diag) ** 2)
     if fid < 1.0 - UNIT_TOL:
-        return GsdExtraction(
-            verdict="rejects",
-            witness=GsdWitness("reassembly", -1, None, float(1.0 - fid)),
-            inconclusive_degenerate=degenerate,
-        )
+        return rejects("reassembly", -1, None, float(1.0 - fid))
     return GsdExtraction(verdict="admits", state=gss, reassembly_fidelity=fid)

@@ -1,13 +1,14 @@
 """Shared generators and independent oracles for the test suite.
 
 The oracles are deliberately plain Python (no calls into the package) so
-they stay independent of the code paths they check.  Two exceptions:
-``frozen_mixture_for`` is the permutohedron walk as first written, in
-numpy, the reference that the faster walk must match bit for bit; and the
-dense branch oracles, which assemble states with the package's
-``assemble`` and run every branch with dense per-party operators through
-``apply_local`` below, the full-tensor work that the diagonal
-Schmidt-coordinate engine does not do.
+they stay independent of the code paths they check.  Two exceptions, in
+numpy: ``frozen_mixture_for`` and ``frozen_gsd_chain`` are the
+permutohedron walk and the cofactor chain of GSD extraction as first
+written, the references that the faster forms must match bit for bit; and
+the dense oracles, which assemble states term by term
+(``assemble_unsorted``), compare them by a plain ``np.vdot`` and run every
+branch with dense per-party operators through ``apply_local`` below, the
+full-tensor work that the diagonal Schmidt-coordinate engine does not do.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from locc_forge import (
     GeneralizedSchmidtState,
     ProbVector,
     ZeroBranch,
-    assemble,
-    fidelity,
 )
 from locc_forge.majorization import ZERO_TOL
 
@@ -164,6 +163,27 @@ def _frozen_largest_step(rest, mass, vertex, start, prefix):
         step = root
 
 
+def frozen_gsd_chain(w: np.ndarray, dims) -> tuple[list[np.ndarray], np.ndarray]:
+    """The cofactor chain of ``extract_gsd`` as first written, kept as the
+    reference for its batched form: one SVD per cofactor (row k of w, over
+    parties 1..) and party 1..m-2, whose leading left singular vector is
+    the party's and whose leading right one goes on.  Returns each party's
+    (d_i, n) columns and the (m - 2, n) residuals 1 - s_0^2; no cofactor
+    is dropped when one fails."""
+    n = len(w)
+    cols = [[] for _ in dims[1:]]
+    residuals = np.empty((len(dims) - 2, n))
+    for k in range(n):
+        v = w[k, :]
+        for rel, d_i in enumerate(dims[1:-1]):
+            u2, s2, v2h = np.linalg.svd(v.reshape(d_i, -1), full_matrices=False)
+            residuals[rel, k] = float(1.0 - s2[0] ** 2)
+            cols[rel].append(u2[:, 0])
+            v = v2h[0, :]
+        cols[-1].append(v)
+    return [np.column_stack(c) for c in cols], residuals
+
+
 def sorted_tensor(lam, c) -> list[float]:
     """Plain-Python sorted elementwise product of two vectors."""
     prods = [float(x) * float(y) for x in lam for y in c]
@@ -292,6 +312,27 @@ def random_doubly_stochastic(rng: np.random.Generator, n: int, transforms: int) 
     return d
 
 
+def assemble_unsorted(s: GeneralizedSchmidtState, coeffs=None) -> DenseState:
+    """Dense state sum_k sqrt(c_k) b_0k (x) b_1k (x) ..., one outer-product
+    term per k, with c = coeffs (kept on their given basis levels, not
+    sorted) or s's own coefficients."""
+    coeffs = s.coeffs.entries if coeffs is None else coeffs
+    amps = np.zeros(s.dims, dtype=complex)
+    for k, c in enumerate(coeffs):
+        if c == 0.0:
+            continue
+        term = s.bases[0][:, k]
+        for basis in s.bases[1:]:
+            term = np.multiply.outer(term, basis[:, k])
+        amps = amps + np.sqrt(c) * term
+    return DenseState(amps.reshape(-1), s.dims)
+
+
+def dense_fidelity(a: DenseState, b: DenseState) -> float:
+    """|<a|b>|^2 by a plain np.vdot over all amplitudes."""
+    return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
+
+
 def apply_local(state: DenseState, party: int, op: np.ndarray) -> tuple[float, DenseState]:
     """Apply a one-party operator to a dense state; returns (branch
     probability, normalized post-measurement state)."""
@@ -334,8 +375,8 @@ def dense_protocol(psi, phi, plan) -> list:
     measurement, B being each state's Schmidt columns completed to a
     unitary.
     """
-    phi_dense = assemble(phi)
-    psi_dense = assemble(psi)
+    phi_dense = assemble_unsorted(phi)
+    psi_dense = assemble_unsorted(psi)
     phi_full = [full_basis(b) for b in phi.bases]
     psi_full = [full_basis(b) for b in psi.bases]
     out = []
@@ -350,7 +391,7 @@ def dense_protocol(psi, phi, plan) -> list:
         for party, d in enumerate(psi.dims):
             u = phi_full[party] @ relabel_matrix(perm, d) @ psi_full[party].conj().T
             _, current = apply_local(current, party, u)
-        out.append((prob, current, fidelity(current, phi_dense)))
+        out.append((prob, current, dense_fidelity(current, phi_dense)))
     return out
 
 
@@ -366,12 +407,10 @@ def dense_conclusive(psi, phi, plan) -> list:
     """
     assert np.all(plan.settle.perms == np.arange(psi.n))
     omega = GeneralizedSchmidtState(psi.dims, plan.gamma, psi.bases)
-    phi_dense = assemble(phi)
+    phi_dense = assemble_unsorted(phi)
     failure_dense = None
     if plan.failure_coeffs is not None:
-        failure_dense = assemble(
-            GeneralizedSchmidtState(psi.dims, plan.failure_coeffs, psi.bases)
-        )
+        failure_dense = assemble_unsorted(psi, plan.failure_coeffs.entries)
     success_m, *failure_m = [measurement_matrix(psi.bases[0], diag)
                              for diag in plan.settle.diags]
     rotations = [
@@ -387,8 +426,8 @@ def dense_conclusive(psi, phi, plan) -> list:
         s_prob, current = apply_local(state, 0, success_m)
         for party, u in enumerate(rotations):
             _, current = apply_local(current, party, u)
-        out.append((prob * s_prob, current, fidelity(current, phi_dense)))
+        out.append((prob * s_prob, current, dense_fidelity(current, phi_dense)))
         for m_op in failure_m:
             f_prob, f_post = apply_local(state, 0, m_op)
-            out.append((prob * f_prob, f_post, fidelity(f_post, failure_dense)))
+            out.append((prob * f_prob, f_post, dense_fidelity(f_post, failure_dense)))
     return out

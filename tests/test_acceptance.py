@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    assemble_unsorted,
     brute_force_pmax,
     loop_completeness,
     loop_reconstruct,
@@ -26,7 +27,6 @@ from locc_forge import (
     DenseState,
     GeneralizedSchmidtState,
     ProbVector,
-    assemble,
     build_plan,
     catalysis_search,
     extract_gsd,
@@ -232,7 +232,7 @@ def test_criterion_6_gsd_extraction():
             continue  # keep the spectrum nondegenerate
         dims = tuple(int(n + rng.integers(0, 2)) for _ in range(m))
         gss = random_gss(rng, coeffs, dims)
-        res = extract_gsd(assemble(gss))
+        res = extract_gsd(assemble_unsorted(gss))
         assert res.admits
         np.testing.assert_allclose(res.coeffs.entries, coeffs.entries, atol=1e-9)
         done += 1

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,8 +8,12 @@ from hypothesis import strategies as st
 
 from helpers import (
     apply_local,
+    assemble_unsorted,
+    dense_fidelity,
     dense_protocol,
+    frozen_gsd_chain,
     measurement_matrix,
+    random_columns,
     random_gss,
     random_probs,
     random_unitary,
@@ -21,31 +26,17 @@ from locc_forge import (
     MeasurementPlan,
     ProbVector,
     ZeroBranch,
-    assemble,
     build_plan,
     extract_gsd,
-    fidelity,
     run_protocol,
 )
 from locc_forge import simulator
-from locc_forge.simulator import _coords
+from locc_forge.majorization import UNIT_TOL
+from locc_forge.simulator import _cofactor_chain, _coords
 
 BELL = DenseState(np.array([1, 0, 0, 1]) / np.sqrt(2), (2, 2))
 GHZ = DenseState(np.array([1, 0, 0, 0, 0, 0, 0, 1]) / np.sqrt(2), (2, 2, 2))
 W = DenseState(np.array([0, 1, 1, 0, 1, 0, 0, 0]) / np.sqrt(3), (2, 2, 2))
-
-
-def _assemble_unsorted(dims, coeffs_arr, bases) -> DenseState:
-    """Assembly oracle that keeps coefficients on their given basis levels."""
-    amps = np.zeros(dims, dtype=complex)
-    for k, c in enumerate(coeffs_arr):
-        if c == 0.0:
-            continue
-        term = bases[0][:, k]
-        for i in range(1, len(dims)):
-            term = np.multiply.outer(term, bases[i][:, k])
-        amps = amps + np.sqrt(c) * term
-    return DenseState(amps.reshape(-1), dims)
 
 
 class TestDenseState:
@@ -108,16 +99,26 @@ class TestGeneralizedSchmidtState:
         assert [b.shape for b in psi.bases] == [(2, 2), (2**19, 2)]
 
 
+def _stitched(s: GeneralizedSchmidtState) -> np.ndarray:
+    """s's amplitude blocks, as _coords receives them, copied into one
+    row-major array."""
+    amps = np.empty((s.dims[0], math.prod(s.dims[1:])), dtype=complex)
+    width = math.prod(s.dims[2:])  # columns per level of party 1
+    for lo, hi, block in simulator._amplitude_blocks(s):
+        amps[:, lo * width:hi * width] = block
+    return amps.reshape(-1)
+
+
 class TestAssemble:
+    """The amplitude blocks that _coords contracts, stitched together."""
+
     def test_bell(self):
         psi = GeneralizedSchmidtState.computational((2, 2), ProbVector([0.5, 0.5]))
-        np.testing.assert_allclose(
-            assemble(psi).amplitudes, np.array([1, 0, 0, 1]) / np.sqrt(2)
-        )
+        np.testing.assert_allclose(_stitched(psi), np.array([1, 0, 0, 1]) / np.sqrt(2))
 
     def test_ghz(self):
         psi = GeneralizedSchmidtState.computational((2, 2, 2), ProbVector([0.5, 0.5]))
-        np.testing.assert_allclose(assemble(psi).amplitudes, GHZ.amplitudes)
+        np.testing.assert_allclose(_stitched(psi), GHZ.amplitudes)
 
     def test_rank_one_is_product(self):
         rng = np.random.default_rng(3)
@@ -126,7 +127,7 @@ class TestAssemble:
         expected = np.multiply.outer(
             np.multiply.outer(bases[0][:, 0], bases[1][:, 0]), bases[2][:, 0]
         ).reshape(-1)
-        np.testing.assert_allclose(assemble(psi).amplitudes, expected, atol=1e-12)
+        np.testing.assert_allclose(_stitched(psi), expected, atol=1e-12)
 
     @pytest.mark.parametrize("dims,entries", [
         ((2, 3), [1.0, 0.0]),
@@ -139,10 +140,8 @@ class TestAssemble:
         coeffs = ProbVector(entries)
         bases = [random_unitary(rng, d) for d in dims]
         psi = GeneralizedSchmidtState(dims, coeffs, bases)
-        oracle = _assemble_unsorted(dims, coeffs.entries, bases)
-        np.testing.assert_allclose(
-            assemble(psi).amplitudes, oracle.amplitudes, rtol=0, atol=1e-14
-        )
+        oracle = assemble_unsorted(psi)
+        np.testing.assert_allclose(_stitched(psi), oracle.amplitudes, rtol=0, atol=1e-14)
 
 
 class TestApplyLocal:
@@ -164,7 +163,7 @@ class TestApplyLocal:
         mu = ProbVector([0.75, 0.25])
         psi = GeneralizedSchmidtState.computational((2, 2, 2), lam)
         plan = build_plan(lam, mu)
-        prob, post = apply_local(assemble(psi), 0, np.diag(plan.diags[0]))
+        prob, post = apply_local(assemble_unsorted(psi), 0, np.diag(plan.diags[0]))
         assert prob == pytest.approx(plan.weights[0], abs=1e-10)
         # permuted-coefficient state in the source bases, before relabeling
         perm_coeffs = mu.entries[plan.perms[0]]
@@ -180,23 +179,6 @@ class TestApplyLocal:
     def test_wrong_party(self):
         with pytest.raises(ValueError):
             apply_local(BELL, 2, np.eye(2))
-
-
-class TestFidelity:
-    def test_self(self):
-        assert fidelity(BELL, BELL) == pytest.approx(1.0)
-
-    def test_orthogonal(self):
-        a = DenseState([1, 0, 0, 0], (2, 2))
-        b = DenseState([0, 0, 0, 1], (2, 2))
-        assert fidelity(a, b) == 0.0
-
-    def test_bell_against_00(self):
-        assert fidelity(BELL, DenseState([1, 0, 0, 0], (2, 2))) == pytest.approx(0.5)
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            fidelity(BELL, GHZ)
 
 
 class TestRunProtocol:
@@ -252,12 +234,11 @@ class TestRunProtocol:
         assert tx.passed
         for br, diag, perm in zip(tx.branches, plan.diags, plan.perms):
             m_op = measurement_matrix(psi.bases[0], diag)
-            prob, post = apply_local(assemble(psi), 0, m_op)
+            prob, post = apply_local(assemble_unsorted(psi), 0, m_op)
             assert br.simulated_prob == pytest.approx(prob, abs=1e-12)
             # permuted coefficients stay attached to the source basis levels
-            perm_coeffs = mu.entries[perm]
-            mid = _assemble_unsorted(dims, perm_coeffs, psi.bases)
-            assert fidelity(post, mid) >= 1 - 1e-9
+            mid = assemble_unsorted(psi, mu.entries[perm])
+            assert dense_fidelity(post, mid) >= 1 - 1e-9
 
     def test_unrealizable_zero_weight_branch(self):
         lam = ProbVector([1.0, 0.0])
@@ -400,7 +381,7 @@ def _coords_oracle(s: GeneralizedSchmidtState) -> tuple[np.ndarray, float]:
     """_coords by explicit product vectors against the per-term assembly.
     np.sum adds pairwise, so the oracle's rounding grows with log D, not
     with D as a dot product's does."""
-    amps = _assemble_unsorted(s.dims, s.coeffs.entries, s.bases).amplitudes
+    amps = assemble_unsorted(s).amplitudes
     diag = np.empty(s.n, dtype=complex)
     for k in range(s.n):
         vec = s.bases[0][:, k]
@@ -433,27 +414,40 @@ class TestCoords:
         coeffs = ProbVector(psi.coeffs.entries)
         object.__setattr__(coeffs, "_entries", coeffs.entries * (1.0 + 1e-6))
         off = psi._with_coeffs(coeffs)
-        for check in (_coords, assemble):
+        for check in (_coords, assemble_unsorted):
             with pytest.raises(ValueError, match=r"^squared norm 1\.00000(1|09)\d* deviates "
                                                  r"from 1$"):
                 check(off)
 
-    def test_holds_no_array_of_all_amplitudes(self):
-        rng = np.random.default_rng(6)
-        psi = random_gss(rng, random_probs(rng, 8), (8,) * 6)
+    @staticmethod
+    def _peak_bytes(psi) -> int:
+        """tracemalloc's peak of one _coords(psi) call, above what was held."""
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             _coords(psi)
-            peak = tracemalloc.get_traced_memory()[1] - base
+            return tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak < 8**6 * 16  # one complex array of all D amplitudes
+
+    def test_holds_no_array_of_all_amplitudes(self):
+        rng = np.random.default_rng(6)
+        psi = random_gss(rng, random_probs(rng, 8), (8,) * 6)
+        assert self._peak_bytes(psi) < 8**6 * 16  # one complex array of all D amplitudes
+
+    def test_one_block_state_holds_three_arrays_of_its_size(self):
+        # party 0's n columns are as large as the state, so it is one
+        # block; party 0's scaled and conjugated columns are formed per
+        # block, so at most three arrays of its size are held at once
+        rng = np.random.default_rng(6)
+        psi = random_gss(rng, random_probs(rng, 1024), (1024, 1024))
+        assert sum(1 for _ in simulator._amplitude_blocks(psi)) == 1
+        assert self._peak_bytes(psi) < 3 * 2**20 * 16 + 2**20  # plus 1 MiB
 
 
 def plant_offdiag_mass(monkeypatch, mass: float, only: ProbVector | None = None) -> None:
-    """Make the amplitude blocks that assemble and _coords read move `mass`
+    """Make the amplitude blocks that _coords reads move `mass`
     of the squared norm of every state (or only of those with the
     coefficients `only`) onto the product vector b_0 (x) b_1 (x) b_0 ...,
     which lies off the diagonal in the state's own bases."""
@@ -534,7 +528,7 @@ class TestExtractGsd:
             coeffs = random_probs(rng, 3, floor=0.05)
             dims = (3, 4, 3)
             gss = random_gss(rng, coeffs, dims)
-            result = extract_gsd(assemble(gss))
+            result = extract_gsd(assemble_unsorted(gss))
             assert result.admits
             np.testing.assert_allclose(
                 result.coeffs.entries, coeffs.entries, atol=1e-9
@@ -557,7 +551,7 @@ class TestExtractGsd:
         seen_reject = False
         for _ in range(10):
             gss = random_gss(rng, ProbVector([0.5, 0.5]), (2, 2, 2))
-            result = extract_gsd(assemble(gss))
+            result = extract_gsd(assemble_unsorted(gss))
             if result.verdict == "rejects":
                 seen_reject = True
                 assert result.inconclusive_degenerate
@@ -567,7 +561,7 @@ class TestExtractGsd:
         # a 2^17-dimensional party contributes its two Schmidt columns only
         rng = np.random.default_rng(37)
         gss = random_gss(rng, ProbVector([0.7, 0.3]), (2, 2**17))
-        result = extract_gsd(assemble(gss))
+        result = extract_gsd(assemble_unsorted(gss))
         assert result.admits
         assert [b.shape for b in result.state.bases] == [(2, 2), (2**17, 2)]
         np.testing.assert_allclose(result.coeffs.entries, [0.7, 0.3], atol=1e-12)
@@ -575,9 +569,93 @@ class TestExtractGsd:
     def test_roundtrip_fidelity_invariant(self):
         rng = np.random.default_rng(31)
         gss = random_gss(rng, ProbVector([0.6, 0.3, 0.1]), (4, 3, 3, 3))
-        result = extract_gsd(assemble(gss))
+        result = extract_gsd(assemble_unsorted(gss))
         assert result.admits
-        assert fidelity(assemble(result.state), assemble(gss)) >= 1 - 1e-9
+        fid = dense_fidelity(assemble_unsorted(result.state), assemble_unsorted(gss))
+        assert fid >= 1 - 1e-9
+
+    @pytest.mark.parametrize("dims", [(8,) * 6, (2, 2**17), (4, 3, 3, 3)])
+    def test_reassembly_fidelity_matches_per_term_overlap(self, dims):
+        rng = np.random.default_rng(len(dims))
+        state = assemble_unsorted(random_gss(rng, random_probs(rng, min(dims)), dims))
+        result = extract_gsd(state)
+        assert result.admits
+        want = dense_fidelity(assemble_unsorted(result.state), state)
+        assert abs(result.reassembly_fidelity - want) <= 1e-14
+
+    @pytest.mark.parametrize("dims", [(3, 4, 3), (4, 3, 3, 3), (3, 4, 3, 5, 3), (4,) * 6])
+    def test_batched_chain_matches_per_cofactor_chain(self, dims):
+        rng = np.random.default_rng(sum(dims))
+        gss = random_gss(rng, random_probs(rng, 3, floor=0.05), dims)
+        state = assemble_unsorted(gss)
+        vh = np.linalg.svd(state.amplitudes.reshape(dims[0], -1), full_matrices=False)[2]
+        cols, residuals = _cofactor_chain(vh[:3], dims, UNIT_TOL)
+        want_cols, want_residuals = frozen_gsd_chain(vh[:3], dims)
+        assert all(np.array_equal(a, b) for a, b in zip(cols, want_cols, strict=True))
+        assert np.array_equal(np.reshape(residuals, want_residuals.shape), want_residuals)
+        result = extract_gsd(state)
+        assert result.admits
+        for got, want in zip(result.state.bases[1:], want_cols, strict=True):
+            assert np.array_equal(got, want)
+
+    def test_chain_stops_when_cofactor_0_fails(self):
+        # a generic state fails at cofactor 0, party 1: no other cofactor
+        # is split, and no party after it is reached
+        rng = np.random.default_rng(13)
+        z = rng.standard_normal(4**4) + 1j * rng.standard_normal(4**4)
+        vh = np.linalg.svd(z.reshape(4, -1), full_matrices=False)[2]
+        cols, residuals = _cofactor_chain(vh, (4,) * 4, UNIT_TOL)
+        assert [r.size for r in residuals] == [1, 0]
+        assert residuals[0][0] > UNIT_TOL
+        assert [c.shape for c in cols] == [(4, 0), (4, 0), (4, 0)]
+
+    def test_witness_is_smallest_failing_cofactor_at_its_first_party(self):
+        # cofactor 0 = |0> (x) Bell over parties 2, 3: a product at party 1,
+        # entangled at party 2; cofactor 1 is entangled at party 1
+        e = np.eye(2)
+        bell = (np.kron(e[0], e[0]) + np.kron(e[1], e[1])) / np.sqrt(2)
+        cof0 = np.kron(e[0], bell)
+        cof1 = (np.kron(e[0], np.kron(e[0], e[1]))
+                + np.kron(e[1], np.kron(e[1], e[0]))) / np.sqrt(2)
+        amps = np.sqrt(0.6) * np.kron(e[0], cof0) + np.sqrt(0.4) * np.kron(e[1], cof1)
+        result = extract_gsd(DenseState(amps, (2, 2, 2, 2)))
+        assert result.verdict == "rejects"
+        w = result.witness
+        assert (w.kind, w.index, w.party) == ("entangled_cofactor", 0, 2)
+        assert w.residual == pytest.approx(0.5, abs=1e-12)
+
+    def test_witness_matches_per_cofactor_chain(self):
+        # three orthonormal terms, each a product up to a random party p >= 2
+        # and a random vector over parties p.. after it: the witness is the
+        # one the per-cofactor chain gives, the smallest cofactor that
+        # fails at its first failing party
+        rng = np.random.default_rng(19)
+        seen = set()
+        for _ in range(40):
+            dims = tuple(int(d) for d in rng.integers(3, 5, size=int(rng.integers(4, 7))))
+            cols = [random_columns(rng, d, 3) for d in dims]
+            amps = 0
+            for k, c in enumerate(random_probs(rng, 3, floor=0.05)):
+                p = int(rng.integers(2, len(dims) + 1))
+                term = cols[0][:, k]
+                for basis in cols[1:p]:
+                    term = np.multiply.outer(term, basis[:, k])
+                if p < len(dims):
+                    tail = rng.standard_normal(dims[p:]) + 1j * rng.standard_normal(dims[p:])
+                    term = np.multiply.outer(term, tail / np.linalg.norm(tail))
+                amps = amps + np.sqrt(c) * term
+            state = DenseState(amps.reshape(-1), dims)
+            w = extract_gsd(state).witness
+            if w is None or w.kind != "entangled_cofactor":
+                continue
+            vh = np.linalg.svd(state.amplitudes.reshape(dims[0], -1), full_matrices=False)[2]
+            residuals = frozen_gsd_chain(vh[:3], dims)[1]
+            failing = residuals > UNIT_TOL
+            k = int(np.flatnonzero(failing.any(axis=0))[0])
+            party = int(np.flatnonzero(failing[:, k])[0]) + 1
+            assert (w.index, w.party, w.residual) == (k, party, residuals[party - 1, k])
+            seen.add((k, party))
+        assert len(seen) > 2
 
 
 @settings(max_examples=100, deadline=None)
