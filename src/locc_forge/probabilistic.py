@@ -273,17 +273,19 @@ def run_conclusive(
 
     As in ``run_protocol``, psi, the waypoint omega, phi and the failure
     state are each reduced to their n diagonal amplitudes in their own
-    bases (assembled and contracted a slice of party 1's levels at a time,
-    with no array of all D amplitudes held), and ``offdiag_mass`` is the
-    largest squared norm that any of them leaves off its diagonal.  omega
-    and the failure state share psi's bases, which were checked when psi
-    was built and are not checked again.  So the settle plan runs on every live stage branch at once,
-    normalized, against phi's diagonal (outcome 0) and the failure
-    state's, and B_phi B_psi^dag is the identity on coordinates.  Overlaps
-    of diagonals equal the dense fidelities.  The check table holds the
-    success probability against p_max, the success fidelity, the
-    probability sum, ``offdiag_mass``, and the stage's own branch checks
-    under ``stage_`` names.
+    bases by one ``_coords`` call: one blocked pass per set of bases,
+    assembled and contracted a slice of party 1's levels at a time, with
+    no array of all D amplitudes held.  ``offdiag_mass`` is the largest
+    squared norm that any of them leaves off its diagonal.  omega and the
+    failure state share psi's bases object, which was checked when psi was
+    built and is not checked again, so they join psi's pass, as does phi
+    when it shares it too.  The settle plan runs on every live stage
+    branch at once, normalized, against phi's diagonal (outcome 0) and
+    the failure state's, and B_phi B_psi^dag is the identity on
+    coordinates.  Overlaps of diagonals equal the dense fidelities.  The
+    check table holds the success probability against p_max, the success
+    fidelity, the probability sum, ``offdiag_mass``, and the stage's own
+    branch checks under ``stage_`` names.
     """
     if psi.dims != phi.dims:
         raise ValueError(f"incompatible dims {psi.dims} vs {phi.dims}")
@@ -293,11 +295,11 @@ def run_conclusive(
     if stage.n != psi.n or settle.n != psi.n:
         raise ValueError("plan dimension does not match the states")
     omega = psi._with_coeffs(plan.gamma)
-    (psi_c, psi_m), (omega_c, omega_m), (phi_c, phi_m) = map(_coords, (psi, omega, phi))
-    targets, failure_m = [phi_c], 0.0
+    states = [psi, omega, phi]
     if plan.failure_coeffs is not None:
-        failure_c, failure_m = _coords(psi._with_coeffs(plan.failure_coeffs))
-        targets.append(failure_c)
+        states.append(psi._with_coeffs(plan.failure_coeffs))
+    coords = _coords(*states)
+    psi_c, omega_c, *targets = [diag for diag, _ in coords]
 
     stage_probs, stage_fids = _branches(stage, psi_c, omega_c)
     stage_records = tuple(map(_record, range(stage.weights.size), stage_probs.tolist(),
@@ -326,7 +328,7 @@ def run_conclusive(
         "success_prob_error": Check.within(abs(success_prob - plan.p_max), UNIT_TOL),
         "min_success_fidelity": Check.fidelity(success_fid),
         "prob_sum_error": Check.within(abs(prob_sum - 1.0), UNIT_TOL),
-        "offdiag_mass": Check.within(max(psi_m, omega_m, phi_m, failure_m), UNIT_TOL),
+        "offdiag_mass": Check.within(max(mass for _, mass in coords), UNIT_TOL),
         **{f"stage_{name}": check for name, check in stage_checks.items()},
     }
     return Transcript(tuple(branches), checks)

@@ -5,12 +5,15 @@ operationally tests whether an arbitrary dense state admits the
 structured (single-sum) form.  Both rest on one dense contraction,
 ``_contract``: amplitude blocks against n product vectors.
 
-Protocols are checked in Schmidt coordinates.  Each compared state is
-assembled densely, a slice of party 1's levels at a time, and each slice
-is contracted with the state's own n product basis vectors as it is
-formed, so no array of all D amplitudes is held.  In those coordinates
-the state is diagonal, amplitude sqrt(coeff_k) at (k, ..., k), so the n
-diagonal amplitudes carry it.  The squared norm they miss, the
+Protocols are checked in Schmidt coordinates.  The states a run compares
+are assembled densely in one pass per set of bases, a slice of party 1's
+levels at a time: the slice's product chain of parties 1.. is formed once,
+each state's block is one matmul of it with that state's scaled party-0
+columns, and each block is contracted with the n product basis vectors as
+it is formed (party 0, then the trailing parties from the last, then
+party 1's slice), so no array of all D amplitudes is held.  In those
+coordinates a state is diagonal, amplitude sqrt(coeff_k) at (k, ..., k),
+so its n diagonal amplitudes carry it.  The squared norm they miss, the
 off-diagonal mass, is a reported check that keeps the
 assembly -> coordinates round trip honest.  A measurement outcome then
 scales the diagonal by its Kraus diagonal and a relabeling permutes it,
@@ -185,57 +188,64 @@ class GeneralizedSchmidtState:
         return out
 
 
-def _amplitude_blocks(s: GeneralizedSchmidtState):
-    """Yield (lo, hi, amps) for consecutive slices lo..hi-1 of party 1's
-    levels: amps is the (d_0, (hi - lo) r) block of s's amplitudes with
-    party 1 in the slice, r the dimension of parties 2..
+def _amplitude_blocks(states):
+    """Yield (lo, hi, i, amps) for consecutive slices lo..hi-1 of party 1's
+    levels and, within a slice, for each state i of states, which share one
+    set of bases: amps is the (d_0, (hi - lo) r) block of state i's
+    amplitudes with party 1 in the slice, r the dimension of parties 2..
 
     The columns of parties 2.., if any, are chained once into an (r, n)
-    outer product.  A slice's chain is party 1's rows times it (the rows
-    themselves for two parties), and its amplitudes are one matmul with
-    party 0's scaled columns, formed per block.  A block holds at most
-    _BLOCK amplitudes, or as many as those d_0 x n columns if that is more
-    (so each matmul is at least n columns wide), and at least one level of
-    party 1.  The blocks share their buffers: each is valid until the next.
+    outer product.  A slice's chain, party 1's rows times it (the rows
+    themselves for two parties), is formed once for all the states, and
+    each state's block is one matmul of it with that state's scaled
+    party-0 columns, formed per block.  A block holds at most _BLOCK
+    amplitudes, or as many as those d_0 x n columns if that is more (so
+    each matmul is at least n columns wide), and at least one level of
+    party 1.  All blocks share one buffer: each is valid until the next.
     """
-    n, d0, d1 = s.n, s.dims[0], s.dims[1]
-    sub = s.bases[-1] if len(s.bases) > 2 else None
-    for basis in s.bases[-2:1:-1]:
+    bases, dims = states[0].bases, states[0].dims
+    n, d0, d1 = bases[0].shape[1], dims[0], dims[1]
+    sub = bases[-1] if len(bases) > 2 else None
+    for basis in bases[-2:1:-1]:
         sub = (basis[:, None, :] * sub[None, :, :]).reshape(-1, n)
-    r = math.prod(s.dims[2:])
-    root = np.sqrt(s.coeffs.entries)
+    r = math.prod(dims[2:])
+    roots = [np.sqrt(s.coeffs.entries) for s in states]
     step = min(d1, max(1, max(_BLOCK, d0 * n) // (d0 * r)))
     chain = None if sub is None else np.empty((step, r, n), dtype=complex)
     amps = np.empty(d0 * step * r, dtype=complex)
     for lo in range(0, d1, step):
         hi = min(lo + step, d1)
-        part = s.bases[1][lo:hi]
+        part = bases[1][lo:hi]
         if sub is not None:
             part = np.multiply(part[:, None, :], sub, out=chain[:hi - lo]).reshape(-1, n)
         block = amps[:d0 * (hi - lo) * r].reshape(d0, -1)
-        yield lo, hi, np.matmul(s.bases[0] * root, part.T, out=block)
+        for i, root in enumerate(roots):
+            yield lo, hi, i, np.matmul(bases[0] * root, part.T, out=block)
 
 
-def _contract(blocks, bases) -> tuple[np.ndarray, float]:
-    """The diagonal <b_0k|<b_1k|...|amps> and the squared norm, summed
-    over blocks (lo, hi, amps) shaped as ``_amplitude_blocks`` yields them,
-    against each party's n columns b_ik in bases.  A block is contracted
-    with party 0's conjugated columns (one matmul, the columns formed per
-    block), party 1's rows for its slice, then each further party's rows
-    (one batched contraction each): O(n D) in all."""
+def _contract(blocks, bases, count: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonals <b_0k|<b_1k|...|amps> of count states and their
+    squared norms, summed over blocks (lo, hi, i, amps) of state i shaped
+    as ``_amplitude_blocks`` yields them, against each party's n columns
+    b_ik in bases.  A block is contracted with party 0's conjugated
+    columns (one matmul), then with each trailing party's columns, the
+    last party first (one batched mat-vec each), and last with party 1's
+    rows for its slice (an elementwise product-sum): O(n D) in all.  The
+    conjugated columns are formed once per call."""
     n = bases[0].shape[1]
-    rest = [basis.conj().T[:, None, :] for basis in bases[2:]]
-    diag, norm_sq, buf = np.zeros(n, dtype=complex), 0.0, None
-    for lo, hi, amps in blocks:
-        norm_sq += float(np.vdot(amps, amps).real)
-        if buf is None:  # the first block is the widest
-            buf = np.empty(n * amps.shape[1], dtype=complex)
-        x = np.matmul(bases[0].conj().T, amps, out=buf[:n * amps.shape[1]].reshape(n, -1))
-        rows = bases[1][lo:hi].conj().T[:, None, :]  # party 1's, for the slice
-        x = (rows @ x.reshape(n, hi - lo, -1))[:, 0, :]
-        for rows in rest:
-            x = (rows @ x.reshape(n, rows.shape[2], -1))[:, 0, :]
-        diag += x[:, 0]
+    head = bases[0].conj().T
+    tails = [basis.conj().T[:, :, None] for basis in bases[:1:-1]]  # (n, d_i, 1)
+    diag, norm_sq = np.zeros((count, n), dtype=complex), np.zeros(count)
+    for lo, hi, i, amps in blocks:
+        norm_sq[i] += np.vdot(amps, amps).real
+        x = head @ amps
+        for cols in tails:
+            x = np.matmul(x.reshape(n, -1, cols.shape[1]), cols)
+        # sum_l conj(b_1lk) x_kl, as the conjugate of sum_l b_1lk conj(x_kl):
+        # x is this call's own, so no slice of party 1 is conjugated
+        x = np.conjugate(x, out=x).reshape(n, hi - lo)
+        diag[i] += np.einsum("kl,lk->k", x, bases[1][lo:hi]).conj()
+        del x  # freed before the next block is formed, as it may be D amplitudes
     return diag, norm_sq
 
 
@@ -280,20 +290,30 @@ class Transcript:
         return {"branches": [br.to_json() for br in self.branches]}
 
 
-def _coords(s: GeneralizedSchmidtState) -> tuple[np.ndarray, float]:
-    """Contract s with its n product basis vectors, a block at a time.
+def _coords(*states: GeneralizedSchmidtState) -> list[tuple[np.ndarray, float]]:
+    """Contract each state with its n product basis vectors: one blocked
+    pass per distinct bases object, shared by every state that holds it
+    (``_with_coeffs`` passes its state's on).
 
-    Returns the diagonal amplitudes <b_0k|<b_1k|...|s> and the off-diagonal
-    mass |1 - sum_k |diag_k|^2|, the squared norm the diagonal misses.  Every
-    amplitude is formed, by ``_amplitude_blocks``, and counted in the
-    squared norm, which must be 1 as for a DenseState; no array of all D
-    amplitudes is held unless party 0's n columns are as large.  The
-    contraction uses the per-party bases, not the assembly chain, so an
-    assembly fault shows as off-diagonal mass.
+    Returns, per state, the diagonal amplitudes <b_0k|<b_1k|...|s> and the
+    off-diagonal mass |1 - sum_k |diag_k|^2|, the squared norm the diagonal
+    misses.  Every amplitude of every state is formed, by
+    ``_amplitude_blocks``, and counted in its squared norm, which must be 1
+    as for a DenseState; no array of all D amplitudes is held unless party
+    0's n columns are as large.  The contraction uses the per-party bases,
+    not the assembly chain, so an assembly fault shows as off-diagonal mass.
     """
-    diag, norm_sq = _contract(_amplitude_blocks(s), s.bases)
-    _check_norm(norm_sq)
-    return diag, abs(1.0 - float(np.vdot(diag, diag).real))
+    passes: dict[int, list[int]] = {}
+    for i, s in enumerate(states):
+        passes.setdefault(id(s.bases), []).append(i)
+    out = [None] * len(states)
+    for members in passes.values():
+        group = [states[i] for i in members]
+        diags, norms = _contract(_amplitude_blocks(group), group[0].bases, len(group))
+        for i, diag, norm_sq in zip(members, diags, norms.tolist()):
+            _check_norm(norm_sq)
+            out[i] = diag, abs(1.0 - float(np.vdot(diag, diag).real))
+    return out
 
 
 def _branches(
@@ -356,8 +376,10 @@ def run_protocol(
     """Execute measure-broadcast-rotate on every outcome and verify it.
 
     psi and phi are each reduced to their n diagonal amplitudes in their
-    own bases (``_coords``, a slice of party 1's levels at a time, with no
-    array of all D amplitudes held).  Outcome j multiplies psi's diagonal
+    own bases by ``_coords``: one blocked pass if they share their bases
+    object, as the CLI's states do, else one pass each, a slice of party
+    1's levels at a time, with no array of all D amplitudes held.
+    Outcome j multiplies psi's diagonal
     by its Kraus diagonal (the squared norm is the simulated probability)
     and permutes it by its relabeling.  Its overlap with phi's diagonal
     equals that of B_phi P_j B_psi^dag M_j |psi> with |phi>: both dense
@@ -369,7 +391,7 @@ def run_protocol(
         raise ValueError(f"incompatible dims {psi.dims} vs {phi.dims}")
     if plan.n != psi.n or plan.n != phi.n:
         raise ValueError("plan dimension does not match the states")
-    (source, psi_mass), (target, phi_mass) = _coords(psi), _coords(phi)
+    (source, psi_mass), (target, phi_mass) = _coords(psi, phi)
     probs, fids = _branches(plan, source, target)
     records = tuple(map(_record, range(plan.weights.size), probs.tolist(), fids.tolist()))
     checks = _branch_checks(plan.weights, records)
@@ -494,8 +516,8 @@ def extract_gsd(state: DenseState, tol: float = UNIT_TOL) -> GsdExtraction:
             return rejects("party_overlap", -1, party, residual)
 
     gss = GeneralizedSchmidtState(dims, ProbVector(coeff_arr), bases)
-    diag, _ = _contract([(0, dims[1], mat)], gss.bases)
-    fid = float(abs(np.sqrt(gss.coeffs.entries) @ diag) ** 2)
+    diag, _ = _contract([(0, dims[1], 0, mat)], gss.bases)
+    fid = float(abs(np.sqrt(gss.coeffs.entries) @ diag[0]) ** 2)
     if fid < 1.0 - UNIT_TOL:
         return rejects("reassembly", -1, None, float(1.0 - fid))
     return GsdExtraction(verdict="admits", state=gss, reassembly_fidelity=fid)

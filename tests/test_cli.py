@@ -608,6 +608,25 @@ class TestOffdiagMass:
         assert_one_check_table(report)
 
 
+class TestNegligibleBranchFidelity:
+    # ROADMAP item 1(a): the plan rebuilds lam to 7e-17 absolute, which is
+    # 2.3e-4 relative at lam_3 = 3.06e-13, so an outcome of weight 1.09e-12
+    # lands with min_fidelity 0.999999997354049 and the run exits 5, while
+    # `plan` on the same pair exits 0
+    INSTANCE = {
+        "schema_version": "1",
+        "lam": [0.36899999999874566, 0.35, 0.281, 3.06e-13, 2.66e-13, 1.79e-13,
+                1.59e-13, 1.49e-13, 1.15e-13, 8.04e-14],
+        "mu": [0.369, 0.35, 0.281, 0, 0, 0, 0, 0, 0, 0],
+    }
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1(a): exits 5 on min_fidelity")
+    @pytest.mark.parametrize("command", ["simulate", "conclusive"])
+    def test_tiny_tail_pair_exits_0(self, tmp_path, capsys, command):
+        code, _, _ = run(capsys, [command, "--in", write(tmp_path, self.INSTANCE)])
+        assert code == 0
+
+
 class TestOtherCommands:
     def test_pmax(self, tmp_path, capsys):
         inst = {"schema_version": "1", "lam": [0.9, 0.1], "mu": [0.6, 0.4]}

@@ -28,9 +28,11 @@ from locc_forge import (
     ZeroBranch,
     build_plan,
     extract_gsd,
+    intermediate_state,
+    run_conclusive,
     run_protocol,
 )
-from locc_forge import simulator
+from locc_forge import probabilistic, simulator
 from locc_forge.majorization import UNIT_TOL
 from locc_forge.simulator import _cofactor_chain, _coords
 
@@ -104,7 +106,7 @@ def _stitched(s: GeneralizedSchmidtState) -> np.ndarray:
     row-major array."""
     amps = np.empty((s.dims[0], math.prod(s.dims[1:])), dtype=complex)
     width = math.prod(s.dims[2:])  # columns per level of party 1
-    for lo, hi, block in simulator._amplitude_blocks(s):
+    for lo, hi, _, block in simulator._amplitude_blocks([s]):
         amps[:, lo * width:hi * width] = block
     return amps.reshape(-1)
 
@@ -391,8 +393,18 @@ def _coords_oracle(s: GeneralizedSchmidtState) -> tuple[np.ndarray, float]:
     return diag, abs(1.0 - float(np.vdot(diag, diag).real))
 
 
+def _sharing_bases(psi: GeneralizedSchmidtState, rng, count: int) -> list:
+    """psi and count - 1 states on psi's bases with other random
+    coefficients, as many of them zero as in psi's."""
+    live = int(np.count_nonzero(psi.coeffs.entries))
+    return [psi] + [psi._with_coeffs(ProbVector(np.r_[random_probs(rng, live).entries,
+                                                      [0.0] * (psi.n - live)]))
+                    for _ in range(count - 1)]
+
+
 class TestCoords:
-    """The contraction that works one slice of party 1's levels at a time."""
+    """The contraction that works one slice of party 1's levels at a time,
+    for every state that shares one set of bases in one pass."""
 
     @pytest.mark.parametrize("dims,entries", [
         ((8,) * 6, [0.3, 0.2, 0.15, 0.12, 0.1, 0.08, 0.03, 0.02]),
@@ -401,12 +413,15 @@ class TestCoords:
     ])
     def test_matches_product_vector_oracle(self, dims, entries):
         rng = np.random.default_rng(len(dims))
-        psi = random_gss(rng, ProbVector(entries), dims)
-        assert sum(1 for _ in simulator._amplitude_blocks(psi)) > 1
-        diag, mass = _coords(psi)
-        want_diag, want_mass = _coords_oracle(psi)
-        np.testing.assert_allclose(diag, want_diag, rtol=0, atol=1e-14)
-        assert abs(mass - want_mass) <= 1e-15
+        states = _sharing_bases(random_gss(rng, ProbVector(entries), dims), rng, 4)
+        assert sum(1 for _ in simulator._amplitude_blocks(states[:1])) > 1
+        wants = [_coords_oracle(s) for s in states]
+        for count in range(1, 5):
+            got = _coords(*states[:count])
+            assert len(got) == count
+            for (diag, mass), (want_diag, want_mass) in zip(got, wants):
+                np.testing.assert_allclose(diag, want_diag, rtol=0, atol=1e-14)
+                assert abs(mass - want_mass) <= 1e-15
 
     def test_norm_off_by_1e6_raises_as_dense_state(self):
         rng = np.random.default_rng(5)
@@ -414,56 +429,103 @@ class TestCoords:
         coeffs = ProbVector(psi.coeffs.entries)
         object.__setattr__(coeffs, "_entries", coeffs.entries * (1.0 + 1e-6))
         off = psi._with_coeffs(coeffs)
-        for check in (_coords, assemble_unsorted):
+
+        def in_a_pass(s):
+            return _coords(*_sharing_bases(psi, rng, 2), s)
+
+        for check in (_coords, in_a_pass, assemble_unsorted):
             with pytest.raises(ValueError, match=r"^squared norm 1\.00000(1|09)\d* deviates "
                                                  r"from 1$"):
                 check(off)
 
     @staticmethod
-    def _peak_bytes(psi) -> int:
-        """tracemalloc's peak of one _coords(psi) call, above what was held."""
+    def _peak_bytes(*states) -> int:
+        """tracemalloc's peak of one _coords(*states) call, above what was
+        held."""
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            _coords(psi)
+            _coords(*states)
             return tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
 
     def test_holds_no_array_of_all_amplitudes(self):
         rng = np.random.default_rng(6)
-        psi = random_gss(rng, random_probs(rng, 8), (8,) * 6)
-        assert self._peak_bytes(psi) < 8**6 * 16  # one complex array of all D amplitudes
+        states = _sharing_bases(random_gss(rng, random_probs(rng, 8), (8,) * 6), rng, 4)
+        assert self._peak_bytes(*states) < 8**6 * 16  # one complex array of all D amplitudes
 
     def test_one_block_state_holds_three_arrays_of_its_size(self):
         # party 0's n columns are as large as the state, so it is one
-        # block; party 0's scaled and conjugated columns are formed per
-        # block, so at most three arrays of its size are held at once
+        # block; party 0's conjugated columns are formed once per pass and
+        # its scaled ones per block and state, and the states of a pass
+        # share their buffers, so a pass of four holds at most three
+        # arrays of their size at once
         rng = np.random.default_rng(6)
         psi = random_gss(rng, random_probs(rng, 1024), (1024, 1024))
-        assert sum(1 for _ in simulator._amplitude_blocks(psi)) == 1
-        assert self._peak_bytes(psi) < 3 * 2**20 * 16 + 2**20  # plus 1 MiB
+        assert sum(1 for _ in simulator._amplitude_blocks([psi])) == 1
+        states = _sharing_bases(psi, rng, 4)
+        assert self._peak_bytes(*states) < 3 * 2**20 * 16 + 2**20  # plus 1 MiB
+
+    @pytest.mark.parametrize("bases", ["shared", "own"])
+    def test_one_pass_per_set_of_bases(self, monkeypatch, bases):
+        rng = np.random.default_rng(47)
+        lam, mu = ProbVector([0.5, 0.3, 0.2]), ProbVector([0.7, 0.2, 0.1])
+        psi = random_gss(rng, lam, (3, 4, 3))
+        phi = psi._with_coeffs(mu) if bases == "shared" else random_gss(rng, mu, (3, 4, 3))
+        # lam -> mu is deterministic; mu -> lam settles with a failure state
+        runs = [(run_protocol, psi, phi, build_plan(lam, mu)),
+                (run_conclusive, phi, psi, intermediate_state(mu, lam))]
+        one_pass, passes = simulator._amplitude_blocks, []
+
+        def counted(states):
+            passes.append(len(states))
+            return one_pass(states)
+
+        monkeypatch.setattr(simulator, "_amplitude_blocks", counted)
+        fused = []
+        for run, *args in runs:
+            passes.clear()
+            fused.append((run(*args), list(passes)))
+        assert [p for _, p in fused] == ([[2], [4]] if bases == "shared" else [[1, 1], [3, 1]])
+
+        def per_state(*states):
+            return [_coords(s)[0] for s in states]
+
+        monkeypatch.setattr(simulator, "_coords", per_state)
+        monkeypatch.setattr(probabilistic, "_coords", per_state)
+        for (run, *args), (tx, _) in zip(runs, fused):
+            alone = run(*args)
+            assert alone.passed and tx.passed
+            for br, want in zip(tx.branches, alone.branches, strict=True):
+                assert (br.outcome, br.success) == (want.outcome, want.success)
+                assert abs(br.simulated_prob - want.simulated_prob) <= 1e-15
+                assert abs(br.fidelity - want.fidelity) <= 1e-15
+            for name, check in tx.checks.items():
+                assert abs(check.value - alone.checks[name].value) <= 1e-15
 
 
 def plant_offdiag_mass(monkeypatch, mass: float, only: ProbVector | None = None) -> None:
     """Make the amplitude blocks that _coords reads move `mass`
-    of the squared norm of every state (or only of those with the
-    coefficients `only`) onto the product vector b_0 (x) b_1 (x) b_0 ...,
-    which lies off the diagonal in the state's own bases."""
+    of the squared norm of every state (or only of the states in a pass
+    with the coefficients `only`) onto the product vector
+    b_0 (x) b_1 (x) b_0 ..., which lies off the diagonal in the states'
+    own bases."""
     clean = simulator._amplitude_blocks
 
-    def planted(s):
-        if only is not None and s.coeffs is not only:
-            yield from clean(s)
-            return
-        off = s.bases[0][:, 0]
-        for party, basis in enumerate(s.bases[1:], start=1):
+    def planted(states):
+        bases, dims = states[0].bases, states[0].dims
+        off = bases[0][:, 0]
+        for party, basis in enumerate(bases[1:], start=1):
             off = np.multiply.outer(off, basis[:, party % 2])
-        off = off.reshape(s.dims[0], s.dims[1], -1)
-        for lo, hi, block in clean(s):
-            yield lo, hi, (np.sqrt(1.0 - mass) * block
-                           + np.sqrt(mass) * off[:, lo:hi].reshape(s.dims[0], -1))
+        off = off.reshape(dims[0], dims[1], -1)
+        for lo, hi, i, block in clean(states):
+            if only is not None and states[i].coeffs is not only:
+                yield lo, hi, i, block
+            else:
+                yield lo, hi, i, (np.sqrt(1.0 - mass) * block
+                                  + np.sqrt(mass) * off[:, lo:hi].reshape(dims[0], -1))
 
     monkeypatch.setattr(simulator, "_amplitude_blocks", planted)
 
@@ -476,13 +538,24 @@ class TestOffdiagMass:
         rng = np.random.default_rng(41)
         lam = ProbVector([0.5, 0.3, 0.2])
         psi = random_gss(rng, lam, (3, 4, 3))
-        assert _coords(psi)[1] <= 1e-15
+        [(_, mass)] = _coords(psi)
+        assert mass <= 1e-15
         plant_offdiag_mass(monkeypatch, 1e-6)
-        diag, mass = _coords(psi)
+        [(diag, mass)] = _coords(psi)
         assert mass == pytest.approx(1e-6, rel=1e-6)
         np.testing.assert_allclose(
             np.abs(diag) ** 2, (1.0 - 1e-6) * lam.entries, rtol=0, atol=1e-15
         )
+
+    def test_planted_mass_shows_only_in_its_state_of_a_pass(self, monkeypatch):
+        rng = np.random.default_rng(42)
+        psi = random_gss(rng, ProbVector([0.4, 0.3, 0.2, 0.1, 0.0, 0.0]), (8, 64, 40))
+        states = _sharing_bases(psi, rng, 4)
+        assert sum(1 for _ in simulator._amplitude_blocks(states[:1])) > 1
+        plant_offdiag_mass(monkeypatch, 1e-6, states[2].coeffs)
+        masses = [mass for _, mass in _coords(*states)]
+        assert masses[2] == pytest.approx(1e-6, rel=1e-6)
+        assert max(masses[:2] + masses[3:]) <= 1e-15
 
     @pytest.mark.parametrize("planted", ["source", "target"])
     def test_planted_mass_fails_protocol(self, monkeypatch, planted):
