@@ -169,8 +169,6 @@ def first_violation(lam: ProbVector, mu: ProbVector) -> int | None:
         raise ValueError(
             f"dimension mismatch {len(lam)} vs {len(mu)}; pad_to first"
         )
-    if len(lam) == 1:
-        return None
     lam_prefix = np.cumsum(lam.entries[:-1])
     mu_prefix = np.cumsum(mu.entries[:-1])
     bad = np.nonzero(lam_prefix > mu_prefix + UNIT_TOL)[0]

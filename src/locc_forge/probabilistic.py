@@ -7,8 +7,8 @@ settle measurement, a plan on gamma like any other, either lands on the
 target (success) or on a leftover state (failure).  gamma is built
 scale-by-scale from the right: each segment pins a tail of the
 still-unassigned prefix, the one of worst tail ratio, to a rescaled copy
-of the target.  One scan finds the worst tail ratio for a chunk of ends
-at once, and the segments follow from it as a chain of ends.  The
+of the target.  One scan finds the worst tail ratio for every end at
+once, and the segments follow from it as a chain of ends.  The
 resulting vector is sorted, majorizes the source, and dominates p_max
 times the target entrywise, as the success outcome needs.
 
@@ -54,9 +54,6 @@ MAX_TENSOR_ENTRIES = 2**20
 # n = 4 pair, d <= 4, 2-vCPU host); d_max = 5 at the default resolution
 # (46261 candidates) fits.
 MAX_CATALYST_CANDIDATES = 2**16
-# Tail ratios per chunk of the conclusive waypoint's all-ends scan: 2 MB a
-# float array, about 7 MB for the scan's arrays together.
-_SCAN_ENTRIES = 2**18
 
 
 def _tails(v: ProbVector) -> np.ndarray:
@@ -69,16 +66,25 @@ def _tails(v: ProbVector) -> np.ndarray:
 def _tail_ratio_scan(
     e_lam: np.ndarray, e_mu: np.ndarray, lo: int, hi: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``_min_tail_ratio``'s value and index for every end in lo..hi - 1,
-    one column per end over the rows l < hi - 1; a row l >= e counts for no
-    end e: tails do not grow to the right, so its denominator is at most 0.
-    Raises InternalContradiction at the first end with no admissible ratio."""
+    """Minimum of (e_lam[l]-e_lam[end])/(e_mu[l]-e_mu[end]) over l < end,
+    its value and index for every end in lo..hi - 1, one column per end over
+    the rows l < hi - 1; a row l >= e counts for no end e: tails do not grow
+    to the right, so its denominator is at most 0.
+
+    Zero denominators are skipped; a zero numerator over a positive
+    denominator counts as ratio 0.  Ratios within ZERO_TOL of the minimum
+    tie: the first of them gives the value and the last the index.  Raises
+    InternalContradiction at the first end with no admissible ratio.  Holds
+    two float arrays of (hi - 1) x (hi - lo) ratios: 8 MiB each for every
+    end at n = 1024."""
     rows = hi - 1
     den = e_mu[:rows, None] - e_mu[lo:hi]
-    num = e_lam[:rows, None] - e_lam[lo:hi]
+    ratio = e_lam[:rows, None] - e_lam[lo:hi]  # the numerators, divided in place
     live = den > ZERO_TOL
-    ratio = np.divide(num, den, out=np.full(den.shape, np.inf), where=live)
-    ratio[live & (num <= ZERO_TOL)] = 0.0
+    zero = live & (ratio <= ZERO_TOL)
+    np.divide(ratio, den, out=ratio, where=live)
+    np.copyto(ratio, np.inf, where=~live)
+    ratio[zero] = 0.0
     near = ratio <= ratio.min(axis=0) + ZERO_TOL
     value = ratio[near.argmax(axis=0), np.arange(hi - lo)]
     if value.max() == np.inf:
@@ -89,40 +95,15 @@ def _tail_ratio_scan(
     return value, rows - 1 - near[::-1].argmax(axis=0)
 
 
-def _min_tail_ratio(
-    e_lam: np.ndarray, e_mu: np.ndarray, end: int
-) -> tuple[float, int]:
-    """Minimum of (e_lam[l]-e_lam[end])/(e_mu[l]-e_mu[end]) over l < end,
-    the one-column ``_tail_ratio_scan``.
-
-    Zero denominators are skipped; a zero numerator over a positive
-    denominator counts as ratio 0.  Ratios within ZERO_TOL of the minimum
-    tie: the first of them gives the value and the last the index.
-    """
-    value, index = _tail_ratio_scan(e_lam, e_mu, end, end + 1)
-    return float(value[0]), int(index[0])
-
-
-def _tail_ratio_chain(
-    e_lam: np.ndarray, e_mu: np.ndarray, end: int
-) -> list[tuple[int, int, float]]:
-    """The segments (start, end, scale) that repeating ``_min_tail_ratio``
-    from ``end`` gives, each ending where the last one started, down to
-    start 0, with the same values bit for bit.
-
-    The ends are scanned in chunks of at most _SCAN_ENTRIES ratios, so the
-    scan holds O(_SCAN_ENTRIES) floats at any rank.  Each chunk ends at the
-    chain's current end and the next is scanned only when the chain leaves
-    it, so ends that the chain jumps over are not computed; a column's
-    value does not depend on its chunk.
-    """
-    segments = []
-    lo = end + 1  # the first end of the chunk scanned last; none yet
+def _tail_ratio_chain(e_lam: np.ndarray, e_mu: np.ndarray) -> list[tuple[int, int, float]]:
+    """The segments (start, end, scale) from end n = len(e_lam) - 1 down to
+    start 0, each ending where the last one started, its start and scale
+    the index and value of ``_tail_ratio_scan`` at its end; one scan covers
+    every end."""
+    value, index = _tail_ratio_scan(e_lam, e_mu, 1, len(e_lam))
+    segments, end = [], len(e_lam) - 1
     while end > 0:
-        if end < lo:
-            lo = max(1, end + 1 - max(1, _SCAN_ENTRIES // end))
-            value, index = _tail_ratio_scan(e_lam, e_mu, lo, end + 1)
-        segments.append((int(index[end - lo]), end, float(value[end - lo])))
+        segments.append((int(index[end - 1]), end, float(value[end - 1])))
         end = segments[-1][0]
     return segments
 
@@ -137,10 +118,9 @@ def pmax(lam: ProbVector, mu: ProbVector) -> tuple[float, int]:
     """
     if len(lam) != len(mu):
         raise ValueError("dimension mismatch; pad_to first")
-    e_lam = _tails(lam)
-    e_mu = _tails(mu)
-    best, best_l = _min_tail_ratio(e_lam, e_mu, len(lam))
-    return min(max(best, 0.0), 1.0), best_l
+    n = len(lam)
+    value, index = _tail_ratio_scan(_tails(lam), _tails(mu), n, n + 1)
+    return min(max(float(value[0]), 0.0), 1.0), int(index[0])
 
 
 @dataclass(frozen=True)
@@ -174,7 +154,8 @@ def intermediate_state(lam: ProbVector, mu: ProbVector) -> ConclusivePlan:
 
     The tail segment [l*, n) is p_max times the target; the remaining
     prefix is filled by repeating the worst-tail-ratio split on ever
-    shorter prefixes, which ``_tail_ratio_chain`` follows.  Each segment
+    shorter prefixes.  ``_tail_ratio_chain`` follows every segment, the
+    first one included, from one scan of every end.  Each segment
     carries lam's tail difference over it, so lam and gamma have equal
     prefix sums at every segment start, and the deterministic stage is
     decomposed with those prefixes cut: its relabelings keep every
@@ -190,8 +171,9 @@ def intermediate_state(lam: ProbVector, mu: ProbVector) -> ConclusivePlan:
     n = len(lam)
     e_lam = _tails(lam)
     e_mu = _tails(mu)
+    segments = _tail_ratio_chain(e_lam, e_mu)
     # the first segment's scale, clamped, is p_max and its start l*, as in pmax
-    scale, l_star = _min_tail_ratio(e_lam, e_mu, n)
+    l_star, _, scale = segments[0]
     p = min(max(scale, 0.0), 1.0)
     if p <= ZERO_TOL:
         rank_lam, rank_mu = np.count_nonzero(lam.entries), np.count_nonzero(mu.entries)
@@ -207,7 +189,6 @@ def intermediate_state(lam: ProbVector, mu: ProbVector) -> ConclusivePlan:
             f"{e_mu[l_star]} gives p_max {p}, a tail or ratio within ZERO_TOL "
             "counting as 0"
         )
-    segments = [(l_star, n, scale)] + _tail_ratio_chain(e_lam, e_mu, l_star)
     segments.reverse()
     gamma = np.zeros(n)
     for start, end, scale in segments:

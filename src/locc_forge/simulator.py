@@ -425,14 +425,6 @@ class GsdExtraction:
     witness: GsdWitness | None = None
     inconclusive_degenerate: bool = False
 
-    @property
-    def admits(self) -> bool:
-        return self.verdict == "admits"
-
-    @property
-    def coeffs(self) -> ProbVector | None:
-        return self.state.coeffs if self.state is not None else None
-
     def to_json(self) -> dict:
         payload: dict = {
             "verdict": self.verdict,
@@ -447,26 +439,22 @@ class GsdExtraction:
 
 
 def _cofactor_chain(w: np.ndarray, dims: tuple[int, ...], tol: float):
-    """Split each row of w, a cofactor over parties 1.., into one vector
-    per party by one batched SVD per party 1..m-2: party i's columns and
-    residuals 1 - s_0^2 of the cofactors that reach it.  Only those before
-    the first that fails (residual > tol) go on, so the last party where
-    one fails holds the smallest that fails.  Cofactor 0 goes alone first,
-    as a state without the form most often fails there."""
-    cols, residuals = [[] for _ in dims[1:]], [[] for _ in dims[2:]]
-    for rows in (w[:1], w[1:]):
-        for i, d_i in enumerate(dims[1:-1]):
-            stack = rows.reshape(len(rows), d_i, rows.shape[1] // d_i)
-            u, s, vh = np.linalg.svd(stack, full_matrices=False)
-            residuals[i].append(1.0 - s[:, 0] ** 2)
-            fails = np.flatnonzero(residuals[i][-1] > tol)
-            keep = int(fails[0]) if fails.size else len(rows)
-            cols[i].append(u[:keep, :, 0].T)
-            rows = vh[:keep, 0, :]
-        cols[-1].append(rows.T)
-        if not len(rows):  # cofactor 0 failed: the others need no SVD
-            break
-    return [np.hstack(c) for c in cols], [np.concatenate(r) for r in residuals]
+    """Split each row k of w, a cofactor over parties 1.., into one vector
+    per party by one SVD per party 1..m-2: the leading left singular vector
+    is the party's and the leading right one goes on.  Returns each party's
+    (d_i, n) columns, or the witness (k, party, residual 1 - s_0^2) of the
+    first cofactor whose residual exceeds tol, at its first such party."""
+    cols = [np.empty((d_i, len(w)), dtype=complex) for d_i in dims[1:]]
+    for k, v in enumerate(w):
+        for party, d_i in enumerate(dims[1:-1], 1):
+            u, s, vh = np.linalg.svd(v.reshape(d_i, -1), full_matrices=False)
+            residual = float(1.0 - s[0] ** 2)
+            if residual > tol:
+                return k, party, residual
+            cols[party - 1][:, k] = u[:, 0]
+            v = vh[0]
+        cols[-1][:, k] = v
+    return cols
 
 
 def extract_gsd(state: DenseState, tol: float = UNIT_TOL) -> GsdExtraction:
@@ -474,12 +462,13 @@ def extract_gsd(state: DenseState, tol: float = UNIT_TOL) -> GsdExtraction:
 
     Splits party 0 against the rest, then demands that every retained
     cofactor be a product across the remaining parties (largest squared
-    Schmidt coefficient >= 1 - tol at every cut); the witness is the
-    smallest cofactor that fails, at its first failing party.  On success
-    the per-party vectors are checked for orthonormality and become the
-    state's Schmidt columns, and the input is contracted with them
-    (``_contract``): the reassembly fidelity, |sum_k sqrt(coeff_k)
-    <b_0k|<b_1k|...|state>|^2, must be at least 1 - UNIT_TOL.
+    Schmidt coefficient >= 1 - tol at every cut), one cofactor at a time
+    (``_cofactor_chain``); the witness is the first cofactor that fails, at
+    its first failing party.  On success the per-party vectors are checked
+    for orthonormality and become the state's Schmidt columns, and the
+    input is contracted with them (``_contract``): the reassembly fidelity,
+    |sum_k sqrt(coeff_k) <b_0k|<b_1k|...|state>|^2, must be at least
+    1 - UNIT_TOL.
 
     Degenerate coefficients make the Schmidt basis non-unique; no rotation
     search is attempted, so a rejection under degeneracy is flagged
@@ -500,12 +489,9 @@ def extract_gsd(state: DenseState, tol: float = UNIT_TOL) -> GsdExtraction:
         return GsdExtraction("rejects", witness=GsdWitness(kind, index, party, residual),
                              inconclusive_degenerate=degenerate)
 
-    cols, residuals = _cofactor_chain(vh[:n], dims, tol)
-    for party in range(len(residuals), 0, -1):  # the last failing party holds the witness
-        fails = np.flatnonzero(residuals[party - 1] > tol)
-        if fails.size:
-            k = int(fails[0])
-            return rejects("entangled_cofactor", k, party, float(residuals[party - 1][k]))
+    cols = _cofactor_chain(vh[:n], dims, tol)
+    if isinstance(cols, tuple):
+        return rejects("entangled_cofactor", *cols)
 
     # orthonormality of each party's extracted vectors
     bases = [u0[:, :n], *cols]

@@ -4,7 +4,7 @@ The oracles are deliberately plain Python (no calls into the package) so
 they stay independent of the code paths they check.  Two exceptions, in
 numpy: ``frozen_mixture_for`` and ``frozen_gsd_chain`` are the
 permutohedron walk and the cofactor chain of GSD extraction as first
-written, the references that the faster forms must match bit for bit; and
+written, the references that the current forms must match bit for bit; and
 the dense oracles, which assemble states term by term
 (``assemble_unsorted``), compare them by a plain ``np.vdot`` and run every
 branch with dense per-party operators through ``apply_local`` below, the
@@ -12,6 +12,8 @@ full-tensor work that the diagonal Schmidt-coordinate engine does not do.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -57,6 +59,20 @@ def brute_force_pmax(lam, mu) -> float:
         ratio = 0.0 if tail_a <= 1e-12 else tail_a / tail_b
         best = min(best, ratio)
     return min(max(best, 0.0), 1.0)
+
+
+def exact_pmax(lam, mu) -> float:
+    """p_max in exact rational arithmetic over the float entries: the
+    smallest ratio of source tail to target tail, tails summed from the
+    right, over every cut with a positive target tail, at most 1."""
+    tail_a = tail_b = Fraction(0)
+    best = Fraction(1)
+    for a, b in zip(reversed([float(x) for x in lam]), reversed([float(x) for x in mu])):
+        tail_a += Fraction(a)
+        tail_b += Fraction(b)
+        if tail_b > 0:
+            best = min(best, tail_a / tail_b)
+    return float(best)
 
 
 def loop_completeness(plan, lam) -> float:
@@ -165,7 +181,7 @@ def _frozen_largest_step(rest, mass, vertex, start, prefix):
 
 def frozen_gsd_chain(w: np.ndarray, dims) -> tuple[list[np.ndarray], np.ndarray]:
     """The cofactor chain of ``extract_gsd`` as first written, kept as the
-    reference for its batched form: one SVD per cofactor (row k of w, over
+    reference for ``_cofactor_chain``: one SVD per cofactor (row k of w, over
     parties 1..) and party 1..m-2, whose leading left singular vector is
     the party's and whose leading right one goes on.  Returns each party's
     (d_i, n) columns and the (m - 2, n) residuals 1 - s_0^2; no cofactor

@@ -206,8 +206,8 @@ def test_criterion_6_gsd_extraction():
     witness; 100 random nondegenerate round trips recover coefficients."""
     ghz = DenseState(np.array([1, 0, 0, 0, 0, 0, 0, 1]) / np.sqrt(2), (2, 2, 2))
     res = extract_gsd(ghz)
-    assert res.admits
-    np.testing.assert_allclose(res.coeffs.entries, [0.5, 0.5], atol=1e-9)
+    assert res.verdict == "admits"
+    np.testing.assert_allclose(res.state.coeffs.entries, [0.5, 0.5], atol=1e-9)
 
     w = DenseState(np.array([0, 1, 1, 0, 1, 0, 0, 0]) / np.sqrt(3), (2, 2, 2))
     res_w = extract_gsd(w)
@@ -233,8 +233,8 @@ def test_criterion_6_gsd_extraction():
         dims = tuple(int(n + rng.integers(0, 2)) for _ in range(m))
         gss = random_gss(rng, coeffs, dims)
         res = extract_gsd(assemble_unsorted(gss))
-        assert res.admits
-        np.testing.assert_allclose(res.coeffs.entries, coeffs.entries, atol=1e-9)
+        assert res.verdict == "admits"
+        np.testing.assert_allclose(res.state.coeffs.entries, coeffs.entries, atol=1e-9)
         done += 1
     _report(6, "GHZ admits, W rejects with matching oracle residual, "
                "100 round trips recovered coefficients")

@@ -22,6 +22,7 @@ from locc_forge import (
     mixture_for,
     pad_to,
 )
+from locc_forge.majorization import prefix_excess
 from locc_forge.probabilistic import _tails, intermediate_state
 
 
@@ -108,6 +109,12 @@ class TestIsMajorized:
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError):
             is_majorized(ProbVector([1.0]), ProbVector([0.5, 0.5]))
+
+    def test_rank_one_has_no_prefix_to_violate(self):
+        # the prefixes 0..n-2 are none at n = 1
+        one = ProbVector([1.0])
+        assert first_violation(one, one) is None
+        assert prefix_excess(one, one) == 0.0
 
 
 class TestTailSum:

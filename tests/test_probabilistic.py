@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from helpers import (
     brute_force_pmax,
+    dark_level_pairs,
     dense_conclusive,
+    exact_pmax,
     loop_min_tail_ratio,
     prefix_band_pairs,
     prefix_sum_majorized,
@@ -42,9 +44,9 @@ from locc_forge.probabilistic import (
     _grid,
     _grid_partitions,
     _found,
-    _min_tail_ratio,
     _refute,
     _tail_ratio_chain,
+    _tail_ratio_scan,
     _tails,
 )
 from locc_forge.protocol import _realize
@@ -84,6 +86,26 @@ class TestPmax:
         with pytest.raises(ValueError):
             pmax(ProbVector([1.0]), ProbVector([0.5, 0.5]))
 
+    def test_matches_exact_oracle(self):
+        # tails summed exactly from the right; the float tails of pmax, its
+        # tie rule and ZERO_TOL stay within rounding of the exact minimum
+        for lam, mu in tail_ratio_pairs():
+            assert abs(pmax(lam, mu)[0] - exact_pmax(lam, mu)) <= 1e-13, len(lam)
+
+    @pytest.mark.xfail(strict=True, reason="a source tail within ZERO_TOL of 0 "
+                       "counts as 0 even when its ratio to the target tail does not")
+    @pytest.mark.parametrize("lam,mu,want", [
+        # the source tail 1e-14 at l = 2 over the target tail 0.2
+        ([0.6, 0.39999999999999, 1e-14], [0.5, 0.3, 0.2], 5e-14),
+        # pair 361 of dark_level_pairs, reversed: the exact minimum is at l = 3,
+        # a source tail of 2.2e-31 over a target tail of 2.1e-21
+        (*list(dark_level_pairs())[361][::-1], 1.0644e-10),
+    ], ids=["source_tail_1e-14", "reversed_dark_pair_361"])
+    def test_tiny_source_tail_keeps_its_ratio(self, lam, mu, want):
+        lam, mu = ProbVector(lam), ProbVector(mu)
+        assert exact_pmax(lam, mu) == pytest.approx(want, rel=1e-4, abs=0)
+        assert pmax(lam, mu)[0] == pytest.approx(exact_pmax(lam, mu), rel=1e-6, abs=0)
+
 
 def tail_ratio_pairs():
     """Random pairs and tie-heavy ones at ranks 2..1024: entries on a coarse
@@ -114,15 +136,18 @@ def tail_ratio_pairs():
 
 class TestMinTailRatio:
     def test_matches_loop_oracle(self):
-        # bit for bit, at the cut pmax takes and at every segment end of
-        # the chain that intermediate_state's all-ends scan follows
+        # bit for bit, at every end of the one scan that intermediate_state
+        # follows: the cut pmax takes, every segment end and every end that
+        # the chain jumps over
         for lam, mu in tail_ratio_pairs():
             e_lam, e_mu = _tails(lam), _tails(mu)
-            end = len(lam)
-            while end > 0:
+            n = len(lam)
+            value, index = _tail_ratio_scan(e_lam, e_mu, 1, n + 1)
+            for end in range(1, n + 1):
                 expected = loop_min_tail_ratio(e_lam, e_mu, end)
-                assert _min_tail_ratio(e_lam, e_mu, end) == expected, (len(lam), end)
-                end = expected[1]
+                got = (float(value[end - 1]), int(index[end - 1]))
+                assert got == expected, (n, end)
+            assert pmax(lam, mu) == (min(max(expected[0], 0.0), 1.0), expected[1])
 
     def test_waypoint_segments_match_loop_chain(self):
         # the scan over all ends, against one loop scan per segment
@@ -277,19 +302,6 @@ class TestIntermediateState:
         )
         assert "over the target tail 0.2" in message and "p_max 0.0" in message
 
-
-    @pytest.mark.parametrize("entries", [1, 7, 64])
-    def test_chain_does_not_depend_on_the_chunk_width(self, monkeypatch, entries):
-        # the chain scans a chunk of ends only when it leaves the last one,
-        # and a column's value does not depend on its chunk: the segments
-        # are the same bits at any chunk width
-        pairs = [pair for pair in tail_ratio_pairs() if len(pair[0]) <= 256]
-        expected = [_tail_ratio_chain(_tails(lam), _tails(mu), len(lam))
-                    for lam, mu in pairs]
-        monkeypatch.setattr(probabilistic, "_SCAN_ENTRIES", entries)
-        for (lam, mu), chain in zip(pairs, expected):
-            assert _tail_ratio_chain(_tails(lam), _tails(mu), len(lam)) == chain
-
     def test_settle_is_one_outcome_within_unit_tol_of_one(self):
         # 1 - p_max = 5e-10 lies in (PLAN_TOL, UNIT_TOL]: the settle plan is
         # outcome 0 alone, of weight 1; of weight p_max it would miss its
@@ -315,14 +327,17 @@ class TestIntermediateState:
 class TestWaypointInvariants:
     """Each invariant of the waypoint and its settle plan raises
     InternalContradiction naming the numbers that tripped it; a chain of
-    segments put in place of ``_tail_ratio_chain`` trips each one."""
+    segments put in place of ``_tail_ratio_chain``, after the real first
+    segment [l*, n), trips each one."""
 
     @staticmethod
     def raised(monkeypatch, lam, mu, chain) -> str:
+        lam, mu = ProbVector(lam), ProbVector(mu)
+        first = _tail_ratio_chain(_tails(lam), _tails(mu))[0]
         monkeypatch.setattr(probabilistic, "_tail_ratio_chain",
-                            lambda e_lam, e_mu, end: chain)
+                            lambda e_lam, e_mu: [first, *chain])
         with pytest.raises(InternalContradiction) as err:
-            intermediate_state(ProbVector(lam), ProbVector(mu))
+            intermediate_state(lam, mu)
         return str(err.value)
 
     def test_increase_names_the_first_increasing_level(self, monkeypatch):
@@ -366,13 +381,10 @@ class TestWaypointInvariants:
     @pytest.mark.parametrize("end", [1, 2])
     def test_no_admissible_ratio_names_the_end(self, end):
         # the columns of ends 1 and 2 have no target tail difference above
-        # ZERO_TOL; the chain from end 3 scans them in one chunk and names
-        # the first
+        # ZERO_TOL; a scan of both names the first
         e_lam, e_mu = np.array([1.0, 0.8, 0.5, 0.0]), np.array([1.0, 1.0, 1.0, 0.0])
-        scan = (lambda: _tail_ratio_chain(e_lam, e_mu, 3)) if end == 1 else (
-            lambda: _min_tail_ratio(e_lam, e_mu, 2))
         with pytest.raises(InternalContradiction) as err:
-            scan()
+            _tail_ratio_scan(e_lam, e_mu, end, 3)
         assert str(err.value) == (
             f"no admissible tail ratio at end {end}: no l < {end} has a target tail "
             "difference above ZERO_TOL 1e-12")

@@ -357,7 +357,8 @@ class TestBranchEngine:
 
 
 class TestCapSizes:
-    """run_protocol at the largest ranks the 2^20-amplitude cap admits."""
+    """run_protocol and run_conclusive at the largest ranks the
+    2^20-amplitude cap admits."""
 
     @pytest.mark.parametrize("dims,n", [
         ((1024, 1024), 1024), ((16,) * 5, 16), ((2, 2**19), 2),
@@ -377,6 +378,24 @@ class TestCapSizes:
         for br, diag in zip(tx.branches, plan.diags):
             model = float(np.sum(lam.entries * diag**2))
             assert abs(br.simulated_prob - model) <= 1e-12
+
+    def test_conclusive_at_the_cap(self):
+        # the (1024, 1024) pair reversed, so that p_max < 1: the waypoint
+        # scans all n^2 tail ratios at once, two float arrays of 8 MiB
+        n, dims = 1024, (1024, 1024)
+        rng = np.random.default_rng(n)
+        mu = random_probs(rng, n)
+        lam = t_chain(rng, mu, 4 * n)
+        tracemalloc.start()
+        try:
+            plan = intermediate_state(mu, lam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert plan.p_max < 1.0
+        psi, phi = random_gss(rng, mu, dims), random_gss(rng, lam, dims)
+        assert run_conclusive(psi, phi, plan).passed
 
 
 def _coords_oracle(s: GeneralizedSchmidtState) -> tuple[np.ndarray, float]:
@@ -576,8 +595,8 @@ class TestOffdiagMass:
 class TestExtractGsd:
     def test_ghz_admits(self):
         result = extract_gsd(GHZ)
-        assert result.admits
-        np.testing.assert_allclose(result.coeffs.entries, [0.5, 0.5], atol=1e-12)
+        assert result.verdict == "admits"
+        np.testing.assert_allclose(result.state.coeffs.entries, [0.5, 0.5], atol=1e-12)
 
     def test_w_rejects_with_quantified_witness(self):
         result = extract_gsd(W)
@@ -592,7 +611,7 @@ class TestExtractGsd:
         z = rng.standard_normal(12) + 1j * rng.standard_normal(12)
         state = DenseState(z / np.linalg.norm(z), (3, 4))
         result = extract_gsd(state)
-        assert result.admits
+        assert result.verdict == "admits"
         assert result.reassembly_fidelity >= 1 - 1e-9
 
     def test_roundtrip_recovers_coefficients(self):
@@ -602,9 +621,9 @@ class TestExtractGsd:
             dims = (3, 4, 3)
             gss = random_gss(rng, coeffs, dims)
             result = extract_gsd(assemble_unsorted(gss))
-            assert result.admits
+            assert result.verdict == "admits"
             np.testing.assert_allclose(
-                result.coeffs.entries, coeffs.entries, atol=1e-9
+                result.state.coeffs.entries, coeffs.entries, atol=1e-9
             )
 
     def test_party_overlap_rejected(self):
@@ -635,15 +654,15 @@ class TestExtractGsd:
         rng = np.random.default_rng(37)
         gss = random_gss(rng, ProbVector([0.7, 0.3]), (2, 2**17))
         result = extract_gsd(assemble_unsorted(gss))
-        assert result.admits
+        assert result.verdict == "admits"
         assert [b.shape for b in result.state.bases] == [(2, 2), (2**17, 2)]
-        np.testing.assert_allclose(result.coeffs.entries, [0.7, 0.3], atol=1e-12)
+        np.testing.assert_allclose(result.state.coeffs.entries, [0.7, 0.3], atol=1e-12)
 
     def test_roundtrip_fidelity_invariant(self):
         rng = np.random.default_rng(31)
         gss = random_gss(rng, ProbVector([0.6, 0.3, 0.1]), (4, 3, 3, 3))
         result = extract_gsd(assemble_unsorted(gss))
-        assert result.admits
+        assert result.verdict == "admits"
         fid = dense_fidelity(assemble_unsorted(result.state), assemble_unsorted(gss))
         assert fid >= 1 - 1e-9
 
@@ -652,35 +671,34 @@ class TestExtractGsd:
         rng = np.random.default_rng(len(dims))
         state = assemble_unsorted(random_gss(rng, random_probs(rng, min(dims)), dims))
         result = extract_gsd(state)
-        assert result.admits
+        assert result.verdict == "admits"
         want = dense_fidelity(assemble_unsorted(result.state), state)
         assert abs(result.reassembly_fidelity - want) <= 1e-14
 
     @pytest.mark.parametrize("dims", [(3, 4, 3), (4, 3, 3, 3), (3, 4, 3, 5, 3), (4,) * 6])
-    def test_batched_chain_matches_per_cofactor_chain(self, dims):
+    def test_chain_matches_per_cofactor_chain(self, dims):
         rng = np.random.default_rng(sum(dims))
         gss = random_gss(rng, random_probs(rng, 3, floor=0.05), dims)
         state = assemble_unsorted(gss)
         vh = np.linalg.svd(state.amplitudes.reshape(dims[0], -1), full_matrices=False)[2]
-        cols, residuals = _cofactor_chain(vh[:3], dims, UNIT_TOL)
+        cols = _cofactor_chain(vh[:3], dims, UNIT_TOL)
         want_cols, want_residuals = frozen_gsd_chain(vh[:3], dims)
+        assert np.all(want_residuals <= UNIT_TOL)
         assert all(np.array_equal(a, b) for a, b in zip(cols, want_cols, strict=True))
-        assert np.array_equal(np.reshape(residuals, want_residuals.shape), want_residuals)
         result = extract_gsd(state)
-        assert result.admits
+        assert result.verdict == "admits"
         for got, want in zip(result.state.bases[1:], want_cols, strict=True):
             assert np.array_equal(got, want)
 
     def test_chain_stops_when_cofactor_0_fails(self):
-        # a generic state fails at cofactor 0, party 1: no other cofactor
-        # is split, and no party after it is reached
+        # a generic state fails at cofactor 0, party 1: the chain returns
+        # that witness, with the per-cofactor chain's residual
         rng = np.random.default_rng(13)
         z = rng.standard_normal(4**4) + 1j * rng.standard_normal(4**4)
         vh = np.linalg.svd(z.reshape(4, -1), full_matrices=False)[2]
-        cols, residuals = _cofactor_chain(vh, (4,) * 4, UNIT_TOL)
-        assert [r.size for r in residuals] == [1, 0]
-        assert residuals[0][0] > UNIT_TOL
-        assert [c.shape for c in cols] == [(4, 0), (4, 0), (4, 0)]
+        residuals = frozen_gsd_chain(vh, (4,) * 4)[1]
+        assert residuals[0, 0] > UNIT_TOL
+        assert _cofactor_chain(vh, (4,) * 4, UNIT_TOL) == (0, 1, residuals[0, 0])
 
     def test_witness_is_smallest_failing_cofactor_at_its_first_party(self):
         # cofactor 0 = |0> (x) Bell over parties 2, 3: a product at party 1,
@@ -726,7 +744,9 @@ class TestExtractGsd:
             failing = residuals > UNIT_TOL
             k = int(np.flatnonzero(failing.any(axis=0))[0])
             party = int(np.flatnonzero(failing[:, k])[0]) + 1
-            assert (w.index, w.party, w.residual) == (k, party, residuals[party - 1, k])
+            want = (k, party, residuals[party - 1, k])
+            assert _cofactor_chain(vh[:3], dims, UNIT_TOL) == want
+            assert (w.index, w.party, w.residual) == want
             seen.add((k, party))
         assert len(seen) > 2
 
