@@ -9,7 +9,8 @@ byte-identical apart from the wall_time_s value.
 
 Exit codes (stable contract):
     0  success / pass
-    2  input error
+    2  input error: the CLI maps every fault in outside input to
+       InstanceError at one boundary (``_InputFaults``)
     3  conversion impossible
     4  resource cap exceeded
     5  internal invariant violation (including failed verification)
@@ -50,6 +51,7 @@ from .probabilistic import (
 )
 from .protocol import MeasurementPlan, build_plan
 from .simulator import (
+    MAX_PARTIES,
     DenseState,
     GeneralizedSchmidtState,
     _complex_array,
@@ -76,19 +78,39 @@ class Instance:
     echo: dict
 
 
+# What malformed outside input raises: undecodable bytes, invalid or too deep JSON,
+# numbers that fit neither a float nor an int, missing keys, wrong types or values.
+_INPUT_FAULTS = (KeyError, TypeError, ValueError, OverflowError, RecursionError)
+
+
+class _InputFaults:
+    """Around each read of outside input: an input fault becomes
+    InstanceError("label: message"), or InstanceError(message) with no
+    label; anything else, InstanceError included, passes."""
+
+    def __init__(self, label: str | None = None):
+        self.label = label
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if kind is not None and issubclass(kind, _INPUT_FAULTS):
+            raise InstanceError(f"{self.label}: {exc}" if self.label else str(exc)) from exc
+
+
 def _read_json(path: str) -> dict:
-    try:
-        if path == "-":
-            text = sys.stdin.read()
-        else:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-    except OSError as exc:
-        raise InstanceError(f"cannot read {path}: {exc}") from exc
-    try:
+    """The JSON object in path, or on stdin for "-", as strict UTF-8 in any locale."""
+    with _InputFaults(f"invalid JSON in {path}"):
+        try:
+            if path == "-":
+                text = sys.stdin.buffer.read().decode("utf-8")
+            else:
+                with open(path, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+        except OSError as exc:
+            raise InstanceError(f"cannot read {path}: {exc}") from exc
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InstanceError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise InstanceError("instance file must hold a JSON object")
     return payload
@@ -96,14 +118,10 @@ def _read_json(path: str) -> dict:
 
 def _parse_matrix(obj, label: str) -> np.ndarray:
     if isinstance(obj, dict):
-        try:
+        with _InputFaults(f"{label}: bad re/im matrix"):
             return _complex_array(obj["re"], obj["im"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InstanceError(f"{label}: bad re/im matrix: {exc}") from exc
-    try:
+    with _InputFaults(f"{label}: not a numeric matrix"):
         return np.asarray(obj, dtype=float).astype(complex)
-    except (TypeError, ValueError) as exc:
-        raise InstanceError(f"{label}: not a numeric matrix: {exc}") from exc
 
 
 def _digest(arrays) -> dict:
@@ -119,29 +137,25 @@ def _digest(arrays) -> dict:
 def load_instance(payload: dict) -> Instance:
     version = payload.get("schema_version")
     if str(version) != SCHEMA_VERSION:
-        raise InstanceError(
-            f"unsupported schema_version {version!r}; expected {SCHEMA_VERSION!r}"
-        )
+        raise InstanceError(f"unsupported schema_version {version!r}; "
+                            f"expected {SCHEMA_VERSION!r}")
 
     echo = dict(payload)
     lam = mu = None
     if "lam" in payload or "mu" in payload:
         if "lam" not in payload or "mu" not in payload:
             raise InstanceError("lam and mu must be given together")
-        try:
+        with _InputFaults("bad coefficient vector"):
             raw = [np.asarray(payload[key], dtype=float) for key in ("lam", "mu")]
             lam, mu = (ProbVector(v) for v in raw)
-        except (TypeError, ValueError) as exc:
-            raise InstanceError(f"bad coefficient vector: {exc}") from exc
         echo["lam"], echo["mu"] = (_digest([v]) for v in raw)
         n = max(len(lam), len(mu))
-        lam = pad_to(lam, n)
-        mu = pad_to(mu, n)
+        lam, mu = pad_to(lam, n), pad_to(mu, n)
 
     n = len(lam) if lam is not None else 0
     m = payload.get("m")
     dims = payload.get("dims")
-    try:
+    with _InputFaults("bad m or dims"):
         if dims is not None:
             dims = tuple(to_int(d) for d in dims)
             if m is not None and to_int(m) != len(dims):
@@ -149,11 +163,12 @@ def load_instance(payload: dict) -> Instance:
             m = len(dims)
         else:
             m = 2 if m is None else to_int(m)
-            dims = tuple([max(n, 1)] * m)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InstanceError(f"bad m or dims: {exc}") from exc
     if m < 2:
         raise InstanceError("need at least two parties")
+    if m > MAX_PARTIES:  # before any per-party tuple is built
+        raise CapExceeded(f"{m} parties exceed cap {MAX_PARTIES}")
+    if dims is None:
+        dims = (max(n, 1),) * m
     if lam is not None and any(d < n for d in dims):
         raise InstanceError(f"every local dimension must be >= rank {n}")
 
@@ -165,22 +180,15 @@ def load_instance(payload: dict) -> Instance:
         bases = [_parse_matrix(b, f"bases[{i}]") for i, b in enumerate(raw)]
         for i, mat in enumerate(bases):
             if mat.shape != (dims[i], dims[i]):
-                raise InstanceError(
-                    f"bases[{i}] must be {dims[i]}x{dims[i]}, got {mat.shape}"
-                )
+                raise InstanceError(f"bases[{i}] must be {dims[i]}x{dims[i]}, got {mat.shape}")
+        echo["bases"] = _digest(bases)
 
     state = None
     if payload.get("state") is not None:
-        try:
+        with _InputFaults("bad dense state"):
             state = DenseState.from_json(payload["state"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InstanceError(f"bad dense state: {exc}") from exc
         if state.m < 2:
             raise InstanceError("dense state needs at least two parties")
-
-    if bases is not None:
-        echo["bases"] = _digest(bases)
-    if state is not None:
         echo["state"] = _digest([state.tensor()])
 
     return Instance(lam=lam, mu=mu, dims=dims, bases=bases, state=state, echo=echo)
@@ -192,18 +200,12 @@ def _require_vectors(inst: Instance) -> tuple[ProbVector, ProbVector]:
     return inst.lam, inst.mu
 
 
-def _build_states(
-    inst: Instance,
-) -> tuple[GeneralizedSchmidtState, GeneralizedSchmidtState]:
+def _build_states(inst: Instance) -> tuple[GeneralizedSchmidtState, GeneralizedSchmidtState]:
     """psi and phi share the instance bases, which are checked once."""
     lam, mu = _require_vectors(inst)
-    if inst.bases is None:
-        psi = GeneralizedSchmidtState.computational(inst.dims, lam)
-    else:
-        try:
-            psi = GeneralizedSchmidtState(inst.dims, lam, inst.bases)
-        except ValueError as exc:
-            raise InstanceError(str(exc)) from exc
+    with _InputFaults():
+        psi = (GeneralizedSchmidtState.computational(inst.dims, lam) if inst.bases is None
+               else GeneralizedSchmidtState(inst.dims, lam, inst.bases))
     return psi, psi._with_coeffs(mu)
 
 
@@ -217,10 +219,8 @@ def _load_plan(source: str, lam: ProbVector, mu: ProbVector) -> MeasurementPlan:
             payload = inner["plan"]
         else:
             raise InstanceError("no measurement plan found in --plan input")
-    try:
+    with _InputFaults("bad plan payload"):
         return MeasurementPlan.from_json(payload, lam, mu)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InstanceError(f"bad plan payload: {exc}") from exc
 
 
 # What every command returns: its verdict, its payload and its check
@@ -412,10 +412,14 @@ def main(argv: list[str] | None = None) -> int:
         }
         try:
             text = _encode(report)
-        except ValueError:
+        except _INPUT_FAULTS as exc:
             # a NaN or infinity is bad input (exit 2) if the echoed instance
-            # holds it, say in a field nothing validates, else a fault (exit 5)
-            _encode_input(inst.echo)
+            # holds it, say in a field nothing validates, else a fault (exit
+            # 5); so is nesting too deep to print where the report holds it
+            with _InputFaults("instance nested too deep to print"
+                              if isinstance(exc, RecursionError)
+                              else "non-finite number in the instance"):
+                _encode({"inputs": inst.echo})
             raise
     except InstanceError as exc:
         return _fail(args, EXIT_INPUT, "input error", exc)
@@ -439,13 +443,6 @@ def _encode(obj: dict) -> str:
     raises ValueError.  Without indent, json.dumps runs CPython's C encoder;
     floats are spelled by float.__repr__ either way."""
     return json.dumps(obj, sort_keys=True, allow_nan=False, default=_json_default) + "\n"
-
-
-def _encode_input(echo: dict) -> None:
-    try:
-        _encode(echo)
-    except ValueError as exc:
-        raise InstanceError(f"non-finite number in the instance: {exc}") from exc
 
 
 def _json_default(obj):

@@ -1,6 +1,7 @@
 """Exception hierarchy shared by all locc_forge modules.
 
-Exit-code mapping used by the CLI:
+Exit-code mapping used by the CLI, which maps every fault in outside input
+to InstanceError at one boundary:
     InstanceError         -> 2  (malformed input)
     ConversionImpossible  -> 3  (transformation ruled out)
     CapExceeded           -> 4  (resource cap)

@@ -98,13 +98,6 @@ class DenseState:
     def tensor(self) -> np.ndarray:
         return self.amplitudes.reshape(self.dims)
 
-    def to_json(self) -> dict:
-        return {
-            "dims": list(self.dims),
-            "re": [float(x) for x in self.amplitudes.real],
-            "im": [float(x) for x in self.amplitudes.imag],
-        }
-
     @classmethod
     def from_json(cls, payload: dict) -> "DenseState":
         return cls(_complex_array(payload["re"], payload["im"]), tuple(payload["dims"]))
@@ -122,6 +115,15 @@ def _complex_array(re, im) -> np.ndarray:
     out.real = re
     out.imag = im
     return out
+
+
+class NotUnitary(ValueError):
+    """A basis, of party ``party``, whose columns are not orthonormal by
+    ``residual``, the largest entry of |B^dag B - 1|."""
+
+    def __init__(self, party: int, residual: float):
+        super().__init__(f"basis {party} not unitary (residual {residual})")
+        self.party, self.residual = party, residual
 
 
 class GeneralizedSchmidtState:
@@ -149,9 +151,9 @@ class GeneralizedSchmidtState:
                 raise ValueError(f"basis {i} must be {dims[i]}xk with k >= rank {n}")
             # a non-finite entry gives a NaN or infinite residual, which fails
             with np.errstate(invalid="ignore", over="ignore"):
-                residual = np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[1])))
+                residual = float(np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[1]))))
             if not residual <= UNIT_TOL:
-                raise ValueError(f"basis {i} not unitary (residual {residual})")
+                raise NotUnitary(i, residual)
             mat = mat[:, :n].copy()
             mat.setflags(write=False)
             mats.append(mat)
@@ -464,8 +466,9 @@ def extract_gsd(state: DenseState, tol: float = UNIT_TOL) -> GsdExtraction:
     cofactor be a product across the remaining parties (largest squared
     Schmidt coefficient >= 1 - tol at every cut), one cofactor at a time
     (``_cofactor_chain``); the witness is the first cofactor that fails, at
-    its first failing party.  On success the per-party vectors are checked
-    for orthonormality and become the state's Schmidt columns, and the
+    its first failing party.  On success the per-party vectors become the
+    state's Schmidt columns, which its constructor checks for
+    orthonormality (the ``party_overlap`` witness), and the
     input is contracted with them (``_contract``): the reassembly fidelity,
     |sum_k sqrt(coeff_k) <b_0k|<b_1k|...|state>|^2, must be at least
     1 - UNIT_TOL.
@@ -493,15 +496,11 @@ def extract_gsd(state: DenseState, tol: float = UNIT_TOL) -> GsdExtraction:
     if isinstance(cols, tuple):
         return rejects("entangled_cofactor", *cols)
 
-    # orthonormality of each party's extracted vectors
-    bases = [u0[:, :n], *cols]
-    for party, basis in enumerate(bases):
-        gram = basis.conj().T @ basis
-        residual = float(np.max(np.abs(gram - np.eye(n))))
-        if residual > UNIT_TOL:
-            return rejects("party_overlap", -1, party, residual)
-
-    gss = GeneralizedSchmidtState(dims, ProbVector(coeff_arr), bases)
+    # the constructor checks each party's extracted vectors for orthonormality
+    try:
+        gss = GeneralizedSchmidtState(dims, ProbVector(coeff_arr), [u0[:, :n], *cols])
+    except NotUnitary as exc:
+        return rejects("party_overlap", -1, exc.party, exc.residual)
     diag, _ = _contract([(0, dims[1], 0, mat)], gss.bases)
     fid = float(abs(np.sqrt(gss.coeffs.entries) @ diag[0]) ** 2)
     if fid < 1.0 - UNIT_TOL:

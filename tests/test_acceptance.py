@@ -361,8 +361,8 @@ def test_criterion_7_invariant_suite(tmp_path, capsys):
             if command == "multicopy":
                 argv += ["--copies", "2"]
             exit_codes.add(cli_main(argv))
-    state = DenseState(np.array([1, 0, 0, 0, 0, 0, 0, 1]) / np.sqrt(2), (2, 2, 2))
-    path.write_text(json.dumps({"schema_version": "1", "state": state.to_json()}))
+    ghz = {"dims": [2, 2, 2], "re": [2**-0.5, 0, 0, 0, 0, 0, 0, 2**-0.5], "im": [0] * 8}
+    path.write_text(json.dumps({"schema_version": "1", "state": ghz}))
     exit_codes.add(cli_main(["extract-gsd", "--in", str(path)]))
     capsys.readouterr()
     assert 5 not in exit_codes

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import re
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import locc_forge
 from helpers import (
@@ -30,6 +33,17 @@ JP_PAIR = {"schema_version": "1", "lam": [0.4, 0.4, 0.1, 0.1],
 EASY_PAIR = {"schema_version": "1", "lam": [0.5, 0.5], "mu": [0.75, 0.25]}
 DATA = Path(__file__).resolve().parent / "data"
 
+BELL = {"schema_version": "1", "state": {
+    "dims": [2, 2], "re": [2**-0.5, 0, 0, 2**-0.5], "im": [0] * 4}}
+# raw bytes that are not UTF-8, inside a JSON string
+NON_UTF8 = b'{"schema_version": "1", "lam": [0.5, 0.5], "mu": [0.5, 0.5], "note": "\xff"}'
+INT_401 = "1" + "0" * 400  # fits an int, overflows a float
+# CPython refuses to read an int of more than 4300 digits (since 3.11 and
+# 3.10.7); an interpreter without that limit reads it and overflows the float
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+INT_5000_MESSAGE = ("invalid JSON" if 0 < _DIGIT_LIMIT < 5000
+                    else "bad coefficient vector: int too large to convert to float")
+
 
 def write(tmp_path, payload, name="inst.json"):
     path = tmp_path / name
@@ -42,6 +56,19 @@ def run(capsys, argv):
     captured = capsys.readouterr()
     report = json.loads(captured.out) if captured.out.strip() else None
     return code, report, captured.err
+
+
+def set_stdin(monkeypatch, data: bytes) -> None:
+    """Replace stdin by a UTF-8 text stream over data, as a real one is."""
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+
+
+def assert_input_error(code, out, message) -> None:
+    """Exit 2 with one JSON error report on stdout, an InstanceError whose
+    message holds message."""
+    error = one_json_line(out)["error"]
+    assert code == 2 and error["code"] == 2
+    assert error["type"] == "InstanceError" and message in error["message"]
 
 
 class TestCheck:
@@ -137,12 +164,95 @@ class TestExitCodes:
         ("extract-gsd", '{"schema_version": "1", "state": {"dims": [2.5, 2.9], '
          '"re": [1, 0, 0, 0], "im": [0, 0, 0, 0]}}',
          "bad dense state: 2.5 is not a whole number"),
+        # input faults that once ended in a traceback (exit 1) or in exit 5
+        pytest.param("check", NON_UTF8, "'utf-8' codec can't decode byte 0xff",
+                     id="non-utf8-bytes"),
+        pytest.param("check", '{"schema_version": "1", "lam": [1' + "0" * 4999
+                     + ', 0.5], "mu": [0.5, 0.5]}', INT_5000_MESSAGE, id="int-of-5000-digits"),
+        pytest.param("check", '{"schema_version": "1", "lam": ' + "[" * 100_000
+                     + "]" * 100_000 + ', "mu": [0.5, 0.5]}',
+                     "maximum recursion depth exceeded", id="lam-nested-100000-deep"),
+        pytest.param("check", '{"schema_version": "1", "lam": [' + INT_401
+                     + ', 0.5], "mu": [0.5, 0.5]}',
+                     "bad coefficient vector: int too large to convert to float",
+                     id="int-of-401-digits-in-lam"),
+        pytest.param("extract-gsd", '{"schema_version": "1", "state": {"dims": [2, 2], '
+                     '"re": [' + INT_401 + ', 0, 0, 0], "im": [0, 0, 0, 0]}}',
+                     "bad dense state: int too large to convert to float",
+                     id="int-of-401-digits-in-state"),
+        pytest.param("simulate", '{"schema_version": "1", "lam": [0.5, 0.5], '
+                     '"mu": [0.75, 0.25], "bases": [{"re": [[' + INT_401 + ', 0], [0, 1]], '
+                     '"im": [[0, 0], [0, 0]]}, [[1, 0], [0, 1]]]}',
+                     "bases[0]: bad re/im matrix: int too large to convert to float",
+                     id="int-of-401-digits-in-bases"),
     ])
     def test_malformed_instance_exits_2(self, tmp_path, capsys, command, text, message):
         path = tmp_path / "inst.json"
-        path.write_text(text)
-        code, report, _ = run(capsys, [command, "--in", str(path)])
-        assert code == 2 and message in report["error"]["message"]
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
+        code, out = raw_run(capsys, [command, "--in", str(path)])
+        assert_input_error(code, out, message)
+
+    def test_non_utf8_plan_exits_2(self, tmp_path, capsys):
+        plan = tmp_path / "plan.json"
+        plan.write_bytes(b'{"n": 2, "outcomes": [], "note": "\xff"}')
+        code, out = raw_run(capsys, ["simulate", "--in", write(tmp_path, EASY_PAIR),
+                                     "--plan", str(plan)])
+        assert_input_error(code, out, "'utf-8' codec can't decode byte 0xff")
+
+    def test_non_utf8_stdin_exits_2(self, capsys, monkeypatch):
+        set_stdin(monkeypatch, NON_UTF8)
+        code, out = raw_run(capsys, ["check", "--in", "-"])
+        assert_input_error(code, out, "invalid JSON in -: 'utf-8' codec can't decode")
+
+    def test_nesting_at_the_parser_limit_exits_0_or_2(self, tmp_path, capsys):
+        """Nesting that parses but is too deep to print where the report
+        holds it is bad input too: every depth just below the deepest that
+        parses here exits 0 or 2, with one JSON line."""
+        def parses(depth):
+            try:
+                json.loads("[" * depth + "]" * depth)
+            except RecursionError:
+                return False
+            return True
+
+        lo, hi = 1, 200_000
+        if parses(hi):
+            pytest.skip("this interpreter parses JSON nested 200000 deep")
+        while hi - lo > 1:  # parses(lo) and not parses(hi)
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if parses(mid) else (lo, mid)
+        codes = set()
+        for depth in range(max(1, lo - 60), hi + 5):
+            note = "[" * depth + "]" * depth
+            path = tmp_path / "inst.json"
+            path.write_text(json.dumps(dict(EASY_PAIR, note="@")).replace('"@"', note))
+            code, out = raw_run(capsys, ["check", "--in", str(path)])
+            assert code in (0, 2)
+            one_json_line(out)
+            codes.add(code)
+        assert codes == {0, 2}
+
+    @pytest.mark.parametrize("command, payload", [
+        *((command, dict(EASY_PAIR, m=7))
+          for command in ("check", "plan", "simulate", "pmax", "conclusive", "multicopy",
+                          "catalyst")),
+        ("check", dict(EASY_PAIR, dims=[2] * 7)),
+        ("extract-gsd", dict(BELL, m=7)),
+    ])
+    def test_more_than_six_parties_exits_4(self, tmp_path, capsys, command, payload):
+        code, report, _ = run(capsys, [command, "--in", write(tmp_path, payload)])
+        assert code == 4
+        assert report["error"] == {"code": 4, "type": "CapExceeded",
+                                   "message": "7 parties exceed cap 6"}
+
+    def test_party_count_is_capped_before_dims_are_built(self, tmp_path, capsys):
+        start = time.perf_counter()
+        code, report, _ = run(capsys, ["check", "--in", write(tmp_path, dict(EASY_PAIR, m=10**6))])
+        assert time.perf_counter() - start < 1.0
+        assert code == 4 and report["error"]["message"] == "1000000 parties exceed cap 6"
 
     @pytest.mark.parametrize("argv, message", [
         (["catalyst", "--dmax", "0"], "--dmax must be >= 1"),
@@ -440,11 +550,10 @@ class TestSimulate:
         # plan | simulate --plan -: the rebuilt diagonals and checks are the
         # synthesized ones, so the report matches simulate without --plan
         # bit for bit, check table included
-        import io
         inst_path = write(tmp_path, payload)
         code, plan_text = raw_run(capsys, ["plan", "--in", inst_path])
         assert code == 0
-        monkeypatch.setattr("sys.stdin", io.StringIO(plan_text))
+        set_stdin(monkeypatch, plan_text.encode())
         code, piped = raw_run(capsys, ["simulate", "--in", inst_path, "--plan", "-"])
         assert code == 0
         code, direct = raw_run(capsys, ["simulate", "--in", inst_path])
@@ -940,8 +1049,7 @@ class TestReportContract:
         assert exc.value.code == 2
 
     def test_stdin_instance(self, tmp_path, capsys, monkeypatch):
-        import io
-        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(EASY_PAIR)))
+        set_stdin(monkeypatch, json.dumps(EASY_PAIR).encode())
         code, report, _ = run(capsys, ["check", "--in", "-"])
         assert code == 0 and report["verdict"] == "convertible"
 
@@ -1088,6 +1196,77 @@ class TestDarkLevels:
     def test_smallest_dark_pair_exits_0(self, capsys, command):
         code, report, _ = run(capsys, [command, "--in", str(DATA / "dark_n3.json")])
         assert code == 0 and report["pass"] is True
+
+
+# valid instances, each with a command that reads it, for the mutation fuzz
+FUZZ_SEEDS = [
+    (["check"], EASY_PAIR),
+    (["pmax"], JP_PAIR),
+    (["plan"], EASY_PAIR),
+    (["simulate"], dict(EASY_PAIR, m=3)),
+    (["simulate"], dict(EASY_PAIR, bases=[
+        {"re": [[0.6, 0.8], [0.8, -0.6]], "im": [[0, 0], [0, 0]]}, [[0, 1], [1, 0]]])),
+    (["conclusive"], {"schema_version": "1", "lam": [0.9, 0.1], "mu": [0.6, 0.4],
+                      "dims": [2, 3]}),
+    (["multicopy"], JP_PAIR),
+    (["catalyst"], EASY_PAIR),
+    (["extract-gsd"], GHZ),
+]
+# where a structural mutation puts its value: a top-level key, or a key or
+# index one level down (at the top level where that is missing)
+FUZZ_PATHS = ["schema_version", "lam", "mu", "m", "dims", "bases", "state", "note",
+              ("lam", 0), ("dims", 1), ("bases", 0), ("state", "re"), ("state", "dims")]
+MUTATIONS = st.one_of(
+    st.tuples(st.just("truncate"), st.floats(0, 1)),
+    st.tuples(st.just("flip"), st.floats(0, 1), st.integers(0, 7)),
+    st.tuples(st.just("nest"), st.sampled_from(FUZZ_PATHS), st.integers(1, 100_000)),
+    st.tuples(st.just("huge"), st.sampled_from(FUZZ_PATHS), st.integers(309, 5000)),
+    st.tuples(st.just("retype"), st.sampled_from(FUZZ_PATHS),
+              st.sampled_from(["x", True, None, -1, 2.5, {}, [], {"re": 1}])),
+)
+
+
+def mutate(payload: dict, mutation) -> bytes:
+    """The instance file of payload, truncated, with one bit flipped, or
+    with the value at a path replaced by deep nesting, an integer of many
+    digits or a value of another type."""
+    kind, *rest = mutation
+    if kind in ("truncate", "flip"):
+        data = bytearray(json.dumps(payload).encode())
+        at = int(rest[0] * (len(data) - 1))
+        if kind == "truncate":
+            return bytes(data[:at])
+        data[at] ^= 1 << rest[1]
+        return bytes(data)
+    path, arg = rest
+    text = {"nest": lambda k: "[" * k + "]" * k, "huge": lambda k: "1" + "0" * k,
+            "retype": json.dumps}[kind](arg)
+    payload = json.loads(json.dumps(payload))
+    key, *sub = path if isinstance(path, tuple) else (path,)
+    parent = payload.get(key)
+    if sub and (isinstance(parent, dict) and isinstance(sub[0], str)
+                or isinstance(parent, list) and sub[0] < len(parent)):
+        parent[sub[0]] = "@"
+    else:
+        payload[key] = "@"
+    return json.dumps(payload).replace('"@"', text).encode()
+
+
+class TestInputFuzz:
+    """Malformed instance files, made from valid ones, never end in a
+    traceback or in exit 5: every run exits 0, 2, 3 or 4 with one JSON line
+    on stdout.  A loader-level check, not the domain gate of every command."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.sampled_from(FUZZ_SEEDS), mutation=MUTATIONS)
+    def test_mutated_instances_exit_0_2_3_or_4(self, tmp_path, capsys, seed, mutation):
+        argv, payload = seed
+        path = tmp_path / "inst.json"
+        path.write_bytes(mutate(payload, mutation))
+        code, out = raw_run(capsys, argv + ["--in", str(path)])
+        assert code in (0, 2, 3, 4), out
+        assert ("error" in one_json_line(out)) is (code != 0)
 
 
 class TestModuleEntry:

@@ -34,7 +34,7 @@ from locc_forge import (
 )
 from locc_forge import probabilistic, simulator
 from locc_forge.majorization import UNIT_TOL
-from locc_forge.simulator import _cofactor_chain, _coords
+from locc_forge.simulator import NotUnitary, _cofactor_chain, _coords
 
 BELL = DenseState(np.array([1, 0, 0, 1]) / np.sqrt(2), (2, 2))
 GHZ = DenseState(np.array([1, 0, 0, 0, 0, 0, 0, 1]) / np.sqrt(2), (2, 2, 2))
@@ -55,10 +55,10 @@ class TestDenseState:
             DenseState([], (1024, 1024, 2))
 
     def test_json_roundtrip(self):
-        state = DenseState(np.array([0.6, 0.8j]), (2,))
-        clone = DenseState.from_json(state.to_json())
-        np.testing.assert_allclose(clone.amplitudes, state.amplitudes)
-        assert clone.dims == state.dims
+        # the {dims, re, im} payload of an instance file's "state"
+        state = DenseState.from_json({"dims": [2], "re": [0.6, 0.0], "im": [0.0, 0.8]})
+        np.testing.assert_array_equal(state.amplitudes, [0.6, 0.8j])
+        assert state.dims == (2,)
 
 
 class TestGeneralizedSchmidtState:
@@ -66,6 +66,12 @@ class TestGeneralizedSchmidtState:
         bad = np.array([[1.0, 0.0], [1.0, 0.0]])
         with pytest.raises(ValueError):
             GeneralizedSchmidtState((2, 2), ProbVector([0.5, 0.5]), [bad, np.eye(2)])
+
+    def test_not_unitary_names_party_and_residual(self):
+        bad = np.array([[1.0, 0.0], [0.0, 2.0]])
+        with pytest.raises(NotUnitary, match=r"basis 1 not unitary \(residual 3.0\)") as exc:
+            GeneralizedSchmidtState((2, 2), ProbVector([0.5, 0.5]), [np.eye(2), bad])
+        assert (exc.value.party, exc.value.residual) == (1, 3.0)
 
     def test_rank_must_fit(self):
         with pytest.raises(ValueError):
@@ -635,6 +641,9 @@ class TestExtractGsd:
         result = extract_gsd(DenseState(amp, (2, 2, 2)))
         assert result.verdict == "rejects"
         assert result.witness.kind == "party_overlap"
+        # the state constructor's one unitarity check names the party and |<b0|b1>|
+        assert (result.witness.index, result.witness.party) == (-1, 1)
+        assert result.witness.residual == pytest.approx(2**-0.5, abs=1e-12)
 
     def test_degenerate_rejection_is_flagged_inconclusive(self):
         # rotated-basis GHZ has a degenerate split; the computed Schmidt
