@@ -39,15 +39,7 @@ from .majorization import (
     prefix_excess,
 )
 from .protocol import MeasurementPlan, _realize, build_plan
-from .simulator import (
-    BranchRecord,
-    GeneralizedSchmidtState,
-    Transcript,
-    _branch_checks,
-    _branches,
-    _coords,
-    _record,
-)
+from .simulator import GeneralizedSchmidtState, Transcript, _branch_checks, _record, _run
 
 MAX_TENSOR_ENTRIES = 2**20
 # About 4 s of grid search at the measured 56-63 us per candidate (an open
@@ -249,49 +241,21 @@ def intermediate_state(lam: ProbVector, mu: ProbVector) -> ConclusivePlan:
 def run_conclusive(
     psi: GeneralizedSchmidtState, phi: GeneralizedSchmidtState, plan: ConclusivePlan
 ) -> Transcript:
-    """Deterministic stage into the waypoint, then the settle measurement
-    on party A, with every branch checked against its target.
+    """Deterministic stage into the waypoint omega, then the settle
+    measurement on party A, with every branch checked against its target.
 
-    As in ``run_protocol``, psi, the waypoint omega, phi and the failure
-    state are each reduced to their n diagonal amplitudes in their own
-    bases by one ``_coords`` call: one blocked pass per set of bases,
-    assembled and contracted a slice of party 1's levels at a time, with
-    no array of all D amplitudes held.  ``offdiag_mass`` is the largest
-    squared norm that any of them leaves off its diagonal.  omega and the
-    failure state share psi's bases object, which was checked when psi was
-    built and is not checked again, so they join psi's pass, as does phi
-    when it shares it too.  The settle plan runs on every live stage
-    branch at once, normalized, against phi's diagonal (outcome 0) and
-    the failure state's, and B_phi B_psi^dag is the identity on
-    coordinates.  Overlaps of diagonals equal the dense fidelities.  The
-    check table holds the success probability against p_max, the success
-    fidelity, the probability sum, ``offdiag_mass``, and the stage's own
-    branch checks under ``stage_`` names.
+    ``_run`` runs the stage against omega and settles every live stage
+    branch against phi (outcome 0) and the failure state; omega and the
+    failure state take psi's bases, and B_phi B_psi^dag is the identity on
+    coordinates.  The check table holds the success probability against
+    p_max, the success fidelity, the probability sum, ``offdiag_mass``,
+    and the stage's own branch checks under ``stage_`` names.
     """
-    if psi.dims != phi.dims:
-        raise ValueError(f"incompatible dims {psi.dims} vs {phi.dims}")
-    if psi.n != phi.n:
-        raise ValueError("pad coefficient vectors to a common rank first")
-    stage, settle = plan.deterministic_stage, plan.settle
-    if stage.n != psi.n or settle.n != psi.n:
-        raise ValueError("plan dimension does not match the states")
-    omega = psi._with_coeffs(plan.gamma)
-    states = [psi, omega, phi]
+    stage = plan.deterministic_stage
+    targets = [plan.gamma, phi]
     if plan.failure_coeffs is not None:
-        states.append(psi._with_coeffs(plan.failure_coeffs))
-    coords = _coords(*states)
-    psi_c, omega_c, *targets = [diag for diag, _ in coords]
-
-    stage_probs, stage_fids = _branches(stage, psi_c, omega_c)
-    stage_records = tuple(map(_record, range(stage.weights.size), stage_probs.tolist(),
-                              stage_fids.tolist()))
-    # every live stage branch, normalized, in omega's levels
-    live = stage_probs > 0.0
-    moved = np.empty(stage.diags.shape, dtype=complex)
-    moved[np.arange(len(moved))[:, None], stage.perms] = stage.diags * psi_c
-    sources = moved[live] / np.sqrt(stage_probs[live])[:, None]
-    probs, fids = _branches(settle, sources, np.array(targets))
-    settled = iter(zip((stage_probs[live, None] * probs).tolist(), fids.tolist()))
+        targets.append(plan.failure_coeffs)
+    stage_records, offdiag, settled = _run(psi, targets, stage, plan.settle)
 
     branches = []
     for record in stage_records:
@@ -309,7 +273,7 @@ def run_conclusive(
         "success_prob_error": Check.within(abs(success_prob - plan.p_max), UNIT_TOL),
         "min_success_fidelity": Check.fidelity(success_fid),
         "prob_sum_error": Check.within(abs(prob_sum - 1.0), UNIT_TOL),
-        "offdiag_mass": Check.within(max(mass for _, mass in coords), UNIT_TOL),
+        "offdiag_mass": offdiag,
         **{f"stage_{name}": check for name, check in stage_checks.items()},
     }
     return Transcript(tuple(branches), checks)

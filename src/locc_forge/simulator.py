@@ -36,6 +36,7 @@ table holds each check once, with its value, tolerance and verdict.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,13 +57,14 @@ _BLOCK = 2**14
 def _check_caps(dims: tuple[int, ...]) -> int:
     if len(dims) > MAX_PARTIES:
         raise CapExceeded(f"{len(dims)} parties exceed cap {MAX_PARTIES}")
-    total = 1
     for d in dims:
         if d < 1:
             raise ValueError(f"bad local dimension {d}")
+    total = 1
+    for d in dims:
         total *= d
-    if total > MAX_AMPLITUDES:
-        raise CapExceeded(f"{total} amplitudes exceed cap {MAX_AMPLITUDES}")
+        if total > MAX_AMPLITUDES:  # before the product can outgrow str()
+            raise CapExceeded(f"the dims' amplitudes exceed cap {MAX_AMPLITUDES}")
     return total
 
 
@@ -370,35 +372,65 @@ def _branch_checks(
     }
 
 
+def _run(
+    psi: GeneralizedSchmidtState,
+    targets: list[GeneralizedSchmidtState | ProbVector],
+    plan: MeasurementPlan,
+    settle: MeasurementPlan | None = None,
+) -> tuple[tuple[BranchRecord, ...], Check, Iterator | None]:
+    """Run plan's outcomes on psi against targets[0] and, given settle,
+    settle's outcome i on every live branch against targets[1 + i].
+
+    A target is a state, or a coefficient vector standing for psi's state
+    with those coefficients, which shares psi's checked bases and so its
+    dense pass.  psi and the targets are reduced to their n diagonal
+    amplitudes in their own bases by one ``_coords`` call, one blocked
+    pass per set of bases.  Outcome j scales psi's diagonal by its Kraus
+    diagonal (the squared norm is the simulated probability) and permutes
+    it by its relabeling; the overlap with a target's diagonal is the dense
+    fidelity, as both dense states carry the target's bases.  settle runs
+    on every live branch at once, normalized, in the levels plan moved it
+    to.  Returns plan's records, the ``offdiag_mass`` check (the most
+    squared norm psi or a target leaves off its diagonal) and, given
+    settle, an iterator of one (probabilities, fidelities) pair per live
+    record, the probabilities of the whole run.
+    """
+    for target in targets:
+        if isinstance(target, ProbVector):
+            continue
+        if psi.dims != target.dims:
+            raise ValueError(f"incompatible dims {psi.dims} vs {target.dims}")
+        if psi.n != target.n:
+            raise ValueError("pad coefficient vectors to a common rank first")
+    if plan.n != psi.n or (settle is not None and settle.n != psi.n):
+        raise ValueError("plan dimension does not match the states")
+    states = [psi._with_coeffs(t) if isinstance(t, ProbVector) else t for t in targets]
+    diags, masses = zip(*_coords(psi, *states))
+    probs, fids = _branches(plan, diags[0], diags[1])
+    records = tuple(map(_record, range(plan.weights.size), probs.tolist(), fids.tolist()))
+    offdiag = Check.within(max(masses), UNIT_TOL)
+    if settle is None:
+        return records, offdiag, None
+    live = probs > 0.0
+    moved = np.empty(plan.diags.shape, dtype=complex)
+    moved[np.arange(len(moved))[:, None], plan.perms] = plan.diags * diags[0]
+    sources = moved[live] / np.sqrt(probs[live])[:, None]
+    settle_probs, settle_fids = _branches(settle, sources, np.array(diags[2:]))
+    return records, offdiag, iter(zip((probs[live, None] * settle_probs).tolist(),
+                                      settle_fids.tolist()))
+
+
 def run_protocol(
     psi: GeneralizedSchmidtState,
     phi: GeneralizedSchmidtState,
     plan: MeasurementPlan,
 ) -> Transcript:
-    """Execute measure-broadcast-rotate on every outcome and verify it.
-
-    psi and phi are each reduced to their n diagonal amplitudes in their
-    own bases by ``_coords``: one blocked pass if they share their bases
-    object, as the CLI's states do, else one pass each, a slice of party
-    1's levels at a time, with no array of all D amplitudes held.
-    Outcome j multiplies psi's diagonal
-    by its Kraus diagonal (the squared norm is the simulated probability)
-    and permutes it by its relabeling.  Its overlap with phi's diagonal
-    equals that of B_phi P_j B_psi^dag M_j |psi> with |phi>: both dense
-    states carry the same local unitary, phi's bases.  The check table
-    adds ``offdiag_mass``, the larger squared norm that either state leaves
-    off its diagonal, to the branch checks.
-    """
-    if psi.dims != phi.dims:
-        raise ValueError(f"incompatible dims {psi.dims} vs {phi.dims}")
-    if plan.n != psi.n or plan.n != phi.n:
-        raise ValueError("plan dimension does not match the states")
-    (source, psi_mass), (target, phi_mass) = _coords(psi, phi)
-    probs, fids = _branches(plan, source, target)
-    records = tuple(map(_record, range(plan.weights.size), probs.tolist(), fids.tolist()))
-    checks = _branch_checks(plan.weights, records)
-    checks["offdiag_mass"] = Check.within(max(psi_mass, phi_mass), UNIT_TOL)
-    return Transcript(records, checks)
+    """Execute measure-broadcast-rotate on every outcome and verify it
+    (``_run``).  The check table adds ``offdiag_mass`` to the branch
+    checks."""
+    records, offdiag, _ = _run(psi, [phi], plan)
+    return Transcript(records, {**_branch_checks(plan.weights, records),
+                                "offdiag_mass": offdiag})
 
 
 @dataclass(frozen=True)

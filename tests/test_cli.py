@@ -38,6 +38,7 @@ BELL = {"schema_version": "1", "state": {
 # raw bytes that are not UTF-8, inside a JSON string
 NON_UTF8 = b'{"schema_version": "1", "lam": [0.5, 0.5], "mu": [0.5, 0.5], "note": "\xff"}'
 INT_401 = "1" + "0" * 400  # fits an int, overflows a float
+INT_4001 = 10**4000  # within CPython's 4300-digit limit on int <-> str
 # CPython refuses to read an int of more than 4300 digits (since 3.11 and
 # 3.10.7); an interpreter without that limit reads it and overflows the float
 _DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -316,6 +317,22 @@ class TestExitCodes:
         code, report, _ = run(capsys, ["simulate", "--in", write(tmp_path, inst)])
         assert code == 4
         assert report["error"]["type"] == "CapExceeded"
+
+    @pytest.mark.parametrize("command, payload", [
+        ("simulate", dict(EASY_PAIR, dims=[INT_4001, INT_4001])),
+        ("conclusive", dict(EASY_PAIR, dims=[INT_4001, INT_4001])),
+        ("extract-gsd", {**BELL, "state": {**BELL["state"], "dims": [INT_4001, INT_4001]}}),
+    ])
+    def test_dims_whose_product_outgrows_str_exit_4(self, tmp_path, capsys, command, payload):
+        # each dim reads, but their 8001-digit product has no str()
+        code, out = raw_run(capsys, [command, "--in", write(tmp_path, payload)])
+        error = one_json_line(out)["error"]
+        assert code == 4 and error["type"] == "CapExceeded"
+
+    def test_dims_are_checked_before_their_product(self, tmp_path, capsys):
+        payload = {**BELL, "state": {**BELL["state"], "dims": [INT_4001, 0]}}
+        code, out = raw_run(capsys, ["extract-gsd", "--in", write(tmp_path, payload)])
+        assert_input_error(code, out, "bad local dimension 0")
 
     def test_multicopy_cap_exits_4(self, tmp_path, capsys):
         inst = {"schema_version": "1", "lam": [1.0 / 64] * 64, "mu": [1.0 / 64] * 64}

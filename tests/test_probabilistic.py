@@ -449,6 +449,21 @@ class TestRunConclusive:
             brute_force_pmax(lam, mu), abs=1e-9
         )
 
+    @pytest.mark.parametrize("case, message", [
+        ("dims", r"incompatible dims \(3, 3\) vs \(3, 3, 3\)"),
+        ("rank", "pad coefficient vectors to a common rank first"),
+        ("plan", "plan dimension does not match the states"),
+    ])
+    def test_mismatched_inputs_are_refused(self, case, message):
+        lam, mu, mu3 = ProbVector([0.9, 0.1]), ProbVector([0.6, 0.4]), ProbVector([0.6, 0.3, 0.1])
+        psi = GeneralizedSchmidtState.computational((3, 3), lam)
+        phi = GeneralizedSchmidtState.computational((3, 3, 3) if case == "dims" else (3, 3),
+                                                    mu3 if case == "rank" else mu)
+        plan = (intermediate_state(ProbVector([0.5, 0.3, 0.2]), mu3) if case == "plan"
+                else intermediate_state(lam, mu))
+        with pytest.raises(ValueError, match=message):
+            run_conclusive(psi, phi, plan)
+
 
 def conclusive_instance(rng, dims, n):
     """Random bases and a pair whose conclusive run has a failure branch and

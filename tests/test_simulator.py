@@ -32,7 +32,7 @@ from locc_forge import (
     run_conclusive,
     run_protocol,
 )
-from locc_forge import probabilistic, simulator
+from locc_forge import simulator
 from locc_forge.majorization import UNIT_TOL
 from locc_forge.simulator import NotUnitary, _cofactor_chain, _coords
 
@@ -280,8 +280,20 @@ class TestRunProtocol:
         lam = ProbVector([0.5, 0.5])
         psi = GeneralizedSchmidtState.computational((2, 2), lam)
         phi = GeneralizedSchmidtState.computational((2, 2, 2), lam)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"incompatible dims \(2, 2\) vs \(2, 2, 2\)"):
             run_protocol(psi, phi, build_plan(lam, lam))
+
+    @pytest.mark.parametrize("case, message", [
+        ("rank", "pad coefficient vectors to a common rank first"),
+        ("plan", "plan dimension does not match the states"),
+    ])
+    def test_ranks_must_match(self, case, message):
+        lam, lam3 = ProbVector([0.5, 0.5]), ProbVector([0.5, 0.3, 0.2])
+        psi = GeneralizedSchmidtState.computational((3, 3), lam)
+        phi = GeneralizedSchmidtState.computational((3, 3), lam3 if case == "rank" else lam)
+        plan = build_plan(lam3, lam3) if case == "plan" else build_plan(lam, lam)
+        with pytest.raises(ValueError, match=message):
+            run_protocol(psi, phi, plan)
 
 
 def swap_heaviest_perms(plan: MeasurementPlan) -> MeasurementPlan:
@@ -519,7 +531,6 @@ class TestCoords:
             return [_coords(s)[0] for s in states]
 
         monkeypatch.setattr(simulator, "_coords", per_state)
-        monkeypatch.setattr(probabilistic, "_coords", per_state)
         for (run, *args), (tx, _) in zip(runs, fused):
             alone = run(*args)
             assert alone.passed and tx.passed
