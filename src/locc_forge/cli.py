@@ -126,11 +126,12 @@ def _parse_matrix(obj, label: str) -> np.ndarray:
 
 def _digest(arrays) -> dict:
     """sha256 over each array's shape (little-endian int64) and its C-order
-    little-endian complex128 bytes, in order."""
+    little-endian complex128 bytes, in order; a C-contiguous complex128
+    array is hashed through its own buffer, not a copy."""
     h = hashlib.sha256()
     for arr in arrays:
-        h.update(np.asarray(arr.shape, dtype="<i8").tobytes())
-        h.update(np.ascontiguousarray(arr, dtype="<c16").tobytes())
+        h.update(np.asarray(arr.shape, dtype="<i8"))
+        h.update(np.ascontiguousarray(arr, dtype="<c16"))
     return {"sha256": h.hexdigest()}
 
 

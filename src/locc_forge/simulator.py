@@ -20,8 +20,11 @@ scales the diagonal by its Kraus diagonal and a relabeling permutes it,
 O(n) per outcome.  Fidelity needs no rotation back, since the branch and
 the target share the local unitary (any completion of the target's Schmidt
 columns) that separates them from their dense forms.  Extraction
-contracts its input with the product vectors it extracted, and the
-overlap with the extracted state is its reassembly fidelity.
+splits party 0 from the rest by one Hermitian eigensolve of a Gram
+matrix, and then every cofactor of that split at once, one party at a
+time, by one batched eigensolve; it contracts its input with the product
+vectors it extracted, and the overlap with the extracted state is its
+reassembly fidelity.
 
 Classical communication is a recorded event here, not a socket: each
 branch of the transcript is one broadcast outcome, with what the run
@@ -473,37 +476,57 @@ class GsdExtraction:
 
 
 def _cofactor_chain(w: np.ndarray, dims: tuple[int, ...], tol: float):
-    """Split each row k of w, a cofactor over parties 1.., into one vector
-    per party by one SVD per party 1..m-2: the leading left singular vector
-    is the party's and the leading right one goes on.  Returns each party's
-    (d_i, n) columns, or the witness (k, party, residual 1 - s_0^2) of the
-    first cofactor whose residual exceeds tol, at its first such party."""
-    cols = [np.empty((d_i, len(w)), dtype=complex) for d_i in dims[1:]]
-    for k, v in enumerate(w):
-        for party, d_i in enumerate(dims[1:-1], 1):
-            u, s, vh = np.linalg.svd(v.reshape(d_i, -1), full_matrices=False)
-            residual = float(1.0 - s[0] ** 2)
-            if residual > tol:
-                return k, party, residual
-            cols[party - 1][:, k] = u[:, 0]
-            v = vh[0]
-        cols[-1][:, k] = v
-    return cols
+    """Split the rows of w, the n unit cofactors over parties 1.., into one
+    vector per party, all n at once, one party 1..m-2 at a time.  Each
+    cofactor, reshaped to a (d_i, rest) matrix M, gives its Gram matrix
+    M M^H, and one batched ``eigh`` of the n of them gives each top
+    eigenvalue and eigenvector u: u is the party's vector, 1 - the
+    eigenvalue the residual, and u^H M, normalized, goes on.  Where d_i
+    exceeds rest, the Gram matrix is M^H M and the two roles swap, so each
+    is min(d_i, rest) square.  Returns each party's (d_i, n) columns, or
+    the witness (k, party, residual) of the smallest cofactor whose
+    residual exceeds tol, at its first such party."""
+    n = len(w)
+    cols, residuals = [], []
+    for d_i in dims[1:-1]:
+        mats = w.reshape(n, d_i, -1)
+        tall = d_i > mats.shape[2]
+        if tall:
+            mats = mats.conj().transpose(0, 2, 1)
+        vals, vecs = np.linalg.eigh(mats @ mats.conj().transpose(0, 2, 1))
+        top = vecs[:, :, -1]
+        residuals.append(1.0 - vals[:, -1])
+        other = np.matmul(top.conj()[:, None, :], mats)[:, 0]
+        other /= np.linalg.norm(other, axis=1, keepdims=True)
+        u, w = (other.conj(), top.conj()) if tall else (top, other)
+        cols.append(u.T)
+    failing = np.array(residuals).reshape(-1, n) > tol
+    if failing.any():
+        k = int(np.flatnonzero(failing.any(axis=0))[0])
+        party = int(np.flatnonzero(failing[:, k])[0])
+        return k, party + 1, float(residuals[party][k])
+    return [*cols, w.T]
 
 
 def extract_gsd(state: DenseState, tol: float = UNIT_TOL) -> GsdExtraction:
     """Operational structured-form test.
 
-    Splits party 0 against the rest, then demands that every retained
-    cofactor be a product across the remaining parties (largest squared
-    Schmidt coefficient >= 1 - tol at every cut), one cofactor at a time
-    (``_cofactor_chain``); the witness is the first cofactor that fails, at
-    its first failing party.  On success the per-party vectors become the
-    state's Schmidt columns, which its constructor checks for
-    orthonormality (the ``party_overlap`` witness), and the
-    input is contracted with them (``_contract``): the reassembly fidelity,
-    |sum_k sqrt(coeff_k) <b_0k|<b_1k|...|state>|^2, must be at least
-    1 - UNIT_TOL.
+    Splits party 0 against the rest: where d_0 is at most the rest's
+    dimension, party 0's vectors U are the eigenvectors of the d_0 x d_0
+    Gram matrix A A^H of the unfolding A, the cofactors are the rows of
+    U^H A over their norms, and the coefficients are their squared norms,
+    accurate near zero where the eigenvalues are not; a taller unfolding
+    is split by its SVD, as the eigenvectors of the rest's Gram matrix
+    would be cofactors as inaccurate as its small eigenvalues.  Then
+    demands that every retained cofactor be a product across the remaining
+    parties (largest squared Schmidt coefficient >= 1 - tol at every cut),
+    all cofactors at once (``_cofactor_chain``); the witness is the
+    smallest cofactor that fails, at its first failing party.  On success
+    the per-party vectors become the state's Schmidt columns, which its
+    constructor checks for orthonormality (the ``party_overlap`` witness),
+    and the input is contracted with them (``_contract``): the reassembly
+    fidelity, |sum_k sqrt(coeff_k) <b_0k|<b_1k|...|state>|^2, must be at
+    least 1 - UNIT_TOL.
 
     Degenerate coefficients make the Schmidt basis non-unique; no rotation
     search is attempted, so a rejection under degeneracy is flagged
@@ -514,7 +537,13 @@ def extract_gsd(state: DenseState, tol: float = UNIT_TOL) -> GsdExtraction:
         raise ValueError("need at least two parties")
 
     mat = state.amplitudes.reshape(dims[0], -1)
-    u0, sing, vh = np.linalg.svd(mat, full_matrices=False)
+    if mat.shape[0] <= mat.shape[1]:
+        u0 = np.linalg.eigh(mat @ mat.conj().T)[1][:, ::-1]
+        w = u0.conj().T @ mat
+        sing = np.linalg.norm(w, axis=1)
+    else:
+        u0, sing, vh = np.linalg.svd(mat, full_matrices=False)
+        w = sing[:, None] * vh
     lam = sing**2
     n = int(np.sum(lam > ZERO_TOL))
     coeff_arr = lam[:n]
@@ -524,7 +553,7 @@ def extract_gsd(state: DenseState, tol: float = UNIT_TOL) -> GsdExtraction:
         return GsdExtraction("rejects", witness=GsdWitness(kind, index, party, residual),
                              inconclusive_degenerate=degenerate)
 
-    cols = _cofactor_chain(vh[:n], dims, tol)
+    cols = _cofactor_chain(w[:n] / sing[:n, None], dims, tol)
     if isinstance(cols, tuple):
         return rejects("entangled_cofactor", *cols)
 

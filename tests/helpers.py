@@ -4,7 +4,10 @@ The oracles are deliberately plain Python (no calls into the package) so
 they stay independent of the code paths they check.  Two exceptions, in
 numpy: ``frozen_mixture_for`` and ``frozen_gsd_chain`` are the
 permutohedron walk and the cofactor chain of GSD extraction as first
-written, the references that the current forms must match bit for bit; and
+written.  The current walk must match its reference bit for bit.  The
+current chain splits by Hermitian eigensolves, not SVDs, so it must match
+to rounding: the same witness, residuals within 1e-14, and each extracted
+column within 1e-13 up to one unit phase.  The other exception is
 the dense oracles, which assemble states term by term
 (``assemble_unsorted``), compare them by a plain ``np.vdot`` and run every
 branch with dense per-party operators through ``apply_local`` below, the
@@ -181,7 +184,7 @@ def _frozen_largest_step(rest, mass, vertex, start, prefix):
 
 def frozen_gsd_chain(w: np.ndarray, dims) -> tuple[list[np.ndarray], np.ndarray]:
     """The cofactor chain of ``extract_gsd`` as first written, kept as the
-    reference for ``_cofactor_chain``: one SVD per cofactor (row k of w, over
+    SVD reference for ``_cofactor_chain``: one SVD per cofactor (row k of w, over
     parties 1..) and party 1..m-2, whose leading left singular vector is
     the party's and whose leading right one goes on.  Returns each party's
     (d_i, n) columns and the (m - 2, n) residuals 1 - s_0^2; no cofactor

@@ -609,6 +609,15 @@ class TestOffdiagMass:
         assert tol == 1e-9 and not ok
 
 
+def assert_columns_match_up_to_phase(got: np.ndarray, want: np.ndarray, atol: float):
+    """Each column of got equals the same column of want times one unit
+    phase, within atol in every entry."""
+    assert got.shape == want.shape
+    overlaps = np.einsum("ik,ik->k", want.conj(), got)
+    phases = overlaps / np.abs(overlaps)
+    assert np.max(np.abs(got - want * phases)) <= atol
+
+
 class TestExtractGsd:
     def test_ghz_admits(self):
         result = extract_gsd(GHZ)
@@ -704,11 +713,17 @@ class TestExtractGsd:
         cols = _cofactor_chain(vh[:3], dims, UNIT_TOL)
         want_cols, want_residuals = frozen_gsd_chain(vh[:3], dims)
         assert np.all(want_residuals <= UNIT_TOL)
-        assert all(np.array_equal(a, b) for a, b in zip(cols, want_cols, strict=True))
+        # the batched eigensolves match the per-cofactor SVDs to rounding,
+        # each extracted column up to one unit phase, also from the split
+        # that extract_gsd takes by its own Gram eigensolve
         result = extract_gsd(state)
         assert result.verdict == "admits"
-        for got, want in zip(result.state.bases[1:], want_cols, strict=True):
-            assert np.array_equal(got, want)
+        for got in (cols, result.state.bases[1:]):
+            for a, b in zip(got, want_cols, strict=True):
+                assert_columns_match_up_to_phase(a, b, 1e-13)
+        # with every cofactor failing, the witness is cofactor 0 at party 1
+        k, party, residual = _cofactor_chain(vh[:3], dims, -1.0)
+        assert (k, party) == (0, 1) and abs(residual - want_residuals[0, 0]) <= 1e-14
 
     def test_chain_stops_when_cofactor_0_fails(self):
         # a generic state fails at cofactor 0, party 1: the chain returns
@@ -764,11 +779,42 @@ class TestExtractGsd:
             failing = residuals > UNIT_TOL
             k = int(np.flatnonzero(failing.any(axis=0))[0])
             party = int(np.flatnonzero(failing[:, k])[0]) + 1
-            want = (k, party, residuals[party - 1, k])
-            assert _cofactor_chain(vh[:3], dims, UNIT_TOL) == want
-            assert (w.index, w.party, w.residual) == want
+            want = residuals[party - 1, k]
+            got = _cofactor_chain(vh[:3], dims, UNIT_TOL)
+            assert got[:2] == (k, party) and abs(got[2] - want) <= 1e-14
+            assert (w.index, w.party) == (k, party) and abs(w.residual - want) <= 1e-14
             seen.add((k, party))
         assert len(seen) > 2
+
+    @pytest.mark.parametrize("t", [1e-11, 3e-12, 1.5e-12])
+    @pytest.mark.parametrize("dims", [(6, 5, 4), (4,) * 4, (32, 4, 4), (64, 8, 4)])
+    def test_tiny_coefficient_is_extracted(self, dims, t):
+        # a coefficient near ZERO_TOL, in Haar-random bases, through party
+        # 0's split by Gram eigensolve (d0 <= rest) and by SVD (d0 > rest):
+        # coefficients are squared cofactor norms, accurate near zero where
+        # the eigenvalues carry an absolute error ~1e-16, and a tall split's
+        # cofactors are not the rest's eigenvectors
+        rng = np.random.default_rng(int(1 / t) % 2**32 + sum(dims))
+        coeffs = ProbVector([0.5, 0.3, 0.2 - t, t])
+        state = assemble_unsorted(random_gss(rng, coeffs, dims))
+        result = extract_gsd(state)
+        assert result.verdict == "admits", result.witness
+        assert np.max(np.abs(result.state.coeffs.entries - coeffs.entries)) <= 1e-15
+        assert 1.0 - dense_fidelity(assemble_unsorted(result.state), state) <= UNIT_TOL
+
+    @pytest.mark.parametrize("dims, n", [((16,) * 5, 16), ((2, 2**19), 2),
+                                         ((2**19, 2), 2), ((2, 2**18, 2), 2)])
+    def test_admits_at_amplitude_cap(self, dims, n):
+        # 2^20 amplitudes: a wide split with n = 16 cofactors, the widest
+        # and the tallest split, and a chain party far larger than the rest
+        rng = np.random.default_rng(n + len(dims))
+        coeffs = random_probs(rng, n, floor=0.01)
+        state = assemble_unsorted(random_gss(rng, coeffs, dims))
+        assert state.amplitudes.size == simulator.MAX_AMPLITUDES
+        result = extract_gsd(state)
+        assert result.verdict == "admits"
+        np.testing.assert_allclose(result.state.coeffs.entries, coeffs.entries,
+                                   rtol=0, atol=1e-14)
 
 
 @settings(max_examples=100, deadline=None)
