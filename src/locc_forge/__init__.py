@@ -25,9 +25,9 @@ from .probabilistic import (
     catalysis_search,
     intermediate_state,
     multicopy_check,
+    multicopy_profile,
     pmax,
     run_conclusive,
-    tensor_power,
 )
 from .protocol import MeasurementPlan, build_plan
 from .simulator import (
@@ -69,9 +69,9 @@ __all__ = [
     "is_majorized",
     "mixture_for",
     "multicopy_check",
+    "multicopy_profile",
     "pad_to",
     "pmax",
     "run_conclusive",
     "run_protocol",
-    "tensor_power",
 ]

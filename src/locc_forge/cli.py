@@ -45,7 +45,7 @@ from .majorization import (
 from .probabilistic import (
     catalysis_search,
     intermediate_state,
-    multicopy_check,
+    multicopy_profile,
     pmax,
     run_conclusive,
 )
@@ -302,7 +302,7 @@ def cmd_multicopy(inst: Instance, args) -> Outcome:
     if copies < 1:
         raise InstanceError("--copies must be >= 1")
     per_copy = {
-        str(c): multicopy_check(lam, mu, c) for c in range(1, copies + 1)
+        str(c): ok for c, ok in enumerate(multicopy_profile(lam, mu, copies), 1)
     }
     verdict = per_copy[str(copies)]
     payload = {
@@ -398,8 +398,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     start = time.perf_counter()
     try:
-        payload = _read_json(args.infile)
-        inst = load_instance(payload)
+        inst = load_instance(_read_json(args.infile))
         verdict, body, checks = COMMANDS[args.command](inst, args)
         report = {
             "schema_version": SCHEMA_VERSION,

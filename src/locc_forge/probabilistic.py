@@ -279,27 +279,77 @@ def run_conclusive(
     return Transcript(tuple(branches), checks)
 
 
-def tensor_power(v: ProbVector, copies: int) -> ProbVector:
-    """Sorted elementwise tensor power of a coefficient vector.  A rank-1
-    vector counts as rank 2 against the cap, so its copies are capped too."""
+def _power_terms(vectors: list[np.ndarray], copies: int):
+    """Yield, for c = 1..copies, the distinct terms of the c-th tensor power
+    of each vector (all of length n): one value array per vector, and the
+    multiplicities they share.  A term is a multiset of c levels, made once
+    by extending a nondecreasing level sequence with any level >= its last;
+    its value is the product along it, and its multiplicity c!/prod a_i!,
+    updated as mult * c / run (run: the last level's count), an exact
+    integer in float64 while n^c is within the cap."""
+    n = vectors[0].size
+    level = np.arange(n)
+    run = np.ones(n, dtype=np.int64)
+    mult = np.ones(n)
+    values = list(vectors)
+    yield values, mult
+    for c in range(2, copies + 1):
+        width = n - level
+        src = np.repeat(np.arange(level.size), width)
+        step = np.arange(src.size) - np.repeat(np.cumsum(width) - width, width)
+        level = level[src] + step
+        run = np.where(step == 0, run[src] + 1, 1)
+        mult = mult[src] * c / run
+        values = [vals[src] * v[level] for vals, v in zip(values, vectors)]
+        yield values, mult
+
+
+def _prefix_function(values: np.ndarray, mult: np.ndarray):
+    """A power's prefix-sum function from its distinct terms: breakpoints
+    (cumulative counts), the sums there, and the sorted entries (the slope
+    up to each breakpoint), divided by their total as ProbVector does.
+    The order of equal entries does not change the function."""
+    order = np.argsort(-values)
+    count = mult[order]
+    entries = values[order] / np.dot(values, mult)
+    return np.cumsum(count), np.cumsum(entries * count), entries
+
+
+def _excess_at_breakpoints(own, other) -> np.ndarray:
+    """own's prefix sums minus other's at own's breakpoints below the end,
+    other's function being linear between its own breakpoints."""
+    points, own_sums = own[0][:-1], own[1][:-1]
+    ends, sums, entries = other
+    seg = np.searchsorted(ends, points)
+    return own_sums - (sums[seg] - (ends[seg] - points) * entries[seg])
+
+
+def multicopy_profile(lam: ProbVector, mu: ProbVector, copies: int) -> list[bool]:
+    """Whether lam^{(x)c} is majorized by mu^{(x)c} for c = 1..copies, in
+    the band of ``first_violation``, decided on the distinct terms of each
+    power: the two prefix-sum functions are compared at the breakpoints of
+    either one.  A rank-1 vector counts as rank 2 against the cap."""
+    if len(lam) != len(mu):
+        raise ValueError("dimension mismatch; pad_to first")
     if copies < 1:
         raise ValueError("copies must be >= 1")
-    if max(len(v), 2) ** copies > MAX_TENSOR_ENTRIES:
-        raise CapExceeded(
-            f"{len(v)}^{copies} tensor entries exceed cap {MAX_TENSOR_ENTRIES}"
-            + (" (rank 1 counts as 2)" if len(v) == 1 else "")
-        )
-    out = v.entries
-    for _ in range(copies - 1):
-        out = np.multiply.outer(out, v.entries).reshape(-1)
-    return ProbVector(out)
+    for c in range(1, copies + 1):
+        if max(len(lam), 2) ** c > MAX_TENSOR_ENTRIES:
+            raise CapExceeded(
+                f"{len(lam)}^{c} tensor entries exceed cap {MAX_TENSOR_ENTRIES}"
+                + (" (rank 1 counts as 2)" if len(lam) == 1 else "")
+            )
+    verdicts = []
+    for (lam_c, mu_c), mult in _power_terms([lam.entries, mu.entries], copies):
+        f_lam, f_mu = _prefix_function(lam_c, mult), _prefix_function(mu_c, mult)
+        verdicts.append(not (np.any(_excess_at_breakpoints(f_lam, f_mu) > UNIT_TOL)
+                             or np.any(_excess_at_breakpoints(f_mu, f_lam) < -UNIT_TOL)))
+    return verdicts
 
 
 def multicopy_check(lam: ProbVector, mu: ProbVector, copies: int) -> bool:
-    """True iff the sorted tensor powers satisfy the majorization test."""
-    if len(lam) != len(mu):
-        raise ValueError("dimension mismatch; pad_to first")
-    return is_majorized(tensor_power(lam, copies), tensor_power(mu, copies))
+    """``multicopy_profile``'s verdict at ``copies``."""
+    return multicopy_profile(lam, mu, copies)[-1]
 
 
 @dataclass(frozen=True)

@@ -553,7 +553,9 @@ def extract_gsd(state: DenseState, tol: float = UNIT_TOL) -> GsdExtraction:
         return GsdExtraction("rejects", witness=GsdWitness(kind, index, party, residual),
                              inconclusive_degenerate=degenerate)
 
-    cols = _cofactor_chain(w[:n] / sing[:n, None], dims, tol)
+    cofactors = w[:n]
+    cofactors /= sing[:n, None]  # in place: no second array the size of the state
+    cols = _cofactor_chain(cofactors, dims, tol)
     if isinstance(cols, tuple):
         return rejects("entangled_cofactor", *cols)
 

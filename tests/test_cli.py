@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from helpers import (
     random_probs,
     random_unitary,
     slack_pairs,
+    sorted_tensor,
     t_chain,
 )
 from locc_forge import ProbVector, mixture_for
@@ -715,6 +717,34 @@ class TestLargeDense:
         assert report["pass"] is True
 
 
+class TestParsedInputReleased:
+    def test_command_starts_without_the_parsed_json(self, tmp_path, capsys, monkeypatch):
+        # the instance's JSON float lists (32 B a number) are gone by the
+        # time the command runs: what is traced then is about the amplitude
+        # array of the 8^5 dense state
+        rng = np.random.default_rng(5)
+        amps = rng.standard_normal(8**5) + 1j * rng.standard_normal(8**5)
+        amps /= np.linalg.norm(amps)
+        path = write(tmp_path, {"schema_version": "1", "state": {
+            "dims": [8] * 5, "re": amps.real.tolist(), "im": amps.imag.tolist()}})
+        seen = []
+        command = COMMANDS["extract-gsd"]
+
+        def traced(inst, args):
+            seen.append(tracemalloc.get_traced_memory()[0])
+            return command(inst, args)
+
+        monkeypatch.setitem(COMMANDS, "extract-gsd", traced)
+        tracemalloc.start()
+        try:
+            code = main(["extract-gsd", "--in", path])
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0
+        assert seen[0] <= 1.5 * amps.nbytes
+
+
 class TestOffdiagMass:
     @pytest.mark.parametrize("command", ["simulate", "conclusive"])
     def test_over_tolerance_exits_5(self, tmp_path, capsys, monkeypatch, command):
@@ -803,6 +833,21 @@ class TestOtherCommands:
         assert report["payload"]["per_copy"] == {
             "1": False, "2": False, "3": True}
         assert report["verdict"] == "convertible"
+
+    @pytest.mark.parametrize("lam, mu", [([0.6, 0.4], [0.7, 0.3]), ([0.7, 0.3], [0.6, 0.4])])
+    def test_multicopy_at_the_cap(self, tmp_path, capsys, lam, mu):
+        # 2^20 entries per power at --copies 20; the oracle sorts the full
+        # powers up to 12 copies
+        inst = {"schema_version": "1", "lam": lam, "mu": mu}
+        code, report, _ = run(capsys, [
+            "multicopy", "--in", write(tmp_path, inst), "--copies", "20"])
+        assert code == 0
+        assert report["payload"]["tensor_entries"] == 2**20
+        lam_t, mu_t = [1.0], [1.0]
+        for c in range(1, 13):
+            lam_t, mu_t = sorted_tensor(lam_t, lam), sorted_tensor(mu_t, mu)
+            assert report["payload"]["per_copy"][str(c)] == prefix_sum_majorized(lam_t, mu_t)
+        assert len(set(report["payload"]["per_copy"].values())) == 1
 
     def test_catalyst_finds_and_verifies(self, tmp_path, capsys):
         code, report, _ = run(capsys, [

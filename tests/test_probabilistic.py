@@ -34,6 +34,7 @@ from locc_forge import (
     intermediate_state,
     is_majorized,
     multicopy_check,
+    multicopy_profile,
     pad_to,
     pmax,
     run_conclusive,
@@ -44,6 +45,7 @@ from locc_forge.probabilistic import (
     _grid,
     _grid_partitions,
     _found,
+    _power_terms,
     _refute,
     _tail_ratio_chain,
     _tail_ratio_scan,
@@ -634,6 +636,34 @@ class TestMulticopy:
         v = ProbVector([1.0 / 64] * 64)
         with pytest.raises(CapExceeded):
             multicopy_check(v, v, 4)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_profile_matches_oracle_on_full_powers(self, data):
+        # small integer weights give zero entries and ties, within either
+        # vector and across the two; lam = mu now and then
+        n = data.draw(st.integers(1, 5))
+        weights = st.lists(st.integers(0, 4), min_size=n, max_size=n).filter(any)
+        a = data.draw(weights)
+        b = data.draw(st.one_of(st.just(a), weights))
+        lam, mu = ProbVector(np.array(a) / sum(a)), ProbVector(np.array(b) / sum(b))
+        copies = data.draw(st.integers(1, 6))
+        lam_t, mu_t, want = [1.0], [1.0], []
+        for _ in range(copies):
+            lam_t, mu_t = sorted_tensor(lam_t, lam), sorted_tensor(mu_t, mu)
+            want.append(prefix_sum_majorized(lam_t, mu_t))
+        assert multicopy_profile(lam, mu, copies) == want
+        assert multicopy_check(lam, mu, copies) == want[-1]
+
+    @pytest.mark.parametrize("n, copies", [(1, 20), (2, 20), (3, 12), (4, 10), (5, 8), (32, 4)])
+    def test_terms_count_every_entry_once(self, n, copies):
+        # the multinomial multiplicities add up to n^c exactly, and the
+        # terms carry the power's whole mass
+        v = random_probs(np.random.default_rng(n), n, floor=0.0).entries
+        for c, ((values,), mult) in enumerate(_power_terms([v], copies), 1):
+            assert mult.sum() == n**c
+            assert np.all(mult == np.round(mult))
+            assert abs(np.dot(values, mult) - 1.0) <= 1e-12
 
 
 @functools.lru_cache(maxsize=None)

@@ -733,7 +733,8 @@ class TestExtractGsd:
         vh = np.linalg.svd(z.reshape(4, -1), full_matrices=False)[2]
         residuals = frozen_gsd_chain(vh, (4,) * 4)[1]
         assert residuals[0, 0] > UNIT_TOL
-        assert _cofactor_chain(vh, (4,) * 4, UNIT_TOL) == (0, 1, residuals[0, 0])
+        k, party, residual = _cofactor_chain(vh, (4,) * 4, UNIT_TOL)
+        assert (k, party) == (0, 1) and abs(residual - residuals[0, 0]) <= 1e-14
 
     def test_witness_is_smallest_failing_cofactor_at_its_first_party(self):
         # cofactor 0 = |0> (x) Bell over parties 2, 3: a product at party 1,
