@@ -24,7 +24,6 @@ from .probabilistic import (
     ConclusivePlan,
     catalysis_search,
     intermediate_state,
-    multicopy_check,
     multicopy_profile,
     pmax,
     run_conclusive,
@@ -68,7 +67,6 @@ __all__ = [
     "intermediate_state",
     "is_majorized",
     "mixture_for",
-    "multicopy_check",
     "multicopy_profile",
     "pad_to",
     "pmax",

@@ -1,5 +1,12 @@
 """Command-line harness: JSON instance files in, JSON reports out.
 
+This module is the package's one JSON boundary, with one path for each
+decision.  It reads instance and plan files, the re/im amplitude and
+matrix format included; it checks, as soon as an instance is loaded, that
+the instance echo prints as strict JSON at the depth the report holds it,
+so an unprintable echo exits 2 before the command runs; and it writes
+every report.
+
 Each report, error reports included, is one line of JSON with sorted keys,
 on stdout and, byte for byte, in --out when given; an --out that cannot be
 written is an input error.  A short human-readable summary goes to stderr
@@ -54,7 +61,6 @@ from .simulator import (
     MAX_PARTIES,
     DenseState,
     GeneralizedSchmidtState,
-    _complex_array,
     extract_gsd,
     run_protocol,
 )
@@ -114,6 +120,20 @@ def _read_json(path: str) -> dict:
     if not isinstance(payload, dict):
         raise InstanceError("instance file must hold a JSON object")
     return payload
+
+
+def _complex_array(re, im) -> np.ndarray:
+    """Complex array whose real and imaginary parts are filled from re and
+    im, which must have one shape.  Nothing is multiplied, so an infinite
+    part stays infinite (1j * inf would be nan + inf j, with a warning)."""
+    re = np.asarray(re, dtype=float)
+    im = np.asarray(im, dtype=float)
+    if re.shape != im.shape:
+        raise ValueError(f"re/im shape mismatch {re.shape} vs {im.shape}")
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
 
 
 def _parse_matrix(obj, label: str) -> np.ndarray:
@@ -186,12 +206,22 @@ def load_instance(payload: dict) -> Instance:
 
     state = None
     if payload.get("state") is not None:
+        raw = payload["state"]
         with _InputFaults("bad dense state"):
-            state = DenseState.from_json(payload["state"])
+            state = DenseState(_complex_array(raw["re"], raw["im"]), raw["dims"])
         if state.m < 2:
             raise InstanceError("dense state needs at least two parties")
         echo["state"] = _digest([state.tensor()])
 
+    # the report prints echo at this depth, so what cannot be printed here
+    # (a NaN or infinity in a field nothing reads, or too deep nesting) is
+    # bad input, refused before any command runs
+    try:
+        _encode({"inputs": echo})
+    except RecursionError as exc:
+        raise InstanceError(f"instance nested too deep to print: {exc}") from exc
+    except ValueError as exc:
+        raise InstanceError(f"non-finite number in the instance: {exc}") from exc
     return Instance(lam=lam, mu=mu, dims=dims, bases=bases, state=state, echo=echo)
 
 
@@ -410,17 +440,7 @@ def main(argv: list[str] | None = None) -> int:
             **_checked(checks),
             "wall_time_s": time.perf_counter() - start,
         }
-        try:
-            text = _encode(report)
-        except _INPUT_FAULTS as exc:
-            # a NaN or infinity is bad input (exit 2) if the echoed instance
-            # holds it, say in a field nothing validates, else a fault (exit
-            # 5); so is nesting too deep to print where the report holds it
-            with _InputFaults("instance nested too deep to print"
-                              if isinstance(exc, RecursionError)
-                              else "non-finite number in the instance"):
-                _encode({"inputs": inst.echo})
-            raise
+        text = _encode(report)
     except InstanceError as exc:
         return _fail(args, EXIT_INPUT, "input error", exc)
     except ConversionImpossible as exc:
@@ -442,18 +462,7 @@ def _encode(obj: dict) -> str:
     """One line of strict JSON with sorted keys: a NaN or infinite float
     raises ValueError.  Without indent, json.dumps runs CPython's C encoder;
     floats are spelled by float.__repr__ either way."""
-    return json.dumps(obj, sort_keys=True, allow_nan=False, default=_json_default) + "\n"
-
-
-def _json_default(obj):
-    """Catch stray numpy scalars; everything else is a real type error."""
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
+    return json.dumps(obj, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _option_echo(args) -> dict:

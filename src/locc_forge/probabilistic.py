@@ -347,11 +347,6 @@ def multicopy_profile(lam: ProbVector, mu: ProbVector, copies: int) -> list[bool
     return verdicts
 
 
-def multicopy_check(lam: ProbVector, mu: ProbVector, copies: int) -> bool:
-    """``multicopy_profile``'s verdict at ``copies``."""
-    return multicopy_profile(lam, mu, copies)[-1]
-
-
 @dataclass(frozen=True)
 class CatalysisResult:
     """A search's verdict, catalyst and certificate.  ``checks`` is the

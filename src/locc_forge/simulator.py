@@ -103,24 +103,6 @@ class DenseState:
     def tensor(self) -> np.ndarray:
         return self.amplitudes.reshape(self.dims)
 
-    @classmethod
-    def from_json(cls, payload: dict) -> "DenseState":
-        return cls(_complex_array(payload["re"], payload["im"]), tuple(payload["dims"]))
-
-
-def _complex_array(re, im) -> np.ndarray:
-    """Complex array whose real and imaginary parts are filled from re and
-    im, which must have one shape.  Nothing is multiplied, so an infinite
-    part stays infinite (1j * inf would be nan + inf j, with a warning)."""
-    re = np.asarray(re, dtype=float)
-    im = np.asarray(im, dtype=float)
-    if re.shape != im.shape:
-        raise ValueError(f"re/im shape mismatch {re.shape} vs {im.shape}")
-    out = np.empty(re.shape, dtype=complex)
-    out.real = re
-    out.imag = im
-    return out
-
 
 class NotUnitary(ValueError):
     """A basis, of party ``party``, whose columns are not orthonormal by
@@ -148,6 +130,8 @@ class GeneralizedSchmidtState:
         if len(dims) < 2:
             raise ValueError("need at least two parties")
         _check_caps(dims)
+        if len(bases) != len(dims):
+            raise ValueError("one basis per party required")
         n = len(coeffs)
         mats = []
         for i, b in enumerate(bases):
@@ -162,8 +146,6 @@ class GeneralizedSchmidtState:
             mat = mat[:, :n].copy()
             mat.setflags(write=False)
             mats.append(mat)
-        if len(mats) != len(dims):
-            raise ValueError("one basis per party required")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "bases", tuple(mats))
@@ -535,6 +517,8 @@ def extract_gsd(state: DenseState, tol: float = UNIT_TOL) -> GsdExtraction:
     dims = state.dims
     if len(dims) < 2:
         raise ValueError("need at least two parties")
+    if not 0.0 <= tol < 1.0:
+        raise ValueError("tol must lie in [0, 1)")
 
     mat = state.amplitudes.reshape(dims[0], -1)
     if mat.shape[0] <= mat.shape[1]:

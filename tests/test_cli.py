@@ -167,6 +167,17 @@ class TestExitCodes:
         ("extract-gsd", '{"schema_version": "1", "state": {"dims": [2.5, 2.9], '
          '"re": [1, 0, 0, 0], "im": [0, 0, 0, 0]}}',
          "bad dense state: 2.5 is not a whole number"),
+        # shapes and fields that do not fit the instance or the command
+        ("check", '[0.5, 0.5]', "instance file must hold a JSON object"),
+        ("check", '{"schema_version": "1", "lam": [0.5, 0.3, 0.2], "mu": [0.5, 0.5], '
+         '"dims": [2, 3]}', "every local dimension must be >= rank 3"),
+        ("simulate", '{"schema_version": "1", "lam": [0.5, 0.5], "mu": [0.75, 0.25], '
+         '"bases": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0], [0, 1]]]}',
+         "bases[0] must be 2x2, got (3, 3)"),
+        ("pmax", json.dumps(BELL), "this command needs lam and mu"),
+        ("extract-gsd", '{"schema_version": "1", "state": {"dims": [2, 2], '
+         '"re": [0.6, 0, 0.8], "im": [0, 0, 0]}}',
+         "bad dense state: 3 amplitudes for dims (2, 2)"),
         # input faults that once ended in a traceback (exit 1) or in exit 5
         pytest.param("check", NON_UTF8, "'utf-8' codec can't decode byte 0xff",
                      id="non-utf8-bytes"),
@@ -197,6 +208,20 @@ class TestExitCodes:
             path.write_text(text)
         code, out = raw_run(capsys, [command, "--in", str(path)])
         assert_input_error(code, out, message)
+
+    @pytest.mark.parametrize("note", ["NaN", "1e400"])
+    def test_unprintable_note_exits_2_before_the_command(self, tmp_path, capsys, monkeypatch,
+                                                         note):
+        # a field nothing reads is checked as the report prints it, when
+        # the instance is loaded: the whole extraction does not run first
+        def not_called(inst, args):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setitem(COMMANDS, "extract-gsd", not_called)
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(dict(BELL, note="@")).replace('"@"', note))
+        code, out = raw_run(capsys, ["extract-gsd", "--in", str(path)])
+        assert_input_error(code, out, "non-finite number in the instance")
 
     def test_non_utf8_plan_exits_2(self, tmp_path, capsys):
         plan = tmp_path / "plan.json"
@@ -266,6 +291,7 @@ class TestExitCodes:
         (["extract-gsd", "--tol", "inf"], "--tol must lie in [0, 1)"),
         (["extract-gsd", "--tol=-1"], "--tol must lie in [0, 1)"),
         (["extract-gsd", "--tol", "2"], "--tol must lie in [0, 1)"),
+        (["multicopy", "--copies", "0"], "--copies must be >= 1"),
     ])
     def test_out_of_range_option_exits_2(self, tmp_path, capsys, argv, message):
         path = write(tmp_path, dict(GHZ, lam=JP_PAIR["lam"], mu=JP_PAIR["mu"]))
@@ -615,6 +641,7 @@ class TestSimulate:
         (2.7, "2.7 is not a whole number"),
         ("2", "'2' is not a number"),
         (True, "True is not a number"),
+        (3, "plan dimension 3 does not match instance rank 2"),
     ])
     def test_plan_rank_must_be_whole(self, tmp_path, capsys, n, message):
         plan_path = tmp_path / "plan.json"
@@ -623,6 +650,13 @@ class TestSimulate:
             "simulate", "--in", write(tmp_path, EASY_PAIR), "--plan", str(plan_path)])
         assert code == 2
         assert report["error"]["message"] == f"bad plan payload: {message}"
+
+    def test_plan_file_without_a_plan_exits_2(self, tmp_path, capsys):
+        # neither a plan nor a plan report: an error report has no payload
+        plan_path = write(tmp_path, {"error": {"code": 3}}, "plan.json")
+        code, out = raw_run(capsys, [
+            "simulate", "--in", write(tmp_path, EASY_PAIR), "--plan", plan_path])
+        assert_input_error(code, out, "no measurement plan found in --plan input")
 
     def test_integral_float_counts_are_read(self, tmp_path, capsys):
         inst = dict(EASY_PAIR, dims=[2.0, 3], m=2.0)
@@ -1171,6 +1205,12 @@ class TestInputDigest:
         flipped[3] *= -1
         assert digest([2, 4], flipped) != first
         assert digest([4, 2], amps) != first
+
+    def test_state_is_read_from_re_and_im(self):
+        state = {"dims": [2, 1], "re": [0.6, 0.0], "im": [0.0, 0.8]}
+        inst = load_instance({"schema_version": "1", "state": state})
+        np.testing.assert_array_equal(inst.state.amplitudes, [0.6, 0.8j])
+        assert inst.state.dims == (2, 1)
 
     def test_bases_digest(self):
         rng = np.random.default_rng(6)

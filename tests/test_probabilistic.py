@@ -33,7 +33,6 @@ from locc_forge import (
     first_violation,
     intermediate_state,
     is_majorized,
-    multicopy_check,
     multicopy_profile,
     pad_to,
     pmax,
@@ -573,18 +572,17 @@ class TestConclusiveEngine:
 
 class TestMulticopy:
     def test_single_copy_is_plain_majorization(self):
-        assert multicopy_check(JP_LAM, JP_MU, 1) == is_majorized(JP_LAM, JP_MU)
+        assert multicopy_profile(JP_LAM, JP_MU, 1)[-1] == is_majorized(JP_LAM, JP_MU)
 
     def test_majorized_stays_majorized(self):
         lam, mu = ProbVector([0.5, 0.5]), ProbVector([0.75, 0.25])
-        for copies in (1, 2, 3):
-            assert multicopy_check(lam, mu, copies)
+        assert multicopy_profile(lam, mu, 3) == [True] * 3
 
     def test_classic_pair_multicopy_profile(self):
         # not convertible per copy at 1 and 2, convertible at 3
-        assert not multicopy_check(JP_LAM, JP_MU, 1)
-        assert not multicopy_check(JP_LAM, JP_MU, 2)
-        assert multicopy_check(JP_LAM, JP_MU, 3)
+        assert not multicopy_profile(JP_LAM, JP_MU, 1)[-1]
+        assert not multicopy_profile(JP_LAM, JP_MU, 2)[-1]
+        assert multicopy_profile(JP_LAM, JP_MU, 3)[-1]
         # independent oracle agrees at every copy count
         for copies, expected in ((1, False), (2, False), (3, True)):
             lam_t = [1.0]
@@ -601,10 +599,10 @@ class TestMulticopy:
         for _ in range(2000):
             mu = random_probs(rng, 4, floor=0.0)
             lam = random_probs(rng, 4, floor=0.0)
-            if multicopy_check(lam, mu, 1):
+            if multicopy_profile(lam, mu, 1)[-1]:
                 continue
             for copies in (2, 3):
-                if multicopy_check(lam, mu, copies):
+                if multicopy_profile(lam, mu, copies)[-1]:
                     found = (lam, mu, copies)
                     break
             if found:
@@ -630,12 +628,12 @@ class TestMulticopy:
         for k in range(1, copies + 1):
             lam_t, mu_t = sorted_tensor(lam_t, lam), sorted_tensor(mu_t, mu)
             if k in (1, 2, copies // 2, copies):
-                assert multicopy_check(lam, mu, k) == prefix_sum_majorized(lam_t, mu_t)
+                assert multicopy_profile(lam, mu, k)[-1] == prefix_sum_majorized(lam_t, mu_t)
 
     def test_cap(self):
         v = ProbVector([1.0 / 64] * 64)
         with pytest.raises(CapExceeded):
-            multicopy_check(v, v, 4)
+            multicopy_profile(v, v, 4)
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(st.data())
@@ -653,7 +651,6 @@ class TestMulticopy:
             lam_t, mu_t = sorted_tensor(lam_t, lam), sorted_tensor(mu_t, mu)
             want.append(prefix_sum_majorized(lam_t, mu_t))
         assert multicopy_profile(lam, mu, copies) == want
-        assert multicopy_check(lam, mu, copies) == want[-1]
 
     @pytest.mark.parametrize("n, copies", [(1, 20), (2, 20), (3, 12), (4, 10), (5, 8), (32, 4)])
     def test_terms_count_every_entry_once(self, n, copies):
