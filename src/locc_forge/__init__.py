@@ -26,9 +26,8 @@ from .probabilistic import (
     intermediate_state,
     multicopy_profile,
     pmax,
-    run_conclusive,
 )
-from .protocol import MeasurementPlan, build_plan
+from .protocol import MeasurementPlan, build_plan, realize
 from .simulator import (
     DenseState,
     GeneralizedSchmidtState,
@@ -36,6 +35,7 @@ from .simulator import (
     GsdWitness,
     Transcript,
     extract_gsd,
+    run_conclusive,
     run_protocol,
 )
 
@@ -70,6 +70,7 @@ __all__ = [
     "multicopy_profile",
     "pad_to",
     "pmax",
+    "realize",
     "run_conclusive",
     "run_protocol",
 ]

@@ -5,7 +5,8 @@ decision.  It reads instance and plan files, the re/im amplitude and
 matrix format included; it checks, as soon as an instance is loaded, that
 the instance echo prints as strict JSON at the depth the report holds it,
 so an unprintable echo exits 2 before the command runs; and it writes
-every report.
+every report, each payload shape built here from the fields of the
+library's objects, which hold arrays and check tables and no JSON.
 
 Each report, error reports included, is one line of JSON with sorted keys,
 on stdout and, byte for byte, in --out when given; an --out that cannot be
@@ -47,21 +48,21 @@ from .majorization import (
     first_violation,
     pad_to,
     prefix_excess,
-    to_int,
 )
 from .probabilistic import (
     catalysis_search,
     intermediate_state,
     multicopy_profile,
     pmax,
-    run_conclusive,
 )
-from .protocol import MeasurementPlan, build_plan
+from .protocol import MeasurementPlan, build_plan, realize
 from .simulator import (
     MAX_PARTIES,
     DenseState,
     GeneralizedSchmidtState,
+    Transcript,
     extract_gsd,
+    run_conclusive,
     run_protocol,
 )
 
@@ -122,6 +123,26 @@ def _read_json(path: str) -> dict:
     return payload
 
 
+def _to_float(value) -> float:
+    """A number read from JSON, as a float; strings, booleans and anything
+    else raise TypeError."""
+    if isinstance(value, bool) or not isinstance(
+        value, (int, float, np.integer, np.floating)
+    ):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
+def _to_int(value) -> int:
+    """A count read from JSON: ints and integral floats such as 2.0 pass;
+    fractional and non-finite numbers raise ValueError, and what
+    ``_to_float`` refuses TypeError."""
+    exact = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not exact and not _to_float(value).is_integer():
+        raise ValueError(f"{value!r} is not a whole number")
+    return int(value)
+
+
 def _complex_array(re, im) -> np.ndarray:
     """Complex array whose real and imaginary parts are filled from re and
     im, which must have one shape.  Nothing is multiplied, so an infinite
@@ -178,12 +199,12 @@ def load_instance(payload: dict) -> Instance:
     dims = payload.get("dims")
     with _InputFaults("bad m or dims"):
         if dims is not None:
-            dims = tuple(to_int(d) for d in dims)
-            if m is not None and to_int(m) != len(dims):
+            dims = tuple(_to_int(d) for d in dims)
+            if m is not None and _to_int(m) != len(dims):
                 raise InstanceError(f"m={m} but {len(dims)} dims given")
             m = len(dims)
         else:
-            m = 2 if m is None else to_int(m)
+            m = 2 if m is None else _to_int(m)
     if m < 2:
         raise InstanceError("need at least two parties")
     if m > MAX_PARTIES:  # before any per-party tuple is built
@@ -208,7 +229,8 @@ def load_instance(payload: dict) -> Instance:
     if payload.get("state") is not None:
         raw = payload["state"]
         with _InputFaults("bad dense state"):
-            state = DenseState(_complex_array(raw["re"], raw["im"]), raw["dims"])
+            state = DenseState(_complex_array(raw["re"], raw["im"]),
+                               [_to_int(d) for d in raw["dims"]])
         if state.m < 2:
             raise InstanceError("dense state needs at least two parties")
         echo["state"] = _digest([state.tensor()])
@@ -251,7 +273,60 @@ def _load_plan(source: str, lam: ProbVector, mu: ProbVector) -> MeasurementPlan:
         else:
             raise InstanceError("no measurement plan found in --plan input")
     with _InputFaults("bad plan payload"):
-        return MeasurementPlan.from_json(payload, lam, mu)
+        return _read_plan(payload, lam, mu)
+
+
+def _read_plan(payload: dict, lam: ProbVector, mu: ProbVector) -> MeasurementPlan:
+    """The plan whose weights and relabelings ``_plan_json`` writes,
+    realized for lam -> mu, read by ``_to_float`` and ``_to_int``; an
+    outcome with any other key is refused.  A plan that does not fit the
+    pair shows it in its ``checks``, by its reconstruction and outcome
+    weights."""
+    n = _to_int(payload["n"])
+    if n != len(lam):
+        raise ValueError(f"plan dimension {n} does not match instance rank {len(lam)}")
+    rows = payload["outcomes"]
+    for row in rows:
+        extra = sorted(set(row) - {"p", "perm"})
+        if extra:
+            raise ValueError(f"outcome keys {extra} are not p or perm")
+    perms = np.array([_read_perm(o["perm"], n) for o in rows], dtype=np.intp)
+    weights = np.array([_to_float(o["p"]) for o in rows])
+    # a p above 1 can overflow the diagonals; it is refused here only when
+    # every weight is finite and >= 0, as ``realize`` refuses the rest first
+    if 1.0 < weights.max(initial=0.0) < np.inf and weights.min(initial=0.0) >= 0.0:
+        raise ValueError("weights must be at most 1")
+    perms = perms.reshape(len(rows), n)
+    # an entry out of range, clipped here, is refused by the plan constructor
+    return realize(lam, weights, perms, np.take(mu.entries, perms, mode="clip"))
+
+
+def _read_perm(row, n: int) -> list[int]:
+    """One outcome's ``perm``: n entries, each read by ``_to_int``."""
+    if len(row) != n:
+        raise ValueError(f"perm rows must have length n={n}")
+    return [_to_int(v) for v in row]
+
+
+def _plan_json(plan: MeasurementPlan) -> dict:
+    """Each outcome's weight and relabeling; the diagonals are left out
+    because ``realize`` rebuilds them from the coefficients."""
+    return {
+        "n": plan.n,
+        "outcomes": [
+            {"p": p, "perm": perm}
+            for p, perm in zip(plan.weights.tolist(), plan.perms.tolist())
+        ],
+    }
+
+
+def _transcript_json(transcript: Transcript) -> dict:
+    """Each branch's fields, ``success`` only where a conclusive run set it."""
+    return {"branches": [
+        {key: value for key, value in vars(br).items()
+         if key != "success" or value is not None}
+        for br in transcript.branches
+    ]}
 
 
 # What every command returns: its verdict, its payload and its check
@@ -289,7 +364,7 @@ def cmd_check(inst: Instance, args) -> Outcome:
 def cmd_plan(inst: Instance, args) -> Outcome:
     lam, mu = _require_vectors(inst)
     plan = build_plan(lam, mu)  # raises ConversionImpossible -> exit 3
-    return "plan", {"plan": plan.to_json()}, plan.checks
+    return "plan", {"plan": _plan_json(plan)}, plan.checks
 
 
 def cmd_simulate(inst: Instance, args) -> Outcome:
@@ -303,7 +378,7 @@ def cmd_simulate(inst: Instance, args) -> Outcome:
             else _load_plan(args.plan, psi.coeffs, phi.coeffs))
     transcript = run_protocol(psi, phi, plan)
     checks = {**plan.checks, **transcript.checks}
-    payload = {"plan": plan.to_json(), "transcript": transcript.to_json()}
+    payload = {"plan": _plan_json(plan), "transcript": _transcript_json(transcript)}
     return ("pass" if _passed(checks) else "fail"), payload, checks
 
 
@@ -318,8 +393,13 @@ def cmd_conclusive(inst: Instance, args) -> Outcome:
     plan = intermediate_state(psi.coeffs, phi.coeffs)  # may raise -> exit 3
     transcript = run_conclusive(psi, phi, plan)
     payload = {
-        "conclusive_plan": plan.to_json(),
-        "transcript": transcript.to_json(),
+        "conclusive_plan": {
+            "p_max": plan.p_max,
+            "l_star": plan.l_star,
+            "deterministic_stage": _plan_json(plan.deterministic_stage),
+            "segments": [list(s) for s in plan.segments],
+        },
+        "transcript": _transcript_json(transcript),
         "predicted_probability": plan.p_max,
         "achieved_probability": transcript.success_probability,
     }
@@ -351,7 +431,13 @@ def cmd_catalyst(inst: Instance, args) -> Outcome:
     if not 0.0 < args.resolution <= 0.5:
         raise InstanceError("--resolution must lie in (0, 0.5]")
     result = catalysis_search(lam, mu, d_max=args.dmax, resolution=args.resolution)
-    return result.verdict, result.to_json(), result.checks
+    payload = {
+        "found": result.found,
+        "catalyst": None if result.catalyst is None else result.catalyst.entries.tolist(),
+        "certificate": result.certificate,
+        "candidates_tested": result.candidates_tested,
+    }
+    return result.verdict, payload, result.checks
 
 
 def cmd_extract_gsd(inst: Instance, args) -> Outcome:
@@ -360,7 +446,16 @@ def cmd_extract_gsd(inst: Instance, args) -> Outcome:
     if not 0.0 <= args.tol < 1.0:
         raise InstanceError("--tol must lie in [0, 1)")
     result = extract_gsd(inst.state, tol=args.tol)
-    return result.verdict, result.to_json(), {}
+    payload = {
+        "verdict": result.verdict,
+        "inconclusive_degenerate": result.inconclusive_degenerate,
+    }
+    if result.state is not None:
+        payload["coeffs"] = result.state.coeffs.entries.tolist()
+        payload["reassembly_fidelity"] = result.reassembly_fidelity
+    if result.witness is not None:
+        payload["witness"] = dict(vars(result.witness))
+    return result.verdict, payload, {}
 
 
 COMMANDS = {
@@ -458,11 +553,16 @@ def main(argv: list[str] | None = None) -> int:
     return EXIT_OK if report["pass"] else EXIT_INTERNAL
 
 
+# One encoder for every report: json.dumps with these arguments would build
+# a new one per call.
+_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
+
+
 def _encode(obj: dict) -> str:
     """One line of strict JSON with sorted keys: a NaN or infinite float
-    raises ValueError.  Without indent, json.dumps runs CPython's C encoder;
-    floats are spelled by float.__repr__ either way."""
-    return json.dumps(obj, sort_keys=True, allow_nan=False) + "\n"
+    raises ValueError.  Without indent, the encoder runs CPython's C
+    encoder; floats are spelled by float.__repr__ either way."""
+    return _ENCODER.encode(obj) + "\n"
 
 
 def _option_echo(args) -> dict:

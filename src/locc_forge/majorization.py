@@ -109,10 +109,6 @@ class ProbVector:
             self._entries, other._entries
         )
 
-    def to_json(self) -> list[float]:
-        """Canonical rendering: a plain JSON array of numbers."""
-        return [float(x) for x in self._entries]
-
     def __setattr__(self, *_):
         raise AttributeError("ProbVector is immutable")
 
@@ -130,26 +126,6 @@ class PermutationMixture:
 
     weights: np.ndarray
     terms: np.ndarray
-
-
-def to_float(value) -> float:
-    """A number read from JSON, as a float; strings, booleans and anything
-    else raise TypeError."""
-    if isinstance(value, bool) or not isinstance(
-        value, (int, float, np.integer, np.floating)
-    ):
-        raise TypeError(f"{value!r} is not a number")
-    return float(value)
-
-
-def to_int(value) -> int:
-    """A count read from JSON: ints and integral floats such as 2.0 pass;
-    fractional and non-finite numbers raise ValueError, and what
-    ``to_float`` refuses TypeError."""
-    exact = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    if not exact and not to_float(value).is_integer():
-        raise ValueError(f"{value!r} is not a whole number")
-    return int(value)
 
 
 def is_majorized(lam: ProbVector, mu: ProbVector) -> bool:

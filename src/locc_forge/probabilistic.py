@@ -10,7 +10,9 @@ still-unassigned prefix, the one of worst tail ratio, to a rescaled copy
 of the target.  One scan finds the worst tail ratio for every end at
 once, and the segments follow from it as a chain of ends.  The
 resulting vector is sorted, majorizes the source, and dominates p_max
-times the target entrywise, as the success outcome needs.
+times the target entrywise, as the success outcome needs.  This module
+builds the conclusive plan, both stages realized with their check tables;
+``simulator.run_conclusive`` runs it on states.
 
 The catalyst search first tries to refute: a few quantities that are
 Schur-monotone and multiplicative under the tensor product (largest and
@@ -38,8 +40,7 @@ from .majorization import (
     is_majorized,
     prefix_excess,
 )
-from .protocol import MeasurementPlan, _realize, build_plan
-from .simulator import GeneralizedSchmidtState, Transcript, _branch_checks, _record, _run
+from .protocol import MeasurementPlan, build_plan, realize
 
 MAX_TENSOR_ENTRIES = 2**20
 # About 4 s of grid search at the measured 56-63 us per candidate (an open
@@ -119,7 +120,7 @@ def pmax(lam: ProbVector, mu: ProbVector) -> tuple[float, int]:
 class ConclusivePlan:
     """Everything needed to run the optimal conclusive conversion.
 
-    ``to_json`` prints p_max, l_star, the deterministic stage and the
+    A report prints p_max, l_star, the deterministic stage and the
     segments; gamma, the settle plan and the failure coefficients follow
     from them and are kept here only for the run.
     """
@@ -131,14 +132,6 @@ class ConclusivePlan:
     settle: MeasurementPlan  # on gamma: outcome 0 onto mu, outcome 1 onto the failure
     failure_coeffs: ProbVector | None
     segments: tuple[tuple[int, int, float], ...]  # (start, end, scale)
-
-    def to_json(self) -> dict:
-        return {
-            "p_max": self.p_max,
-            "l_star": self.l_star,
-            "deterministic_stage": self.deterministic_stage.to_json(),
-            "segments": [list(s) for s in self.segments],
-        }
 
 
 def intermediate_state(lam: ProbVector, mu: ProbVector) -> ConclusivePlan:
@@ -232,51 +225,10 @@ def intermediate_state(lam: ProbVector, mu: ProbVector) -> ConclusivePlan:
         deterministic_stage=build_plan(
             lam, gamma_pv, cuts=[start for start, _, _ in segments[1:]]
         ),
-        settle=_realize(gamma_pv, weights, levels, targets, "settle measurement"),
+        settle=realize(gamma_pv, weights, levels, targets, "settle measurement"),
         failure_coeffs=failure_coeffs,
         segments=tuple(segments),
     )
-
-
-def run_conclusive(
-    psi: GeneralizedSchmidtState, phi: GeneralizedSchmidtState, plan: ConclusivePlan
-) -> Transcript:
-    """Deterministic stage into the waypoint omega, then the settle
-    measurement on party A, with every branch checked against its target.
-
-    ``_run`` runs the stage against omega and settles every live stage
-    branch against phi (outcome 0) and the failure state; omega and the
-    failure state take psi's bases, and B_phi B_psi^dag is the identity on
-    coordinates.  The check table holds the success probability against
-    p_max, the success fidelity, the probability sum, ``offdiag_mass``,
-    and the stage's own branch checks under ``stage_`` names.
-    """
-    stage = plan.deterministic_stage
-    targets = [plan.gamma, phi]
-    if plan.failure_coeffs is not None:
-        targets.append(plan.failure_coeffs)
-    stage_records, offdiag, settled = _run(psi, targets, stage, plan.settle)
-
-    branches = []
-    for record in stage_records:
-        if record.fidelity is None:  # annihilated by a zero-weight outcome
-            branches.append(record)
-        else:
-            branches += [_record(record.outcome, prob, fid, i == 0)
-                         for i, (prob, fid) in enumerate(zip(*next(settled)))]
-
-    prob_sum = sum(br.simulated_prob for br in branches)
-    success_prob = sum(br.simulated_prob for br in branches if br.success)
-    success_fid = min((br.fidelity for br in branches if br.success), default=0.0)
-    stage_checks = _branch_checks(stage.weights, stage_records)
-    checks = {
-        "success_prob_error": Check.within(abs(success_prob - plan.p_max), UNIT_TOL),
-        "min_success_fidelity": Check.fidelity(success_fid),
-        "prob_sum_error": Check.within(abs(prob_sum - 1.0), UNIT_TOL),
-        "offdiag_mass": offdiag,
-        **{f"stage_{name}": check for name, check in stage_checks.items()},
-    }
-    return Transcript(tuple(branches), checks)
 
 
 def _power_terms(vectors: list[np.ndarray], copies: int):
@@ -362,14 +314,6 @@ class CatalysisResult:
     @property
     def found(self) -> bool:
         return self.verdict == "found"
-
-    def to_json(self) -> dict:
-        return {
-            "found": self.found,
-            "catalyst": None if self.catalyst is None else self.catalyst.to_json(),
-            "certificate": self.certificate,
-            "candidates_tested": self.candidates_tested,
-        }
 
 
 def _tensor_with(v: ProbVector, c: np.ndarray) -> ProbVector:

@@ -12,10 +12,10 @@ broadcast.  The diagonals follow from (mu, weights, relabelings) alone by
 r_k = sum_j p_j mu[sigma_j^{-1}(k)] the source that the plan itself
 reconstructs, and sqrt(p_j) where r_k = 0, so every plan is complete and
 travels as its weights and relabelings.  Every plan, built by
-``build_plan``, read by ``MeasurementPlan.from_json`` or made for the
+``build_plan``, read from a plan file by the CLI or made for the
 conclusive settle step (whose outcomes land on different vectors, so
 each outcome's row of coefficients takes the place of mu[sigma_j^{-1}]),
-is realized by ``_realize``: one reconstruction r gives its diagonals and
+is realized by ``realize``: one reconstruction r gives its diagonals and
 its check table (``majorization.Check`` records by name), where lam first
 enters: completeness, outcome weights, and the reconstruction max_k
 |lam_k - r_k|.
@@ -39,8 +39,6 @@ from .majorization import (
     UNIT_TOL,
     ZERO_TOL,
     mixture_for,
-    to_float,
-    to_int,
 )
 
 
@@ -55,7 +53,7 @@ class MeasurementPlan:
     checks the shapes, that weights are finite and >= 0, that every perms
     row is a permutation of 0..n-1 and that diags are finite and >= 0, and
     makes the arrays read-only; it is the one permutation check of every
-    plan.  ``checks`` is the check table that ``_realize`` made for the
+    plan.  ``checks`` is the check table that ``realize`` made for the
     pair the plan was realized for, and None on a plan made directly.
     """
 
@@ -86,42 +84,6 @@ class MeasurementPlan:
     def n(self) -> int:
         return self.diags.shape[1]
 
-    def to_json(self) -> dict:
-        """Each outcome's weight and relabeling; the diagonals are left out
-        because ``_kraus_diagonals`` rebuilds them from the coefficients."""
-        return {
-            "n": self.n,
-            "outcomes": [
-                {"p": p, "perm": perm}
-                for p, perm in zip(self.weights.tolist(), self.perms.tolist())
-            ],
-        }
-
-    @classmethod
-    def from_json(
-        cls, payload: dict, lam: ProbVector, mu: ProbVector
-    ) -> "MeasurementPlan":
-        """Realize the weights and relabelings of ``to_json`` for lam -> mu,
-        read by ``to_float`` and ``to_int``; an outcome with any other key
-        is refused.  A plan that does not fit the pair shows it in its
-        ``checks``, by its reconstruction and outcome weights."""
-        n = to_int(payload["n"])
-        if n != len(lam):
-            raise ValueError(f"plan dimension {n} does not match instance rank {len(lam)}")
-        rows = payload["outcomes"]
-        for row in rows:
-            extra = sorted(set(row) - {"p", "perm"})
-            if extra:
-                raise ValueError(f"outcome keys {extra} are not p or perm")
-        perms = np.array([_read_perm(o["perm"], n) for o in rows], dtype=np.intp)
-        weights = np.array([to_float(o["p"]) for o in rows])
-        _check_nonnegative(weights, "weights")
-        if np.any(weights > 1.0):  # a larger p can overflow the diagonals
-            raise ValueError("weights must be at most 1")
-        perms = perms.reshape(len(rows), n)
-        # an entry out of range, clipped here, is refused by the plan constructor
-        return _realize(lam, weights, perms, np.take(mu.entries, perms, mode="clip"))
-
 
 def _permutation_rows(perms: np.ndarray) -> bool:
     """Whether every row of perms (J, n) is a permutation of 0..n-1: the
@@ -134,13 +96,6 @@ def _permutation_rows(perms: np.ndarray) -> bool:
     seen = np.zeros(rows * n, dtype=bool)
     seen[(perms + n * np.arange(rows)[:, None]).ravel()] = True
     return bool(seen.all())
-
-
-def _read_perm(row, n: int) -> list[int]:
-    """One outcome's ``perm``: n entries, each read by ``to_int``."""
-    if len(row) != n:
-        raise ValueError(f"perm rows must have length n={n}")
-    return [to_int(v) for v in row]
 
 
 def _check_nonnegative(arr: np.ndarray, what: str) -> None:
@@ -161,13 +116,15 @@ def _kraus_diagonals(weights: np.ndarray, mass: np.ndarray, recon: np.ndarray) -
     return np.sqrt(share)
 
 
-def _realize(
+def realize(
     lam: ProbVector, weights: np.ndarray, perms: np.ndarray, targets: np.ndarray,
     stage: str | None = None,
 ) -> MeasurementPlan:
     """The plan with these weights and relabelings for the source lam, where
     row j of targets (J, n) holds the coefficients that outcome j lands on
-    at each source level, mu[perms[j]] for a plan lam -> mu.  Its diagonals
+    at each source level, mu[perms[j]] for a plan lam -> mu.  Weights that
+    are not finite and >= 0 raise ValueError before any diagonal is formed,
+    and the plan constructor checks the relabelings.  Its diagonals
     and check table come from one reconstruction r_k = sum_j p_j
     targets[j, k]: ``completeness`` and outcome ``weights`` to PLAN_TOL,
     ``reconstruction`` max_k |lam_k - r_k| to UNIT_TOL; lam enters the
@@ -175,6 +132,7 @@ def _realize(
     InternalContradiction naming the stage, every check's value and where
     each failing one failed: the level and its sum_j diag_jk^2, the outcome
     with its probability on lam and p_j, or the level with lam_k and r_k."""
+    _check_nonnegative(weights, "weights")
     mass = weights[:, None] * targets
     recon = mass.sum(axis=0)
     plan = MeasurementPlan(weights, _kraus_diagonals(weights, mass, recon), perms)
@@ -219,4 +177,4 @@ def build_plan(
     else:
         mix = mixture_for(lam, mu, cuts)
         weights, perms = mix.weights, mix.terms
-    return _realize(lam, weights, perms, mu.entries[perms], "built plan")
+    return realize(lam, weights, perms, mu.entries[perms], "built plan")

@@ -31,21 +31,24 @@ branch of the transcript is one broadcast outcome, with what the run
 measured on it.  Every branch follows one fixed schedule of single-party
 operations, so none is listed per branch: party 0 measures, the outcome
 is broadcast and every party relabels its Schmidt levels; a conclusive
-run then has party 0 make the settle measurement, success or failure,
-and on success every party applies its unitary.  The transcript's check
+run (``run_conclusive``, of the plan that ``probabilistic`` builds)
+then has party 0 make the settle measurement, success or failure, and on
+success every party applies its unitary.  The transcript's check
 table holds each check once, with its value, tolerance and verdict.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapExceeded, ZeroBranch
-from .majorization import DEGENERACY_GAP, UNIT_TOL, ZERO_TOL, Check, ProbVector, to_int
+from .majorization import DEGENERACY_GAP, UNIT_TOL, ZERO_TOL, Check, ProbVector
+from .probabilistic import ConclusivePlan
 from .protocol import MeasurementPlan
 
 MAX_PARTIES = 6
@@ -83,7 +86,7 @@ class DenseState:
     __slots__ = ("amplitudes", "dims")
 
     def __init__(self, amplitudes, dims):
-        dims = tuple(to_int(d) for d in dims)
+        dims = tuple(map(operator.index, dims))
         expected = _check_caps(dims)
         amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
         if amps.size != expected:
@@ -126,7 +129,7 @@ class GeneralizedSchmidtState:
     __slots__ = ("dims", "coeffs", "bases")
 
     def __init__(self, dims, coeffs: ProbVector, bases):
-        dims = tuple(to_int(d) for d in dims)
+        dims = tuple(map(operator.index, dims))
         if len(dims) < 2:
             raise ValueError("need at least two parties")
         _check_caps(dims)
@@ -248,16 +251,6 @@ class BranchRecord:
     fidelity: float | None = None
     success: bool | None = None  # set only by conclusive runs
 
-    def to_json(self) -> dict:
-        payload = {
-            "outcome": self.outcome,
-            "simulated_prob": self.simulated_prob,
-            "fidelity": self.fidelity,
-        }
-        if self.success is not None:
-            payload["success"] = self.success
-        return payload
-
 
 @dataclass(frozen=True)
 class Transcript:
@@ -274,9 +267,6 @@ class Transcript:
     def success_probability(self) -> float:
         """Summed probability of the conclusive success branches."""
         return float(sum(br.simulated_prob for br in self.branches if br.success))
-
-    def to_json(self) -> dict:
-        return {"branches": [br.to_json() for br in self.branches]}
 
 
 def _coords(*states: GeneralizedSchmidtState) -> list[tuple[np.ndarray, float]]:
@@ -418,6 +408,47 @@ def run_protocol(
                                 "offdiag_mass": offdiag})
 
 
+def run_conclusive(
+    psi: GeneralizedSchmidtState, phi: GeneralizedSchmidtState, plan: ConclusivePlan
+) -> Transcript:
+    """Deterministic stage into the waypoint omega, then the settle
+    measurement on party A, with every branch checked against its target.
+
+    ``_run`` runs the stage against omega and settles every live stage
+    branch against phi (outcome 0) and the failure state; omega and the
+    failure state take psi's bases, and B_phi B_psi^dag is the identity on
+    coordinates.  The check table holds the success probability against
+    p_max, the success fidelity, the probability sum, ``offdiag_mass``,
+    and the stage's own branch checks under ``stage_`` names.
+    """
+    stage = plan.deterministic_stage
+    targets = [plan.gamma, phi]
+    if plan.failure_coeffs is not None:
+        targets.append(plan.failure_coeffs)
+    stage_records, offdiag, settled = _run(psi, targets, stage, plan.settle)
+
+    branches = []
+    for record in stage_records:
+        if record.fidelity is None:  # annihilated by a zero-weight outcome
+            branches.append(record)
+        else:
+            branches += [_record(record.outcome, prob, fid, i == 0)
+                         for i, (prob, fid) in enumerate(zip(*next(settled)))]
+
+    prob_sum = sum(br.simulated_prob for br in branches)
+    success_prob = sum(br.simulated_prob for br in branches if br.success)
+    success_fid = min((br.fidelity for br in branches if br.success), default=0.0)
+    stage_checks = _branch_checks(stage.weights, stage_records)
+    checks = {
+        "success_prob_error": Check.within(abs(success_prob - plan.p_max), UNIT_TOL),
+        "min_success_fidelity": Check.fidelity(success_fid),
+        "prob_sum_error": Check.within(abs(prob_sum - 1.0), UNIT_TOL),
+        "offdiag_mass": offdiag,
+        **{f"stage_{name}": check for name, check in stage_checks.items()},
+    }
+    return Transcript(tuple(branches), checks)
+
+
 @dataclass(frozen=True)
 class GsdWitness:
     """Why extraction rejected: which cofactor broke, where, by how much."""
@@ -427,14 +458,6 @@ class GsdWitness:
     party: int | None
     residual: float
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "index": self.index,
-            "party": self.party,
-            "residual": self.residual,
-        }
-
 
 @dataclass(frozen=True)
 class GsdExtraction:
@@ -443,18 +466,6 @@ class GsdExtraction:
     reassembly_fidelity: float | None = None
     witness: GsdWitness | None = None
     inconclusive_degenerate: bool = False
-
-    def to_json(self) -> dict:
-        payload: dict = {
-            "verdict": self.verdict,
-            "inconclusive_degenerate": self.inconclusive_degenerate,
-        }
-        if self.state is not None:
-            payload["coeffs"] = self.state.coeffs.to_json()
-            payload["reassembly_fidelity"] = self.reassembly_fidelity
-        if self.witness is not None:
-            payload["witness"] = self.witness.to_json()
-        return payload
 
 
 def _cofactor_chain(w: np.ndarray, dims: tuple[int, ...], tol: float):

@@ -100,8 +100,8 @@ def test_criterion_2_necessity_contract(tmp_path, capsys):
             continue
         path.write_text(json.dumps({
             "schema_version": "1",
-            "lam": lam.to_json(),
-            "mu": mu.to_json(),
+            "lam": lam.entries.tolist(),
+            "mu": mu.entries.tolist(),
         }))
         code = cli_main(["plan", "--in", str(path)])
         assert code == 3
@@ -351,7 +351,7 @@ def test_criterion_7_invariant_suite(tmp_path, capsys):
         lam = t_chain(rng, mu, transforms=n) if rng.uniform() < 0.5 else \
             random_probs(rng, n)
         path.write_text(json.dumps({
-            "schema_version": "1", "lam": lam.to_json(), "mu": mu.to_json(),
+            "schema_version": "1", "lam": lam.entries.tolist(), "mu": mu.entries.tolist(),
         }))
         for command in ("check", "plan", "simulate", "pmax", "conclusive",
                         "multicopy", "catalyst"):

@@ -421,7 +421,7 @@ class TestPlan:
         # realizing forms the reconstruction r once, for the diagonals and
         # the checks, the identity plan included
         import locc_forge.protocol as protocol
-        calls = {"_realize": 0, "_kraus_diagonals": 0}
+        calls = {"realize": 0, "_kraus_diagonals": 0}
         for name in calls:
             def counted(*args, _fn=getattr(protocol, name), _name=name):
                 calls[_name] += 1
@@ -430,7 +430,7 @@ class TestPlan:
         code, report, _ = run(capsys, ["plan", "--in", write(tmp_path, payload)])
         assert code == 0 and report["pass"] is True
         assert set(report["residuals"]) == {"completeness", "weights", "reconstruction"}
-        assert calls == {"_realize": 1, "_kraus_diagonals": 1}
+        assert calls == {"realize": 1, "_kraus_diagonals": 1}
 
     def test_residuals_accompany_pass(self, tmp_path, capsys):
         _, report, _ = run(capsys, ["plan", "--in", write(tmp_path, EASY_PAIR)])
@@ -441,7 +441,7 @@ class TestPlan:
         rng = np.random.default_rng(32)
         mu = random_probs(rng, 32)
         lam = t_chain(rng, mu, transforms=128)
-        inst = {"schema_version": "1", "lam": lam.to_json(), "mu": mu.to_json()}
+        inst = {"schema_version": "1", "lam": lam.entries.tolist(), "mu": mu.entries.tolist()}
         code, report, _ = run(capsys, ["plan", "--in", write(tmp_path, inst)])
         assert code == 0 and report["pass"] is True
         assert report["payload"]["plan"]["n"] == 32
@@ -831,8 +831,8 @@ class TestOtherCommands:
         rng = np.random.default_rng(4)
         texts = []
         for n in (4, 1024):
-            inst = {"schema_version": "1", "lam": random_probs(rng, n).to_json(),
-                    "mu": random_probs(rng, n).to_json()}
+            inst = {"schema_version": "1", "lam": random_probs(rng, n).entries.tolist(),
+                    "mu": random_probs(rng, n).entries.tolist()}
             code, text = raw_run(capsys, [command, "--in", write(tmp_path, inst)])
             assert code == 0
             texts.append(text)
@@ -941,6 +941,24 @@ class TestOtherCommands:
         assert code == 0
         assert report["verdict"] == "admits"
         np.testing.assert_allclose(report["payload"]["coeffs"], [0.5, 0.5])
+
+    @pytest.mark.parametrize("options, witness", [
+        ([], {"kind": "entangled_cofactor", "index": 0, "party": 1}),
+        (["--tol", "0.05"], {"kind": "reassembly", "index": -1, "party": None}),
+    ])
+    def test_extract_gsd_near_product_cofactor(self, tmp_path, capsys, options, witness):
+        # |0> (x) (sqrt(0.99)|00> + sqrt(0.01)|11>): the one cofactor is 0.01
+        # short of a product, so the default tol rejects it at party 1; at
+        # tol 0.05 its nearest product goes on, and the reassembly misses
+        # the state by the same 0.01
+        amps = [0.99**0.5, 0.0, 0.0, 0.01**0.5, 0.0, 0.0, 0.0, 0.0]
+        inst = {"schema_version": "1",
+                "state": {"dims": [2, 2, 2], "re": amps, "im": [0.0] * 8}}
+        code, report, _ = run(capsys, ["extract-gsd", "--in", write(tmp_path, inst), *options])
+        assert code == 0 and report["verdict"] == "rejects"
+        got = report["payload"]["witness"]
+        assert got["residual"] == pytest.approx(0.01, abs=1e-12)
+        assert {key: got[key] for key in witness} == witness
 
     def test_extract_gsd_requires_state(self, tmp_path, capsys):
         code, _, _ = run(capsys, ["extract-gsd", "--in", write(tmp_path, EASY_PAIR)])

@@ -36,6 +36,7 @@ from locc_forge import (
     multicopy_profile,
     pad_to,
     pmax,
+    realize,
     run_conclusive,
 )
 import locc_forge.probabilistic as probabilistic
@@ -50,7 +51,7 @@ from locc_forge.probabilistic import (
     _tail_ratio_scan,
     _tails,
 )
-from locc_forge.protocol import _realize
+from locc_forge.cli import cmd_conclusive, load_instance
 from test_majorization import majorized_pairs, prob_vectors
 from test_simulator import ENGINE_SHAPES, scale_heaviest_entry, swap_heaviest_perms
 
@@ -196,8 +197,11 @@ class TestIntermediateState:
         pairs = [(t_chain(rng, random_probs(rng, n), n), random_probs(rng, n))
                  for n in (2, 3, 5, 8, 16)]
         for lam, mu in pairs + [(ProbVector([0.9, 0.1]), ProbVector([0.6, 0.4]))]:
+            inst = load_instance({"schema_version": "1", "lam": lam.entries.tolist(),
+                                  "mu": mu.entries.tolist()})
+            lam, mu = inst.lam, inst.mu
             plan = intermediate_state(lam, mu)
-            payload = plan.to_json()
+            payload = cmd_conclusive(inst, None)[1]["conclusive_plan"]
             assert set(payload) == {"p_max", "l_star", "deterministic_stage", "segments"}
             p = payload["p_max"]
             gamma = np.zeros(len(mu))
@@ -313,7 +317,7 @@ class TestIntermediateState:
         assert plan.failure_coeffs is None
         assert plan.settle.weights.tolist() == [1.0]
         assert all(check.ok for check in plan.settle.checks.values())
-        weighted_p = _realize(plan.gamma, np.array([plan.p_max]), plan.settle.perms,
+        weighted_p = realize(plan.gamma, np.array([plan.p_max]), plan.settle.perms,
                               mu.entries[None, :])
         assert [name for name, check in weighted_p.checks.items() if not check.ok] == [
             "weights"]

@@ -22,6 +22,7 @@ from locc_forge import (
     mixture_for,
     pad_to,
 )
+from locc_forge.cli import _plan_json, _read_plan
 from test_majorization import majorized_pairs
 
 
@@ -204,9 +205,9 @@ class TestValidate:
         # a read plan with a changed p: its rebuilt diagonals stay complete,
         # but r misses lam and the outcome weights miss p
         lam, mu = ProbVector([0.6, 0.4]), ProbVector([0.8, 0.2])
-        payload = build_plan(lam, mu).to_json()
+        payload = _plan_json(build_plan(lam, mu))
         payload["outcomes"][0]["p"] *= 1.01
-        checks = MeasurementPlan.from_json(payload, lam, mu).checks
+        checks = _read_plan(payload, lam, mu).checks
         assert not passed(checks)
         assert checks["completeness"].ok
         assert not checks["weights"].ok and not checks["reconstruction"].ok
@@ -217,12 +218,12 @@ class TestValidate:
         # empty level costs its whole weight in the reconstruction
         lam, mu = ProbVector([0.5, 0.5]), ProbVector([1.0, 0.0])
         payload = {"n": 2, "outcomes": [{"p": 1, "perm": [0, 1]}]}
-        checks = MeasurementPlan.from_json(payload, lam, mu).checks
+        checks = _read_plan(payload, lam, mu).checks
         assert checks["completeness"].value == 0.0 and checks["weights"].value == 0.0
         assert checks["reconstruction"].value == 0.5 and not checks["reconstruction"].ok
         # weights that do not sum to 1 leave the empty level with sum_j p_j
         payload = {"n": 2, "outcomes": [{"p": 0.5, "perm": [0, 1]}]}
-        checks = MeasurementPlan.from_json(payload, lam, mu).checks
+        checks = _read_plan(payload, lam, mu).checks
         assert checks["completeness"].value == pytest.approx(0.5)
         assert not checks["completeness"].ok
 
@@ -235,13 +236,13 @@ class TestValidate:
     def test_read_plan_carries_the_built_table(self):
         lam, mu = ProbVector([0.5, 0.3, 0.2]), ProbVector([0.6, 0.3, 0.1])
         plan = build_plan(lam, mu)
-        clone = MeasurementPlan.from_json(plan.to_json(), lam, mu)
+        clone = _read_plan(_plan_json(plan), lam, mu)
         assert clone.checks == plan.checks
 
 
 class TestPlanJson:
     def test_roundtrip(self):
-        # from_json rebuilds the diagonals bit for bit, zero-padded levels
+        # the reader rebuilds the diagonals bit for bit, zero-padded levels
         # and the identity plan of vectors within ZERO_TOL included
         for lam, mu in [
             ([0.5, 0.3, 0.2], [0.6, 0.3, 0.1]),
@@ -251,14 +252,14 @@ class TestPlanJson:
         ]:
             lam, mu = ProbVector(lam), ProbVector(mu)
             plan = build_plan(lam, mu)
-            clone = MeasurementPlan.from_json(plan.to_json(), lam, mu)
+            clone = _read_plan(_plan_json(plan), lam, mu)
             assert clone.n == plan.n
             for name in ("weights", "diags", "perms"):
                 np.testing.assert_array_equal(getattr(clone, name), getattr(plan, name))
 
     def test_schema_shape(self):
         plan = build_plan(ProbVector([0.5, 0.5]), ProbVector([0.75, 0.25]))
-        payload = plan.to_json()
+        payload = _plan_json(plan)
         assert set(payload) == {"n", "outcomes"}
         assert all(set(o) == {"p", "perm"} for o in payload["outcomes"])
 
@@ -267,7 +268,7 @@ class TestPlanArrays:
     """The checks the constructor makes on (weights, diags, perms)."""
 
     # non-permutation, negative and NaN rows go through simulate --plan in
-    # test_cli; JSON cannot spell these shapes, and from_json catches them
+    # test_cli; JSON cannot spell these shapes, and the CLI's reader catches them
     @pytest.mark.parametrize("weights, diags, perms, message", [
         ([1.0], [[np.inf, 1.0]], [[0, 1]], "finite and >= 0"),
         ([np.inf], [[1.0, 1.0]], [[0, 1]], "weights must be finite"),
@@ -287,8 +288,8 @@ class TestPlanArrays:
 
     def test_empty_plan_keeps_its_rank(self):
         v = ProbVector([0.5, 0.3, 0.2])
-        plan = MeasurementPlan.from_json({"n": 3, "outcomes": []}, v, v)
-        assert plan.n == 3 and plan.to_json() == {"n": 3, "outcomes": []}
+        plan = _read_plan({"n": 3, "outcomes": []}, v, v)
+        assert plan.n == 3 and _plan_json(plan) == {"n": 3, "outcomes": []}
 
 
 @settings(max_examples=100, deadline=None)
@@ -325,7 +326,7 @@ def test_qubit_paths_agree(pair):
 @given(majorized_pairs())
 def test_plans_are_deterministic_and_basis_free(pair):
     lam, mu = pair
-    assert build_plan(lam, mu).to_json() == build_plan(lam, mu).to_json()
+    assert _plan_json(build_plan(lam, mu)) == _plan_json(build_plan(lam, mu))
 
 
 def _assert_walk_plan(lam, mu):

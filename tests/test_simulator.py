@@ -33,6 +33,7 @@ from locc_forge import (
     run_protocol,
 )
 from locc_forge import simulator
+from locc_forge.cli import _transcript_json
 from locc_forge.majorization import UNIT_TOL
 from locc_forge.simulator import NotUnitary, _cofactor_chain, _coords
 
@@ -53,6 +54,12 @@ class TestDenseState:
     def test_amplitude_cap(self):
         with pytest.raises(CapExceeded):
             DenseState([], (1024, 1024, 2))
+
+    def test_numpy_integer_dims_are_read(self):
+        # dims go through operator.index, so an array of counts passes as
+        # plain ints; a float is refused (test_api's library refusals)
+        state = DenseState(BELL.amplitudes, np.array([2, 2]))
+        assert state.dims == (2, 2) and all(type(d) is int for d in state.dims)
 
 
 class TestGeneralizedSchmidtState:
@@ -266,7 +273,7 @@ class TestRunProtocol:
         psi = GeneralizedSchmidtState.computational((2, 2, 2), lam)
         phi = GeneralizedSchmidtState.computational((2, 2, 2), mu)
         tx = run_protocol(psi, phi, build_plan(lam, mu))
-        payload = tx.to_json()
+        payload = _transcript_json(tx)
         # every branch runs one fixed schedule (party 0 measures, every
         # party relabels), so a branch records only what the run measured
         assert list(payload) == ["branches"]
@@ -368,7 +375,7 @@ class TestBranchEngine:
         tx = run_protocol(psi, psi, plan)
         assert tx.passed
         assert [br.fidelity is not None for br in tx.branches] == [True, False]
-        assert tx.branches[1].to_json() == {
+        assert _transcript_json(tx)["branches"][1] == {
             "outcome": 1, "simulated_prob": 0.0, "fidelity": None}
 
 
