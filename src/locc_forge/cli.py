@@ -45,7 +45,6 @@ from .majorization import (
     UNIT_TOL,
     Check,
     ProbVector,
-    first_violation,
     pad_to,
     prefix_excess,
 )
@@ -352,11 +351,13 @@ def _checked(checks: dict[str, Check]) -> dict:
 
 def cmd_check(inst: Instance, args) -> Outcome:
     lam, mu = _require_vectors(inst)
-    idx = first_violation(lam, mu)
+    excess = prefix_excess(lam, mu)
+    bad = np.flatnonzero(excess > UNIT_TOL)  # first_violation's rule on the printed sums
+    idx = int(bad[0]) if bad.size else None
     payload = {
         "convertible": idx is None,
         "violation_prefix": idx,
-        "max_prefix_excess": max(0.0, prefix_excess(lam, mu)),
+        "max_prefix_excess": float(excess.max(initial=0.0)),
     }
     return ("convertible" if idx is None else "not_convertible"), payload, {}
 

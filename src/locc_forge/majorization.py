@@ -1,6 +1,10 @@
 """Probability-vector combinatorics: majorization and the permutation
 mixtures that realize it.
 
+It owns the Lorenz curves (``lorenz``, ``curve_excess``, ``tails``) and
+the one band rule that every coefficient-level decision reads: a prefix
+is violated when lam's prefix sum minus mu's is above UNIT_TOL.
+
 lam is majorized by mu exactly when lam lies in the permutohedron of mu,
 the convex hull of all rearrangements of mu (Rado 1952).  ``mixture_for``
 writes lam as a convex combination of at most n such rearrangements by
@@ -129,33 +133,52 @@ class PermutationMixture:
 
 
 def is_majorized(lam: ProbVector, mu: ProbVector) -> bool:
-    """True iff every prefix sum of lam is dominated by the one of mu,
-    within UNIT_TOL.
-
-    Both vectors are already nonincreasing by the ProbVector invariant, and
-    their totals are both 1, so only prefixes 0..n-2 are checked.
-    """
+    """True iff no prefix of lam is violated: see ``first_violation``."""
     return first_violation(lam, mu) is None
 
 
 def first_violation(lam: ProbVector, mu: ProbVector) -> int | None:
-    """Smallest prefix index whose lam sum exceeds mu's by more than
-    UNIT_TOL, or None."""
-    if len(lam) != len(mu):
-        raise ValueError(
-            f"dimension mismatch {len(lam)} vs {len(mu)}; pad_to first"
-        )
-    lam_prefix = np.cumsum(lam.entries[:-1])
-    mu_prefix = np.cumsum(mu.entries[:-1])
-    bad = np.nonzero(lam_prefix > mu_prefix + UNIT_TOL)[0]
+    """Smallest prefix index whose ``prefix_excess`` is above UNIT_TOL, or
+    None: the one band rule of every majorization decision."""
+    bad = np.flatnonzero(prefix_excess(lam, mu) > UNIT_TOL)
     return int(bad[0]) if bad.size else None
 
 
-def prefix_excess(lam: ProbVector, mu: ProbVector) -> float:
-    """Largest excess of a prefix sum of lam over mu's, over prefixes
-    0..n-2: negative when every prefix has slack, 0 when n = 1."""
-    excess = np.cumsum(lam.entries[:-1]) - np.cumsum(mu.entries[:-1])
-    return float(excess.max()) if excess.size else 0.0
+def prefix_excess(lam: ProbVector, mu: ProbVector) -> np.ndarray:
+    """lam's prefix sums minus mu's at prefixes 0..n-2 (both end at 1)."""
+    if len(lam) != len(mu):
+        raise ValueError(f"dimension mismatch {len(lam)} vs {len(mu)}; pad_to first")
+    return curve_excess(lorenz(lam.entries), lorenz(mu.entries))
+
+
+def lorenz(entries: np.ndarray, counts: np.ndarray | None = None):
+    """The Lorenz curve (ends, sums, slopes): prefix sums, from the left, of
+    the entries sorted nonincreasing, ends None for a plain sorted vector.
+    With counts, entry i stands for counts[i] levels, ends are cumulative
+    counts and slopes the sorted entries; ties may come in any order."""
+    if counts is None:
+        return None, np.cumsum(entries), entries
+    order = np.argsort(-entries)
+    count, slopes = counts[order], entries[order]
+    return np.cumsum(count), np.cumsum(slopes * count), slopes
+
+
+def curve_excess(own, other) -> np.ndarray:
+    """own's prefix sums minus other's at own's breakpoints below the end,
+    other's curve being linear between its own breakpoints; two plain
+    curves subtract level by level."""
+    (ends, sums, _), (other_ends, other_sums, slopes) = own, other
+    if ends is None:
+        return sums[:-1] - other_sums[:-1]
+    seg = np.searchsorted(other_ends, ends[:-1])
+    return sums[:-1] - (other_sums[seg] - (other_ends[seg] - ends[:-1]) * slopes[seg])
+
+
+def tails(entries: np.ndarray) -> np.ndarray:
+    """tails[l] = sum of entries[l:], summed from the right; tails[n] = 0."""
+    out = np.zeros(entries.size + 1)
+    out[:-1] = np.cumsum(entries[::-1])[::-1]
+    return out
 
 
 def pad_to(v: ProbVector, n: int) -> ProbVector:

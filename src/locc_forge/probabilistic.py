@@ -20,7 +20,8 @@ smallest coefficient, rank, power sums, entropy) must not get worse from
 source to target if any catalyst exists, so one that does proves there is
 none, in O(n).  Only a pair that none of them refutes goes to the grid,
 which is listed up to one candidate past MAX_CATALYST_CANDIDATES before
-any candidate is tested.
+any candidate is tested.  Every coefficient comparison here reads the
+Lorenz curves, tail sums and band rule of ``majorization``.
 """
 
 from __future__ import annotations
@@ -36,9 +37,12 @@ from .majorization import (
     ProbVector,
     UNIT_TOL,
     ZERO_TOL,
+    curve_excess,
     first_violation,
     is_majorized,
+    lorenz,
     prefix_excess,
+    tails,
 )
 from .protocol import MeasurementPlan, build_plan, realize
 
@@ -47,13 +51,6 @@ MAX_TENSOR_ENTRIES = 2**20
 # n = 4 pair, d <= 4, 2-vCPU host); d_max = 5 at the default resolution
 # (46261 candidates) fits.
 MAX_CATALYST_CANDIDATES = 2**16
-
-
-def _tails(v: ProbVector) -> np.ndarray:
-    """tails[l] = sum of v[l:]; tails[n] = 0."""
-    out = np.zeros(len(v) + 1)
-    out[:-1] = np.cumsum(v.entries[::-1])[::-1]
-    return out
 
 
 def _tail_ratio_scan(
@@ -112,7 +109,7 @@ def pmax(lam: ProbVector, mu: ProbVector) -> tuple[float, int]:
     if len(lam) != len(mu):
         raise ValueError("dimension mismatch; pad_to first")
     n = len(lam)
-    value, index = _tail_ratio_scan(_tails(lam), _tails(mu), n, n + 1)
+    value, index = _tail_ratio_scan(tails(lam.entries), tails(mu.entries), n, n + 1)
     return min(max(float(value[0]), 0.0), 1.0), int(index[0])
 
 
@@ -154,8 +151,7 @@ def intermediate_state(lam: ProbVector, mu: ProbVector) -> ConclusivePlan:
     if len(lam) != len(mu):
         raise ValueError("dimension mismatch; pad_to first")
     n = len(lam)
-    e_lam = _tails(lam)
-    e_mu = _tails(mu)
+    e_lam, e_mu = tails(lam.entries), tails(mu.entries)
     segments = _tail_ratio_chain(e_lam, e_mu)
     # the first segment's scale, clamped, is p_max and its start l*, as in pmax
     l_star, _, scale = segments[0]
@@ -188,10 +184,9 @@ def intermediate_state(lam: ProbVector, mu: ProbVector) -> ConclusivePlan:
     gamma_pv = ProbVector(gamma)
     k = first_violation(lam, gamma_pv)
     if k is not None:
-        excess = np.sum(lam.entries[:k + 1]) - np.sum(gamma_pv.entries[:k + 1])
         raise InternalContradiction(
             f"source not majorized by the waypoint: its prefix {k} exceeds gamma's "
-            f"by {excess}, above UNIT_TOL {UNIT_TOL}")
+            f"by {prefix_excess(lam, gamma_pv)[k]}, above UNIT_TOL {UNIT_TOL}")
     over = p * mu.entries - gamma
     k = int(np.argmax(over))
     if over[k] > ZERO_TOL:
@@ -256,31 +251,11 @@ def _power_terms(vectors: list[np.ndarray], copies: int):
         yield values, mult
 
 
-def _prefix_function(values: np.ndarray, mult: np.ndarray):
-    """A power's prefix-sum function from its distinct terms: breakpoints
-    (cumulative counts), the sums there, and the sorted entries (the slope
-    up to each breakpoint), divided by their total as ProbVector does.
-    The order of equal entries does not change the function."""
-    order = np.argsort(-values)
-    count = mult[order]
-    entries = values[order] / np.dot(values, mult)
-    return np.cumsum(count), np.cumsum(entries * count), entries
-
-
-def _excess_at_breakpoints(own, other) -> np.ndarray:
-    """own's prefix sums minus other's at own's breakpoints below the end,
-    other's function being linear between its own breakpoints."""
-    points, own_sums = own[0][:-1], own[1][:-1]
-    ends, sums, entries = other
-    seg = np.searchsorted(ends, points)
-    return own_sums - (sums[seg] - (ends[seg] - points) * entries[seg])
-
-
 def multicopy_profile(lam: ProbVector, mu: ProbVector, copies: int) -> list[bool]:
     """Whether lam^{(x)c} is majorized by mu^{(x)c} for c = 1..copies, in
     the band of ``first_violation``, decided on the distinct terms of each
-    power: the two prefix-sum functions are compared at the breakpoints of
-    either one.  A rank-1 vector counts as rank 2 against the cap."""
+    power, not renormalized, at the breakpoints of either Lorenz curve (at
+    c = 1, ``prefix_excess`` bit for bit).  Rank 1 counts as 2 for the cap."""
     if len(lam) != len(mu):
         raise ValueError("dimension mismatch; pad_to first")
     if copies < 1:
@@ -293,9 +268,9 @@ def multicopy_profile(lam: ProbVector, mu: ProbVector, copies: int) -> list[bool
             )
     verdicts = []
     for (lam_c, mu_c), mult in _power_terms([lam.entries, mu.entries], copies):
-        f_lam, f_mu = _prefix_function(lam_c, mult), _prefix_function(mu_c, mult)
-        verdicts.append(not (np.any(_excess_at_breakpoints(f_lam, f_mu) > UNIT_TOL)
-                             or np.any(_excess_at_breakpoints(f_mu, f_lam) < -UNIT_TOL)))
+        f_lam, f_mu = lorenz(lam_c, mult), lorenz(mu_c, mult)
+        verdicts.append(not (np.any(curve_excess(f_lam, f_mu) > UNIT_TOL)
+                             or np.any(-curve_excess(f_mu, f_lam) > UNIT_TOL)))
     return verdicts
 
 
@@ -401,12 +376,12 @@ def _grid(steps: int, d_max: int) -> list[tuple[int, ...]]:
 def _found(
     lam: ProbVector, mu: ProbVector, c: ProbVector, certificate: dict, tested: int
 ) -> CatalysisResult:
-    """A found catalyst with its check ``certificate``: the largest prefix
-    excess of lam(x)c over mu(x)c, recomputed from the catalyst as
-    returned, against UNIT_TOL.  It passes exactly when ``is_majorized``
-    does on the same tensors."""
-    lam_c, mu_c = _tensor_with(lam, c.entries), _tensor_with(mu, c.entries)
-    check = Check(prefix_excess(lam_c, mu_c), UNIT_TOL, is_majorized(lam_c, mu_c))
+    """A found catalyst with its check ``certificate``: the largest
+    ``prefix_excess`` of lam(x)c over mu(x)c (0 with no prefix),
+    recomputed from the catalyst as returned, within UNIT_TOL, so it
+    passes exactly when ``is_majorized`` does on the same tensors."""
+    excess = prefix_excess(_tensor_with(lam, c.entries), _tensor_with(mu, c.entries))
+    check = Check.within(excess.max() if excess.size else 0.0, UNIT_TOL)
     return CatalysisResult("found", c, certificate, tested, {"certificate": check})
 
 

@@ -16,6 +16,7 @@ full-tensor work that the diagonal Schmidt-coordinate engine does not do.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +28,15 @@ from locc_forge import (
     ZeroBranch,
 )
 from locc_forge.majorization import ZERO_TOL
+
+
+def gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), u = 2^-53: a product of k + 1
+    floats errs relatively by at most gamma_k, and a sum of k + 1 terms by
+    gamma_k times the sum of their magnitudes, in any order (Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., SIAM 2002, ch. 3)."""
+    u = 2.0**-53
+    return k * u / (1.0 - k * u)
 
 
 def passed(checks: dict) -> bool:
@@ -348,8 +358,13 @@ def assemble_unsorted(s: GeneralizedSchmidtState, coeffs=None) -> DenseState:
 
 
 def dense_fidelity(a: DenseState, b: DenseState) -> float:
-    """|<a|b>|^2 by a plain np.vdot over all amplitudes."""
-    return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
+    """|<a|b>|^2, with <a|b> = sum_i conj(a_i) b_i exactly rounded: each
+    real product is rounded once and ``math.fsum`` adds them, so the value
+    depends on neither the BLAS nor its thread count."""
+    x, y = a.amplitudes, b.amplitudes
+    re = math.fsum(np.concatenate([x.real * y.real, x.imag * y.imag]).tolist())
+    im = math.fsum(np.concatenate([x.real * y.imag, -(x.imag * y.real)]).tolist())
+    return abs(complex(re, im)) ** 2
 
 
 def apply_local(state: DenseState, party: int, op: np.ndarray) -> tuple[float, DenseState]:

@@ -27,7 +27,7 @@ from helpers import (
     t_chain,
 )
 from locc_forge import ProbVector, mixture_for
-from locc_forge.cli import COMMANDS, load_instance, main
+from locc_forge.cli import _PARSER, COMMANDS, load_instance, main
 from test_simulator import plant_offdiag_mass
 
 JP_PAIR = {"schema_version": "1", "lam": [0.4, 0.4, 0.1, 0.1],
@@ -1281,6 +1281,56 @@ class TestInputSlack:
                 "mu": [0.5, 0.3, 0.2, 0.0, 0.0]}
         code, report, _ = run(capsys, [command, "--in", write(tmp_path, inst)])
         assert code == 0 and report["pass"] is True
+
+
+class TestBandEdge:
+    """At the 1e-9 edge of the prefix band every command makes the one
+    decision that ``check`` prints: a pair is convertible exactly when its
+    ``max_prefix_excess`` is at most 1e-9.  The pairs move v = 1e-9 and
+    1e-9 + 1 ulp between two levels, so rounding puts their excess on
+    either side of the edge; one pair at 9e-10 and one at 1.1e-9 are
+    clearly inside and outside.  The library is called where the CLI only
+    prints its result; plan's exit code comes from ``main``."""
+
+    @staticmethod
+    def pairs():
+        edge = [pair for v in (1e-9, np.nextafter(1e-9, 1.0)) for pair in prefix_band_pairs(v)]
+        return [next(prefix_band_pairs(9e-10)), next(prefix_band_pairs(1.1e-9)), *edge]
+
+    @staticmethod
+    def plan_exit(tmp_path, capsys, raw) -> int:
+        code = main(["plan", "--in", write(tmp_path, raw)])
+        capsys.readouterr()
+        return code
+
+    def test_every_command_decides_as_check_prints(self, tmp_path, capsys):
+        # the options as the CLI parses them, catalyst's at their defaults
+        multicopy = _PARSER.parse_args(["multicopy", "--copies", "1", "--in", "-"])
+        catalyst = _PARSER.parse_args(["catalyst", "--in", "-"])
+        verdicts = []
+        for lam, mu in self.pairs():
+            raw = {"schema_version": "1", "lam": lam.tolist(), "mu": mu.tolist()}
+            inst = load_instance(raw)
+            check = COMMANDS["check"](inst, None)[1]
+            convertible = check["convertible"]
+            assert convertible is (check["max_prefix_excess"] <= 1e-9), (lam, mu, check)
+            assert COMMANDS["multicopy"](inst, multicopy)[1]["per_copy"] == {"1": convertible}
+            for name, got in COMMANDS["catalyst"](inst, catalyst)[2].items():
+                assert got.ok is (got.value <= got.tol), (name, got)
+            # exit 3 exactly when check says no; see the xfail below for exit 0
+            code = self.plan_exit(tmp_path, capsys, raw)
+            assert (code == 3) is not convertible, (lam, mu, check, code)
+            verdicts.append(convertible)
+        # both sides of the edge are reached, the two outer pairs as expected
+        assert verdicts[:2] == [True, False] and len(set(verdicts[2:])) == 2
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1(c): the walk's plan misses lam "
+                       "by the band plus rounding, so reconstruction fails: exit 5")
+    def test_plan_exits_0_when_check_says_convertible(self, tmp_path, capsys):
+        for lam, mu in self.pairs():
+            raw = {"schema_version": "1", "lam": lam.tolist(), "mu": mu.tolist()}
+            if COMMANDS["check"](load_instance(raw), None)[1]["convertible"]:
+                assert self.plan_exit(tmp_path, capsys, raw) == 0, (lam, mu)
 
 
 class TestDarkLevels:

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,10 +9,12 @@ from hypothesis import strategies as st
 from helpers import (
     dark_level_pairs,
     frozen_mixture_for,
+    gamma,
     loop_reconstruct,
     prefix_sum_majorized,
     random_doubly_stochastic,
     random_probs,
+    sorted_tensor,
     t_chain,
 )
 from locc_forge import (
@@ -22,8 +27,8 @@ from locc_forge import (
     mixture_for,
     pad_to,
 )
-from locc_forge.majorization import prefix_excess
-from locc_forge.probabilistic import _tails, intermediate_state
+from locc_forge.majorization import curve_excess, lorenz, prefix_excess, tails
+from locc_forge.probabilistic import _power_terms, intermediate_state
 
 
 def rounded_terms(mix) -> list[tuple[float, tuple[int, ...]]]:
@@ -115,27 +120,92 @@ class TestIsMajorized:
         # the prefixes 0..n-2 are none at n = 1
         one = ProbVector([1.0])
         assert first_violation(one, one) is None
-        assert prefix_excess(one, one) == 0.0
+        assert prefix_excess(one, one).shape == (0,)
 
 
 class TestTailSum:
     """The tail sums that pmax and the conclusive waypoint read:
-    _tails(v)[l] is the sum of v[l:], and _tails(v)[n] is 0."""
+    tails(v)[l] is the sum of v[l:], and tails(v)[n] is 0."""
 
     def test_full_sum(self):
-        assert _tails(ProbVector([0.5, 0.3, 0.2]))[0] == pytest.approx(1.0)
+        assert tails(ProbVector([0.5, 0.3, 0.2]).entries)[0] == pytest.approx(1.0)
 
     def test_last_entry(self):
-        assert _tails(ProbVector([0.5, 0.3, 0.2]))[2] == pytest.approx(0.2)
+        assert tails(ProbVector([0.5, 0.3, 0.2]).entries)[2] == pytest.approx(0.2)
 
     def test_two_entry(self):
-        assert _tails(ProbVector([0.9, 0.1]))[1] == pytest.approx(0.1)
+        assert tails(ProbVector([0.9, 0.1]).entries)[1] == pytest.approx(0.1)
 
     def test_out_of_range(self):
-        tails = _tails(ProbVector([1.0]))
-        assert tails.tolist() == [1.0, 0.0]
+        out = tails(ProbVector([1.0]).entries)
+        assert out.tolist() == [1.0, 0.0]
         with pytest.raises(IndexError):
-            tails[2]
+            out[2]
+
+    @pytest.mark.parametrize("v", [
+        [0.6, 0.39999999999999, 1e-14],
+        [0.5, 0.25, 0.25, 0.0],
+        random_probs(np.random.default_rng(3), 16).entries,
+        random_probs(np.random.default_rng(4), 1024, floor=0.0).entries,
+        *itertools.islice((mu for _, mu in dark_level_pairs()), 8),
+    ])
+    def test_summed_from_the_right(self, v):
+        # bit for bit the frozen reversed cumulative sum, and each tail
+        # within gamma_{n-l} of its exact sum relatively: a small tail is as
+        # accurate as a large one
+        entries = ProbVector(v).entries
+        got = tails(entries)
+        old = np.zeros(entries.size + 1)
+        old[:-1] = np.cumsum(entries[::-1])[::-1]
+        assert got.tobytes() == old.tobytes()
+        for l in range(entries.size + 1):
+            exact = math.fsum(entries[l:].tolist())
+            assert abs(got[l] - exact) <= gamma(entries.size - l) * exact, l
+
+
+class TestLorenzCurves:
+    """``lorenz`` and ``curve_excess`` on the distinct terms of tensor
+    powers, against running sums in plain Python over the full sorted
+    powers (``helpers.sorted_tensor``)."""
+
+    def test_plain_curves_are_prefix_sums(self):
+        lam, mu = ProbVector([0.5, 0.3, 0.2]), ProbVector([0.6, 0.3, 0.1])
+        ends, sums, slopes = lorenz(lam.entries)
+        assert ends is None and slopes is lam.entries
+        assert sums.tolist() == list(itertools.accumulate(lam.entries.tolist()))
+        want = prefix_excess(lam, mu)
+        assert curve_excess(lorenz(lam.entries), lorenz(mu.entries)).tobytes() == want.tobytes()
+        # copy count 1 as a power curve, one level per term, is the plain curve
+        ones = np.ones(len(lam))
+        got = curve_excess(lorenz(lam.entries, ones), lorenz(mu.entries, ones))
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_power_curves_match_full_sorted_powers(self, data):
+        # small integer weights give zero entries and ties, within either
+        # vector and across the two
+        n = data.draw(st.integers(1, 4))
+        weights = st.lists(st.integers(0, 4), min_size=n, max_size=n).filter(any)
+        a, b = data.draw(weights), data.draw(weights)
+        vectors = [ProbVector(np.array(w) / sum(w)) for w in (a, b)]
+        full = [[1.0], [1.0]]
+        for c, (values, mult) in enumerate(_power_terms([v.entries for v in vectors], 4), 1):
+            full = [sorted_tensor(f, v) for f, v in zip(full, vectors)]
+            running = [list(itertools.accumulate(f)) for f in full]
+            curves = [lorenz(vals, mult) for vals in values]
+            # each product errs by gamma_{c-1}, each running sum by gamma_{n^c},
+            # and reading the other curve between breakpoints adds two roundings
+            bound = 2.0 * gamma(n**c + c + 2)
+            for own, other in ((0, 1), (1, 0)):
+                ends, sums, _ = curves[own]
+                assert ends[-1] == n**c
+                for end, got in zip(ends, sums):
+                    assert abs(got - running[own][int(end) - 1]) <= bound
+                got = curve_excess(curves[own], curves[other])
+                want = [running[own][int(end) - 1] - running[other][int(end) - 1]
+                        for end in ends[:-1]]
+                assert np.all(np.abs(got - want) <= bound), (a, b, c, own)
 
 
 class TestPadTo:

@@ -40,6 +40,7 @@ from locc_forge import (
     run_conclusive,
 )
 import locc_forge.probabilistic as probabilistic
+from locc_forge.majorization import tails
 from locc_forge.probabilistic import (
     MAX_CATALYST_CANDIDATES,
     _grid,
@@ -49,7 +50,6 @@ from locc_forge.probabilistic import (
     _refute,
     _tail_ratio_chain,
     _tail_ratio_scan,
-    _tails,
 )
 from locc_forge.cli import cmd_conclusive, load_instance
 from test_majorization import majorized_pairs, prob_vectors
@@ -142,7 +142,7 @@ class TestMinTailRatio:
         # follows: the cut pmax takes, every segment end and every end that
         # the chain jumps over
         for lam, mu in tail_ratio_pairs():
-            e_lam, e_mu = _tails(lam), _tails(mu)
+            e_lam, e_mu = tails(lam.entries), tails(mu.entries)
             n = len(lam)
             value, index = _tail_ratio_scan(e_lam, e_mu, 1, n + 1)
             for end in range(1, n + 1):
@@ -159,7 +159,7 @@ class TestMinTailRatio:
                 plan = intermediate_state(lam, mu)
             except ConversionImpossible:
                 continue
-            e_lam, e_mu = _tails(lam), _tails(mu)
+            e_lam, e_mu = tails(lam.entries), tails(mu.entries)
             chain, end = [], len(lam)
             while end > 0:
                 scale, start = loop_min_tail_ratio(e_lam, e_mu, end)
@@ -338,7 +338,7 @@ class TestWaypointInvariants:
     @staticmethod
     def raised(monkeypatch, lam, mu, chain) -> str:
         lam, mu = ProbVector(lam), ProbVector(mu)
-        first = _tail_ratio_chain(_tails(lam), _tails(mu))[0]
+        first = _tail_ratio_chain(tails(lam.entries), tails(mu.entries))[0]
         monkeypatch.setattr(probabilistic, "_tail_ratio_chain",
                             lambda e_lam, e_mu: [first, *chain])
         with pytest.raises(InternalContradiction) as err:

@@ -12,6 +12,7 @@ from helpers import (
     dense_fidelity,
     dense_protocol,
     frozen_gsd_chain,
+    gamma,
     measurement_matrix,
     random_columns,
     random_gss,
@@ -709,12 +710,29 @@ class TestExtractGsd:
 
     @pytest.mark.parametrize("dims", [(8,) * 6, (2, 2**17), (4, 3, 3, 3)])
     def test_reassembly_fidelity_matches_per_term_overlap(self, dims):
+        # Both fidelities are |s|^2 for s = sum_k sqrt(c_k) <b_k|state>, a
+        # sum over k and every amplitude of products of m + 1 complex
+        # factors.  A term's rounding is at most gamma_K times its size
+        # (Higham, ch. 3; a complex product counts 3, Lemma 3.5), with K
+        # along its path through the sum: the program contracts party i
+        # over d_i levels, scales by sqrt(c_k) and adds n terms, so K_p =
+        # 3m + sum(d) + n; the reference assembles each amplitude from n
+        # terms, then rounds each real product once before the exactly
+        # rounded sum, so K_r = 3m + n.  The sizes add up to at most S =
+        # sum_k sqrt(c_k) |b_k| |state| (Cauchy-Schwarz), and each square
+        # |s|^2 adds gamma_4.
         rng = np.random.default_rng(len(dims))
         state = assemble_unsorted(random_gss(rng, random_probs(rng, min(dims)), dims))
         result = extract_gsd(state)
         assert result.verdict == "admits"
+        got = result.reassembly_fidelity
         want = dense_fidelity(assemble_unsorted(result.state), state)
-        assert abs(result.reassembly_fidelity - want) <= 1e-14
+        gss, m, n = result.state, len(dims), len(result.state.coeffs)
+        norms = np.prod([np.linalg.norm(b, axis=0) for b in gss.bases], axis=0)
+        size = float(np.sqrt(gss.coeffs.entries) @ norms) * np.linalg.norm(state.amplitudes)
+        overlap = (gamma(3 * m + sum(dims) + n) + gamma(3 * m + n)) * size
+        bound = (math.sqrt(got) + math.sqrt(want)) * overlap + gamma(4) * (got + want)
+        assert abs(got - want) <= bound
 
     @pytest.mark.parametrize("dims", [(3, 4, 3), (4, 3, 3, 3), (3, 4, 3, 5, 3), (4,) * 6])
     def test_chain_matches_per_cofactor_chain(self, dims):
